@@ -523,6 +523,67 @@ pub fn plan_json_path() -> std::path::PathBuf {
         .join("BENCH_plan.json")
 }
 
+/// Layered corpus structure: depth of the call DAG and callees per
+/// define. Six layers of fanout three keep every define's reachable
+/// closure bounded (≤ 3 + 9 + … + 243 defines regardless of corpus
+/// width), so content digests and summary registration stay linear in
+/// corpus size while full descent pays the multiplied closure walk.
+pub const LAYERS: usize = 6;
+/// Callees per define above layer 0 (see [`LAYERS`]).
+pub const FANOUT: usize = 3;
+
+/// Generates a layered call-DAG corpus of `n` single-parameter list
+/// recursions, one `define` per line, callees before callers: layer 0 is
+/// `len` clones, and each define in layer `k > 0` applies [`FANOUT`]
+/// distinct defines from layer `k - 1` to `(cdr l)` alongside its own
+/// self-recursion. `base` is the base-case constant of define `f0` — the
+/// knob `report_plan`'s incremental measurement edits.
+pub fn layered_corpus(n: usize, seed: u64, base: i64) -> String {
+    let mut rng = sct_fuzz::Rng::new(seed);
+    let per = (n / LAYERS).max(FANOUT);
+    let mut prev: Vec<usize> = Vec::new();
+    let mut out = String::new();
+    let mut idx = 0usize;
+    for layer in 0..LAYERS {
+        let count = if layer == LAYERS - 1 {
+            n.saturating_sub(idx).max(per)
+        } else {
+            per
+        };
+        let mut ids = Vec::with_capacity(count);
+        for _ in 0..count {
+            let name = format!("f{idx}");
+            if layer == 0 {
+                let b = if idx == 0 { base } else { 0 };
+                out.push_str(&format!(
+                    "(define ({name} l) (if (null? l) {b} (+ 1 ({name} (cdr l)))))\n"
+                ));
+            } else {
+                let mut callees: Vec<usize> = Vec::with_capacity(FANOUT);
+                while callees.len() < FANOUT {
+                    let c = prev[rng.below(prev.len() as u64) as usize];
+                    if !callees.contains(&c) {
+                        callees.push(c);
+                    }
+                }
+                let calls: Vec<String> =
+                    callees.iter().map(|c| format!("(f{c} (cdr l))")).collect();
+                out.push_str(&format!(
+                    "(define ({name} l) (if (null? l) 0 (+ {} ({name} (cdr l)))))\n",
+                    calls.join(" ")
+                ));
+            }
+            ids.push(idx);
+            idx += 1;
+        }
+        prev = ids;
+        if idx >= n {
+            break;
+        }
+    }
+    out
+}
+
 /// Formats a duration in the paper's milliseconds-with-log-axis spirit.
 pub fn fmt_ms(d: Duration) -> String {
     let ms = d.as_secs_f64() * 1e3;

@@ -41,6 +41,7 @@
 //! lookup instead of a closure computation.
 
 use crate::intern::{FxBuildHasher, GraphId, Interner};
+use crate::json::{escape, Json};
 use crate::ljb::{closure_check, ClosureResult};
 use crate::{ScGraph, ScViolation};
 use std::collections::HashMap;
@@ -274,8 +275,9 @@ impl EnforcementPlan {
             .count()
     }
 
-    /// Serializes the plan as the `sct-plan/1` JSON document dumped by
-    /// `sct hybrid --plan`:
+    /// The plan as the `sct-plan/1` JSON document — the one definition of
+    /// its field set, shared by the `sct hybrid --plan` dump
+    /// ([`EnforcementPlan::to_json`]) and the `sct serve` `plan` response:
     ///
     /// ```json
     /// {
@@ -290,44 +292,69 @@ impl EnforcementPlan {
     ///
     /// `guard` is present only for `"static"` decisions and `culprit` only
     /// for `"refuted"` ones; `blame` is the `terminating/c` label the
-    /// refutation (or the run-time monitor) blames, or `null`. Hand-rolled
-    /// because the workspace builds offline (no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.decisions.len() * 128);
-        out.push_str("{\n  \"schema\": \"sct-plan/1\",\n  \"functions\": [\n");
-        for (i, d) in self.decisions.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{ \"name\": {}, \"lambda\": {}, \"decision\": \"{}\"",
-                json_str(&d.name),
-                d.lambda,
-                d.decision.tag()
-            ));
+    /// refutation (or the run-time monitor) blames, or `null`.
+    pub fn to_json_value(&self) -> Json {
+        let function = |d: &FnDecision| {
+            let mut m = vec![
+                ("name".to_string(), Json::str(&d.name)),
+                ("lambda".to_string(), Json::Int(i64::from(d.lambda))),
+                ("decision".to_string(), Json::str(d.decision.tag())),
+            ];
             match &d.decision {
-                Decision::Static { guard } => {
-                    let doms: Vec<String> = guard.iter().map(|g| format!("\"{g}\"")).collect();
-                    out.push_str(&format!(", \"guard\": [{}]", doms.join(", ")));
-                }
+                Decision::Static { guard } => m.push((
+                    "guard".to_string(),
+                    Json::Arr(guard.iter().map(|g| Json::str(g.label())).collect()),
+                )),
                 Decision::Refuted { culprit, .. } => {
-                    out.push_str(&format!(", \"culprit\": {}", json_str(culprit)));
+                    m.push(("culprit".to_string(), Json::str(culprit)))
                 }
                 Decision::Monitor { .. } => {}
             }
-            let covers: Vec<String> = d.covers.iter().map(u32::to_string).collect();
-            out.push_str(&format!(", \"covers\": [{}]", covers.join(", ")));
-            match &d.blame {
-                Some(b) => out.push_str(&format!(", \"blame\": {}", json_str(b))),
-                None => out.push_str(", \"blame\": null"),
-            }
-            out.push_str(&format!(
-                ", \"detail\": {}, \"micros\": {} }}{}\n",
-                json_str(&d.detail),
-                d.micros,
-                if i + 1 < self.decisions.len() {
-                    ","
-                } else {
-                    ""
-                }
+            let covers = d.covers.iter().map(|c| Json::Int(i64::from(*c)));
+            m.push(("covers".to_string(), Json::Arr(covers.collect())));
+            m.push((
+                "blame".to_string(),
+                d.blame.as_ref().map_or(Json::Null, Json::str),
             ));
+            m.push(("detail".to_string(), Json::str(&d.detail)));
+            let micros = i64::try_from(d.micros).unwrap_or(i64::MAX);
+            m.push(("micros".to_string(), Json::Int(micros)));
+            Json::Obj(m)
+        };
+        Json::Obj(vec![
+            ("schema".to_string(), Json::str("sct-plan/1")),
+            (
+                "functions".to_string(),
+                Json::Arr(self.decisions.iter().map(function).collect()),
+            ),
+        ])
+    }
+
+    /// Renders [`EnforcementPlan::to_json_value`] the way `sct hybrid
+    /// --plan` dumps it: one function per line, `"key": value` members
+    /// separated by `", "`.
+    pub fn to_json(&self) -> String {
+        let doc = self.to_json_value();
+        let spaced = |v: &Json| match v {
+            Json::Arr(items) => {
+                let items: Vec<String> = items.iter().map(Json::to_string).collect();
+                format!("[{}]", items.join(", "))
+            }
+            v => v.to_string(),
+        };
+        let functions = doc.get("functions").and_then(Json::as_arr).unwrap_or(&[]);
+        let mut out = format!(
+            "{{\n  \"schema\": {},\n  \"functions\": [\n",
+            doc.get("schema").unwrap_or(&Json::Null)
+        );
+        for (i, f) in functions.iter().enumerate() {
+            let Json::Obj(members) = f else { continue };
+            let members: Vec<String> = members
+                .iter()
+                .map(|(k, v)| format!("{}: {}", escape(k), spaced(v)))
+                .collect();
+            let sep = if i + 1 < functions.len() { "," } else { "" };
+            out.push_str(&format!("    {{ {} }}{sep}\n", members.join(", ")));
         }
         out.push_str("  ]\n}\n");
         out
@@ -344,26 +371,6 @@ impl fmt::Display for EnforcementPlan {
             self.count("refuted")
         )
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars) for
-/// the hand-rolled dumps.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Outcome of a (possibly cached) closure check, the cacheable subset of
@@ -567,6 +574,39 @@ mod tests {
         assert!(json.contains("\"decision\": \"refuted\""), "{json}");
         assert!(json.contains("\"blame\": \"my-party\""), "{json}");
         assert!(plan.to_string().contains("1 static"), "{plan}");
+    }
+
+    #[test]
+    fn json_dump_layout_is_one_function_per_line() {
+        let mut plan = EnforcementPlan::new();
+        let mut guarded = static_entry("f", 0, vec![PlanDomain::Nat, PlanDomain::Any]);
+        guarded.covers = vec![5, 6];
+        plan.decisions.push(guarded);
+        plan.decisions.push(FnDecision {
+            name: "g".into(),
+            lambda: 7,
+            covers: Vec::new(),
+            decision: Decision::Monitor {
+                reason: "budget".into(),
+            },
+            blame: Some("p".into()),
+            detail: "budget".into(),
+            micros: 3,
+        });
+        let json = plan.to_json();
+        assert_eq!(
+            json,
+            "{\n  \"schema\": \"sct-plan/1\",\n  \"functions\": [\n    \
+             { \"name\": \"f\", \"lambda\": 0, \"decision\": \"static\", \"guard\": [\"nat\", \"any\"], \
+             \"covers\": [5, 6], \"blame\": null, \"detail\": \"verified\", \"micros\": 1 },\n    \
+             { \"name\": \"g\", \"lambda\": 7, \"decision\": \"monitor\", \"covers\": [], \
+             \"blame\": \"p\", \"detail\": \"budget\", \"micros\": 3 }\n  ]\n}\n"
+        );
+        assert_eq!(crate::json::parse(&json).unwrap(), plan.to_json_value());
+        assert_eq!(
+            EnforcementPlan::new().to_json(),
+            "{\n  \"schema\": \"sct-plan/1\",\n  \"functions\": [\n  ]\n}\n"
+        );
     }
 
     #[test]

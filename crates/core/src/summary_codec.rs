@@ -1,12 +1,16 @@
-//! The versioned `sct-plan-summary/1` codec: persisted contract summaries.
+//! The versioned `sct-plan-summary/2` codec: persisted contract summaries.
 //!
 //! A *contract summary* is the reusable residue of one verified `define`:
 //! the domain assumptions its proof was discharged under (the ladder rung's
-//! guard), the result domain a call is known to land in, and the full set
-//! of size-change graphs its exploration discovered — everything a caller
-//! needs to *stub* an application of the callee with a sound abstraction
-//! instead of re-descending into its body (Ben-Amram 2010: a function's
-//! size-change behavior is fully captured by its set of call-site graphs).
+//! guard), the result domain a call is known to land in, the size-change
+//! graphs its own exploration discovered, and the names of the callees it
+//! stubbed in turn, whose summaries carry the rest of its graphs —
+//! everything a caller needs to *stub* an application of the callee with a
+//! sound abstraction instead of re-descending into its body (Ben-Amram
+//! 2010: a function's size-change behavior is fully captured by its set of
+//! call-site graphs). Naming the stubbed callees instead of copying their
+//! graphs keeps each summary proportional to its own body, not to its
+//! reachable closure.
 //!
 //! Summaries ride the same content-addressed store as decisions (`sct-cache`,
 //! keyed by `sct_symbolic::digest::ProgramDigests`), so editing a define
@@ -17,8 +21,8 @@
 //! λ ids are assigned by a program-wide counter at compile time, so a
 //! persisted summary must not mention them (see `plan_codec`'s module docs
 //! for the same argument about `covers`). A summary's graph sets can span
-//! *several* defines — a stubbed exploration inherits its callees' graphs
-//! transitively — so the nested-λ-index trick is not enough: each graph set
+//! *several* defines — an exploration descends into callees it cannot
+//! stub — so the nested-λ-index trick is not enough: each graph set
 //! is keyed by a [`LambdaRef`], the owning `define`'s *name* plus the λ's
 //! index in that define's syntactic all-λ traversal (index 0 is the entry
 //! λ itself). Both halves are stable for structurally unchanged defines,
@@ -45,6 +49,7 @@
 //!         LambdaRef { global: "len".into(), idx: 0 },
 //!         vec![ScGraph::from_arcs(1, 1, [(0, Change::Descend, 0)])],
 //!     )],
+//!     callees: vec![],
 //! };
 //! let bytes = encode_summary(&s);
 //! assert_eq!(decode_summary(&bytes).unwrap(), s);
@@ -58,7 +63,7 @@ use crate::plan_codec::{domain_from_label, graph_from_json, graph_to_json};
 
 /// Schema tag of the persisted summary format. Decoders reject anything
 /// else, so bumping this invalidates every existing `.sum` entry.
-pub const SUMMARY_CODEC_SCHEMA: &str = "sct-plan-summary/1";
+pub const SUMMARY_CODEC_SCHEMA: &str = "sct-plan-summary/2";
 
 /// A compile-independent name for one λ: the `define`d global that owns it
 /// plus its index in that define's syntactic all-λ traversal (the entry λ
@@ -84,12 +89,16 @@ pub struct PortableSummary {
     /// The domain every application of the callee is known to land in
     /// (the stub returns a fresh value of this domain).
     pub result: PlanDomain,
-    /// The size-change graph sets the verified exploration discovered,
-    /// per λ. May span several defines (transitive stubbing).
+    /// The size-change graph sets the verified exploration discovered
+    /// itself, per λ. May span several defines (callees it descended
+    /// into).
     pub graphs: Vec<(LambdaRef, Vec<ScGraph>)>,
+    /// The `define`s whose summaries the exploration stubbed: their graph
+    /// sets (transitively) complete this summary's.
+    pub callees: Vec<String>,
 }
 
-/// Encodes one portable summary as a single-line `sct-plan-summary/1`
+/// Encodes one portable summary as a single-line `sct-plan-summary/2`
 /// JSON document (newline-terminated).
 pub fn encode_summary(s: &PortableSummary) -> String {
     let graphs = s
@@ -115,13 +124,17 @@ pub fn encode_summary(s: &PortableSummary) -> String {
         ),
         ("result".into(), Json::str(s.result.label())),
         ("graphs".into(), Json::Arr(graphs)),
+        (
+            "callees".into(),
+            Json::Arr(s.callees.iter().map(Json::str).collect()),
+        ),
     ])
     .to_string();
     out.push('\n');
     out
 }
 
-/// Decodes a persisted `sct-plan-summary/1` entry.
+/// Decodes a persisted `sct-plan-summary/2` entry.
 ///
 /// # Errors
 ///
@@ -192,11 +205,27 @@ pub fn decode_summary(text: &str) -> Result<PortableSummary, String> {
         }
         graphs.push((LambdaRef { global, idx }, set));
     }
+    let callees = doc
+        .get("callees")
+        .and_then(Json::as_arr)
+        .ok_or("missing callees")?;
+    if callees.len() > 4096 {
+        return Err(format!("implausible callee count {}", callees.len()));
+    }
+    let callees = callees
+        .iter()
+        .map(|c| {
+            c.as_str()
+                .map(str::to_string)
+                .ok_or("callees: not a string")
+        })
+        .collect::<Result<_, _>>()?;
     Ok(PortableSummary {
         name,
         guard,
         result,
         graphs,
+        callees,
     })
 }
 
@@ -233,6 +262,7 @@ mod tests {
                     ],
                 ),
             ],
+            callees: vec!["merge".into(), "take".into()],
         }
     }
 
@@ -248,6 +278,7 @@ mod tests {
             guard: vec![],
             result: PlanDomain::Nat,
             graphs: vec![],
+            callees: vec![],
         };
         assert_eq!(decode_summary(&encode_summary(&empty)).unwrap(), empty);
     }
@@ -264,7 +295,7 @@ mod tests {
 
     #[test]
     fn rejects_version_mismatch() {
-        let enc = encode_summary(&sample()).replace("sct-plan-summary/1", "sct-plan-summary/2");
+        let enc = encode_summary(&sample()).replace(SUMMARY_CODEC_SCHEMA, "sct-plan-summary/1");
         assert!(decode_summary(&enc)
             .unwrap_err()
             .contains("schema mismatch"));

@@ -65,6 +65,13 @@ impl Rng {
     pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         &xs[self.below(xs.len() as u64) as usize]
     }
+
+    /// Shuffles `xs` in place (Fisher–Yates).
+    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
+        for i in (1..xs.len()).rev() {
+            xs.swap(i, self.below(i as u64 + 1) as usize);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -13,6 +13,9 @@
 //!   `pic_hits + pic_misses` accounts for every generic-site application.
 //! * **warm ≡ cold** — re-planning against a warm [`MemStore`] is
 //!   structurally equal to the cold plan, with zero verifier misses.
+//! * **define order is irrelevant** — re-planning with the λ-defines
+//!   permuted by the case seed gives every define the same decision
+//!   ([`order_free_view`]).
 //! * **Static ⇒ no blame** — a function the planner discharged
 //!   *unconditionally* is never blamed by any monitored run. (A
 //!   domain-guarded discharge may legitimately fall back to the monitor
@@ -32,7 +35,7 @@
 //! source text (the regression-replay entry point, and the predicate the
 //! minimizer shrinks against).
 
-use crate::gen::{GenCase, Oracle};
+use crate::gen::{GenCase, Oracle, Rng};
 use sct_cache::MemStore;
 use sct_core::monitor::TableStrategy;
 use sct_core::plan::{Decision, EnforcementPlan, PlanDomain};
@@ -214,6 +217,9 @@ pub enum ViolationKind {
     /// their application sites) differed structurally from the
     /// full-descent plan — the summary machinery changed a verdict.
     SummaryMismatch,
+    /// Re-planning with the λ-defines permuted (by the case seed) changed
+    /// some define's decision — a plan must depend on content only.
+    PlanNondeterminism,
     /// A monitored run exhausted its fuel — Theorem 3.1 says it must
     /// terminate (for generated cases: also a terminating oracle that ran
     /// away).
@@ -235,6 +241,24 @@ pub enum ViolationKind {
 }
 
 impl ViolationKind {
+    /// Every kind, in declaration order (the `sct-fuzz/1` summary lists
+    /// each one, at zero when it never fired).
+    pub const ALL: [ViolationKind; 13] = [
+        ViolationKind::CompileError,
+        ViolationKind::MachineMismatch,
+        ViolationKind::PicMismatch,
+        ViolationKind::CacheMismatch,
+        ViolationKind::SummaryMismatch,
+        ViolationKind::PlanNondeterminism,
+        ViolationKind::UncaughtDivergence,
+        ViolationKind::FalseRefutation,
+        ViolationKind::StaticBlamed,
+        ViolationKind::MissedDivergence,
+        ViolationKind::BlameMismatch,
+        ViolationKind::UnexpectedBlame,
+        ViolationKind::UnexpectedOutcome,
+    ];
+
     /// Stable kebab-case tag.
     pub fn name(self) -> &'static str {
         match self {
@@ -243,6 +267,7 @@ impl ViolationKind {
             ViolationKind::PicMismatch => "pic-mismatch",
             ViolationKind::CacheMismatch => "cache-mismatch",
             ViolationKind::SummaryMismatch => "summary-mismatch",
+            ViolationKind::PlanNondeterminism => "plan-nondeterminism",
             ViolationKind::UncaughtDivergence => "uncaught-divergence",
             ViolationKind::FalseRefutation => "false-refutation",
             ViolationKind::StaticBlamed => "static-blamed",
@@ -257,6 +282,9 @@ impl ViolationKind {
     /// construction oracle needed) — these are the kinds
     /// [`check_consistency`] can re-derive, which in turn decides how far
     /// the minimizer may shrink (see `crate::minimize`).
+    /// [`ViolationKind::PlanNondeterminism`] is excluded: it reproduces
+    /// only under the case seed's permutation, so it shrinks through
+    /// [`check_case`].
     pub fn oracle_free(self) -> bool {
         matches!(
             self,
@@ -342,6 +370,9 @@ struct Evaluated {
     plan: Rc<EnforcementPlan>,
     warm_structural: bool,
     warm_misses: usize,
+    /// The first define whose decision changed when the λ-defines were
+    /// permuted, if any.
+    order_drift: Option<String>,
     /// Whether the plan built with contract summaries enabled equals the
     /// full-descent plan (summaries force the same verdicts by
     /// construction; this is the differential check that they did).
@@ -349,7 +380,77 @@ struct Evaluated {
     runs: Vec<RunPair>,
 }
 
-fn evaluate(source: &str, cfg: &FuzzConfig) -> Result<Evaluated, Violation> {
+/// A plan's decisions as define order must leave them: sorted by define
+/// name, each with its decision (tag, guard, witness), covers count,
+/// blame and detail. λ ids follow source order and timing varies, so
+/// both are left out.
+pub fn order_free_view(
+    plan: &EnforcementPlan,
+) -> Vec<(String, Decision, usize, Option<String>, String)> {
+    let mut view: Vec<_> = plan
+        .decisions
+        .iter()
+        .map(|d| {
+            let covers = d.covers.len();
+            (
+                d.name.clone(),
+                d.decision.clone(),
+                covers,
+                d.blame.clone(),
+                d.detail.clone(),
+            )
+        })
+        .collect();
+    view.sort_by(|a, b| a.0.cmp(&b.0));
+    view
+}
+
+/// Re-renders `source` with its λ-valued `define` forms rearranged among
+/// their own slots: slot `i` takes the define `order(k)[i]`, `k` being
+/// their count. Every other top-level form keeps its position, and so
+/// does every other `define`, whose initializer may run code when it is
+/// defined. `None` when `source` does not parse or `order` returns no
+/// permutation of `0..k`.
+pub fn permute_defines(source: &str, order: impl FnOnce(usize) -> Vec<usize>) -> Option<String> {
+    use sct_sexpr::Datum;
+    fn is_lambda(d: &Datum) -> bool {
+        match d {
+            Datum::List(xs) => match xs.first().and_then(Datum::as_sym) {
+                Some("lambda") => true,
+                Some("terminating/c") => xs.get(1).is_some_and(is_lambda),
+                _ => false,
+            },
+            _ => false,
+        }
+    }
+    let mut forms = sct_sexpr::parse_all(source).ok()?;
+    let slots: Vec<usize> = (0..forms.len())
+        .filter(|&i| match &forms[i] {
+            Datum::List(xs) if xs.first().and_then(Datum::as_sym) == Some("define") => {
+                match xs.get(1) {
+                    Some(Datum::List(_) | Datum::Improper(..)) => true,
+                    Some(Datum::Sym(_)) => xs.get(2).is_some_and(is_lambda),
+                    _ => false,
+                }
+            }
+            _ => false,
+        })
+        .collect();
+    let order = order(slots.len());
+    let mut sorted = order.clone();
+    sorted.sort_unstable();
+    if sorted != (0..slots.len()).collect::<Vec<_>>() {
+        return None;
+    }
+    let defines: Vec<Datum> = slots.iter().map(|&i| forms[i].clone()).collect();
+    for (&slot, &from) in slots.iter().zip(&order) {
+        forms[slot] = defines[from].clone();
+    }
+    let lines: Vec<String> = forms.iter().map(Datum::to_string).collect();
+    Some(lines.join("\n"))
+}
+
+fn evaluate(source: &str, cfg: &FuzzConfig, seed: u64) -> Result<Evaluated, Violation> {
     let prog = sct_lang::compile_program(source).map_err(|e| Violation {
         kind: ViolationKind::CompileError,
         detail: format!("compile error: {e}"),
@@ -374,6 +475,29 @@ fn evaluate(source: &str, cfg: &FuzzConfig) -> Result<Evaluated, Violation> {
     };
     let (alt, _) =
         plan_program_incremental(&prog, &flipped, &mut PlanCache::new(), &mut MemStore::new());
+    // The same program with its λ-defines shuffled by `seed`: every
+    // define must keep its decision.
+    let shuffled = permute_defines(source, |k| {
+        let mut order: Vec<usize> = (0..k).collect();
+        Rng::new(seed).shuffle(&mut order);
+        order
+    });
+    let order_drift = match shuffled.as_deref().map(sct_lang::compile_program) {
+        Some(Ok(permuted)) => {
+            let (other, _) = plan_program_incremental(
+                &permuted,
+                &cfg.plan,
+                &mut PlanCache::new(),
+                &mut MemStore::new(),
+            );
+            let (a, b) = (order_free_view(&plan), order_free_view(&other));
+            (a != b).then(|| match a.iter().zip(&b).find(|(x, y)| x != y) {
+                Some((x, y)) => format!("{x:?} vs {y:?}"),
+                None => format!("{} vs {} decisions", a.len(), b.len()),
+            })
+        }
+        _ => Some("the program with permuted defines does not compile".to_string()),
+    };
     let plan = Rc::new(plan);
     let fueled = |mut config: MachineConfig| {
         config.fuel = Some(cfg.fuel);
@@ -437,6 +561,7 @@ fn evaluate(source: &str, cfg: &FuzzConfig) -> Result<Evaluated, Violation> {
     Ok(Evaluated {
         warm_structural: warm.structurally_eq(plan.as_ref()),
         warm_misses: warm_stats.misses(),
+        order_drift,
         summary_structural: alt.structurally_eq(plan.as_ref()),
         plan,
         runs,
@@ -491,6 +616,13 @@ fn consistency_violations(ev: &Evaluated, source: &str) -> Vec<Violation> {
             ViolationKind::SummaryMismatch,
             "plan with contract summaries differs structurally from the full-descent plan"
                 .to_string(),
+            source,
+        ));
+    }
+    if let Some(drift) = &ev.order_drift {
+        out.push(violation(
+            ViolationKind::PlanNondeterminism,
+            format!("permuting the defines changed a decision: {drift}"),
             source,
         ));
     }
@@ -579,9 +711,10 @@ fn consistency_violations(ev: &Evaluated, source: &str) -> Vec<Violation> {
 /// VM ≡ walker under three monitored configurations, warm ≡ cold
 /// planning, no fuel exhaustion under monitoring, no blame on
 /// unconditional static discharges, no refutation of a cleanly
-/// completing program. This is the regression-replay entry point.
+/// completing program, define order irrelevant (permuted by seed 0).
+/// This is the regression-replay entry point.
 pub fn check_consistency(source: &str, cfg: &FuzzConfig) -> Vec<Violation> {
-    match evaluate(source, cfg) {
+    match evaluate(source, cfg, 0) {
         Ok(ev) => consistency_violations(&ev, source),
         Err(v) => vec![v],
     }
@@ -594,7 +727,7 @@ pub fn check_consistency(source: &str, cfg: &FuzzConfig) -> Vec<Violation> {
 /// the dynamic blame).
 pub fn check_case(case: &GenCase, cfg: &FuzzConfig) -> CaseReport {
     let mut report = CaseReport::default();
-    let ev = match evaluate(&case.source, cfg) {
+    let ev = match evaluate(&case.source, cfg, case.seed) {
         Ok(ev) => ev,
         Err(mut v) => {
             v.seed = Some(case.seed);

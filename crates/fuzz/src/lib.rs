@@ -18,7 +18,7 @@
 //!    machines under three monitored configurations, and checks the
 //!    lattice: `Static ⇒ never blamed`, `Refuted ⇒ same-label blame`,
 //!    `diverging ⇒ caught within budget`, `VM ≡ walker`,
-//!    `warm ≡ cold`.
+//!    `warm ≡ cold`, and that permuting the defines changes no decision.
 //! 3. Any [`Violation`] is shrunk by the delta-debugging [`minimize()`] pass
 //!    before reporting.
 //!
@@ -33,8 +33,9 @@ pub mod mutate;
 
 pub use gen::{gen_case, ExprGen, GenCase, Oracle, Rng, SchemaKind};
 pub use harness::{
-    check_case, check_consistency, run_reference, run_reference_full, run_vm, run_vm_full,
-    CaseReport, FuzzConfig, Outcome, Violation, ViolationKind,
+    check_case, check_consistency, order_free_view, permute_defines, run_reference,
+    run_reference_full, run_vm, run_vm_full, CaseReport, FuzzConfig, Outcome, Violation,
+    ViolationKind,
 };
 pub use minimize::minimize;
 pub use mutate::Mutation;
@@ -102,7 +103,8 @@ pub struct FuzzReport {
 impl FuzzReport {
     /// The machine-readable summary line (`sct-fuzz/1`): one JSON object
     /// with case tallies, the per-schema and per-mutation splits, the
-    /// planner decision split, and the violation count by kind. All keys
+    /// planner decision split, and the violation count by kind (every
+    /// kind listed, zero included). All keys
     /// are fixed and ordered, so CI and `BENCH_*` trajectories can parse
     /// it with a plain JSON parser or a regex.
     pub fn summary_json(&self) -> String {
@@ -113,7 +115,8 @@ impl FuzzReport {
                 .collect();
             items.join(",")
         };
-        let mut by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
+        let mut by_kind: BTreeMap<&'static str, u64> =
+            ViolationKind::ALL.iter().map(|k| (k.name(), 0)).collect();
         for v in &self.violations {
             *by_kind.entry(v.kind.name()).or_insert(0) += 1;
         }
@@ -281,6 +284,18 @@ mod tests {
         let summary = report.summary_json();
         assert!(summary.contains("\"schema\":\"sct-fuzz/1\""), "{summary}");
         assert!(summary.contains("\"violations\":0"), "{summary}");
+        assert!(summary.contains("\"plan-nondeterminism\":0"), "{summary}");
+    }
+
+    #[test]
+    fn permute_defines_moves_only_lambda_defines() {
+        let src = "(define (f x) x)\n(define k (f 1))\n(f k)\n(define g (lambda (y) y))";
+        let reversed = permute_defines(src, |k| (0..k).rev().collect()).unwrap();
+        assert_eq!(
+            reversed,
+            "(define g (lambda (y) y))\n(define k (f 1))\n(f k)\n(define (f x) x)"
+        );
+        assert_eq!(permute_defines(src, |_| vec![0, 0]), None);
     }
 
     #[test]

@@ -83,20 +83,26 @@ pub struct EntryInvariant {
 /// discovered (Ben-Amram 2010: a function's size-change behavior is fully
 /// captured by its set of call-site graphs). `crate::pipeline` registers
 /// one per already-planned `Static` define; the executor's application
-/// path then *stubs* applications of the callee — merging `graphs` into the
-/// caller's discovered sets and returning a fresh `result`-domain value —
-/// instead of descending into the body.
+/// path then *stubs* applications of the callee — recording the summary,
+/// whose graphs `merge_summaries` later adds to the caller's, and
+/// returning a fresh `result`-domain value — instead of descending into
+/// the body.
 #[derive(Debug, Clone)]
 pub struct CalleeSummary {
+    /// The summarized define's entry λ.
+    pub id: LambdaId,
     /// Domain assumption per parameter (the discharged ladder rung). A
     /// stub fires only when every argument is *provably* inside these.
     pub domains: Vec<SymDomain>,
     /// The domain every application of the callee lands in.
     pub result: SymDomain,
-    /// Discovered size-change graph sets, per λ — possibly spanning
-    /// several defines (transitively stubbed explorations inherit their
-    /// callees' graphs).
+    /// Size-change graph sets the callee's own exploration discovered, per
+    /// λ — possibly spanning several defines (callees it descended into).
     pub graphs: Vec<(LambdaId, Vec<ScGraph>)>,
+    /// The summaries the callee's exploration stubbed. Its full graph map
+    /// is `graphs` plus theirs, transitively: shared, not copied, so a
+    /// summary costs memory in proportion to its own body.
+    pub callees: Vec<Rc<CalleeSummary>>,
     /// Global indices transitively referenced by the callee, sorted. A
     /// caller the callee can reach back into (mutual recursion) must not
     /// stub it: the callee's graphs were discovered against *its* entry,
@@ -107,6 +113,33 @@ pub struct CalleeSummary {
 
 /// Registered summaries, keyed by the summarized define's entry λ id.
 pub type SummaryTable = HashMap<LambdaId, Rc<CalleeSummary>>;
+
+/// Adds the full graph maps of `stubs` — each summary's own sets and,
+/// transitively, its callees' — to `into`, once per summary and without
+/// duplicate graphs. Sets of `skip` (the exploring define's own entry λ,
+/// whose graphs it derives itself) are left out.
+pub(crate) fn merge_summaries(
+    into: &mut HashMap<LambdaId, Vec<ScGraph>>,
+    stubs: &[Rc<CalleeSummary>],
+    skip: LambdaId,
+) {
+    let mut seen = std::collections::HashSet::new();
+    let mut stack: Vec<&Rc<CalleeSummary>> = stubs.iter().collect();
+    while let Some(s) = stack.pop() {
+        if !seen.insert(Rc::as_ptr(s)) {
+            continue;
+        }
+        for (id, set) in s.graphs.iter().filter(|(id, _)| *id != skip) {
+            let own = into.entry(*id).or_default();
+            for g in set {
+                if !own.contains(g) {
+                    own.push(g.clone());
+                }
+            }
+        }
+        stack.extend(&s.callees);
+    }
+}
 
 /// One evaluation outcome along a path.
 #[derive(Debug, Clone)]
@@ -149,6 +182,9 @@ pub struct Executor<'p> {
     /// to know when a non-verified outcome must be re-derived without
     /// stubs to stay bit-identical to full descent.
     pub stubbed_applications: u64,
+    /// The distinct summaries those applications used, in first-use
+    /// order; their graphs complete `graphs` (see `merge_summaries`).
+    pub stubs: Vec<Rc<CalleeSummary>>,
     /// The evaluated top-level environment. Never written after
     /// [`Executor::new`] finishes, so explorations of the same program
     /// share one allocation through [`GlobalSnapshot`].
@@ -213,6 +249,7 @@ impl<'p> Executor<'p> {
             incomplete: None,
             opaque_applications: 0,
             stubbed_applications: 0,
+            stubs: Vec::new(),
             globals: Rc::new(vec![
                 SValue::Conc(Value::Undefined);
                 program.global_names.len()
@@ -243,6 +280,7 @@ impl<'p> Executor<'p> {
             incomplete: snapshot.incomplete.clone(),
             opaque_applications: 0,
             stubbed_applications: 0,
+            stubs: Vec::new(),
             globals: snapshot.globals.clone(),
             steps: snapshot.steps,
             havoc_left: 0,
@@ -701,18 +739,11 @@ impl<'p> Executor<'p> {
             }
         }
         self.stubbed_applications += 1;
-        for (id, set) in &s.graphs {
-            if Some(*id) == entry_id {
-                continue;
-            }
-            let own = self.graphs.entry(*id).or_default();
-            for g in set {
-                if !own.contains(g) {
-                    own.push(g.clone());
-                }
-            }
+        let result = s.result;
+        if !self.stubs.iter().any(|t| Rc::ptr_eq(t, &s)) {
+            self.stubs.push(s);
         }
-        let (r, path) = self.fresh_in_domain(s.result, path);
+        let (r, path) = self.fresh_in_domain(result, path);
         Some(vec![(path, SOut::Val(r))])
     }
 

@@ -50,8 +50,8 @@ pub use digest::ProgramDigests;
 pub use exec::{ExecConfig, Executor, SymDomain};
 pub use linear::{entails, unsat, Lin, LinCon};
 pub use pipeline::{
-    plan_program, plan_program_incremental, plan_program_subset, plan_program_with_cache,
-    DecisionStore, IncrementalStats, NullStore, PlanCache, PlanConfig, PlanObs,
+    plan_program, plan_program_incremental, DecisionStore, IncrementalStats, NullStore, PlanCache,
+    PlanConfig, PlanObs,
 };
 pub use solver::Solver;
 pub use sym::{AtomKind, Path, SValue};

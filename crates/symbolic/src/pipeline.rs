@@ -46,7 +46,7 @@
 //! [`LjbCache`](sct_core::plan::LjbCache), keyed by the interned graph
 //! set: planning the same program twice (benchmark repetitions, repeated
 //! `sct hybrid` runs in one process) pays the closure computation once.
-//! Pass a [`PlanCache`] to [`plan_program_with_cache`] to share the memo
+//! Pass a [`PlanCache`] to [`plan_program_incremental`] to share the memo
 //! across calls.
 //!
 //! # Examples
@@ -262,7 +262,7 @@ impl Default for PlanConfig {
     }
 }
 
-/// State shared across [`plan_program_with_cache`] calls: the memoized
+/// State shared across [`plan_program_incremental`] calls: the memoized
 /// closure checks. Reusing one cache makes re-planning an unchanged
 /// program (or a program sharing helper graphs) skip every closure
 /// computation whose graph set was seen before.
@@ -279,22 +279,14 @@ impl PlanCache {
     }
 }
 
-/// Plans a whole program with a fresh [`PlanCache`]. See the module docs.
-pub fn plan_program(program: &Program, config: &PlanConfig) -> EnforcementPlan {
-    plan_program_with_cache(program, config, &mut PlanCache::new())
-}
-
-/// Plans a whole program, memoizing closure checks in `cache`.
+/// Plans a whole program with a fresh [`PlanCache`] and no store. See the
+/// module docs.
 ///
 /// Every `define` whose initializer is a λ (possibly under `terminating/c`
 /// wrappers, whose blame label is recorded) gets a decision; other
 /// top-level forms are irrelevant to enforcement and are skipped.
-pub fn plan_program_with_cache(
-    program: &Program,
-    config: &PlanConfig,
-    cache: &mut PlanCache,
-) -> EnforcementPlan {
-    plan_program_incremental(program, config, cache, &mut NullStore).0
+pub fn plan_program(program: &Program, config: &PlanConfig) -> EnforcementPlan {
+    plan_program_incremental(program, config, &mut PlanCache::new(), &mut NullStore).0
 }
 
 /// A persistence back end for per-`define` enforcement decisions, keyed by
@@ -383,61 +375,26 @@ impl fmt::Display for IncrementalStats {
     }
 }
 
-/// [`plan_program_with_cache`] with a persistent [`DecisionStore`]: every
-/// `define` is first looked up by its content address
-/// ([`ProgramDigests`] key — resolved AST +
+/// Plans a whole program, memoizing closure checks in `cache` and
+/// persisting decisions in `store`: every `define` is first looked up by
+/// its content address ([`ProgramDigests`] key — resolved AST +
 /// reachable defines + mutation taint + planner config + codec version);
 /// hits replay the persisted decision (λ ids rebound to the current
 /// compile), misses run the verifier and persist the result. Editing one
 /// `define` therefore re-verifies only that define and its (transitive)
 /// referers; everything untouched is a hit.
+///
+/// Defines are planned callees first (components of the global reference
+/// graph in topological order), so every verified callee's contract
+/// summary exists before any caller explores it, and the plan depends on
+/// program content only — not on the order the defines appear in.
+/// Decisions come back in program order.
 pub fn plan_program_incremental(
     program: &Program,
     config: &PlanConfig,
     cache: &mut PlanCache,
     store: &mut dyn DecisionStore,
 ) -> (EnforcementPlan, IncrementalStats) {
-    let mut plan = EnforcementPlan::new();
-    let mut stats = IncrementalStats::default();
-    for (_, decision, hit) in plan_positions(program, config, cache, store, &mut |_| true) {
-        stats.defines.push((decision.name.clone(), hit));
-        plan.decisions.push(decision);
-    }
-    (plan, stats)
-}
-
-/// Plans only the `define` forms at the given `top_level` positions
-/// (program-order indices into [`Program::top_level`]), returning
-/// `(position, decision, hit?)` triples. Positions that are not λ-bound
-/// `define`s are skipped silently, exactly as [`plan_program`] skips them.
-///
-/// This is the fan-out primitive of the `sct serve` daemon: each worker
-/// thread compiles the program itself (the AST is thread-local by design)
-/// and plans a disjoint slice of positions against a shared
-/// [`DecisionStore`], and since the cache keys depend only on program
-/// *content*, every worker derives identical keys.
-pub fn plan_program_subset(
-    program: &Program,
-    config: &PlanConfig,
-    cache: &mut PlanCache,
-    store: &mut dyn DecisionStore,
-    positions: &[usize],
-) -> Vec<(usize, FnDecision, bool)> {
-    plan_positions(program, config, cache, store, &mut |pos| {
-        positions.contains(&pos)
-    })
-}
-
-/// The shared walk behind [`plan_program_incremental`] and
-/// [`plan_program_subset`]: visits every `define` form (keeping the
-/// occurrence counters exact), plans the ones `filter` admits.
-fn plan_positions(
-    program: &Program,
-    config: &PlanConfig,
-    cache: &mut PlanCache,
-    store: &mut dyn DecisionStore,
-    filter: &mut dyn FnMut(usize) -> bool,
-) -> Vec<(usize, FnDecision, bool)> {
     let mut out = Vec::new();
     // One AST walk for λ display names, shared by every attempt below.
     let names = Rc::new(lambda_names(program));
@@ -459,52 +416,41 @@ fn plan_positions(
     // Contract summaries: already-planned `Static` recursive defines are
     // registered here, and later explorations in this same pass stub
     // applications of them (see `Executor::try_stub`). The table lives
-    // for this pass; the store carries summaries *across* passes (and
-    // across a serve daemon's workers) under the same content keys as
-    // decisions.
+    // for this pass; the store carries summaries *across* passes under
+    // the same content keys as decisions.
     let summaries_on = config.summaries;
     if summaries_on {
         config.obs.summary_touch();
     }
     let lambda_index = (summaries_on && store.wants_keys()).then(|| LambdaIndex::build(program));
     let mut summary_table: SummaryTable = HashMap::new();
-    // Occurrence counter per global: a shadowed name yields one decision
-    // per `define` form, and those must not alias in the store.
+    // The λ-defines in source order. Occurrence counter per global: a
+    // shadowed name yields one decision per `define` form, and those must
+    // not alias in the store — counted in source order, because the
+    // counter feeds the content key.
     let mut occurrence: HashMap<u32, u32> = HashMap::new();
-    for (pos, form) in program.top_level.iter().enumerate() {
-        let TopForm::Define { index, expr } = form else {
-            continue;
-        };
+    let mut defines: Vec<_> = lambda_defines(program)
+        .map(|(pos, index, def, blame)| {
+            let occ = occurrence.entry(*index).or_insert(0);
+            *occ += 1;
+            (pos, index, def, blame, *occ - 1)
+        })
+        .collect();
+    // Callees first; a stable sort keeps shadowing defines of one global
+    // in source order.
+    let mut rank = vec![0usize; program.global_names.len()];
+    for (r, g) in callee_first(mutation, defines.iter().map(|d| *d.1))
+        .into_iter()
+        .enumerate()
+    {
+        rank[g as usize] = r;
+    }
+    defines.sort_by_key(|d| rank[*d.1 as usize]);
+    for (pos, index, def, blame, occ) in defines {
         let name = &program.global_names[*index as usize];
-        let (def, blame) = match unwrap_termc(expr) {
-            Some(pair) => pair,
-            None => continue,
-        };
-        let occ = occurrence.entry(*index).or_insert(0);
-        let this_occ = *occ;
-        *occ += 1;
         let key = digests
             .as_ref()
-            .map(|d| d.key_at(program, *index, this_occ, config));
-        if !filter(pos) {
-            // Not this caller's slice (a serve worker planning a subset):
-            // still try to consume a peer's persisted summary, so fan-out
-            // workers stop re-exploring the shared helpers they do not
-            // own. A miss just means full descent — never an error.
-            if summaries_on {
-                register_summary_from_store(
-                    store,
-                    key.as_deref(),
-                    def,
-                    *index,
-                    lambda_index.as_ref(),
-                    mutation,
-                    &mut summary_table,
-                    &config.obs,
-                );
-            }
-            continue;
-        }
+            .map(|d| d.key_at(program, *index, occ, config));
         let nested = nested_lambda_ids(def);
         if let Some(key) = &key {
             if let Some(portable) = store.load(key) {
@@ -517,16 +463,17 @@ fn plan_positions(
                     // defines' stubs — that is what makes a warm
                     // incremental replan near-linear.
                     if summaries_on && matches!(decision.decision, Decision::Static { .. }) {
-                        register_summary_from_store(
-                            store,
-                            Some(key),
-                            def,
-                            *index,
-                            lambda_index.as_ref(),
-                            mutation,
-                            &mut summary_table,
-                            &config.obs,
-                        );
+                        let summary = lambda_index.as_ref().and_then(|li| {
+                            let p = store.load_summary(key)?;
+                            rebind_summary(&p, def, li, mutation, *index, &summary_table)
+                        });
+                        match summary {
+                            Some(s) => {
+                                config.obs.summary_hit();
+                                summary_table.insert(def.id, Rc::new(s));
+                            }
+                            None => config.obs.summary_miss(),
+                        }
                     }
                     out.push((pos, decision, true));
                     continue;
@@ -551,21 +498,7 @@ fn plan_positions(
         // discharge at run time — e.g. a helper swapped for one that no
         // longer descends. Such functions stay monitored.
         let (decision, cacheable, summary_data) = if let Some(reason) = mutation.taints(*index) {
-            (
-                FnDecision {
-                    name: name.to_string(),
-                    lambda: def.id,
-                    covers: Vec::new(),
-                    decision: Decision::Monitor {
-                        reason: reason.clone(),
-                    },
-                    blame,
-                    detail: reason,
-                    micros: 0,
-                },
-                true,
-                None,
-            )
+            (monitor_fallback(name, def, blame, &reason), true, None)
         } else {
             plan_function(
                 program,
@@ -616,9 +549,11 @@ fn plan_positions(
                     summary_table.insert(
                         def.id,
                         Rc::new(CalleeSummary {
+                            id: def.id,
                             domains: data.domains,
                             result: data.result,
                             graphs: data.graphs,
+                            callees: data.callees,
                             reachable: Rc::new(mutation.reachable_from(*index)),
                         }),
                     );
@@ -627,7 +562,14 @@ fn plan_positions(
         }
         out.push((pos, decision, false));
     }
-    out
+    out.sort_by_key(|(pos, ..)| *pos);
+    let mut plan = EnforcementPlan::new();
+    let mut stats = IncrementalStats::default();
+    for (_, decision, hit) in out {
+        stats.defines.push((decision.name.clone(), hit));
+        plan.decisions.push(decision);
+    }
+    (plan, stats)
 }
 
 /// The reason recorded on decisions degraded by [`PlanConfig::deadline`].
@@ -657,35 +599,82 @@ fn monitor_fallback(
     }
 }
 
-/// Fabricates degraded [`Decision::Monitor`] decisions for the λ-bound
-/// `define`s at `positions` without running any verification — the bottom
-/// rung of the degradation ladder, for drivers whose *planner itself* is
-/// unavailable (a stalled or crashed worker, an expired request deadline).
-/// Positions that are not λ-bound `define`s are skipped, exactly as
-/// [`plan_program_subset`] skips them, so the two functions agree on which
-/// positions yield decisions. The triples' `hit?` flag is always `false`
-/// and the decisions must never be persisted: they reflect scheduler
-/// state, not program content.
+/// Fabricates a degraded plan — [`Decision::Monitor`] for every λ-bound
+/// `define`, in program order — without running any verification: the
+/// bottom rung of the degradation ladder, for drivers whose *planner
+/// itself* is unavailable (a stalled worker past the request deadline).
+/// It answers for exactly the defines [`plan_program_incremental`] would,
+/// with every `hit?` flag `false`. The decisions must never be persisted:
+/// they reflect scheduler state, not program content.
 pub fn monitor_fallback_decisions(
     program: &Program,
-    positions: &[usize],
     reason: &str,
-) -> Vec<(usize, FnDecision, bool)> {
-    let mut out = Vec::new();
-    for (pos, form) in program.top_level.iter().enumerate() {
-        if !positions.contains(&pos) {
+) -> (EnforcementPlan, IncrementalStats) {
+    let mut plan = EnforcementPlan::new();
+    let mut stats = IncrementalStats::default();
+    for (_, index, def, blame) in lambda_defines(program) {
+        let name = &program.global_names[*index as usize];
+        stats.defines.push((name.clone(), false));
+        plan.decisions
+            .push(monitor_fallback(name, def, blame, reason));
+    }
+    (plan, stats)
+}
+
+/// The globals reachable from `roots`, callees first: Tarjan's
+/// strongly-connected-components algorithm (iterative, over the static
+/// reference graph) emits a component only after every component it
+/// references. A caller is therefore planned after all of its callees, so
+/// each callee's contract summary is registered by the time the caller's
+/// exploration reaches it — whatever order the defines appear in. A plain
+/// DFS postorder would not do: entered through a cycle, it can finish a
+/// cycle member before a callee that a later member of the same cycle
+/// references. Members of one component (mutually recursive defines) come
+/// out in DFS order, which is harmless: the summary's reachable-set ban
+/// (`Executor::try_stub`) already stops them from stubbing each other.
+fn callee_first(mutation: &MutationMap, roots: impl Iterator<Item = u32>) -> Vec<u32> {
+    const UNSEEN: u32 = u32::MAX;
+    let n = mutation.refs.len();
+    let (mut number, mut low, mut on_stack) = (vec![UNSEEN; n], vec![0; n], vec![false; n]);
+    let (mut stack, mut order, mut next) = (Vec::new(), Vec::with_capacity(n), 0);
+    for root in roots {
+        if number[root as usize] != UNSEEN {
             continue;
         }
-        let TopForm::Define { index, expr } = form else {
-            continue;
-        };
-        let name = &program.global_names[*index as usize];
-        let Some((def, blame)) = unwrap_termc(expr) else {
-            continue;
-        };
-        out.push((pos, monitor_fallback(name, def, blame, reason), false));
+        // DFS frames: (global, index of its next reference to follow).
+        let mut frames = vec![(root, 0usize)];
+        while let Some((v, i)) = frames.pop() {
+            let vu = v as usize;
+            if i == 0 {
+                (number[vu], low[vu], next) = (next, next, next + 1);
+                stack.push(v);
+                on_stack[vu] = true;
+            }
+            if let Some(&w) = mutation.refs_of(v).get(i) {
+                frames.push((v, i + 1));
+                if number[w as usize] == UNSEEN {
+                    frames.push((w, 0));
+                } else if on_stack[w as usize] {
+                    low[vu] = low[vu].min(number[w as usize]);
+                }
+                continue;
+            }
+            if let Some(&(parent, _)) = frames.last() {
+                low[parent as usize] = low[parent as usize].min(low[vu]);
+            }
+            if low[vu] == number[vu] {
+                // `v` roots a component: emit all of it.
+                while let Some(w) = stack.pop() {
+                    on_stack[w as usize] = false;
+                    order.push(w);
+                    if w == v {
+                        break;
+                    }
+                }
+            }
+        }
     }
-    out
+    order
 }
 
 /// Compile-independent λ addressing for summary persistence: every λ of
@@ -708,13 +697,7 @@ struct LambdaIndex {
 impl LambdaIndex {
     fn build(program: &Program) -> LambdaIndex {
         let mut by_global: HashMap<u32, Vec<LambdaId>> = HashMap::new();
-        for form in &program.top_level {
-            let TopForm::Define { index, expr } = form else {
-                continue;
-            };
-            let Some((def, _)) = unwrap_termc(expr) else {
-                continue;
-            };
+        for (_, index, def, _) in lambda_defines(program) {
             let mut ids = vec![def.id];
             ids.extend(nested_lambda_ids(def));
             by_global.insert(*index, ids);
@@ -754,15 +737,18 @@ impl LambdaIndex {
 
 /// The ingredients of a freshly verified define's contract summary, as
 /// returned by `plan_function` alongside every `Static` decision: the
-/// discharged rung's domains and the exploration's full graph map.
+/// discharged rung's domains, the graph sets the exploration discovered
+/// itself, and the callee summaries it stubbed.
 struct SummaryData {
     domains: Vec<SymDomain>,
     result: SymDomain,
     graphs: Vec<(LambdaId, Vec<ScGraph>)>,
+    callees: Vec<Rc<CalleeSummary>>,
 }
 
-/// Encodes a summary for persistence, or `None` when some graph set
-/// belongs to a λ without a portable address (see [`LambdaIndex`]).
+/// Encodes a summary for persistence, or `None` when some graph set or
+/// stubbed callee belongs to a λ without a portable address (see
+/// [`LambdaIndex`]).
 fn portable_summary(
     name: &str,
     data: &SummaryData,
@@ -773,23 +759,31 @@ fn portable_summary(
     for (id, set) in &data.graphs {
         graphs.push((li.lambda_ref(*id, program)?, set.clone()));
     }
+    let mut callees = Vec::with_capacity(data.callees.len());
+    for c in &data.callees {
+        callees.push(li.lambda_ref(c.id, program)?.global);
+    }
     Some(PortableSummary {
         name: name.to_string(),
         guard: data.domains.iter().map(|d| plan_domain(*d)).collect(),
         result: plan_domain(data.result),
         graphs,
+        callees,
     })
 }
 
 /// Rebinds a persisted summary against the current compile, or `None`
 /// when it does not fit this define (treated as a miss). The content
 /// address makes a true mismatch corruption, exactly as for decisions.
+/// Its stubbed callees must already be registered in `table` — callees
+/// are planned first, so a missing one means its own summary was lost.
 fn rebind_summary(
     p: &PortableSummary,
     def: &LambdaDef,
     li: &LambdaIndex,
     mutation: &MutationMap,
     index: u32,
+    table: &SummaryTable,
 ) -> Option<CalleeSummary> {
     if def.variadic || p.guard.len() != def.params as usize {
         return None;
@@ -797,6 +791,14 @@ fn rebind_summary(
     let mut graphs = Vec::with_capacity(p.graphs.len());
     for (lr, set) in &p.graphs {
         graphs.push((li.resolve(lr)?, set.clone()));
+    }
+    let mut callees = Vec::with_capacity(p.callees.len());
+    for global in &p.callees {
+        let entry = LambdaRef {
+            global: global.clone(),
+            idx: 0,
+        };
+        callees.push(table.get(&li.resolve(&entry)?)?.clone());
     }
     // Only recursive summaries are persisted (only they are worth
     // stubbing); anything else is corruption.
@@ -807,39 +809,13 @@ fn rebind_summary(
         return None;
     }
     Some(CalleeSummary {
+        id: def.id,
         domains: p.guard.iter().map(|d| sym_domain(*d)).collect(),
         result: sym_domain(p.result),
         graphs,
+        callees,
         reachable: Rc::new(mutation.reachable_from(index)),
     })
-}
-
-/// Tries to register a persisted contract summary for `def` from the
-/// store, counting the outcome in `plan.summary.{hits,misses}`.
-#[allow(clippy::too_many_arguments)]
-fn register_summary_from_store(
-    store: &mut dyn DecisionStore,
-    key: Option<&str>,
-    def: &Rc<LambdaDef>,
-    index: u32,
-    lambda_index: Option<&LambdaIndex>,
-    mutation: &MutationMap,
-    table: &mut SummaryTable,
-    obs: &PlanObs,
-) {
-    let (Some(key), Some(li)) = (key, lambda_index) else {
-        return;
-    };
-    let summary = store
-        .load_summary(key)
-        .and_then(|p| rebind_summary(&p, def, li, mutation, index));
-    match summary {
-        Some(s) => {
-            obs.summary_hit();
-            table.insert(def.id, Rc::new(s));
-        }
-        None => obs.summary_miss(),
-    }
 }
 
 /// Which globals the program mutates (`set!` anywhere — top level, define
@@ -881,6 +857,12 @@ impl MutationMap {
             mutated,
             names: program.global_names.clone(),
         }
+    }
+
+    /// The globals global `i`'s defining expression(s) reference, in
+    /// source order (with repeats).
+    pub(crate) fn refs_of(&self, i: u32) -> &[u32] {
+        &self.refs[i as usize]
     }
 
     /// The set of globals reachable from `index` through static references
@@ -971,6 +953,25 @@ fn collect_global_refs(e: &Expr, out: &mut Vec<u32>, mutated: &mut [bool]) {
         Expr::TermC { body, .. } => collect_global_refs(body, out, mutated),
         Expr::Quote(_) | Expr::Var(_) | Expr::PrimRef(_) => {}
     }
+}
+
+/// The λ-bound `define` forms in program order, as `(top-level position,
+/// global index, λ, blame label)`; every other top-level form is
+/// irrelevant to enforcement.
+fn lambda_defines(
+    program: &Program,
+) -> impl Iterator<Item = (usize, &u32, &Rc<LambdaDef>, Option<String>)> + '_ {
+    program
+        .top_level
+        .iter()
+        .enumerate()
+        .filter_map(|(pos, form)| {
+            let TopForm::Define { index, expr } = form else {
+                return None;
+            };
+            let (def, blame) = unwrap_termc(expr)?;
+            Some((pos, index, def, blame))
+        })
 }
 
 /// Peels `terminating/c` wrappers off a define's initializer, returning
@@ -1347,7 +1348,8 @@ fn plan_function(
         let summary = SummaryData {
             domains: rung.domains,
             result: rung.result,
-            graphs: rung.exploration.graphs,
+            graphs: rung.exploration.own_graphs,
+            callees: rung.exploration.stubs,
         };
         return (finish(d), true, Some(summary));
     }
@@ -1533,10 +1535,10 @@ mod tests {
                 .unwrap();
         let mut cache = PlanCache::new();
         let cfg = PlanConfig::default();
-        let first = plan_program_with_cache(&prog, &cfg, &mut cache);
+        let (first, _) = plan_program_incremental(&prog, &cfg, &mut cache, &mut NullStore);
         let misses = cache.ljb.misses();
         assert!(misses > 0);
-        let second = plan_program_with_cache(&prog, &cfg, &mut cache);
+        let (second, _) = plan_program_incremental(&prog, &cfg, &mut cache, &mut NullStore);
         assert_eq!(cache.ljb.misses(), misses, "re-plan must be pure memo hits");
         assert!(cache.ljb.hits() > 0);
         assert_eq!(first.count("static"), second.count("static"));
@@ -1669,6 +1671,50 @@ mod tests {
     }
 
     #[test]
+    fn persisted_summaries_rebind_their_stubbed_callees() {
+        // `mid` stubs `len`, and `top` stubs `mid`: `mid`'s persisted
+        // summary names `len` instead of copying its graphs. Editing only
+        // `top` must reload both summaries, rebuild the chain, and give
+        // `top` the same graphs (and detail) a fresh plan derives.
+        let v1 = "(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))
+                  (define (mid l) (if (null? l) 0 (+ (len l) (mid (cdr l)))))
+                  (define (top l) (if (null? l) 0 (+ (mid l) (top (cdr l)))))";
+        let v2 = v1.replace("(+ (mid l)", "(+ 1 (mid l)");
+        let mut store = TestStore::default();
+        let cold = compile_program(v1).unwrap();
+        plan_program_incremental(
+            &cold,
+            &PlanConfig::default(),
+            &mut PlanCache::new(),
+            &mut store,
+        );
+        let mid = store
+            .summaries
+            .values()
+            .find(|s| s.name == "mid")
+            .expect("mid is summarized");
+        assert_eq!(mid.callees, vec!["len".to_string()]);
+        assert!(mid.graphs.iter().all(|(lr, _)| lr.global == "mid"));
+
+        let reg = std::sync::Arc::new(sct_obs::Registry::new());
+        let cfg = PlanConfig {
+            obs: PlanObs::registered(reg.clone()),
+            ..PlanConfig::default()
+        };
+        let edited = compile_program(&v2).unwrap();
+        let (replanned, stats) =
+            plan_program_incremental(&edited, &cfg, &mut PlanCache::new(), &mut store);
+        assert_eq!(stats.missed_names(), vec!["top"]);
+        assert_eq!(reg.snapshot().counter("plan.summary.hits"), Some(2));
+        let fresh = plan_program(&edited, &PlanConfig::default());
+        assert!(
+            replanned.structurally_eq(&fresh),
+            "{replanned:?}\n{fresh:?}"
+        );
+        assert!(replanned.decisions[2].detail.contains("len: 1 graphs"));
+    }
+
+    #[test]
     fn stub_proofs_are_never_weaker_than_descent() {
         // A modular proof can be strictly *stronger* than whole-body
         // descent: here full descent of `f` dies on an executor
@@ -1783,10 +1829,11 @@ mod tests {
     }
 
     #[test]
-    fn monitor_fallback_decisions_mirror_subset_positions() {
-        // The serve daemon fabricates these when a worker dies or stalls:
-        // they must cover exactly the λ-define positions plan_program_subset
-        // would answer for, carry the caller's reason, and claim no hit.
+    fn monitor_fallback_decisions_mirror_the_planned_defines() {
+        // The serve daemon fabricates these when a worker stalls past the
+        // deadline: they must answer for exactly the λ-defines the planner
+        // would, in the same order, carry the caller's reason, and claim
+        // no hit.
         let prog = compile_program(
             "(define limit 10)
              (define (sum i acc) (if (zero? i) acc (sum (- i 1) (+ acc i))))
@@ -1794,30 +1841,55 @@ mod tests {
              (define (id x) x)",
         )
         .unwrap();
-        let all: Vec<usize> = (0..prog.top_level.len()).collect();
-        let fabricated = monitor_fallback_decisions(&prog, &all, "worker lost");
-        let planned = plan_program_subset(
-            &prog,
-            &PlanConfig::default(),
-            &mut PlanCache::new(),
-            &mut NullStore,
-            &all,
-        );
-        assert_eq!(
-            fabricated.iter().map(|(p, ..)| *p).collect::<Vec<_>>(),
-            planned.iter().map(|(p, ..)| *p).collect::<Vec<_>>(),
-            "both answer exactly the λ-define positions"
-        );
-        for ((pos, d, hit), (ppos, pd, _)) in fabricated.iter().zip(planned.iter()) {
-            assert_eq!(pos, ppos);
+        let (fabricated, stats) = monitor_fallback_decisions(&prog, "worker lost");
+        let planned = plan_program(&prog, &PlanConfig::default());
+        assert_eq!(fabricated.decisions.len(), planned.decisions.len());
+        assert_eq!(stats.misses(), planned.decisions.len());
+        for (d, pd) in fabricated.decisions.iter().zip(&planned.decisions) {
             assert_eq!(d.name, pd.name);
             assert_eq!(d.lambda, pd.lambda);
-            assert!(!hit);
             assert!(
                 matches!(&d.decision, Decision::Monitor { reason } if reason == "worker lost"),
                 "{:?}",
                 d.decision
             );
+        }
+    }
+
+    #[test]
+    fn callers_plan_after_callees_in_any_source_order() {
+        // `a` reaches the recursive helper `len` only through its cycle
+        // partner `b`, and `b` applies `a` before `len`. Entered at `b`, a
+        // plain DFS postorder would finish `a` before visiting `len`;
+        // callee-first (component) order must still plan `len` before
+        // both, so every source order stubs `len` alike.
+        let defs = [
+            "(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))",
+            "(define (a l) (if (null? l) 0 (b (cdr l))))",
+            "(define (b l) (if (pair? l) (a (cdr l)) (len l)))",
+            "(define (top l) (if (null? l) 0 (+ (a l) (top (cdr l)))))",
+        ];
+        let plan_of = |order: &[usize]| {
+            let src: Vec<&str> = order.iter().map(|&i| defs[i]).collect();
+            let prog = compile_program(&src.join("\n")).unwrap();
+            let reg = std::sync::Arc::new(sct_obs::Registry::new());
+            let cfg = PlanConfig {
+                obs: PlanObs::registered(reg.clone()),
+                ..PlanConfig::default()
+            };
+            let mut plan = plan_program(&prog, &cfg);
+            plan.decisions.sort_by(|x, y| x.name.cmp(&y.name));
+            let view: Vec<_> = plan
+                .decisions
+                .into_iter()
+                .map(|d| (d.name, d.decision, d.detail))
+                .collect();
+            let stubs = reg.snapshot().counter("plan.summary.stubbed_applications");
+            (view, stubs)
+        };
+        let forward = plan_of(&[0, 1, 2, 3]);
+        for order in [[3, 2, 1, 0], [2, 1, 0, 3], [2, 3, 1, 0]] {
+            assert_eq!(plan_of(&order), forward, "order {order:?}");
         }
     }
 

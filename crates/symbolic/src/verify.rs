@@ -3,7 +3,8 @@
 //! discovered graph sets.
 
 use crate::exec::{
-    EntryInvariant, ExecConfig, Executor, GlobalSnapshot, SOut, SummaryTable, SymDomain,
+    merge_summaries, CalleeSummary, EntryInvariant, ExecConfig, Executor, GlobalSnapshot, SOut,
+    SummaryTable, SymDomain,
 };
 use crate::sym::{Path, SValue};
 use sct_core::graph::ScGraph;
@@ -89,8 +90,13 @@ impl Default for VerifyConfig {
 /// (`crate::pipeline`) makes re-verification free.
 #[derive(Debug, Clone)]
 pub struct Exploration {
-    /// Discovered self-call graph sets, in λ-id order.
+    /// Discovered self-call graph sets, in λ-id order — the exploration's
+    /// own plus those its stubbed callee summaries carry.
     pub graphs: Vec<(LambdaId, Vec<ScGraph>)>,
+    /// The sets the exploration discovered itself, in λ-id order.
+    pub own_graphs: Vec<(LambdaId, Vec<ScGraph>)>,
+    /// The callee summaries it stubbed (see [`Executor::stubs`]).
+    pub stubs: Vec<Rc<CalleeSummary>>,
     /// Display names for λ ids (from `define`/`letrec` hints). Shared
     /// (`Rc`) because the map depends only on the program, and the hybrid
     /// pre-pass explores the same program once per `define` × ladder rung.
@@ -249,10 +255,17 @@ pub(crate) fn explore_with_names(
         return Err(reason);
     }
 
-    let mut graphs: Vec<(LambdaId, Vec<ScGraph>)> = ex.graphs.drain().collect();
-    graphs.sort_by_key(|(id, _)| *id);
+    let sorted = |map: HashMap<LambdaId, Vec<ScGraph>>| {
+        let mut v: Vec<_> = map.into_iter().collect();
+        v.sort_by_key(|(id, _)| *id);
+        v
+    };
+    let mut all = ex.graphs.clone();
+    merge_summaries(&mut all, &ex.stubs, clo.def.id);
     Ok(Exploration {
-        graphs,
+        graphs: sorted(all),
+        own_graphs: sorted(std::mem::take(&mut ex.graphs)),
+        stubs: std::mem::take(&mut ex.stubs),
         names,
         opaque_calls: ex.opaque_applications,
         steps: ex.steps(),

@@ -11,9 +11,10 @@
 //!   shared by every request, plus one
 //!   [`PlanCache`] (interner + LJB memo) *per worker thread* that stays
 //!   warm across requests;
-//! * `plan`/`hybrid` requests fan the program's `define`s out across the
-//!   worker pool ([`plan_program_subset`] slices), so multi-define
-//!   programs plan in parallel;
+//! * each `plan`/`hybrid` request is one whole-program job on a pool
+//!   worker ([`plan_program_incremental`], callees before callers), so
+//!   a plan depends on the program alone — never on the worker count or
+//!   scheduling — and parallelism comes from concurrent requests;
 //! * any number of clients connect over a Unix socket (or a single client
 //!   over stdio) and receive independent, correct results — program
 //!   execution is per-connection, planning is shared-nothing except the
@@ -96,10 +97,11 @@
 //!   a distinct error, and the pool respawns the thread before the next
 //!   dispatch.
 //! * **A deadline** ([`ServeOptions::deadline_ms`] or the request's
-//!   `deadline_ms`) degrades instead of erroring: `define`s the workers
-//!   have not answered by the deadline get fabricated
-//!   `Decision::Monitor` decisions — sound, maximally pessimistic, and
-//!   never persisted under content keys — and executions stop with a
+//!   `deadline_ms`) degrades instead of erroring: the worker degrades the
+//!   `define`s it reaches past the deadline, and if the worker has not
+//!   answered at all by then, the whole plan is fabricated as
+//!   `Decision::Monitor` — sound, maximally pessimistic, and never
+//!   persisted under content keys. Executions stop with a
 //!   `deadline exceeded` error. A stalled worker's late real answer
 //!   still lands in the store, so the next request self-heals to the
 //!   precise plan.
@@ -135,18 +137,18 @@
 use sct_cache::{CacheObs, CacheStats, DiskCache, MemStore};
 use sct_core::json::{parse, Json};
 use sct_core::monitor::TableStrategy;
-use sct_core::plan::{Decision, EnforcementPlan, FnDecision};
+use sct_core::plan::{Decision, EnforcementPlan};
 use sct_interp::{EvalError, Machine, MachineConfig, SemanticsMode, Stats};
 use sct_ir::CompiledProgram;
-use sct_lang::ast::{Program, TopForm};
+use sct_lang::ast::Program;
 use sct_obs::{trace, Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 use sct_symbolic::pipeline::{
-    monitor_fallback_decisions, plan_program_subset, DecisionStore, IncrementalStats, PlanCache,
-    PlanConfig, PlanObs, DEADLINE_REASON,
+    monitor_fallback_decisions, plan_program_incremental, DecisionStore, IncrementalStats,
+    PlanCache, PlanConfig, PlanObs, DEADLINE_REASON,
 };
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -224,8 +226,10 @@ fn source_depth_ok(source: &str) -> Result<(), String> {
 /// Configuration for [`Server::new`].
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
-    /// Planning worker threads; `0` picks the machine's available
-    /// parallelism (capped at 8).
+    /// Planning worker threads — how many requests are planned
+    /// concurrently (each request's program is planned whole on one
+    /// worker); `0` picks the machine's available parallelism (capped
+    /// at 8).
     pub threads: usize,
     /// Directory for the persistent plan cache; `None` keeps decisions in
     /// memory only (still warm across requests, lost on exit).
@@ -309,14 +313,13 @@ impl DecisionStore for SharedStore {
     }
 }
 
-/// A worker's answer: `(top-form position, decision, hit?)` per planned
-/// define, or a compile-error message.
-type JobResult = Result<Vec<(usize, FnDecision, bool)>, String>;
+/// A worker's answer: the whole program's plan, or a compile-error
+/// message.
+type JobResult = Result<(EnforcementPlan, IncrementalStats), String>;
 
-/// One fan-out unit: plan the defines at `positions` of `source`.
+/// One request's planning job: plan all of `source`.
 struct Job {
-    source: Arc<str>,
-    positions: Vec<usize>,
+    source: String,
     config: PlanConfig,
     reply: mpsc::Sender<JobResult>,
 }
@@ -358,9 +361,10 @@ impl Drop for DeathNote {
 
 /// One worker's receive-plan-reply loop.
 fn worker_body(shared: &PoolShared) {
-    // The warm per-worker state. The AST is Rc-based (not Send), so each
-    // worker compiles its own copy of the source — compilation is linear
-    // and cheap next to symbolic exploration.
+    // The warm per-worker state. The AST is Rc-based (not Send), so the
+    // worker compiles its own copy of the source (the request thread
+    // compiles another, concurrently, to run) — compilation is linear and
+    // cheap next to symbolic exploration.
     let mut cache = PlanCache::new();
     loop {
         let job = {
@@ -382,12 +386,11 @@ fn worker_body(shared: &PoolShared) {
         let outcome = panic::catch_unwind(panic::AssertUnwindSafe(|| {
             sct_faults::act("serve.pool.job");
             match sct_lang::compile_program(&job.source) {
-                Ok(program) => Ok(plan_program_subset(
+                Ok(program) => Ok(plan_program_incremental(
                     &program,
                     &job.config,
                     &mut cache,
                     &mut SharedStore(Arc::clone(&shared.store)),
-                    &job.positions,
                 )),
                 Err(e) => Err(format!("compile error: {e}")),
             }
@@ -412,29 +415,14 @@ fn spawn_worker(label: u64, shared: Arc<PoolShared>) -> thread::JoinHandle<()> {
         .expect("spawning plan worker")
 }
 
-/// RAII debt against the `serve.queue_depth` gauge: one unit per job a
-/// request has dispatched and not yet collected. Drop settles whatever
-/// is still outstanding, so every exit path — success, worker death,
-/// deadline fabrication — restores the gauge.
-struct QueueDebt<'a> {
-    gauge: &'a Gauge,
-    outstanding: i64,
-}
-
-impl QueueDebt<'_> {
-    fn incur(&mut self) {
-        self.gauge.inc();
-        self.outstanding += 1;
-    }
-    fn settle(&mut self) {
-        self.gauge.dec();
-        self.outstanding -= 1;
-    }
-}
+/// RAII debt against the `serve.queue_depth` gauge: one unit while a
+/// request's job is queued or running. Drop settles it on every exit
+/// path — success, worker death, deadline fabrication.
+struct QueueDebt<'a>(&'a Gauge);
 
 impl Drop for QueueDebt<'_> {
     fn drop(&mut self) {
-        self.gauge.add(-self.outstanding);
+        self.0.dec();
     }
 }
 
@@ -456,8 +444,8 @@ struct PlanPool {
     workers: Mutex<Vec<thread::JoinHandle<()>>>,
     /// Receives one note per worker death (see [`PoolShared::deaths_tx`]).
     deaths_rx: Mutex<mpsc::Receiver<()>>,
-    /// `serve.queue_depth`: planning jobs dispatched to the pool and not
-    /// yet answered (or fabricated past their deadline).
+    /// `serve.queue_depth`: planning jobs (one per request) dispatched to
+    /// the pool and not yet answered (or fabricated past their deadline).
     queue_depth: Gauge,
 }
 
@@ -529,91 +517,60 @@ impl PlanPool {
         }
     }
 
-    /// Plans `source`, fanning independent defines across the pool.
-    /// Returns the caller-thread compile of the program too, so `hybrid`
-    /// requests can run it without compiling again.
+    /// Plans `source` as one job on a pool worker. Returns the
+    /// caller-thread compile of the program too, so `hybrid` requests can
+    /// run it without compiling again; that compile overlaps the worker's.
     ///
-    /// With [`PlanConfig::deadline`] set, positions still unanswered at
-    /// the deadline are filled with fabricated `Decision::Monitor`
-    /// decisions (the degradation ladder) instead of failing the
-    /// request; a stalled worker's late real answer still reaches the
-    /// store, healing the next request. Without a deadline, only worker
-    /// death (immediate) or the defensive [`POOL_REPLY_TIMEOUT`] ends
-    /// the wait early, both as distinct errors.
+    /// With [`PlanConfig::deadline`] set, a worker that has not answered
+    /// by the deadline (plus a short grace) gets its plan fabricated as
+    /// all-`Decision::Monitor` (the degradation ladder) instead of failing
+    /// the request; the stalled worker's late real answer still reaches
+    /// the store, healing the next request. Without a deadline, only
+    /// worker death (immediate) or the defensive [`POOL_REPLY_TIMEOUT`]
+    /// ends the wait early, both as distinct errors.
     fn plan(&self, source: &str, config: &PlanConfig) -> Result<PlannedSource, String> {
         // Guard the recursive compile/digest walks before touching them —
-        // here and not in the workers, because every worker job's source
-        // passed through this method first.
+        // here and not in the workers, because every job's source passed
+        // through this method first.
         source_depth_ok(source)?;
         // Repair the pool before dispatch: a worker lost to an earlier
         // request must not shrink capacity for this one.
         self.ensure_workers();
-        // Compile once up front: fail fast on syntax errors and learn the
-        // define positions to partition.
+        let (reply_tx, reply_rx) = mpsc::channel();
+        self.jobs
+            .send(Job {
+                source: source.to_string(),
+                config: config.clone(),
+                reply: reply_tx,
+            })
+            .map_err(|_| "planning pool is gone".to_string())?;
+        self.queue_depth.inc();
+        let _debt = QueueDebt(&self.queue_depth);
         let program =
             sct_lang::compile_program(source).map_err(|e| format!("compile error: {e}"))?;
-        let positions: Vec<usize> = program
-            .top_level
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| matches!(f, TopForm::Define { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        let chunk_count = self.threads.min(positions.len()).max(1);
-        // Round-robin keeps a heavy prefix (helpers first is the common
-        // program shape) from landing on one worker.
-        let mut chunks: Vec<Vec<usize>> = vec![Vec::new(); chunk_count];
-        for (i, pos) in positions.iter().enumerate() {
-            chunks[i % chunk_count].push(*pos);
-        }
-        let source: Arc<str> = Arc::from(source);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut sent = 0usize;
-        let mut debt = QueueDebt {
-            gauge: &self.queue_depth,
-            outstanding: 0,
-        };
-        for chunk in chunks.into_iter().filter(|c| !c.is_empty()) {
-            self.jobs
-                .send(Job {
-                    source: Arc::clone(&source),
-                    positions: chunk,
-                    config: config.clone(),
-                    reply: reply_tx.clone(),
-                })
-                .map_err(|_| "planning pool is gone".to_string())?;
-            debt.incur();
-            sent += 1;
-        }
-        drop(reply_tx);
-        let mut all: Vec<(usize, FnDecision, bool)> = Vec::new();
-        let mut received = 0usize;
-        let mut past_deadline = false;
-        while received < sent {
-            let (timeout, in_grace) = match config.deadline {
+        let mut in_grace = false;
+        let (plan, stats) = loop {
+            let timeout = match config.deadline {
                 Some(d) => match d.checked_duration_since(Instant::now()) {
-                    Some(left) => (left.min(POOL_REPLY_TIMEOUT), false),
-                    // Past the deadline, replies already in flight get
+                    Some(left) => left.min(POOL_REPLY_TIMEOUT),
+                    // Past the deadline, a reply already in flight gets
                     // one short grace to land: an expired deadline still
-                    // honors store hits and the workers' own (fast)
-                    // in-pass degradations — fabrication is only for
-                    // workers that are truly stuck.
-                    None => (DEADLINE_GRACE, true),
+                    // honors store hits and the worker's own (fast)
+                    // in-pass degradation — fabrication is only for a
+                    // worker that is truly stuck.
+                    None => {
+                        in_grace = true;
+                        DEADLINE_GRACE
+                    }
                 },
-                None => (POOL_REPLY_TIMEOUT, false),
+                None => POOL_REPLY_TIMEOUT,
             };
             match reply_rx.recv_timeout(timeout) {
-                Ok(Ok(slice)) => {
-                    all.extend(slice);
-                    debt.settle();
-                    received += 1;
-                }
-                Ok(Err(e)) => return Err(e),
-                // All remaining reply senders are gone without a reply:
-                // a worker died (panicked outside its job guard) holding
-                // this request's job. Fail *now* with the real cause —
-                // waiting out a timeout would wedge the client for
-                // minutes on an already-lost request.
+                Ok(reply) => break reply?,
+                // The reply sender is gone without a reply: the worker
+                // died (panicked outside its job guard) holding this job.
+                // Fail *now* with the real cause — waiting out a timeout
+                // would wedge the client for minutes on a lost request.
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     return Err(format!(
                         "planning worker died mid-job (pool respawns it; \
@@ -621,44 +578,21 @@ impl PlanPool {
                         self.restarts() + 1
                     ));
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if in_grace {
-                        past_deadline = true;
-                        break;
-                    }
-                    if config.deadline.is_none() {
-                        return Err("planning pool did not answer".to_string());
-                    }
-                    // The deadline passed during this wait; loop again to
-                    // enter the grace window.
+                // The degradation ladder's bottom rung: a sound, maximally
+                // pessimistic plan. Never persisted (no store call here),
+                // so one slow moment cannot pin pessimism under a content
+                // key.
+                Err(mpsc::RecvTimeoutError::Timeout) if in_grace => {
+                    break monitor_fallback_decisions(&program, DEADLINE_REASON);
                 }
+                Err(mpsc::RecvTimeoutError::Timeout) if config.deadline.is_none() => {
+                    return Err("planning pool did not answer".to_string());
+                }
+                // The deadline passed during this wait; loop again to
+                // enter the grace window.
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
             }
-        }
-        if past_deadline {
-            // The degradation ladder's bottom rung: fabricate sound,
-            // maximally pessimistic decisions for whatever the workers
-            // have not answered. Never persisted (no store call here),
-            // so one slow moment cannot pin pessimism under a content
-            // key.
-            let answered: HashSet<usize> = all.iter().map(|(p, ..)| *p).collect();
-            let missing: Vec<usize> = positions
-                .iter()
-                .copied()
-                .filter(|p| !answered.contains(p))
-                .collect();
-            all.extend(monitor_fallback_decisions(
-                &program,
-                &missing,
-                DEADLINE_REASON,
-            ));
-        }
-        all.sort_by_key(|(pos, _, _)| *pos);
-        let mut plan = EnforcementPlan::new();
-        let mut stats = IncrementalStats::default();
-        for (_, decision, hit) in all {
-            stats.defines.push((decision.name.clone(), hit));
-            plan.decisions.push(decision);
-        }
+        };
         Ok(PlannedSource {
             program,
             plan,
@@ -1126,10 +1060,9 @@ impl Server {
         match planned {
             Ok(planned) => {
                 let degraded = self.note_degraded(&planned.plan);
-                let plan_doc = parse(&planned.plan.to_json()).expect("plan JSON is well-formed");
                 vec![
                     ("ok".into(), Json::Bool(true)),
-                    ("plan".into(), plan_doc),
+                    ("plan".into(), planned.plan.to_json_value()),
                     ("cache".into(), cache_json(&planned.stats)),
                     ("defines".into(), defines_json(&planned.stats)),
                     ("degraded".into(), Json::Int(degraded as i64)),
@@ -1173,12 +1106,12 @@ impl Server {
             }
         };
         let mut extra: Vec<(String, Json)> = Vec::new();
-        let config = match &planned {
+        let config = match planned {
             Some((plan, stats)) => {
                 // Per-request warm-plan observability: store hits/misses
                 // plus the warm bit (a fully warm plan did zero symbolic
                 // exploration on this request).
-                extra.push(("cache".into(), cache_json(stats)));
+                extra.push(("cache".into(), cache_json(&stats)));
                 extra.push((
                     "plan_summary".into(),
                     Json::Obj(vec![
@@ -1187,8 +1120,8 @@ impl Server {
                         ("refuted".into(), Json::Int(plan.count("refuted") as i64)),
                     ]),
                 ));
-                extra.push(("degraded".into(), Json::Int(degraded_count(plan) as i64)));
-                if let Some(err) = crate::refutation_error(plan) {
+                extra.push(("degraded".into(), Json::Int(degraded_count(&plan) as i64)));
+                if let Some(err) = crate::refutation_error(&plan) {
                     let blame = match &err {
                         EvalError::Sc(info) => info.blame.clone(),
                         _ => None,
@@ -1203,7 +1136,7 @@ impl Server {
                     mode: SemanticsMode::Monitored,
                     fuel,
                     deadline,
-                    plan: Some(Rc::new(plan.clone())),
+                    plan: Some(Rc::new(plan)),
                     ..MachineConfig::monitored(TableStrategy::Imperative)
                 }
             }

@@ -2,9 +2,16 @@
 //! `define` re-verifies exactly that define — every untouched define is a
 //! persisted-cache hit — and the warm plan is structurally identical to a
 //! fresh one. Also pins the committed `BENCH_fig10.json` planning
-//! trajectory: warm planning must be measurably faster than cold.
+//! trajectory: warm planning must be measurably faster than cold. And
+//! `sct serve` plans a program exactly as the CLI does, at any worker
+//! count, cold or warm, so the daemon and the CLI can share a cache.
 
-use sct_contracts::{plan_program_incremental, DiskCache, PlanCache, PlanConfig};
+use sct_contracts::core::json::{parse, Json};
+use sct_contracts::symbolic::NullStore;
+use sct_contracts::{
+    plan_program_incremental, DiskCache, PlanCache, PlanConfig, ServeOptions, Server,
+};
+use sct_fuzz::{permute_defines, Rng};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -209,5 +216,74 @@ fn committed_bench_artifact_pins_warm_planning_speedup() {
             assert!(hits + misses > 0.0, "{workload}: no generic dispatch");
             assert!(rate >= 0.9, "{workload}: ineffective caches ({rate})");
         }
+    }
+}
+
+/// An `sct-plan/1` document without its timing field.
+fn untimed(doc: &Json) -> Vec<Json> {
+    let functions = doc.get("functions").and_then(Json::as_arr).unwrap_or(&[]);
+    functions
+        .iter()
+        .map(|f| match f {
+            Json::Obj(members) => Json::Obj(
+                members
+                    .iter()
+                    .filter(|(k, _)| k != "micros")
+                    .cloned()
+                    .collect(),
+            ),
+            other => other.clone(),
+        })
+        .collect()
+}
+
+#[test]
+fn serve_plans_equal_the_cli_plan_at_every_thread_count() {
+    // A shuffled 60-define layered corpus: many callers precede their
+    // callees in the source.
+    let source = permute_defines(&sct_bench::layered_corpus(60, 11, 0), |k| {
+        let mut order: Vec<usize> = (0..k).collect();
+        Rng::new(5).shuffle(&mut order);
+        order
+    })
+    .unwrap();
+    let program = sct_lang::compile_program(&source).unwrap();
+    let cfg = PlanConfig::default();
+    let (cli, _) = plan_program_incremental(&program, &cfg, &mut PlanCache::new(), &mut NullStore);
+    let expected = untimed(&cli.to_json_value());
+    let request = Json::Obj(vec![
+        ("op".into(), Json::str("plan")),
+        ("source".into(), Json::str(&source)),
+    ])
+    .to_string();
+    for threads in [1, 2, 8] {
+        let dir = scratch_dir(&format!("serve-{threads}"));
+        let server = Server::new(ServeOptions {
+            threads,
+            cache_dir: Some(dir.clone()),
+            ..ServeOptions::default()
+        })
+        .unwrap();
+        for warm in [false, true] {
+            let line = server.handle_line(&request).response.unwrap();
+            let response = parse(&line).unwrap();
+            assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{line}");
+            let plan = response.get("plan").unwrap();
+            assert!(
+                untimed(plan) == expected,
+                "threads {threads}, warm {warm}: serve plan differs from the CLI plan"
+            );
+            let cache = response.get("cache").unwrap();
+            assert_eq!(cache.get("warm"), Some(&Json::Bool(warm)), "{line}");
+        }
+        drop(server);
+        // The CLI replays what the daemon persisted: every define hits,
+        // and the plan is the one it would have computed itself.
+        let mut disk = DiskCache::open(&dir).unwrap();
+        let (replayed, stats) =
+            plan_program_incremental(&program, &cfg, &mut PlanCache::new(), &mut disk);
+        assert_eq!(stats.misses(), 0, "threads {threads}");
+        assert!(replayed.structurally_eq(&cli), "threads {threads}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

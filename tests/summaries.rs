@@ -10,6 +10,12 @@
 //!   `summary-mismatch` differential runs this check on every fuzzed
 //!   case forever after).
 //!
+//! The `order_*` tests pin the other half of "a plan is a function of
+//! program content only": the same defines in source order, reversed, and
+//! shuffled plan to the same decision per define and stub the same number
+//! of callee applications (the fuzz campaign's `plan-nondeterminism` kind
+//! patrols the same property).
+//!
 //! Equality rather than mere agreement-on-verdict is deliberate: the
 //! summary machinery is a pure optimization of *how* the verifier reaches
 //! a decision, so any observable drift — a different rung, different
@@ -21,10 +27,13 @@
 //! supports, and on them the plans are bit-identical.)
 
 use sct_cache::MemStore;
-use sct_contracts::{plan_program_incremental, PlanCache, PlanConfig, SymDomain};
+use sct_contracts::{plan_program, plan_program_incremental, PlanCache, PlanConfig, SymDomain};
 use sct_core::plan::EnforcementPlan;
 use sct_corpus::workloads;
-use sct_fuzz::gen_case;
+use sct_fuzz::{gen_case, order_free_view, permute_defines, Rng};
+use sct_obs::Registry;
+use sct_symbolic::PlanObs;
+use std::sync::Arc;
 
 /// Plans `source` twice — summaries on (against a fresh `MemStore`, so
 /// the in-pass table *and* the persisted round-trip are exercised) and
@@ -179,4 +188,58 @@ fn fuzz_schema_sweep_plans_identically_with_summaries() {
             &format!("seed {seed} ({})", case.schema.name()),
         );
     }
+}
+
+/// Plans `source` (summaries on, no wall-clock budget, so a slow host
+/// cannot truncate a ladder) and returns the order-free view of its
+/// decisions plus `plan.summary.stubbed_applications`.
+fn order_free_plan(source: &str) -> (Vec<impl PartialEq + std::fmt::Debug>, u64) {
+    let reg = Arc::new(Registry::new());
+    let cfg = PlanConfig {
+        time_budget: None,
+        obs: PlanObs::registered(reg.clone()),
+        ..PlanConfig::default()
+    };
+    let plan = plan_program(&sct_lang::compile_program(source).expect(source), &cfg);
+    let stubs = reg.snapshot().counter("plan.summary.stubbed_applications");
+    (order_free_view(&plan), stubs.unwrap_or(0))
+}
+
+/// Asserts that `source` plans identically in source order, reversed,
+/// and in six seeded shuffles of its defines.
+fn assert_order_independent(source: &str, tag: &str) {
+    let (reference, stubs) = order_free_plan(source);
+    let mut orders = vec![(
+        "reversed".to_string(),
+        permute_defines(source, |k| (0..k).rev().collect()).unwrap(),
+    )];
+    for seed in 1..=6u64 {
+        let shuffled = permute_defines(source, |k| {
+            let mut order: Vec<usize> = (0..k).collect();
+            Rng::new(seed).shuffle(&mut order);
+            order
+        });
+        orders.push((format!("shuffle {seed}"), shuffled.unwrap()));
+    }
+    for (label, permuted) in orders {
+        let (view, permuted_stubs) = order_free_plan(&permuted);
+        assert_eq!(
+            view, reference,
+            "{tag}, {label}: decisions depend on define order"
+        );
+        assert_eq!(
+            permuted_stubs, stubs,
+            "{tag}, {label}: stubbed applications depend on define order"
+        );
+    }
+}
+
+#[test]
+fn order_of_defines_does_not_change_the_layered_corpus_plan() {
+    assert_order_independent(&sct_bench::layered_corpus(200, 7, 0), "layered-200");
+}
+
+#[test]
+fn order_of_defines_does_not_change_the_fig10_composite_plan() {
+    assert_order_independent(&fig10_composite(), "fig10-composite");
 }
