@@ -4,8 +4,9 @@
 //! exploration and the Lee–Jones–Ben-Amram closure check — the expensive,
 //! PSPACE-hard-in-general part — from scratch on every invocation, even
 //! for byte-identical `define`s. This crate makes "verify once, serve
-//! many" real across *processes*: a [`DiskCache`] persists one decision
-//! per `define`, addressed by the content key of
+//! many" real across *processes*: a [`DiskCache`] persists one entry per
+//! `define` — its decision, plus the contract summary callers stub it
+//! with when it has one — addressed by the content key of
 //! [`sct_symbolic::digest::ProgramDigests`] (resolved AST + transitively
 //! reachable defines + mutation taint + planner config + codec version),
 //! so that
@@ -21,7 +22,10 @@
 //! # Layout and robustness
 //!
 //! Entries live at `<dir>/<k[0..2]>/<k>.plan` (256-way fan-out keeps
-//! directories small at production populations). Every load failure —
+//! directories small at production populations), one single-line
+//! `sct-plan/3` document per key: a decision and its summary are published
+//! by one atomic rename and lost, corrupted or quarantined together, so a
+//! decision hit never comes without its summary. Every load failure —
 //! missing file, truncation, corruption, schema version mismatch, rebind
 //! mismatch — is a *miss*, never an error: the planner recomputes and the
 //! next store overwrites the bad entry. A stale-but-decodable entry is
@@ -69,7 +73,6 @@
 #![deny(missing_docs)]
 
 use sct_core::plan_codec::{decode_entry, encode_entry, PortableDecision};
-use sct_core::summary_codec::{decode_summary, encode_summary, PortableSummary};
 use sct_symbolic::pipeline::DecisionStore;
 use std::collections::HashMap;
 use std::fmt;
@@ -97,15 +100,6 @@ pub struct CacheStats {
     /// I/O failures swallowed while writing (the cache degrades to
     /// recompute-every-time rather than failing the plan).
     pub write_errors: u64,
-    /// Contract-summary loads answered from a persisted `.sum` entry.
-    /// Tracked separately from decision traffic so the CLI/daemon hit
-    /// ratios keep meaning "decisions served without verifier work".
-    pub summary_hits: u64,
-    /// Contract-summary loads that found nothing usable (absent, corrupt,
-    /// or unreadable `.sum` file — all degrade to full descent).
-    pub summary_misses: u64,
-    /// Contract summaries written.
-    pub summary_stores: u64,
 }
 
 impl fmt::Display for CacheStats {
@@ -215,29 +209,18 @@ impl DiskCache {
         self.dir.join(shard).join(format!("{key}.plan"))
     }
 
-    /// The path a contract summary for `key` lives at:
-    /// `<dir>/<k[0..2]>/<k>.sum` — same shard as the decision, same
-    /// content address, different artifact.
-    pub fn summary_path(&self, key: &str) -> PathBuf {
-        self.entry_path(key).with_extension("sum")
-    }
-
-    /// Number of `.sum` entries currently on disk (test/diagnostic aid).
-    pub fn summary_count(&self) -> usize {
-        let Ok(shards) = fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        shards
-            .flatten()
-            .filter_map(|s| fs::read_dir(s.path()).ok())
-            .flat_map(|files| files.flatten())
-            .filter(|f| f.path().extension().is_some_and(|e| e == "sum"))
-            .count()
-    }
-
-    /// Number of `.plan` entries currently on disk (test/diagnostic aid;
-    /// walks the two-level layout).
+    /// Number of `.plan` entries currently on disk (test/diagnostic aid).
     pub fn entry_count(&self) -> usize {
+        self.count_files("plan")
+    }
+
+    /// Number of `.quarantine` files currently on disk (diagnostic aid).
+    pub fn quarantine_count(&self) -> usize {
+        self.count_files("quarantine")
+    }
+
+    /// Number of files with extension `ext` in the two-level layout.
+    fn count_files(&self, ext: &str) -> usize {
         let Ok(shards) = fs::read_dir(&self.dir) else {
             return 0;
         };
@@ -245,12 +228,10 @@ impl DiskCache {
             .flatten()
             .filter_map(|s| fs::read_dir(s.path()).ok())
             .flat_map(|files| files.flatten())
-            .filter(|f| f.path().extension().is_some_and(|e| e == "plan"))
+            .filter(|f| f.path().extension().is_some_and(|e| e == ext))
             .count()
     }
-}
 
-impl DiskCache {
     /// Preserves the undecodable bytes at `path` as `<key>.quarantine`
     /// (best-effort; deletion is the fallback) so an operator can inspect
     /// what corrupted, and the key recomputes either way. Returns whether
@@ -267,19 +248,6 @@ impl DiskCache {
             fs::remove_file(path).ok();
             false
         }
-    }
-
-    /// Number of `.quarantine` files currently on disk (diagnostic aid).
-    pub fn quarantine_count(&self) -> usize {
-        let Ok(shards) = fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        shards
-            .flatten()
-            .filter_map(|s| fs::read_dir(s.path()).ok())
-            .flat_map(|files| files.flatten())
-            .filter(|f| f.path().extension().is_some_and(|e| e == "quarantine"))
-            .count()
     }
 }
 
@@ -384,72 +352,6 @@ impl DecisionStore for DiskCache {
             o.store_us.record_elapsed_us(start);
         }
     }
-
-    fn load_summary(&mut self, key: &str) -> Option<PortableSummary> {
-        let path = self.summary_path(key);
-        // Failpoint distinct from `cache.load.read` so chaos scenarios can
-        // fail summary I/O without perturbing decision-cache fault budgets.
-        if sct_faults::io_check("cache.summary.load").is_err() {
-            self.stats.summary_misses += 1;
-            return None;
-        }
-        let summary = fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| match decode_summary(&text) {
-                Ok(s) => Some(s),
-                Err(_) => {
-                    // A corrupt summary is pure cache, not evidence: delete
-                    // it (no quarantine — `<k>.quarantine` is the decision
-                    // entry's slot) and let the planner re-descend.
-                    fs::remove_file(&path).ok();
-                    None
-                }
-            });
-        match summary.is_some() {
-            true => self.stats.summary_hits += 1,
-            false => self.stats.summary_misses += 1,
-        }
-        summary
-    }
-
-    fn store_summary(&mut self, key: &str, summary: &PortableSummary) {
-        let path = self.summary_path(key);
-        let tmp_counter = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let write = || -> io::Result<()> {
-            let parent = path.parent().expect("summary path has a shard parent");
-            fs::create_dir_all(parent)?;
-            let tmp = parent.join(format!(
-                ".tmp-sum-{}-{tmp_counter:x}-{key}",
-                std::process::id()
-            ));
-            let bytes = encode_summary(summary);
-            // Same torn/error/ENOSPC repertoire as `cache.store.write`,
-            // under its own name: a torn `.sum` publish must degrade to a
-            // summary miss (full descent), never a wrong plan.
-            let bytes: &[u8] = match sct_faults::check("cache.summary.store") {
-                sct_faults::Action::Torn => &bytes.as_bytes()[..bytes.len() / 2],
-                sct_faults::Action::Error => {
-                    return Err(io::Error::other("injected fault at cache.summary.store"))
-                }
-                sct_faults::Action::Enospc => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::StorageFull,
-                        "injected ENOSPC at cache.summary.store",
-                    ))
-                }
-                _ => bytes.as_bytes(),
-            };
-            fs::write(&tmp, bytes)?;
-            fs::rename(&tmp, &path).inspect_err(|_| {
-                fs::remove_file(&tmp).ok();
-            })?;
-            Ok(())
-        };
-        match write().is_ok() {
-            true => self.stats.summary_stores += 1,
-            false => self.stats.write_errors += 1,
-        }
-    }
 }
 
 /// An in-memory [`DecisionStore`] with the same hit/miss accounting as
@@ -458,7 +360,6 @@ impl DecisionStore for DiskCache {
 #[derive(Debug, Default)]
 pub struct MemStore {
     entries: HashMap<String, PortableDecision>,
-    summaries: HashMap<String, PortableSummary>,
     stats: CacheStats,
     obs: Option<CacheObs>,
 }
@@ -490,11 +391,11 @@ impl MemStore {
         self.entries.is_empty()
     }
 
-    /// The contract summaries held, by content key. Exposed so
-    /// invalidation tests can assert exactly *which* defines re-summarized
-    /// after an edit.
-    pub fn summary_entries(&self) -> &HashMap<String, PortableSummary> {
-        &self.summaries
+    /// The entries held, by content key. Exposed so invalidation tests can
+    /// assert exactly *which* defines re-verified or re-summarized after an
+    /// edit.
+    pub fn entries(&self) -> &HashMap<String, PortableDecision> {
+        &self.entries
     }
 }
 
@@ -530,20 +431,6 @@ impl DecisionStore for MemStore {
             o.store_us.record_elapsed_us(start);
         }
     }
-
-    fn load_summary(&mut self, key: &str) -> Option<PortableSummary> {
-        let result = self.summaries.get(key).cloned();
-        match result.is_some() {
-            true => self.stats.summary_hits += 1,
-            false => self.stats.summary_misses += 1,
-        }
-        result
-    }
-
-    fn store_summary(&mut self, key: &str, summary: &PortableSummary) {
-        self.stats.summary_stores += 1;
-        self.summaries.insert(key.to_string(), summary.clone());
-    }
 }
 
 #[cfg(test)]
@@ -561,6 +448,7 @@ mod tests {
             blame: None,
             detail: "verified".into(),
             micros: 5,
+            summary: None,
         }
     }
 
@@ -621,7 +509,7 @@ mod tests {
         let path = c.entry_path(KEY);
         let text = fs::read_to_string(&path)
             .unwrap()
-            .replace("sct-plan/2", "sct-plan/9");
+            .replace("sct-plan/3", "sct-plan/9");
         fs::write(&path, text).unwrap();
         assert!(c.load(KEY).is_none());
         assert_eq!(c.stats().rejected, 1);

@@ -13,8 +13,9 @@
 
 use proptest::prelude::*;
 use sct_cache::{DiskCache, MemStore};
+use sct_core::plan_codec::decode_entry;
 use sct_lang::compile_program;
-use sct_symbolic::{plan_program_incremental, NullStore, PlanCache, PlanConfig};
+use sct_symbolic::{plan_program_incremental, NullStore, PlanCache, PlanConfig, PlanObs};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -177,24 +178,24 @@ fn plan_disk(
     (disk, plan, h, m)
 }
 
-/// Applies `vandalize` to every entry file in the cache — decision
-/// `.plan`s *and* contract-summary `.sum`s, which must degrade just as
-/// gracefully — returning how many `.plan` entries were touched.
+/// Applies `vandalize` to every entry file in the cache — each a `.plan`
+/// carrying its define's decision and, when it has one, its contract
+/// summary — returning how many entries were touched.
 fn vandalize_entries(dir: &PathBuf, vandalize: impl Fn(&str) -> Option<String>) -> usize {
     let mut touched = 0;
     for shard in fs::read_dir(dir).unwrap().flatten() {
-        if !shard.path().is_dir() {
-            continue;
-        }
         for file in fs::read_dir(shard.path()).unwrap().flatten() {
-            let text = fs::read_to_string(file.path()).unwrap();
+            let path = file.path();
+            assert!(
+                path.extension().is_some_and(|e| e == "plan"),
+                "only entries may exist: {path:?}"
+            );
+            let text = fs::read_to_string(&path).unwrap();
             match vandalize(&text) {
-                Some(new_text) => fs::write(file.path(), new_text).unwrap(),
-                None => fs::remove_file(file.path()).unwrap(),
+                Some(new_text) => fs::write(&path, new_text).unwrap(),
+                None => fs::remove_file(&path).unwrap(),
             }
-            if file.path().extension().is_some_and(|e| e == "plan") {
-                touched += 1;
-            }
+            touched += 1;
         }
     }
     touched
@@ -247,16 +248,66 @@ fn version_mismatch_falls_back_to_recompute() {
     // Both a downgrade and an upgrade of the schema tag must be treated
     // as foreign: never a stale replay from a different codec version.
     assert_recovers("version-old", |text| {
-        Some(text.replace("sct-plan/2", "sct-plan/1"))
+        Some(text.replace("sct-plan/3", "sct-plan/2"))
     });
     assert_recovers("version-new", |text| {
-        Some(text.replace("sct-plan/2", "sct-plan/3"))
+        Some(text.replace("sct-plan/3", "sct-plan/4"))
     });
 }
 
 #[test]
 fn deleted_entries_fall_back_to_recompute() {
     assert_recovers("deleted", |_| None);
+}
+
+/// A summary lives and dies with its entry: tearing an entry that carries
+/// one quarantines both together, the recompute republishes both, and the
+/// healed cache replays every summary the cold run stored.
+#[test]
+fn torn_summarized_entry_is_quarantined_with_its_summary() {
+    let dir = scratch_dir("torn-summary");
+    let (disk, ..) = plan_disk(&dir);
+    let summarized: Vec<PathBuf> = fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .flat_map(|shard| fs::read_dir(shard.path()).unwrap().flatten())
+        .map(|f| f.path())
+        .filter(|p| {
+            decode_entry(&fs::read_to_string(p).unwrap())
+                .unwrap()
+                .summary
+                .is_some()
+        })
+        .collect();
+    assert_eq!(summarized.len(), 2, "sum and len carry summaries");
+    let text = fs::read_to_string(&summarized[0]).unwrap();
+    fs::write(&summarized[0], &text[..text.len() / 2]).unwrap();
+    drop(disk);
+
+    let (disk, _, h1, m1) = plan_disk(&dir);
+    assert_eq!((h1, m1), (3, 1), "only the torn entry recomputes");
+    let s = disk.stats();
+    assert_eq!((s.rejected, s.quarantined), (1, 1), "{s:?}");
+    assert_eq!(disk.quarantine_count(), 1);
+
+    let reg = std::sync::Arc::new(sct_obs::Registry::new());
+    let cfg = PlanConfig {
+        obs: PlanObs::registered(reg.clone()),
+        ..PlanConfig::default()
+    };
+    let (_, stats) = plan_program_incremental(
+        &compile_program(PROGRAM).unwrap(),
+        &cfg,
+        &mut PlanCache::new(),
+        &mut DiskCache::open(&dir).unwrap(),
+    );
+    assert_eq!(stats.misses(), 0);
+    let snap = reg.snapshot();
+    assert_eq!(
+        snap.counter("plan.summary.hits"),
+        Some(summarized.len() as u64)
+    );
+    fs::remove_dir_all(&dir).ok();
 }
 
 /// Config changes must re-key (miss), not replay decisions computed under

@@ -1,11 +1,14 @@
-//! The versioned `sct-plan/2` codec: persisted enforcement decisions.
+//! The versioned `sct-plan/3` codec: persisted enforcement decisions.
 //!
 //! The persistent plan cache (`sct-cache`) stores one [`FnDecision`]
 //! per content-addressed file so that re-planning an edited program
 //! re-verifies only the `define`s whose keys changed. This module is the
 //! serialization layer: a [`PortableDecision`] is a decision with every
 //! compile-run-specific identifier removed, encoded as a single-line JSON
-//! document whose `schema` field is [`PLAN_CODEC_SCHEMA`].
+//! document whose `schema` field is [`PLAN_CODEC_SCHEMA`]. A verified
+//! recursive define's entry also carries its contract summary, as an
+//! optional `"summary"` member laid out by `summary_codec`: one entry, one
+//! file, one version per content key.
 //!
 //! # Why "portable"
 //!
@@ -23,8 +26,8 @@
 //! # Corruption tolerance
 //!
 //! [`decode_entry`] never panics: truncated files, non-JSON bytes, wrong
-//! schema versions, out-of-range arcs, and missing fields all return
-//! `Err`, which the cache treats as a miss (recompute and overwrite).
+//! schema versions, out-of-range arcs, missing fields, and a malformed
+//! `"summary"` member all return `Err`, which the cache treats as a miss (recompute and overwrite).
 //! A *stale* entry is impossible by construction — the content address
 //! commits to the define's resolved AST, the planner configuration, and
 //! the codec version, so a decode can only ever see bytes written for
@@ -43,6 +46,7 @@
 //!     blame: None,
 //!     detail: "verified (sum: 1 graphs)".into(),
 //!     micros: 412,
+//!     summary: None,
 //! };
 //! let bytes = encode_entry(&d);
 //! assert_eq!(decode_entry(&bytes).unwrap(), d);
@@ -52,11 +56,12 @@
 use crate::graph::{Change, ScGraph};
 use crate::json::{parse, Json};
 use crate::plan::{Decision, FnDecision, PlanDomain};
+use crate::summary_codec::{summary_from_json, summary_members, PortableSummary};
 
 /// Schema tag of the persisted entry format. Decoders reject anything
 /// else, so bumping this invalidates (falls back to recompute for) every
 /// existing cache file.
-pub const PLAN_CODEC_SCHEMA: &str = "sct-plan/2";
+pub const PLAN_CODEC_SCHEMA: &str = "sct-plan/3";
 
 /// A [`FnDecision`] with compile-run-specific λ ids factored out (see the
 /// module docs): the unit the plan cache persists.
@@ -75,6 +80,9 @@ pub struct PortableDecision {
     pub detail: String,
     /// Planning cost of the original (cold) computation, microseconds.
     pub micros: u128,
+    /// The define's contract summary, when it has one (verified recursive
+    /// `Static` defines).
+    pub summary: Option<PortableSummary>,
 }
 
 impl PortableDecision {
@@ -82,7 +90,8 @@ impl PortableDecision {
     /// `nested` is the define's nested-λ id list in syntactic traversal
     /// order — the basis `covers` is re-expressed in. Covered ids not in
     /// `nested` are dropped (they could not be rebound on load); the
-    /// planner only ever covers nested λs, so this loses nothing.
+    /// planner only ever covers nested λs, so this loses nothing. The
+    /// result carries no summary.
     pub fn from_decision(d: &FnDecision, nested: &[u32]) -> PortableDecision {
         let covers_idx = d
             .covers
@@ -97,6 +106,7 @@ impl PortableDecision {
             blame: d.blame.clone(),
             detail: d.detail.clone(),
             micros: d.micros,
+            summary: None,
         }
     }
 
@@ -183,7 +193,7 @@ pub(crate) fn graph_from_json(j: &Json) -> Result<ScGraph, String> {
     Ok(g)
 }
 
-/// Encodes one portable decision as a single-line `sct-plan/2` JSON
+/// Encodes one portable decision as a single-line `sct-plan/3` JSON
 /// document (newline-terminated).
 pub fn encode_entry(d: &PortableDecision) -> String {
     let mut members = vec![
@@ -227,6 +237,9 @@ pub fn encode_entry(d: &PortableDecision) -> String {
         "micros".into(),
         Json::Int(d.micros.min(i64::MAX as u128) as i64),
     ));
+    if let Some(s) = &d.summary {
+        members.push(("summary".into(), Json::Obj(summary_members(s))));
+    }
     let mut out = Json::Obj(members).to_string();
     out.push('\n');
     out
@@ -243,12 +256,13 @@ pub(crate) fn domain_from_label(s: &str) -> Result<PlanDomain, String> {
     }
 }
 
-/// Decodes a persisted `sct-plan/2` entry.
+/// Decodes a persisted `sct-plan/3` entry.
 ///
 /// # Errors
 ///
 /// Any malformation — bad JSON, wrong or missing schema, unknown decision
-/// tag, malformed witness, missing fields — is an `Err` with a reason.
+/// tag, malformed witness, missing fields, malformed summary — is an `Err`
+/// with a reason.
 /// Callers treat every `Err` as a cache miss.
 pub fn decode_entry(text: &str) -> Result<PortableDecision, String> {
     let doc = parse(text.trim_end()).map_err(|e| e.to_string())?;
@@ -317,6 +331,7 @@ pub fn decode_entry(text: &str) -> Result<PortableDecision, String> {
             .and_then(Json::as_u64)
             .ok_or("missing micros")?,
     );
+    let summary = doc.get("summary").map(summary_from_json).transpose()?;
     Ok(PortableDecision {
         name,
         decision,
@@ -324,12 +339,14 @@ pub fn decode_entry(text: &str) -> Result<PortableDecision, String> {
         blame,
         detail,
         micros,
+        summary,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary_codec::LambdaRef;
 
     fn refuted() -> PortableDecision {
         PortableDecision {
@@ -346,6 +363,33 @@ mod tests {
             blame: Some("spin.sct:1:14".into()),
             detail: "graph is idempotent with no self-descent".into(),
             micros: 77,
+            summary: None,
+        }
+    }
+
+    fn summarized() -> PortableDecision {
+        PortableDecision {
+            name: "len".into(),
+            decision: Decision::Static {
+                guard: vec![PlanDomain::Any],
+            },
+            covers_idx: vec![],
+            blame: None,
+            detail: "verified".into(),
+            micros: 12,
+            summary: Some(PortableSummary {
+                name: "len".into(),
+                guard: vec![PlanDomain::Any],
+                result: PlanDomain::Nat,
+                graphs: vec![(
+                    LambdaRef {
+                        global: "len".into(),
+                        idx: 0,
+                    },
+                    vec![ScGraph::from_arcs(1, 1, [(0, Change::Descend, 0)])],
+                )],
+                callees: vec!["dec".into()],
+            }),
         }
     }
 
@@ -361,7 +405,9 @@ mod tests {
                 blame: None,
                 detail: "verified \"quoted\"\nnewline".into(),
                 micros: 123_456_789_012,
+                summary: None,
             },
+            summarized(),
             PortableDecision {
                 name: "apply1".into(),
                 decision: Decision::Monitor {
@@ -371,6 +417,7 @@ mod tests {
                 blame: None,
                 detail: "modular".into(),
                 micros: 0,
+                summary: None,
             },
             refuted(),
         ];
@@ -393,16 +440,24 @@ mod tests {
     }
 
     #[test]
+    fn malformed_summary_rejects_the_whole_entry() {
+        let enc = encode_entry(&summarized());
+        assert!(decode_entry(&enc.replace("\"result\"", "\"resu1t\"")).is_err());
+        assert!(decode_entry(&enc.replace("\"callees\":[\"dec\"]", "\"callees\":[7]")).is_err());
+        assert!(decode_entry(&enc.replace("\"d\"", "\"x\"")).is_err());
+    }
+
+    #[test]
     fn rejects_version_mismatch() {
-        let enc = encode_entry(&refuted()).replace("sct-plan/2", "sct-plan/1");
+        let enc = encode_entry(&refuted()).replace("sct-plan/3", "sct-plan/2");
         assert!(decode_entry(&enc).unwrap_err().contains("schema mismatch"));
-        let enc = encode_entry(&refuted()).replace("sct-plan/2", "sct-plan/3");
+        let enc = encode_entry(&refuted()).replace("sct-plan/3", "sct-plan/4");
         assert!(decode_entry(&enc).unwrap_err().contains("schema mismatch"));
     }
 
     #[test]
     fn rejects_malformed_witness() {
-        let bad_arc = r#"{"schema":"sct-plan/2","name":"f","decision":"refuted",
+        let bad_arc = r#"{"schema":"sct-plan/3","name":"f","decision":"refuted",
             "witness":{"rows":1,"cols":1,"arcs":[[5,"d",0]]},"culprit":"f",
             "covers_idx":[],"blame":null,"detail":"x","micros":1}"#
             .replace('\n', " ");
@@ -422,6 +477,7 @@ mod tests {
             blame: None,
             detail: "verified".into(),
             micros: 9,
+            summary: None,
         };
         let bound = d.rebind(41, &[50, 51, 52]).unwrap();
         assert_eq!(bound.lambda, 41);

@@ -1,4 +1,5 @@
-//! The versioned `sct-plan-summary/2` codec: persisted contract summaries.
+//! The contract-summary codec: the `"summary"` member of an `sct-plan/3`
+//! cache entry.
 //!
 //! A *contract summary* is the reusable residue of one verified `define`:
 //! the domain assumptions its proof was discharged under (the ladder rung's
@@ -12,9 +13,14 @@
 //! graphs keeps each summary proportional to its own body, not to its
 //! reachable closure.
 //!
-//! Summaries ride the same content-addressed store as decisions (`sct-cache`,
-//! keyed by `sct_symbolic::digest::ProgramDigests`), so editing a define
-//! invalidates exactly its own summary and its transitive dependents'.
+//! A summary is persisted *inside* its define's decision entry
+//! (`plan_codec`, one `sct-plan/3` document per content key of
+//! `sct_symbolic::digest::ProgramDigests`), so editing a define
+//! invalidates exactly its own summary and its transitive dependents', and
+//! a decision hit never comes without the summary it was stored with.
+//! This module defines the member's field layout once; `plan_codec`
+//! embeds it. [`encode_summary`] / [`decode_summary`] write the same
+//! members as a standalone, schema-tagged document.
 //!
 //! # Why [`LambdaRef`] instead of λ ids
 //!
@@ -31,8 +37,9 @@
 //!
 //! # Corruption tolerance
 //!
-//! [`decode_summary`] never panics; every malformation is an `Err` that
-//! stores treat as a miss (recompute, then overwrite).
+//! Decoding never panics; every malformation is an `Err`. Inside an entry
+//! it rejects the whole entry, which the cache quarantines and recomputes
+//! like any corrupt one.
 //!
 //! # Examples
 //!
@@ -61,8 +68,9 @@ use crate::json::{parse, Json};
 use crate::plan::PlanDomain;
 use crate::plan_codec::{domain_from_label, graph_from_json, graph_to_json};
 
-/// Schema tag of the persisted summary format. Decoders reject anything
-/// else, so bumping this invalidates every existing `.sum` entry.
+/// Schema tag of the standalone summary document ([`encode_summary`]).
+/// Persisted summaries never carry it: the cache stores them inside the
+/// define's `sct-plan/3` entry, versioned by that entry's schema.
 pub const SUMMARY_CODEC_SCHEMA: &str = "sct-plan-summary/2";
 
 /// A compile-independent name for one λ: the `define`d global that owns it
@@ -98,9 +106,10 @@ pub struct PortableSummary {
     pub callees: Vec<String>,
 }
 
-/// Encodes one portable summary as a single-line `sct-plan-summary/2`
-/// JSON document (newline-terminated).
-pub fn encode_summary(s: &PortableSummary) -> String {
+/// The summary's members, in the field layout both encodings share: the
+/// `"summary"` object of an `sct-plan/3` entry and, behind a schema tag,
+/// the standalone document [`encode_summary`] writes.
+pub(crate) fn summary_members(s: &PortableSummary) -> Vec<(String, Json)> {
     let graphs = s
         .graphs
         .iter()
@@ -115,8 +124,7 @@ pub fn encode_summary(s: &PortableSummary) -> String {
             ])
         })
         .collect();
-    let mut out = Json::Obj(vec![
-        ("schema".into(), Json::str(SUMMARY_CODEC_SCHEMA)),
+    vec![
         ("name".into(), Json::str(&s.name)),
         (
             "guard".into(),
@@ -128,26 +136,44 @@ pub fn encode_summary(s: &PortableSummary) -> String {
             "callees".into(),
             Json::Arr(s.callees.iter().map(Json::str).collect()),
         ),
-    ])
-    .to_string();
+    ]
+}
+
+/// Encodes one portable summary as a standalone single-line
+/// `sct-plan-summary/2` JSON document (newline-terminated). The cache
+/// never writes this form; it is kept for `perfbench`'s in-memory store.
+pub fn encode_summary(s: &PortableSummary) -> String {
+    let mut members = vec![("schema".into(), Json::str(SUMMARY_CODEC_SCHEMA))];
+    members.extend(summary_members(s));
+    let mut out = Json::Obj(members).to_string();
     out.push('\n');
     out
 }
 
-/// Decodes a persisted `sct-plan-summary/2` entry.
+/// Decodes a standalone `sct-plan-summary/2` document.
 ///
 /// # Errors
 ///
 /// Any malformation — bad JSON, wrong or missing schema, unknown domain
 /// label, malformed graph, implausible sizes — is an `Err` with a reason.
-/// Callers treat every `Err` as a miss.
 pub fn decode_summary(text: &str) -> Result<PortableSummary, String> {
     let doc = parse(text.trim_end()).map_err(|e| e.to_string())?;
     match doc.get("schema").and_then(Json::as_str) {
-        Some(SUMMARY_CODEC_SCHEMA) => {}
-        Some(other) => return Err(format!("schema mismatch: {other:?}")),
-        None => return Err("missing schema field".into()),
+        Some(SUMMARY_CODEC_SCHEMA) => summary_from_json(&doc),
+        Some(other) => Err(format!("schema mismatch: {other:?}")),
+        None => Err("missing schema field".into()),
     }
+}
+
+/// Decodes the summary members of `doc` (the inverse of
+/// [`summary_members`]).
+///
+/// # Errors
+///
+/// Any malformation — missing member, unknown domain label, malformed
+/// graph, implausible sizes — is an `Err` with a reason. Callers treat
+/// every `Err` as a miss.
+pub(crate) fn summary_from_json(doc: &Json) -> Result<PortableSummary, String> {
     let name = doc
         .get("name")
         .and_then(Json::as_str)

@@ -49,7 +49,6 @@
 use crate::pipeline::{MutationMap, PlanConfig};
 use sct_core::plan_codec::PLAN_CODEC_SCHEMA;
 use sct_core::stable::{Digest128, StableHasher, STABLE_HASH_VERSION};
-use sct_core::summary_codec::SUMMARY_CODEC_SCHEMA;
 use sct_lang::ast::{Expr, LambdaDef, Program, TopForm};
 use sct_sexpr::Datum;
 
@@ -143,12 +142,10 @@ impl ProgramDigests {
         // *baked into call sites* by `sct-ir`: a plan persisted under one
         // compilation scheme must never silently direct a machine whose
         // call-site semantics (specialization rules, guard placement)
-        // have changed. The summary codec is pinned too: a decision hit
-        // whose summary no longer decodes would make its callers descend
-        // where a cold plan stubs.
+        // have changed. The plan codec version covers the contract summary
+        // too: it travels inside the decision's entry.
         h.write_u32(STABLE_HASH_VERSION);
         h.write_str(PLAN_CODEC_SCHEMA);
-        h.write_str(SUMMARY_CODEC_SCHEMA);
         h.write_u32(sct_ir::CODEGEN_VERSION);
         // The define itself.
         h.write_str(name);

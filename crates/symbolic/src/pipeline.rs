@@ -311,17 +311,14 @@ pub trait DecisionStore {
     fn wants_keys(&self) -> bool {
         true
     }
-    /// Fetch the contract summary persisted under `key`, if any survives.
-    /// Summaries share the decision's content address (the `sct-plan-summary/1`
-    /// entry rides the same digest), so editing a define invalidates its
-    /// summary and its dependents' exactly like its decision. The default
-    /// never hits: a store without summary support merely forfeits
-    /// cross-process stub reuse, never soundness.
+    /// Unused: a define's contract summary travels inside its entry
+    /// ([`PortableDecision::summary`]), and the planner never calls this.
+    /// Kept only because `perfbench`'s `TimedStore` implements it.
     fn load_summary(&mut self, _key: &str) -> Option<PortableSummary> {
         None
     }
-    /// Persist `summary` under `key`. Failures must be swallowed, like
-    /// [`DecisionStore::store`]. The default drops it.
+    /// Unused, like [`DecisionStore::load_summary`]; kept only because
+    /// `perfbench`'s `TimedStore` implements it.
     fn store_summary(&mut self, _key: &str, _summary: &PortableSummary) {}
 }
 
@@ -416,8 +413,8 @@ pub fn plan_program_incremental(
     // Contract summaries: already-planned `Static` recursive defines are
     // registered here, and later explorations in this same pass stub
     // applications of them (see `Executor::try_stub`). The table lives
-    // for this pass; the store carries summaries *across* passes under
-    // the same content keys as decisions.
+    // for this pass; the store carries summaries *across* passes inside
+    // the defines' decision entries.
     let summaries_on = config.summaries;
     if summaries_on {
         config.obs.summary_touch();
@@ -463,10 +460,12 @@ pub fn plan_program_incremental(
                     // defines' stubs — that is what makes a warm
                     // incremental replan near-linear.
                     if summaries_on && matches!(decision.decision, Decision::Static { .. }) {
-                        let summary = lambda_index.as_ref().and_then(|li| {
-                            let p = store.load_summary(key)?;
-                            rebind_summary(&p, def, li, mutation, *index, &summary_table)
-                        });
+                        let summary = lambda_index
+                            .as_ref()
+                            .zip(portable.summary.as_ref())
+                            .and_then(|(li, p)| {
+                                rebind_summary(p, def, li, mutation, *index, &summary_table)
+                            });
                         match summary {
                             Some(s) => {
                                 config.obs.summary_hit();
@@ -513,52 +512,48 @@ pub fn plan_program_incremental(
                 &snapshot,
             )
         };
+        // Only `Static` decisions produce a summary — opaque-tainted
+        // defines end Inconclusive and mutation-tainted ones Monitor, so
+        // neither is ever stubbed — and only *recursive* callees are
+        // registered: a non-recursive body is cheap to descend, and its
+        // concrete results can be load-bearing for a caller's own descent
+        // proof.
+        let summary_data = summary_data.filter(|data| {
+            summaries_on
+                && data
+                    .graphs
+                    .iter()
+                    .any(|(id, set)| *id == def.id && !set.is_empty())
+        });
         // A decision reached only because the wall clock truncated the
         // ladder depends on machine load, not on the inputs the key
         // commits to: persisting it would pin a slow moment's pessimism
         // forever (the same reasoning that forbids refuting on a
-        // truncated ladder). Recompute it next time instead.
+        // truncated ladder). Recompute it next time instead. The summary
+        // is persisted inside the decision's entry (such ladders cannot
+        // end `Static`, so they never carry one).
         if cacheable {
             if let Some(key) = &key {
-                store.store(key, &PortableDecision::from_decision(&decision, &nested));
+                let mut entry = PortableDecision::from_decision(&decision, &nested);
+                entry.summary = summary_data
+                    .as_ref()
+                    .zip(lambda_index.as_ref())
+                    .and_then(|(data, li)| portable_summary(name, data, li, program));
+                store.store(key, &entry);
             }
         }
-        // Register (and, when cacheable, persist) the freshly verified
-        // define's contract summary. Only `Static` decisions produce one
-        // — opaque-tainted defines end Inconclusive and mutation-tainted
-        // ones Monitor, so neither is ever stubbed — and only *recursive*
-        // callees are registered: a non-recursive body is cheap to
-        // descend, and its concrete results can be load-bearing for a
-        // caller's own descent proof. The truncation rule mirrors
-        // decisions: a summary from a budget- or deadline-degraded ladder
-        // is never persisted (such ladders cannot end `Static` at all).
-        if summaries_on {
-            if let Some(data) = summary_data {
-                let recursive = data
-                    .graphs
-                    .iter()
-                    .any(|(id, set)| *id == def.id && !set.is_empty());
-                if recursive {
-                    if cacheable {
-                        if let (Some(key), Some(li)) = (&key, &lambda_index) {
-                            if let Some(portable) = portable_summary(name, &data, li, program) {
-                                store.store_summary(key, &portable);
-                            }
-                        }
-                    }
-                    summary_table.insert(
-                        def.id,
-                        Rc::new(CalleeSummary {
-                            id: def.id,
-                            domains: data.domains,
-                            result: data.result,
-                            graphs: data.graphs,
-                            callees: data.callees,
-                            reachable: Rc::new(mutation.reachable_from(*index)),
-                        }),
-                    );
-                }
-            }
+        if let Some(data) = summary_data {
+            summary_table.insert(
+                def.id,
+                Rc::new(CalleeSummary {
+                    id: def.id,
+                    domains: data.domains,
+                    result: data.result,
+                    graphs: data.graphs,
+                    callees: data.callees,
+                    reachable: Rc::new(mutation.reachable_from(*index)),
+                }),
+            );
         }
         out.push((pos, decision, false));
     }
@@ -1566,7 +1561,16 @@ mod tests {
     #[derive(Default)]
     struct TestStore {
         map: HashMap<String, PortableDecision>,
-        summaries: HashMap<String, PortableSummary>,
+    }
+
+    impl TestStore {
+        /// The contract summaries carried by the stored entries.
+        fn summaries(&self) -> Vec<&PortableSummary> {
+            self.map
+                .values()
+                .filter_map(|e| e.summary.as_ref())
+                .collect()
+        }
     }
 
     impl DecisionStore for TestStore {
@@ -1575,12 +1579,6 @@ mod tests {
         }
         fn store(&mut self, key: &str, entry: &PortableDecision) {
             self.map.insert(key.to_string(), entry.clone());
-        }
-        fn load_summary(&mut self, key: &str) -> Option<PortableSummary> {
-            self.summaries.get(key).cloned()
-        }
-        fn store_summary(&mut self, key: &str, summary: &PortableSummary) {
-            self.summaries.insert(key.to_string(), summary.clone());
         }
     }
 
@@ -1606,7 +1604,7 @@ mod tests {
             "load-dependent decision must not be cached"
         );
         assert!(
-            store.summaries.is_empty(),
+            store.summaries().is_empty(),
             "a truncated ladder must not publish a contract summary either"
         );
         // An untruncated run persists as usual — decision and summary.
@@ -1618,7 +1616,7 @@ mod tests {
         );
         assert_eq!(stats.misses(), 1);
         assert_eq!(store.map.len(), 1);
-        assert_eq!(store.summaries.len(), 1, "sum is recursive and Static");
+        assert_eq!(store.summaries().len(), 1, "sum is recursive and Static");
     }
 
     #[test]
@@ -1642,7 +1640,7 @@ mod tests {
             &mut store,
         );
         assert_eq!(plan.count("static"), 2, "{:?}", plan.decisions);
-        assert_eq!(store.summaries.len(), 2, "both defines are recursive");
+        assert_eq!(store.summaries().len(), 2, "both defines are recursive");
 
         let reg = std::sync::Arc::new(sct_obs::Registry::new());
         let cfg = PlanConfig {
@@ -1688,9 +1686,9 @@ mod tests {
             &mut PlanCache::new(),
             &mut store,
         );
-        let mid = store
-            .summaries
-            .values()
+        let mid = *store
+            .summaries()
+            .iter()
             .find(|s| s.name == "mid")
             .expect("mid is summarized");
         assert_eq!(mid.callees, vec!["len".to_string()]);
@@ -1811,7 +1809,7 @@ mod tests {
         }
         assert!(store.map.is_empty(), "degraded decisions must not persist");
         assert!(
-            store.summaries.is_empty(),
+            store.summaries().is_empty(),
             "deadline-degraded passes must not publish contract summaries"
         );
         assert_eq!(stats.hits(), 0);

@@ -41,7 +41,7 @@
 //! the `sct-ir` crate) instead of running. After a hybrid run a
 //! `; plan: S static skips, M monitored calls` line summarizes what the
 //! static proofs absorbed at run time. With `--cache-dir`, decisions
-//! persist across invocations (content-addressed `sct-plan/2` entries;
+//! persist across invocations (content-addressed `sct-plan/3` entries;
 //! see `sct-cache`) and a `; cache: H hits, M misses` line reports the
 //! reuse.
 //!

@@ -279,18 +279,6 @@ impl DecisionStore for StoreKind {
             StoreKind::Mem(m) => m.store(key, entry),
         }
     }
-    fn load_summary(&mut self, key: &str) -> Option<sct_core::summary_codec::PortableSummary> {
-        match self {
-            StoreKind::Disk(d) => d.load_summary(key),
-            StoreKind::Mem(m) => m.load_summary(key),
-        }
-    }
-    fn store_summary(&mut self, key: &str, summary: &sct_core::summary_codec::PortableSummary) {
-        match self {
-            StoreKind::Disk(d) => d.store_summary(key, summary),
-            StoreKind::Mem(m) => m.store_summary(key, summary),
-        }
-    }
 }
 
 /// A [`DecisionStore`] view over the shared store: workers lock per
@@ -304,12 +292,6 @@ impl DecisionStore for SharedStore {
     }
     fn store(&mut self, key: &str, entry: &sct_core::plan_codec::PortableDecision) {
         lock_or_recover(&self.0).store(key, entry)
-    }
-    fn load_summary(&mut self, key: &str) -> Option<sct_core::summary_codec::PortableSummary> {
-        lock_or_recover(&self.0).load_summary(key)
-    }
-    fn store_summary(&mut self, key: &str, summary: &sct_core::summary_codec::PortableSummary) {
-        lock_or_recover(&self.0).store_summary(key, summary)
     }
 }
 
@@ -1952,6 +1934,43 @@ mod tests {
                 "{op}: {h:?}"
             );
         }
+    }
+
+    /// With `--cache-dir`, every persisted byte goes through the one
+    /// instrumented store path: the `cache.stores` counter, the `stats`
+    /// op and the files on disk agree, summaries included (one entry per
+    /// define, whether or not it carries a summary).
+    #[test]
+    fn cache_dir_stores_reconcile_with_files_on_disk() {
+        let dir = std::env::temp_dir().join(format!("sct-serve-stores-{}", std::process::id()));
+        let s = Server::new(ServeOptions {
+            threads: 1,
+            cache_dir: Some(dir.clone()),
+            ..ServeOptions::default()
+        })
+        .unwrap();
+        ok_line(
+            &s,
+            r#"{"op":"plan","source":"(define (inc x) (+ x 1)) (define (sum i a) (if (zero? i) a (sum (- i 1) (+ a i)))) (define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))"}"#,
+        );
+        let stats = ok_line(&s, r#"{"op":"stats"}"#);
+        let snap = ok_line(&s, r#"{"op":"metrics"}"#);
+        let stores = snap
+            .get("metrics")
+            .and_then(|m| m.get("counters"))
+            .and_then(|c| c.get("cache.stores"))
+            .and_then(Json::as_i64);
+        let files = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .flat_map(|shard| std::fs::read_dir(shard.path()).unwrap().flatten())
+            .count();
+        assert_eq!(files, 3, "one file per define");
+        assert_eq!(stores, Some(3), "{snap:?}");
+        let cache = stats.get("cache").unwrap();
+        assert_eq!(cache.get("stores").and_then(Json::as_i64), Some(3));
+        drop(s);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Two servers in one process must not share counters: the registry

@@ -7,7 +7,8 @@
 //! count, cold or warm, so the daemon and the CLI can share a cache.
 
 use sct_contracts::core::json::{parse, Json};
-use sct_contracts::symbolic::NullStore;
+use sct_contracts::core::plan_codec::decode_entry;
+use sct_contracts::symbolic::{NullStore, PlanObs};
 use sct_contracts::{
     plan_program_incremental, DiskCache, PlanCache, PlanConfig, ServeOptions, Server,
 };
@@ -123,8 +124,8 @@ fn editing_a_shared_helper_reverifies_its_dependents_only() {
 
 #[test]
 fn editing_a_helper_recomputes_exactly_its_dependents_summaries() {
-    // Contract summaries ride the same content address as decisions, so
-    // the same invalidation frontier applies: editing `len` re-keys len
+    // Contract summaries ride inside the decision entries, so the same
+    // invalidation frontier applies: editing `len` re-keys len
     // and its dependent msort. Of the two, only len is *summarizable*
     // (msort discharges vacuously under its Nat rung — no self-recursion
     // graphs survive, and only recursive Static defines carry a summary),
@@ -134,11 +135,15 @@ fn editing_a_helper_recomputes_exactly_its_dependents_summaries() {
 
     let before = sct_lang::compile_program(&fig10_scale(0)).unwrap();
     plan_program_incremental(&before, &cfg, &mut PlanCache::new(), &mut store);
-    let initial: std::collections::HashMap<String, String> = store
-        .summary_entries()
-        .iter()
-        .map(|(k, s)| (k.clone(), s.name.clone()))
-        .collect();
+    let summaries = |store: &sct_cache::MemStore| -> Vec<(String, String)> {
+        store
+            .entries()
+            .iter()
+            .filter_map(|(k, e)| Some((k.clone(), e.summary.as_ref()?.name.clone())))
+            .collect()
+    };
+    let initial: std::collections::HashMap<String, String> =
+        summaries(&store).into_iter().collect();
     // The fig10-scale program's summarizable defines: every recursive
     // Static one. (ack stays monitored; msort's discharge is vacuous.)
     let mut names: Vec<&str> = initial.values().map(String::as_str).collect();
@@ -156,11 +161,10 @@ fn editing_a_helper_recomputes_exactly_its_dependents_summaries() {
     .unwrap();
     let (_, stats) = plan_program_incremental(&after, &cfg, &mut PlanCache::new(), &mut store);
     assert_eq!(stats.missed_names(), vec!["len", "msort"], "{stats:?}");
-    let recomputed: Vec<&str> = store
-        .summary_entries()
-        .iter()
-        .filter(|(k, _)| !initial.contains_key(*k))
-        .map(|(_, s)| s.name.as_str())
+    let recomputed: Vec<String> = summaries(&store)
+        .into_iter()
+        .filter(|(k, _)| !initial.contains_key(k))
+        .map(|(_, name)| name)
         .collect();
     assert_eq!(
         recomputed,
@@ -219,6 +223,16 @@ fn committed_bench_artifact_pins_warm_planning_speedup() {
     }
 }
 
+/// Every file under a cache directory's two-level layout.
+fn files_under(dir: &std::path::Path) -> Vec<PathBuf> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .flat_map(|shard| std::fs::read_dir(shard.path()).unwrap().flatten())
+        .map(|f| f.path())
+        .collect()
+}
+
 /// An `sct-plan/1` document without its timing field.
 fn untimed(doc: &Json) -> Vec<Json> {
     let functions = doc.get("functions").and_then(Json::as_arr).unwrap_or(&[]);
@@ -275,14 +289,42 @@ fn serve_plans_equal_the_cli_plan_at_every_thread_count() {
             );
             let cache = response.get("cache").unwrap();
             assert_eq!(cache.get("warm"), Some(&Json::Bool(warm)), "{line}");
+            // One entry per λ-define, summaries inside: no other file.
+            let files = files_under(&dir);
+            assert_eq!(files.len(), cli.decisions.len(), "threads {threads}");
+            assert!(
+                files
+                    .iter()
+                    .all(|f| f.extension().is_some_and(|e| e == "plan")),
+                "threads {threads}: {files:?}"
+            );
         }
         drop(server);
+        let summarized = files_under(&dir)
+            .iter()
+            .filter(|f| {
+                let text = std::fs::read_to_string(f).unwrap();
+                decode_entry(&text).unwrap().summary.is_some()
+            })
+            .count();
+        assert!(summarized > 0, "threads {threads}: no summaries persisted");
         // The CLI replays what the daemon persisted: every define hits,
-        // and the plan is the one it would have computed itself.
+        // every persisted summary rebinds, and the plan is the one it
+        // would have computed itself.
+        let reg = std::sync::Arc::new(sct_obs::Registry::new());
+        let warm_cfg = PlanConfig {
+            obs: PlanObs::registered(reg.clone()),
+            ..PlanConfig::default()
+        };
         let mut disk = DiskCache::open(&dir).unwrap();
         let (replayed, stats) =
-            plan_program_incremental(&program, &cfg, &mut PlanCache::new(), &mut disk);
+            plan_program_incremental(&program, &warm_cfg, &mut PlanCache::new(), &mut disk);
         assert_eq!(stats.misses(), 0, "threads {threads}");
+        assert_eq!(
+            reg.snapshot().counter("plan.summary.hits"),
+            Some(summarized as u64),
+            "threads {threads}"
+        );
         assert!(replayed.structurally_eq(&cli), "threads {threads}");
         let _ = std::fs::remove_dir_all(&dir);
     }
