@@ -106,13 +106,7 @@ fn main() {
         .unwrap_or_else(sct_bench::serve_json_path);
 
     let socket = std::env::temp_dir().join(format!("sct-bench-serve-{}.sock", std::process::id()));
-    let server = Arc::new(
-        Server::new(ServeOptions {
-            threads: 0,
-            ..ServeOptions::default()
-        })
-        .expect("start bench daemon"),
-    );
+    let server = Arc::new(Server::new(ServeOptions::default()).expect("start bench daemon"));
     let daemon = {
         let server = Arc::clone(&server);
         let socket = socket.clone();

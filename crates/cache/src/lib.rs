@@ -15,7 +15,7 @@
 //!   define is a disk hit;
 //! * editing one `define` re-verifies exactly that define (and its
 //!   transitive referers), because only their keys changed;
-//! * two processes — or the `sct serve` daemon's worker threads — share
+//! * two processes — or the `sct serve` daemon's planning threads — share
 //!   one cache directory safely: writes are atomic (`tmp` + `rename`) and
 //!   readers accept any well-formed entry or recompute.
 //!
@@ -306,7 +306,7 @@ impl DecisionStore for DiskCache {
             sct_faults::io_check("cache.store.dir")?;
             fs::create_dir_all(parent)?;
             // Atomic publish: writers never expose a half-written entry,
-            // so concurrent daemon workers and CLI runs can share a
+            // so concurrent daemon planners and CLI runs can share a
             // directory. `rename` within one directory is atomic on POSIX;
             // last writer wins, and both wrote equivalent bytes (same key
             // ⇒ same inputs ⇒ same decision).

@@ -1,7 +1,7 @@
 //! Deterministic failpoint injection for the serving + persistence stack.
 //!
 //! A *failpoint* is a named site in production code (`"cache.store.write"`,
-//! `"serve.pool.job"`, …) that normally does nothing. Arming it — from a
+//! `"serve.plan"`, …) that normally does nothing. Arming it — from a
 //! test, the `SCT_FAULTS` environment variable, or `sct serve --faults` —
 //! makes the site report an [`Action`] the caller then acts out: return an
 //! injected I/O error, panic, stall, or tear a write. Chaos tests drive
@@ -27,9 +27,9 @@
 //! action := 'error' | 'enospc' | 'torn' | 'panic' | 'stall-<millis>'
 //! ```
 //!
-//! Example: `seed=3;cache.store.write=enospc@500;serve.pool.job=panic*1`
+//! Example: `seed=3;cache.store.write=enospc@500;serve.plan=panic*1`
 //! — ENOSPC on ~half of cache writes (deterministically chosen by seed 3),
-//! and the first planning job panics.
+//! and the first planning thread panics.
 //!
 //! # Cost when disarmed
 //!
@@ -61,9 +61,9 @@ use std::time::Duration;
 
 /// What an armed failpoint tells its site to do. Sites interpret the
 /// action in their own terms — a cache write maps [`Action::Error`] to a
-/// swallowed `io::Error`, a worker loop maps [`Action::Panic`] to a real
-/// `panic!` — so the injection exercises the *production* failure path,
-/// not a test-only shim.
+/// swallowed `io::Error`, the planning thread maps [`Action::Panic`] to a
+/// real `panic!` — so the injection exercises the *production* failure
+/// path, not a test-only shim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
     /// Not armed (or armed but not firing on this hit): do the real work.
@@ -350,7 +350,7 @@ pub fn io_check(site: &str) -> std::io::Result<()> {
 
 /// Acts out the non-I/O actions at `site`: panics on [`Action::Panic`],
 /// sleeps on [`Action::Stall`], ignores the rest. The convenience shape
-/// for control-flow sites (worker loops, accept loops).
+/// for control-flow sites such as the planning thread.
 pub fn act(site: &str) {
     match check(site) {
         Action::Panic => panic!("injected panic at {site}"),

@@ -87,7 +87,7 @@ pub type Signature = (Vec<SymDomain>, SymDomain);
 /// per-ladder-rung attempt/discharge counters
 /// (`plan.rung.<any|nat|pos|signature>.{attempts,discharged}`), and
 /// symbolic-executor fuel (`plan.fuel_used`). The disabled default
-/// records nothing. Carried inside [`PlanConfig`], so it crosses worker
+/// records nothing. Carried inside [`PlanConfig`], so it crosses planning
 /// threads with the config clone; excluded from the cache content key
 /// (`digest::hash_config` selects fields explicitly) because metrics
 /// wiring cannot change a decision.
@@ -597,7 +597,7 @@ fn monitor_fallback(
 /// Fabricates a degraded plan — [`Decision::Monitor`] for every λ-bound
 /// `define`, in program order — without running any verification: the
 /// bottom rung of the degradation ladder, for drivers whose *planner
-/// itself* is unavailable (a stalled worker past the request deadline).
+/// itself* is unavailable (a planning thread past the request deadline).
 /// It answers for exactly the defines [`plan_program_incremental`] would,
 /// with every `hit?` flag `false`. The decisions must never be persisted:
 /// they reflect scheduler state, not program content.
@@ -1828,7 +1828,7 @@ mod tests {
 
     #[test]
     fn monitor_fallback_decisions_mirror_the_planned_defines() {
-        // The serve daemon fabricates these when a worker stalls past the
+        // The serve daemon fabricates these when a planner stalls past the
         // deadline: they must answer for exactly the λ-defines the planner
         // would, in the same order, carry the caller's reason, and claim
         // no hit.

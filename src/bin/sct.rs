@@ -6,8 +6,8 @@
 //! sct hybrid <file.sct> [--plan] [--dump-ir] [options] # static pre-pass + residual monitor
 //! sct verify <file.sct> <function> [sig]   # static verification (§4)
 //! sct trace <file.sct>                     # monitored run + Figure-1 trace
-//! sct serve [--socket PATH] [--cache-dir DIR] [--threads REQUESTS]
-//!           [--deadline-ms MS] [--max-queue N] [--max-inflight-per-client N]
+//! sct serve [--socket PATH] [--cache-dir DIR] [--deadline-ms MS]
+//!           [--max-queue N] [--max-inflight-per-client N]
 //!           [--faults SPEC] [--trace-out FILE]
 //! sct fuzz [--seed S] [--cases N] [--budget-ms B] [--no-minimize] [--out DIR]
 //! ```
@@ -48,8 +48,8 @@
 //! `serve` starts the long-running daemon: newline-delimited JSON
 //! requests (`plan`, `run`, `hybrid`, `stats`, `metrics`, `shutdown`)
 //! over stdio or a Unix socket, each request's program planned whole on
-//! one worker of a warm pool; `--threads N` sets how many requests are
-//! planned at once — see `sct_contracts::serve` for the wire protocol.
+//! a thread of its own — see `sct_contracts::serve` for the wire
+//! protocol.
 //! `--deadline-ms` bounds each request's wall clock (planning past it
 //! degrades to monitored decisions; execution past it stops with a
 //! `deadline exceeded` error), `--max-queue` /
@@ -106,7 +106,7 @@ fn usage() -> ExitCode {
          sct hybrid <file> [--plan] [--dump-ir] [--cache-dir DIR] [--no-summaries] [--metrics] \
          [monitor options]\n  \
          sct verify <file> <function> [domains [-> result]]\n  sct trace <file>\n  \
-         sct serve [--socket PATH] [--cache-dir DIR] [--threads REQUESTS] [--deadline-ms MS] \
+         sct serve [--socket PATH] [--cache-dir DIR] [--deadline-ms MS] \
          [--max-queue N] [--max-inflight-per-client N] [--faults SPEC] [--trace-out FILE]\n  \
          sct fuzz [--seed S] [--cases N] [--budget-ms B] [--no-minimize] [--verbose] [--out DIR]"
     );
@@ -329,13 +329,6 @@ fn serve_cmd(rest: &[String]) -> ExitCode {
                 Some(d) => options.cache_dir = Some(d.into()),
                 None => {
                     eprintln!("missing --cache-dir value");
-                    return usage();
-                }
-            },
-            "--threads" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => options.threads = n,
-                None => {
-                    eprintln!("bad --threads value");
                     return usage();
                 }
             },

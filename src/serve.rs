@@ -8,13 +8,12 @@
 //!
 //! * a [`Server`] holds one warm process state — a persistent
 //!   [`DecisionStore`] (on-disk via `--cache-dir`, in-memory otherwise)
-//!   shared by every request, plus one
-//!   [`PlanCache`] (interner + LJB memo) *per worker thread* that stays
-//!   warm across requests;
-//! * each `plan`/`hybrid` request is one whole-program job on a pool
-//!   worker ([`plan_program_incremental`], callees before callers), so
-//!   a plan depends on the program alone — never on the worker count or
-//!   scheduling — and parallelism comes from concurrent requests;
+//!   shared by every request;
+//! * each `plan`/`hybrid` request's program is planned whole on a
+//!   short-lived thread of its own ([`plan_program_incremental`],
+//!   callees before callers, with a fresh [`PlanCache`]), so a plan
+//!   depends on the program alone — never on scheduling or on other
+//!   requests — and parallelism comes from concurrent requests;
 //! * any number of clients connect over a Unix socket (or a single client
 //!   over stdio) and receive independent, correct results — program
 //!   execution is per-connection, planning is shared-nothing except the
@@ -59,7 +58,7 @@
 //! * `stats` → request counters, aggregate cache traffic
 //!   ([`sct_cache::CacheStats`]), the aggregate plan effect
 //!   (`"plan":{"static_skips":…,"monitored_calls":…}` summed over every
-//!   execution served), worker count, uptime, and per-op latency
+//!   execution served), uptime, and per-op latency
 //!   summaries (`"latency":{"plan":{"count":…,"p50_us":…,…},…}`).
 //! * `metrics` → `{"ok":true,"op":"metrics","metrics":<sct-obs
 //!   snapshot>}` — the server's full [`sct_obs::Registry`] snapshot:
@@ -83,28 +82,24 @@
 //!
 //! # Failure domains and the degradation ladder
 //!
-//! The daemon is supervised from the inside; every failure is contained
-//! to the smallest domain that can absorb it (see
-//! `docs/ARCHITECTURE.md` for the full ladder):
+//! Every failure is contained to the smallest domain that can absorb it
+//! (see `docs/ARCHITECTURE.md` for the full ladder):
 //!
-//! * **A planning job** that panics is caught in the worker
-//!   (`catch_unwind`), the worker's warm caches are discarded (they may
-//!   be mid-mutation), and the request gets a distinct error — the
-//!   worker thread survives.
-//! * **A worker thread** that dies anyway (a panic outside the job
-//!   guard) drops its job's reply sender; the waiting request sees the
+//! * **A planning thread** is the one panic domain for planning: it
+//!   lives for one request and shares nothing but the store, so a panic
+//!   there drops its reply sender, the waiting request sees the
 //!   disconnect *immediately* — not after a timeout — and answers with
-//!   a distinct error, and the pool respawns the thread before the next
-//!   dispatch.
+//!   a distinct error. Nothing needs resetting or respawning; the next
+//!   request gets a fresh thread.
 //! * **A deadline** ([`ServeOptions::deadline_ms`] or the request's
-//!   `deadline_ms`) degrades instead of erroring: the worker degrades the
-//!   `define`s it reaches past the deadline, and if the worker has not
-//!   answered at all by then, the whole plan is fabricated as
-//!   `Decision::Monitor` — sound, maximally pessimistic, and never
-//!   persisted under content keys. Executions stop with a
-//!   `deadline exceeded` error. A stalled worker's late real answer
-//!   still lands in the store, so the next request self-heals to the
-//!   precise plan.
+//!   `deadline_ms`) degrades instead of erroring: the planner degrades
+//!   the `define`s it reaches past the deadline, and if the planning
+//!   thread has not answered at all by then, the whole plan is
+//!   fabricated as `Decision::Monitor` — sound, maximally pessimistic,
+//!   and never persisted under content keys. Executions stop with a
+//!   `deadline exceeded` error. A stalled planning thread's late real
+//!   answer still lands in the store, so the next request self-heals to
+//!   the precise plan.
 //! * **Overload** is shed at admission: past
 //!   [`ServeOptions::max_queue`] globally or
 //!   [`ServeOptions::max_inflight_per_client`] per client, expensive
@@ -117,8 +112,7 @@
 //!   plain counters or cache state that is valid under torn updates.
 //!
 //! The `stats` op exposes the self-healing counters: `requests.shed`,
-//! `requests.deadline_exceeded`, `worker_restarts`, and the cache's
-//! `quarantined` count.
+//! `requests.deadline_exceeded`, and the cache's `quarantined` count.
 //!
 //! # Examples
 //!
@@ -127,7 +121,7 @@
 //! ```
 //! use sct_contracts::serve::{Server, ServeOptions};
 //!
-//! let server = Server::new(ServeOptions { threads: 2, ..ServeOptions::default() }).unwrap();
+//! let server = Server::new(ServeOptions::default()).unwrap();
 //! let req = r#"{"op":"hybrid","source":"(define (len l) (if (null? l) 0 (+ 1 (len (cdr l))))) (len '(1 2 3))"}"#;
 //! let out = server.handle_line(req).response.unwrap();
 //! assert!(out.contains("\"ok\":true"), "{out}");
@@ -152,7 +146,6 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::panic;
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -160,19 +153,19 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// How long a request waits for the planning pool before concluding the
-/// pool is wedged, when no deadline bounds the request (a defensive
-/// bound; jobs normally finish in milliseconds and are budget-capped by
-/// [`PlanConfig`]). Worker *death* is detected immediately regardless —
-/// the reply channel disconnects — so this bound only covers a silently
-/// stalled worker.
-const POOL_REPLY_TIMEOUT: Duration = Duration::from_secs(300);
+/// How long a request waits for its planning thread before concluding it
+/// is wedged, when no deadline bounds the request (a defensive bound;
+/// planning normally finishes in milliseconds and is budget-capped by
+/// [`PlanConfig`]). A planning *panic* is detected immediately regardless
+/// — the reply channel disconnects — so this bound only covers a
+/// silently stalled planner.
+const PLAN_REPLY_TIMEOUT: Duration = Duration::from_secs(300);
 
-/// How long past an expired request deadline the collector still accepts
-/// worker replies before fabricating degraded decisions for the rest.
-/// Long enough for a reply already in flight (a store hit, a worker's
+/// How long past an expired request deadline the request still accepts
+/// the planning thread's reply before fabricating a degraded plan.
+/// Long enough for a reply already in flight (store hits, the planner's
 /// own in-pass degradation — microseconds) to land; short enough that a
-/// genuinely stalled worker cannot stretch the request much past its
+/// genuinely stalled planner cannot stretch the request much past its
 /// deadline.
 const DEADLINE_GRACE: Duration = Duration::from_millis(100);
 
@@ -226,10 +219,10 @@ fn source_depth_ok(source: &str) -> Result<(), String> {
 /// Configuration for [`Server::new`].
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
-    /// Planning worker threads — how many requests are planned
-    /// concurrently (each request's program is planned whole on one
-    /// worker); `0` picks the machine's available parallelism (capped
-    /// at 8).
+    /// Ignored: every `plan`/`hybrid` request is planned on a thread of
+    /// its own, and [`ServeOptions::max_queue`] bounds how many run at
+    /// once. Kept only because the benchmark harness still sets it; it
+    /// will be removed with the next benchmark change.
     pub threads: usize,
     /// Directory for the persistent plan cache; `None` keeps decisions in
     /// memory only (still warm across requests, lost on exit).
@@ -281,8 +274,8 @@ impl DecisionStore for StoreKind {
     }
 }
 
-/// A [`DecisionStore`] view over the shared store: workers lock per
-/// operation, so store I/O serializes but exploration (the expensive
+/// A [`DecisionStore`] view over the shared store: planning threads lock
+/// per operation, so store I/O serializes but exploration (the expensive
 /// part) runs fully in parallel.
 struct SharedStore(Arc<Mutex<StoreKind>>);
 
@@ -295,292 +288,105 @@ impl DecisionStore for SharedStore {
     }
 }
 
-/// A worker's answer: the whole program's plan, or a compile-error
-/// message.
-type JobResult = Result<(EnforcementPlan, IncrementalStats), String>;
-
-/// One request's planning job: plan all of `source`.
-struct Job {
-    source: String,
-    config: PlanConfig,
-    reply: mpsc::Sender<JobResult>,
-}
-
-/// State shared between the pool handle and its workers — split out so
-/// supervision can respawn a worker from nothing but an `Arc` of it.
-struct PoolShared {
-    store: Arc<Mutex<StoreKind>>,
-    jobs_rx: Arc<Mutex<mpsc::Receiver<Job>>>,
-    /// Worker threads respawned after dying mid-job (surfaced in
-    /// `stats` as `worker_restarts` — the handle is the server's
-    /// `serve.worker_restarts` registry counter).
-    restarts: Counter,
-    /// Death notes: one message per worker that dies mid-job, sent
-    /// during its unwind *before* the job's reply sender drops. That
-    /// ordering is the supervision guarantee — by the time any client
-    /// observes a `worker died` disconnect, the note is already queued,
-    /// so the next [`PlanPool::ensure_workers`] respawns
-    /// deterministically instead of racing `JoinHandle::is_finished`
-    /// against the tail of the unwind.
-    deaths_tx: mpsc::Sender<()>,
-}
-
-/// Armed while a worker holds a job: its `Drop` runs during an unwind
-/// and files the death note. Defused after the reply is sent, so normal
-/// completion (and clean shutdown) files nothing.
-struct DeathNote {
-    tx: mpsc::Sender<()>,
-    armed: bool,
-}
-
-impl Drop for DeathNote {
-    fn drop(&mut self) {
-        if self.armed {
-            let _ = self.tx.send(());
-        }
-    }
-}
-
-/// One worker's receive-plan-reply loop.
-fn worker_body(shared: &PoolShared) {
-    // The warm per-worker state. The AST is Rc-based (not Send), so the
-    // worker compiles its own copy of the source (the request thread
-    // compiles another, concurrently, to run) — compilation is linear and
-    // cheap next to symbolic exploration.
-    let mut cache = PlanCache::new();
-    loop {
-        let job = {
-            let guard = lock_or_recover(&shared.jobs_rx);
-            guard.recv()
-        };
-        let Ok(job) = job else { return };
-        // Declared after `job` so the unwind drops it *first*: the death
-        // note reaches the supervisor before the reply sender disconnects.
-        let mut note = DeathNote {
-            tx: shared.deaths_tx.clone(),
-            armed: true,
-        };
-        // Fault-injection site *outside* the recovery guard: a `panic`
-        // action here kills the whole worker thread while it holds the
-        // job, dropping the reply sender — the exact shape supervision
-        // must detect (immediate disconnect) and repair (respawn).
-        sct_faults::act("serve.pool.worker");
-        let outcome = panic::catch_unwind(panic::AssertUnwindSafe(|| {
-            sct_faults::act("serve.pool.job");
-            match sct_lang::compile_program(&job.source) {
-                Ok(program) => Ok(plan_program_incremental(
-                    &program,
-                    &job.config,
-                    &mut cache,
-                    &mut SharedStore(Arc::clone(&shared.store)),
-                )),
-                Err(e) => Err(format!("compile error: {e}")),
-            }
-        }));
-        let result = outcome.unwrap_or_else(|_| {
-            // In-place recovery: the interner/memo may be mid-mutation,
-            // so the warm state is forfeit — a cold cache is merely slow,
-            // a torn one would be wrong.
-            cache = PlanCache::new();
-            Err("planning worker panicked (recovered; retry the request)".to_string())
-        });
-        // A gone receiver just means the client hung up.
-        let _ = job.reply.send(result);
-        note.armed = false;
-    }
-}
-
-fn spawn_worker(label: u64, shared: Arc<PoolShared>) -> thread::JoinHandle<()> {
-    thread::Builder::new()
-        .name(format!("sct-plan-{label}"))
-        .spawn(move || worker_body(&shared))
-        .expect("spawning plan worker")
-}
-
-/// RAII debt against the `serve.queue_depth` gauge: one unit while a
-/// request's job is queued or running. Drop settles it on every exit
-/// path — success, worker death, deadline fabrication.
-struct QueueDebt<'a>(&'a Gauge);
-
-impl Drop for QueueDebt<'_> {
-    fn drop(&mut self) {
-        self.0.dec();
-    }
-}
-
-/// What [`PlanPool::plan`] produced for one request.
+/// What [`plan_on_thread`] produced for one request.
 struct PlannedSource {
     program: Program,
     plan: EnforcementPlan,
     stats: IncrementalStats,
 }
 
-/// The planning thread pool. Workers are spawned once and live for the
-/// daemon's lifetime, each holding its own [`PlanCache`] — interner plus
-/// LJB closure memo — that stays warm across requests and clients. A
-/// worker that dies mid-job is respawned before the next dispatch.
-struct PlanPool {
-    jobs: mpsc::Sender<Job>,
-    threads: usize,
-    shared: Arc<PoolShared>,
-    workers: Mutex<Vec<thread::JoinHandle<()>>>,
-    /// Receives one note per worker death (see [`PoolShared::deaths_tx`]).
-    deaths_rx: Mutex<mpsc::Receiver<()>>,
-    /// `serve.queue_depth`: planning jobs (one per request) dispatched to
-    /// the pool and not yet answered (or fabricated past their deadline).
-    queue_depth: Gauge,
-}
-
-impl PlanPool {
-    fn new(
-        threads: usize,
-        store: Arc<Mutex<StoreKind>>,
-        restarts: Counter,
-        queue_depth: Gauge,
-    ) -> PlanPool {
-        let (tx, rx) = mpsc::channel::<Job>();
-        let (deaths_tx, deaths_rx) = mpsc::channel::<()>();
-        let shared = Arc::new(PoolShared {
-            store,
-            jobs_rx: Arc::new(Mutex::new(rx)),
-            restarts,
-            deaths_tx,
-        });
-        let workers = (0..threads)
-            .map(|i| spawn_worker(i as u64, Arc::clone(&shared)))
-            .collect();
-        PlanPool {
-            jobs: tx,
-            threads,
-            shared,
-            workers: Mutex::new(workers),
-            deaths_rx: Mutex::new(deaths_rx),
-            queue_depth,
-        }
-    }
-
-    /// Lifetime count of worker respawns.
-    fn restarts(&self) -> u64 {
-        self.shared.restarts.get()
-    }
-
-    /// Supervision: respawn a replacement per filed death note and reap
-    /// finished handles, keeping the pool at its configured width.
-    /// Called before every dispatch, so a crashed worker costs at most
-    /// the one request that was on it. Counting from the notes (not
-    /// from `is_finished`) makes `worker_restarts` deterministic: the
-    /// note is queued before the dying worker's reply disconnect is
-    /// observable, while the thread itself may still be unwinding.
-    fn ensure_workers(&self) {
-        let mut workers = lock_or_recover(&self.workers);
-        loop {
-            let death = lock_or_recover(&self.deaths_rx).try_recv();
-            if death.is_err() {
-                break;
-            }
-            self.shared.restarts.inc();
-            let n = self.shared.restarts.get();
-            eprintln!("sct serve: plan worker died; respawning (restart #{n})");
-            workers.push(spawn_worker(
-                self.threads as u64 + n,
-                Arc::clone(&self.shared),
-            ));
-        }
-        // The dead thread may lag its note while the panic unwinds;
-        // sweep whatever has finished by now (the rest on a later call).
-        let mut i = 0;
-        while i < workers.len() {
-            if workers[i].is_finished() {
-                let dead = workers.swap_remove(i);
-                let _ = dead.join();
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Plans `source` as one job on a pool worker. Returns the
-    /// caller-thread compile of the program too, so `hybrid` requests can
-    /// run it without compiling again; that compile overlaps the worker's.
-    ///
-    /// With [`PlanConfig::deadline`] set, a worker that has not answered
-    /// by the deadline (plus a short grace) gets its plan fabricated as
-    /// all-`Decision::Monitor` (the degradation ladder) instead of failing
-    /// the request; the stalled worker's late real answer still reaches
-    /// the store, healing the next request. Without a deadline, only
-    /// worker death (immediate) or the defensive [`POOL_REPLY_TIMEOUT`]
-    /// ends the wait early, both as distinct errors.
-    fn plan(&self, source: &str, config: &PlanConfig) -> Result<PlannedSource, String> {
-        // Guard the recursive compile/digest walks before touching them —
-        // here and not in the workers, because every job's source passed
-        // through this method first.
-        source_depth_ok(source)?;
-        // Repair the pool before dispatch: a worker lost to an earlier
-        // request must not shrink capacity for this one.
-        self.ensure_workers();
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.jobs
-            .send(Job {
-                source: source.to_string(),
-                config: config.clone(),
-                reply: reply_tx,
-            })
-            .map_err(|_| "planning pool is gone".to_string())?;
-        self.queue_depth.inc();
-        let _debt = QueueDebt(&self.queue_depth);
-        let program =
-            sct_lang::compile_program(source).map_err(|e| format!("compile error: {e}"))?;
-        let mut in_grace = false;
-        let (plan, stats) = loop {
-            let timeout = match config.deadline {
-                Some(d) => match d.checked_duration_since(Instant::now()) {
-                    Some(left) => left.min(POOL_REPLY_TIMEOUT),
-                    // Past the deadline, a reply already in flight gets
-                    // one short grace to land: an expired deadline still
-                    // honors store hits and the worker's own (fast)
-                    // in-pass degradation — fabrication is only for a
-                    // worker that is truly stuck.
-                    None => {
-                        in_grace = true;
-                        DEADLINE_GRACE
-                    }
-                },
-                None => POOL_REPLY_TIMEOUT,
+/// Plans `source` whole on a short-lived thread of its own, with a fresh
+/// [`PlanCache`] over the shared store. Returns the request-thread
+/// compile of the program too, so `hybrid` requests can run it without
+/// compiling again; that compile overlaps the planning thread's (the AST
+/// is `Rc`-based, not `Send`, so each thread compiles its own copy —
+/// linear and cheap next to symbolic exploration).
+///
+/// With [`PlanConfig::deadline`] set, a planning thread that has not
+/// answered by the deadline (plus a short grace) gets its plan fabricated
+/// as all-`Decision::Monitor` (the degradation ladder) instead of failing
+/// the request; the stalled thread's late real answer still reaches the
+/// store, healing the next request. Without a deadline, only a planning
+/// panic (immediate) or the defensive [`PLAN_REPLY_TIMEOUT`] ends the
+/// wait early, both as distinct errors.
+fn plan_on_thread(
+    source: &str,
+    config: &PlanConfig,
+    store: &Arc<Mutex<StoreKind>>,
+) -> Result<PlannedSource, String> {
+    // Guard the recursive compile/digest walks before either thread
+    // touches them.
+    source_depth_ok(source)?;
+    let (reply_tx, reply_rx) = mpsc::channel();
+    let job_source = source.to_string();
+    let job_config = config.clone();
+    let mut job_store = SharedStore(Arc::clone(store));
+    thread::Builder::new()
+        .name("sct-plan".into())
+        .spawn(move || {
+            // Fault-injection site: a `panic` here unwinds the planning
+            // thread and drops the reply sender — the one panic domain
+            // the wait below must detect immediately.
+            sct_faults::act("serve.plan");
+            let result = match sct_lang::compile_program(&job_source) {
+                Ok(program) => Ok(plan_program_incremental(
+                    &program,
+                    &job_config,
+                    &mut PlanCache::new(),
+                    &mut job_store,
+                )),
+                Err(e) => Err(format!("compile error: {e}")),
             };
-            match reply_rx.recv_timeout(timeout) {
-                Ok(reply) => break reply?,
-                // The reply sender is gone without a reply: the worker
-                // died (panicked outside its job guard) holding this job.
-                // Fail *now* with the real cause — waiting out a timeout
-                // would wedge the client for minutes on a lost request.
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(format!(
-                        "planning worker died mid-job (pool respawns it; \
-                         {} lifetime restarts)",
-                        self.restarts() + 1
-                    ));
-                }
-                // The degradation ladder's bottom rung: a sound, maximally
-                // pessimistic plan. Never persisted (no store call here),
-                // so one slow moment cannot pin pessimism under a content
-                // key.
-                Err(mpsc::RecvTimeoutError::Timeout) if in_grace => {
-                    break monitor_fallback_decisions(&program, DEADLINE_REASON);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) if config.deadline.is_none() => {
-                    return Err("planning pool did not answer".to_string());
-                }
-                // The deadline passed during this wait; loop again to
-                // enter the grace window.
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-            }
-        };
-        Ok(PlannedSource {
-            program,
-            plan,
-            stats,
+            // A gone receiver just means the request stopped waiting.
+            let _ = reply_tx.send(result);
         })
-    }
+        .map_err(|e| format!("cannot start a planning thread: {e}"))?;
+    let program = sct_lang::compile_program(source).map_err(|e| format!("compile error: {e}"))?;
+    let mut in_grace = false;
+    let (plan, stats) = loop {
+        let timeout = match config.deadline {
+            Some(d) => match d.checked_duration_since(Instant::now()) {
+                Some(left) => left.min(PLAN_REPLY_TIMEOUT),
+                // Past the deadline, a reply already in flight gets one
+                // short grace to land: an expired deadline still honors
+                // store hits and the planner's own (fast) in-pass
+                // degradation — fabrication is only for a planning
+                // thread that is truly stuck.
+                None => {
+                    in_grace = true;
+                    DEADLINE_GRACE
+                }
+            },
+            None => PLAN_REPLY_TIMEOUT,
+        };
+        match reply_rx.recv_timeout(timeout) {
+            Ok(reply) => break reply?,
+            // The reply sender is gone without a reply: planning
+            // panicked. Fail *now* with the real cause — waiting out a
+            // timeout would wedge the client for minutes on a lost
+            // request.
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                return Err("planning thread panicked (retry the request)".to_string());
+            }
+            // The degradation ladder's bottom rung: a sound, maximally
+            // pessimistic plan. Never persisted (no store call here), so
+            // one slow moment cannot pin pessimism under a content key.
+            Err(mpsc::RecvTimeoutError::Timeout) if in_grace => {
+                break monitor_fallback_decisions(&program, DEADLINE_REASON);
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) if config.deadline.is_none() => {
+                return Err("planning thread did not answer".to_string());
+            }
+            // The deadline passed during this wait; loop again to enter
+            // the grace window.
+            Err(mpsc::RecvTimeoutError::Timeout) => {}
+        }
+    };
+    Ok(PlannedSource {
+        program,
+        plan,
+        stats,
+    })
 }
 
 /// The daemon's metric handles, registered once at construction on the
@@ -614,13 +420,9 @@ struct ServerMetrics {
     pic_hits: Counter,
     pic_misses: Counter,
     pic_invalidations: Counter,
-    /// Lifetime planning-worker respawns (shared with the pool).
-    worker_restarts: Counter,
     /// Expensive requests currently admitted (mirrors the admission
     /// control's own atomic).
     inflight: Gauge,
-    /// Planning jobs currently queued or running in the worker pool.
-    queue_depth: Gauge,
     /// Per-op request latency, microseconds, whole-request (parse to
     /// response).
     latency_plan: Histogram,
@@ -646,9 +448,7 @@ impl ServerMetrics {
             pic_hits: registry.counter("serve.pic_hits"),
             pic_misses: registry.counter("serve.pic_misses"),
             pic_invalidations: registry.counter("serve.pic_invalidations"),
-            worker_restarts: registry.counter("serve.worker_restarts"),
             inflight: registry.gauge("serve.inflight"),
-            queue_depth: registry.gauge("serve.queue_depth"),
             latency_plan: registry.histogram("serve.latency.plan_us"),
             latency_run: registry.histogram("serve.latency.run_us"),
             latency_hybrid: registry.histogram("serve.latency.hybrid_us"),
@@ -673,8 +473,8 @@ impl ServerMetrics {
 }
 
 /// How many of `plan`'s decisions were degraded to `Monitor` by a
-/// deadline (directly by a worker's in-pass check or fabricated for a
-/// stalled worker — both carry [`DEADLINE_REASON`]).
+/// deadline (directly by the planner's in-pass check or fabricated for a
+/// stalled planning thread — both carry [`DEADLINE_REASON`]).
 fn degraded_count(plan: &EnforcementPlan) -> usize {
     plan.decisions
         .iter()
@@ -746,11 +546,10 @@ fn compiled_for(
     })
 }
 
-/// The daemon state: worker pool, shared decision store, metrics. One
+/// The daemon state: shared decision store, admission, metrics. One
 /// `Server` serves any number of sequential or concurrent clients; see
 /// the module docs for the protocol.
 pub struct Server {
-    pool: PlanPool,
     store: Arc<Mutex<StoreKind>>,
     metrics: ServerMetrics,
     cache_dir: Option<PathBuf>,
@@ -799,7 +598,7 @@ pub struct LineOutcome {
 
 impl Server {
     /// Builds the daemon state: opens (or creates) the cache directory
-    /// when one is configured and spawns the worker pool.
+    /// when one is configured.
     ///
     /// # Errors
     ///
@@ -817,18 +616,7 @@ impl Server {
             None => StoreKind::Mem(MemStore::new().with_obs(CacheObs::register(&registry))),
         };
         let store = Arc::new(Mutex::new(store));
-        let threads = if options.threads == 0 {
-            thread::available_parallelism().map_or(2, |n| n.get().min(8))
-        } else {
-            options.threads
-        };
         Ok(Server {
-            pool: PlanPool::new(
-                threads,
-                Arc::clone(&store),
-                metrics.worker_restarts.clone(),
-                metrics.queue_depth.clone(),
-            ),
             store,
             metrics,
             cache_dir: options.cache_dir,
@@ -840,11 +628,6 @@ impl Server {
             started: Instant::now(),
             quitting: AtomicBool::new(false),
         })
-    }
-
-    /// Number of planning worker threads.
-    pub fn threads(&self) -> usize {
-        self.pool.threads
     }
 
     /// Admission control for expensive requests. Checks the global bound
@@ -941,7 +724,7 @@ impl Server {
         match op {
             "plan" | "run" | "hybrid" => {
                 // Admission first: a shed request is accounted once,
-                // under `shed`, and never reaches the pool or a machine.
+                // under `shed`, and never reaches a planner or a machine.
                 let bucket = req.get("client").and_then(Json::as_str).unwrap_or(client);
                 match self.admit(bucket) {
                     Ok(_slot) => {
@@ -1022,7 +805,7 @@ impl Server {
             obs: PlanObs::registered(Arc::clone(&self.metrics.registry)),
             ..PlanConfig::default()
         };
-        self.pool.plan(source, &config)
+        plan_on_thread(source, &config, &self.store)
     }
 
     /// Accounts a deadline-degraded plan and returns how many of its
@@ -1239,11 +1022,6 @@ impl Server {
             (
                 "cache_dir".into(),
                 opt_str(self.cache_dir.as_ref().and_then(|p| p.to_str())),
-            ),
-            ("workers".into(), Json::Int(self.pool.threads as i64)),
-            (
-                "worker_restarts".into(),
-                Json::Int(self.pool.restarts() as i64),
             ),
             (
                 "uptime_ms".into(),
@@ -1470,8 +1248,8 @@ fn serve_client(server: &Server, stream: UnixStream, client: &str) {
 }
 
 /// Binds `path` and serves clients until a `shutdown` request arrives.
-/// Each accepted connection gets its own thread; planning from all
-/// connections funnels into the shared worker pool, and the persistent
+/// Each accepted connection gets its own thread, each `plan`/`hybrid`
+/// request a planning thread of its own, and the persistent
 /// store is safe under the concurrency (atomic publishes, content-
 /// addressed keys).
 ///
@@ -1580,11 +1358,7 @@ mod tests {
     use super::*;
 
     fn server() -> Server {
-        Server::new(ServeOptions {
-            threads: 2,
-            ..ServeOptions::default()
-        })
-        .unwrap()
+        Server::new(ServeOptions::default()).unwrap()
     }
 
     fn ok_line(s: &Server, req: &str) -> Json {
@@ -1725,7 +1499,6 @@ mod tests {
     #[test]
     fn admission_bounds_global_then_per_client() {
         let s = Server::new(ServeOptions {
-            threads: 1,
             max_queue: 2,
             max_inflight_per_client: 1,
             ..ServeOptions::default()
@@ -1747,7 +1520,6 @@ mod tests {
     #[test]
     fn shed_response_is_well_formed_and_counted() {
         let s = Server::new(ServeOptions {
-            threads: 1,
             max_queue: 1,
             ..ServeOptions::default()
         })
@@ -1859,7 +1631,6 @@ mod tests {
     #[test]
     fn server_wide_deadline_caps_request_deadline() {
         let s = Server::new(ServeOptions {
-            threads: 1,
             deadline_ms: Some(0),
             ..ServeOptions::default()
         })
@@ -1944,7 +1715,6 @@ mod tests {
     fn cache_dir_stores_reconcile_with_files_on_disk() {
         let dir = std::env::temp_dir().join(format!("sct-serve-stores-{}", std::process::id()));
         let s = Server::new(ServeOptions {
-            threads: 1,
             cache_dir: Some(dir.clone()),
             ..ServeOptions::default()
         })

@@ -5,9 +5,11 @@
 //!
 //! * the daemon survives every armed failpoint — no request is left
 //!   unanswered, no wedge, no cascading death;
-//! * a panicking worker is detected immediately (satellite regression:
-//!   the answer arrives in under a second, not after the 300 s pool
-//!   timeout) and the pool respawns it;
+//! * a planning panic is detected immediately (the answer arrives in
+//!   under a second, not after the 300 s reply timeout) and the next
+//!   request plans normally on a fresh thread;
+//! * a stalled planner holds up only its own request, never another
+//!   client's;
 //! * deadline-degraded decisions are always `monitor`, never `static`,
 //!   and never persisted under content keys — a later unfaulted replay
 //!   self-heals to the real verdict;
@@ -121,93 +123,88 @@ fn plan_line(source: &str) -> String {
     format!(r#"{{"op":"plan","source":"{source}"}}"#)
 }
 
-/// Satellite regression: a worker that panics while holding a job used
-/// to wedge the request for the full 300 s pool timeout. The reply
-/// channel disconnect must now surface immediately with a distinct
-/// error, and the pool must respawn the dead worker.
+/// A panic on the planning thread drops its reply sender: the request
+/// answers immediately with a distinct error (not after the 300 s reply
+/// timeout), and the next request plans normally on a fresh thread.
 #[test]
-fn worker_death_answers_fast_and_pool_respawns() {
+fn planning_panic_answers_fast_then_recovers() {
     let _lock = serial();
-    let server = Server::new(ServeOptions {
-        threads: 2,
-        ..ServeOptions::default()
-    })
-    .unwrap();
-    let _armed = sct_faults::scoped("serve.pool.worker=panic*1").unwrap();
+    let server = Server::new(ServeOptions::default()).unwrap();
+    let _armed = sct_faults::scoped("serve.plan=panic*1").unwrap();
 
     let started = Instant::now();
     let doc = respond(&server, &plan_line(COUNTDOWN));
     let elapsed = started.elapsed();
-    assert!(!ok(&doc), "a dead worker is an error, got {doc:?}");
+    assert!(!ok(&doc), "a planning panic is an error, got {doc:?}");
     assert!(
-        error_text(&doc).contains("worker died"),
-        "distinct worker-death error, got: {}",
+        error_text(&doc).contains("planning thread panicked"),
+        "distinct planning-panic error, got: {}",
         error_text(&doc)
     );
     assert!(
         elapsed < Duration::from_secs(1),
-        "worker death must be detected immediately, took {elapsed:?}"
+        "a planning panic must be detected immediately, took {elapsed:?}"
     );
 
-    // The pool reaps and respawns before the next dispatch: the same
-    // request now succeeds and the restart is visible in stats.
     let doc = respond(&server, &plan_line(COUNTDOWN));
-    assert!(ok(&doc), "pool must recover after a worker death: {doc:?}");
-    let stats = respond(&server, r#"{"op":"stats"}"#);
-    let restarts = stats
-        .get("worker_restarts")
-        .and_then(Json::as_i64)
-        .unwrap_or(0);
-    assert!(restarts >= 1, "expected a respawn, stats: {stats:?}");
-}
-
-/// A panic *inside* the planning job is caught in the worker: the
-/// request gets a recovered-panic error, the thread itself survives
-/// (no restart), and the next request succeeds.
-#[test]
-fn panic_inside_a_job_is_recovered_in_place() {
-    let _lock = serial();
-    let server = Server::new(ServeOptions {
-        threads: 1,
-        ..ServeOptions::default()
-    })
-    .unwrap();
-    let _armed = sct_faults::scoped("serve.pool.job=panic*1").unwrap();
-
-    let started = Instant::now();
-    let doc = respond(&server, &plan_line(COUNTDOWN));
-    assert!(!ok(&doc));
+    assert!(ok(&doc), "the next request must plan normally: {doc:?}");
     assert!(
-        error_text(&doc).contains("panicked (recovered"),
-        "got: {}",
-        error_text(&doc)
-    );
-    assert!(started.elapsed() < Duration::from_secs(1));
-
-    let doc = respond(&server, &plan_line(COUNTDOWN));
-    assert!(ok(&doc), "worker must survive a caught panic: {doc:?}");
-    let stats = respond(&server, r#"{"op":"stats"}"#);
-    assert_eq!(
-        stats.get("worker_restarts").and_then(Json::as_i64),
-        Some(0),
-        "in-place recovery must not cost a thread: {stats:?}"
+        decisions(&doc).iter().all(|(d, _)| d == "static"),
+        "{doc:?}"
     );
 }
 
-/// A stalled worker pushes the request past its deadline: the response
+/// One client's stalled plan must not delay another's: every request is
+/// planned on a thread of its own, so client B answers while client A's
+/// planner is still stalled, whatever `threads` says.
+#[test]
+fn stalled_plan_does_not_hold_up_other_clients() {
+    let _lock = serial();
+    let server = Arc::new(
+        Server::new(ServeOptions {
+            threads: 1,
+            ..ServeOptions::default()
+        })
+        .unwrap(),
+    );
+    let _armed = sct_faults::scoped("serve.plan=stall-1500*1").unwrap();
+
+    let a = {
+        let server = Arc::clone(&server);
+        thread::spawn(move || respond(&server, &plan_line(COUNTDOWN)))
+    };
+    // Let A's planner take the stall before B arrives.
+    thread::sleep(Duration::from_millis(200));
+    let b = {
+        let server = Arc::clone(&server);
+        thread::spawn(move || {
+            let started = Instant::now();
+            let doc = respond(
+                &server,
+                &plan_line("(define (other n) (if (zero? n) 0 (other (- n 1))))"),
+            );
+            (doc, started.elapsed())
+        })
+    };
+    let (doc, elapsed) = b.join().expect("client B answers");
+    assert!(ok(&doc), "client B must plan normally: {doc:?}");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "client B must not wait behind A's stalled plan, took {elapsed:?}"
+    );
+    let doc = a.join().expect("client A answers");
+    assert!(ok(&doc), "the stalled request still answers: {doc:?}");
+}
+
+/// A stalled planner pushes the request past its deadline: the response
 /// arrives on time anyway, degraded to `monitor` (never `static`), and
-/// is not persisted — when the stalled worker eventually finishes, its
-/// honest verdict lands in the store and a replay self-heals to
-/// `static`.
+/// is not persisted — the stalled planner's honest verdict still lands
+/// in the store, and a replay self-heals to `static`.
 #[test]
 fn stalled_worker_degrades_on_deadline_then_selfheals() {
     let _lock = serial();
-    let server = Server::new(ServeOptions {
-        threads: 1,
-        ..ServeOptions::default()
-    })
-    .unwrap();
-    let _armed = sct_faults::scoped("serve.pool.job=stall-1200*1").unwrap();
+    let server = Server::new(ServeOptions::default()).unwrap();
+    let _armed = sct_faults::scoped("serve.plan=stall-1200*1").unwrap();
 
     let started = Instant::now();
     let line = format!(r#"{{"op":"plan","source":"{COUNTDOWN}","deadline_ms":200}}"#);
@@ -222,7 +219,7 @@ fn stalled_worker_degrades_on_deadline_then_selfheals() {
     let all = decisions(&doc);
     assert!(
         all.iter().all(|(d, _)| d == "monitor"),
-        "the single stalled chunk covers every define: {all:?}"
+        "the stalled plan covers every define: {all:?}"
     );
     assert!(
         elapsed < Duration::from_secs(1),
@@ -230,9 +227,10 @@ fn stalled_worker_degrades_on_deadline_then_selfheals() {
     );
 
     // Self-heal: the degraded verdicts were never persisted, so an
-    // unbounded replay (queued behind the still-stalling worker) is
-    // free to recompute the honest verdict — not poisoned by a cached
-    // `monitor` — and its stores make the pass after it fully warm.
+    // unbounded replay (on a fresh planning thread, while the stalled
+    // one may still sleep) is free to recompute the honest verdict —
+    // not poisoned by a cached `monitor` — and its stores make the pass
+    // after it fully warm.
     let doc = respond(&server, &plan_line(COUNTDOWN));
     assert!(ok(&doc), "{doc:?}");
     assert!(
@@ -260,7 +258,6 @@ fn disk_cache_selfheals_after_torn_writes() {
     let _lock = serial();
     let cache_dir = scratch("cache");
     let server = Server::new(ServeOptions {
-        threads: 1,
         cache_dir: Some(cache_dir.clone()),
         ..ServeOptions::default()
     })
@@ -317,10 +314,10 @@ fn disk_cache_selfheals_after_torn_writes() {
 }
 
 /// The headline invariant: under a seeded mix of probabilistic faults —
-/// failing cache reads and writes, stalling and panicking jobs, two
-/// worker deaths — every concurrent request gets exactly one
-/// well-formed answer, no degraded decision is ever `static`, and the
-/// daemon still answers when the dust settles.
+/// failing cache reads and writes, stalling stores, panicking planning
+/// threads — every concurrent request gets exactly one well-formed
+/// answer, no degraded decision is ever `static`, and the daemon still
+/// answers when the dust settles.
 #[test]
 fn every_request_gets_exactly_one_answer_under_probabilistic_faults() {
     let _lock = serial();
@@ -330,15 +327,16 @@ fn every_request_gets_exactly_one_answer_under_probabilistic_faults() {
     let cache_dir = scratch("mixed");
     let server = Arc::new(
         Server::new(ServeOptions {
-            threads: 4,
             cache_dir: Some(cache_dir.clone()),
             ..ServeOptions::default()
         })
         .unwrap(),
     );
+    // A site holds one action, so the stall that races the deadlines
+    // sits on the store path, leaving `serve.plan` to the panics.
     let spec = format!(
         "seed={seed};cache.store.write=enospc@250;cache.load.read=error@250;\
-         serve.pool.job=stall-300@150;serve.pool.worker=panic*2"
+         cache.store.dir=stall-300@150;serve.plan=panic@80"
     );
     let armed = sct_faults::scoped(&spec).unwrap();
 
@@ -375,8 +373,8 @@ fn every_request_gets_exactly_one_answer_under_probabilistic_faults() {
                         doc.get("ok").and_then(Json::as_bool).is_some(),
                         "answer must carry ok: {response}"
                     );
-                    // Under faults a request may fail (worker died, panic
-                    // recovered) — but a *successful* plan obeys the ladder.
+                    // Under faults a request may fail (planning panicked)
+                    // — but a *successful* plan obeys the ladder.
                     if ok(&doc) {
                         assert_degraded_never_static(&doc);
                     }
@@ -395,7 +393,7 @@ fn every_request_gets_exactly_one_answer_under_probabilistic_faults() {
 
     drop(armed);
     // The daemon is still standing: stats answers, and a clean request
-    // (workers respawned as needed) succeeds.
+    // succeeds.
     let stats = respond(&server, r#"{"op":"stats"}"#);
     assert!(ok(&stats), "{stats:?}");
     let doc = respond(&server, &plan_line(COUNTDOWN));
@@ -404,14 +402,15 @@ fn every_request_gets_exactly_one_answer_under_probabilistic_faults() {
         "daemon must serve normally after the storm: {doc:?}"
     );
 
-    // Workers may still be inside a 300 ms stall from the storm; let
-    // them drain before the next test re-arms the global registry.
+    // Planning threads may still be inside a 300 ms stall from the
+    // storm; let them drain before the next test re-arms the global
+    // registry.
     drop(server);
     thread::sleep(Duration::from_millis(600));
     std::fs::remove_dir_all(&cache_dir).ok();
 }
 
-/// Load shedding under a stalled pool: a second concurrent request is
+/// Load shedding under a stalled planner: a second concurrent request is
 /// refused with a well-formed `shed` response while the admitted one
 /// completes normally.
 #[test]
@@ -419,13 +418,12 @@ fn shed_answers_wellformed_while_admitted_request_completes() {
     let _lock = serial();
     let server = Arc::new(
         Server::new(ServeOptions {
-            threads: 1,
             max_queue: 1,
             ..ServeOptions::default()
         })
         .unwrap(),
     );
-    let _armed = sct_faults::scoped("serve.pool.job=stall-1500*1").unwrap();
+    let _armed = sct_faults::scoped("serve.plan=stall-1500*1").unwrap();
 
     let slow = {
         let server = Arc::clone(&server);
@@ -477,8 +475,6 @@ fn daemon_binary_survives_accept_and_read_faults() {
             "serve",
             "--socket",
             socket.to_str().unwrap(),
-            "--threads",
-            "2",
             "--faults",
             "serve.accept=error*1;serve.client.read=error*1",
         ])

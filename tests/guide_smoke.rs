@@ -257,7 +257,7 @@ fn guide_serve_stdio_transcript() {
     use std::io::Write;
     use std::process::Stdio;
     let mut child = Command::new(env!("CARGO_BIN_EXE_sct"))
-        .args(["serve", "--threads", "2"])
+        .arg("serve")
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())

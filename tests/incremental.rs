@@ -3,8 +3,9 @@
 //! persisted-cache hit — and the warm plan is structurally identical to a
 //! fresh one. Also pins the committed `BENCH_fig10.json` planning
 //! trajectory: warm planning must be measurably faster than cold. And
-//! `sct serve` plans a program exactly as the CLI does, at any worker
-//! count, cold or warm, so the daemon and the CLI can share a cache.
+//! `sct serve` plans a program exactly as the CLI does, under any number
+//! of concurrent requests, cold or warm, so the daemon and the CLI can
+//! share a cache.
 
 use sct_contracts::core::json::{parse, Json};
 use sct_contracts::core::plan_codec::decode_entry;
@@ -15,6 +16,8 @@ use sct_contracts::{
 use sct_fuzz::{permute_defines, Rng};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
+use std::thread;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -252,7 +255,7 @@ fn untimed(doc: &Json) -> Vec<Json> {
 }
 
 #[test]
-fn serve_plans_equal_the_cli_plan_at_every_thread_count() {
+fn serve_plans_equal_the_cli_plan_under_concurrent_requests() {
     // A shuffled 60-define layered corpus: many callers precede their
     // callees in the source.
     let source = permute_defines(&sct_bench::layered_corpus(60, 11, 0), |k| {
@@ -270,33 +273,61 @@ fn serve_plans_equal_the_cli_plan_at_every_thread_count() {
         ("source".into(), Json::str(&source)),
     ])
     .to_string();
-    for threads in [1, 2, 8] {
-        let dir = scratch_dir(&format!("serve-{threads}"));
+    for clients in [1, 2, 8] {
+        let dir = scratch_dir(&format!("serve-{clients}"));
         let server = Server::new(ServeOptions {
-            threads,
             cache_dir: Some(dir.clone()),
             ..ServeOptions::default()
         })
         .unwrap();
         for warm in [false, true] {
-            let line = server.handle_line(&request).response.unwrap();
-            let response = parse(&line).unwrap();
-            assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{line}");
-            let plan = response.get("plan").unwrap();
-            assert!(
-                untimed(plan) == expected,
-                "threads {threads}, warm {warm}: serve plan differs from the CLI plan"
-            );
-            let cache = response.get("cache").unwrap();
-            assert_eq!(cache.get("warm"), Some(&Json::Bool(warm)), "{line}");
+            // Every client sends the same program at once.
+            let start = Barrier::new(clients);
+            let responses: Vec<String> = thread::scope(|s| {
+                let handles: Vec<_> = (0..clients)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            server.handle_line(&request).response.unwrap()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            let mut warm_flags = Vec::new();
+            for line in &responses {
+                let response = parse(line).unwrap();
+                assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{line}");
+                let plan = response.get("plan").unwrap();
+                assert!(
+                    untimed(plan) == expected,
+                    "{clients} clients, warm {warm}: serve plan differs from the CLI plan"
+                );
+                let cache = response.get("cache").unwrap();
+                warm_flags.push(cache.get("warm") == Some(&Json::Bool(true)));
+            }
+            if warm {
+                // Every define was persisted by the cold round.
+                assert!(
+                    warm_flags.iter().all(|&w| w),
+                    "{clients} clients: {responses:?}"
+                );
+            } else {
+                // Concurrent cold clients may hit what a faster one
+                // stored, but someone planned every define.
+                assert!(
+                    !warm_flags.iter().all(|&w| w),
+                    "{clients} clients: {responses:?}"
+                );
+            }
             // One entry per λ-define, summaries inside: no other file.
             let files = files_under(&dir);
-            assert_eq!(files.len(), cli.decisions.len(), "threads {threads}");
+            assert_eq!(files.len(), cli.decisions.len(), "{clients} clients");
             assert!(
                 files
                     .iter()
                     .all(|f| f.extension().is_some_and(|e| e == "plan")),
-                "threads {threads}: {files:?}"
+                "{clients} clients: {files:?}"
             );
         }
         drop(server);
@@ -307,7 +338,7 @@ fn serve_plans_equal_the_cli_plan_at_every_thread_count() {
                 decode_entry(&text).unwrap().summary.is_some()
             })
             .count();
-        assert!(summarized > 0, "threads {threads}: no summaries persisted");
+        assert!(summarized > 0, "{clients} clients: no summaries persisted");
         // The CLI replays what the daemon persisted: every define hits,
         // every persisted summary rebinds, and the plan is the one it
         // would have computed itself.
@@ -319,13 +350,13 @@ fn serve_plans_equal_the_cli_plan_at_every_thread_count() {
         let mut disk = DiskCache::open(&dir).unwrap();
         let (replayed, stats) =
             plan_program_incremental(&program, &warm_cfg, &mut PlanCache::new(), &mut disk);
-        assert_eq!(stats.misses(), 0, "threads {threads}");
+        assert_eq!(stats.misses(), 0, "{clients} clients");
         assert_eq!(
             reg.snapshot().counter("plan.summary.hits"),
             Some(summarized as u64),
-            "threads {threads}"
+            "{clients} clients"
         );
-        assert!(replayed.structurally_eq(&cli), "threads {threads}");
+        assert!(replayed.structurally_eq(&cli), "{clients} clients");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -57,7 +57,7 @@ fn stdio_mode_answers_all_ops() {
         .as_bytes(),
     );
     let mut child = sct()
-        .args(["serve", "--threads", "2"])
+        .arg("serve")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -145,7 +145,7 @@ fn stdio_mode_survives_adversarial_lines() {
     requests.extend_from_slice(b"{\"op\":\"stats\",\"id\":99}\n{\"op\":\"shutdown\"}\n");
 
     let mut child = sct()
-        .args(["serve", "--threads", "2"])
+        .arg("serve")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -221,8 +221,6 @@ fn socket_stress_concurrent_clients_get_independent_results() {
             "serve",
             "--socket",
             socket.to_str().unwrap(),
-            "--threads",
-            "4",
             "--cache-dir",
             cache_dir.to_str().unwrap(),
         ])
@@ -294,9 +292,9 @@ fn socket_stress_concurrent_clients_get_independent_results() {
         assert_line(&resp, r#""cache":{"hits":1,"misses":0,"warm":true}"#);
         let stats = request(&mut stream, &mut reader, r#"{"op":"stats"}"#);
         assert_line(&stats, r#""ok":true"#);
-        // 8 clients × 4 rounds × (1 hybrid + 1 plan) + this replay touch
-        // the store; the daemon must have seen real traffic.
-        assert_line(&stats, r#""workers":4"#);
+        // 8 clients × 4 rounds × (1 hybrid + 1 run + 1 plan) + this
+        // replay: the daemon must have counted every request.
+        assert_line(&stats, r#""plan":33,"run":32,"hybrid":32"#);
         let shutdown = request(&mut stream, &mut reader, r#"{"op":"shutdown"}"#);
         assert_line(&shutdown, r#""ok":true"#);
     }
@@ -323,7 +321,7 @@ fn socket_stress_concurrent_clients_get_independent_results() {
 
 /// The `metrics` op over the socket: a well-formed registry snapshot.
 /// The self-healing counters (`shed`, `deadline_exceeded`,
-/// `worker_restarts`, `quarantined`) are pre-registered, so they appear
+/// `quarantined`) are pre-registered, so they appear
 /// even at zero, and the per-op latency histograms account for the
 /// traffic that preceded the snapshot.
 #[test]
@@ -337,8 +335,6 @@ fn socket_metrics_op_returns_registry_snapshot() {
             "serve",
             "--socket",
             socket.to_str().unwrap(),
-            "--threads",
-            "2",
             "--cache-dir",
             cache_dir.to_str().unwrap(),
         ])
@@ -376,30 +372,22 @@ fn socket_metrics_op_returns_registry_snapshot() {
     // The self-healing story is only observable if its counters exist
     // *before* anything goes wrong — a dashboard reading zero is not the
     // same as a dashboard reading nothing.
-    for key in [
-        "serve.shed",
-        "serve.deadline_exceeded",
-        "serve.worker_restarts",
-        "cache.quarantined",
-    ] {
+    for key in ["serve.shed", "serve.deadline_exceeded", "cache.quarantined"] {
         assert!(
             counters.get(key).and_then(Json::as_i64).is_some(),
             "pre-registered counter {key} missing from snapshot: {line}"
         );
     }
-    // This healthy session sheds and restarts nothing.
+    // This healthy session sheds nothing.
     assert_eq!(counters.get("serve.shed").and_then(Json::as_i64), Some(0));
-    assert_eq!(
-        counters.get("serve.worker_restarts").and_then(Json::as_i64),
-        Some(0)
-    );
     let gauges = metrics.get("gauges").expect("gauges in snapshot");
-    for key in ["serve.inflight", "serve.queue_depth"] {
-        assert!(
-            gauges.get(key).and_then(Json::as_i64).is_some(),
-            "gauge {key} missing from snapshot: {line}"
-        );
-    }
+    assert!(
+        gauges
+            .get("serve.inflight")
+            .and_then(Json::as_i64)
+            .is_some(),
+        "gauge serve.inflight missing from snapshot: {line}"
+    );
     let hists = metrics.get("histograms").expect("histograms in snapshot");
     for op in ["hybrid", "plan"] {
         let h = hists
@@ -436,9 +424,10 @@ fn socket_metrics_op_returns_registry_snapshot() {
     std::fs::remove_file(&socket).ok();
 }
 
-/// Chaos run under the tracer: inject a one-shot worker panic with
+/// Chaos run under the tracer: inject a one-shot planning panic with
 /// `--faults` while `--trace-out` records the session. The daemon must
-/// absorb the panic (restart the worker, answer every request), and the
+/// absorb the panic (answer the panicked request with an error, then
+/// every later request normally), and the
 /// trace file must be parseable JSONL whose spans nest correctly —
 /// every `end`/`event` names a span that was `start`ed in the same
 /// trace, every child's parent exists — with the per-response trace ids
@@ -464,10 +453,8 @@ fn chaos_run_with_trace_out_emits_well_nested_jsonl() {
     let mut child = sct()
         .args([
             "serve",
-            "--threads",
-            "2",
             "--faults",
-            "seed=3;serve.pool.worker=panic*1",
+            "seed=3;serve.plan=panic*1",
             "--trace-out",
             trace_path.to_str().unwrap(),
         ])
@@ -503,19 +490,15 @@ fn chaos_run_with_trace_out_emits_well_nested_jsonl() {
         response_traces.push(trace.to_owned());
     }
 
-    // The injected panic was absorbed: the worker restarted and the
-    // session went on to answer everything, including a healthy replan.
+    // The injected panic was absorbed: the panicked request got an
+    // error, and the session went on to answer everything, including a
+    // healthy replan.
+    assert_line(&lines[0], r#""ok":false"#);
+    assert_line(&lines[0], "planning thread panicked");
     assert_line(&lines[1], r#""ok":true"#);
     assert_line(&lines[1], r#""name":"dec""#);
     assert_line(&lines[2], r#""value":"55""#);
-    let metrics = parse(&lines[3]).expect("metrics response is JSON");
-    let restarts = metrics
-        .get("metrics")
-        .and_then(|m| m.get("counters"))
-        .and_then(|c| c.get("serve.worker_restarts"))
-        .and_then(Json::as_i64)
-        .expect("worker_restarts counter");
-    assert!(restarts >= 1, "the injected panic restarted a worker");
+    assert_line(&lines[3], r#""ok":true"#);
 
     // The trace file: parseable JSONL, correctly nesting spans.
     let text = std::fs::read_to_string(&trace_path).expect("trace file written");
