@@ -127,7 +127,7 @@ fn plan_line(source: &str) -> String {
 /// answers immediately with a distinct error (not after the 300 s reply
 /// timeout), and the next request plans normally on a fresh thread.
 #[test]
-fn planning_panic_answers_fast_then_recovers() {
+fn worker_death_answers_fast_and_pool_respawns() {
     let _lock = serial();
     let server = Server::new(ServeOptions::default()).unwrap();
     let _armed = sct_faults::scoped("serve.plan=panic*1").unwrap();
@@ -152,6 +152,56 @@ fn planning_panic_answers_fast_then_recovers() {
         decisions(&doc).iter().all(|(d, _)| d == "static"),
         "{doc:?}"
     );
+    let stats = respond(&server, r#"{"op":"stats"}"#);
+    assert_eq!(stat(&stats, "requests", "plan"), 2, "{stats:?}");
+}
+
+/// A panic deep inside a planning job — in the middle of a cache store,
+/// while the planning thread holds the daemon's shared store lock —
+/// answers fast with the planning-panic error, and the daemon recovers
+/// in place: the poisoned lock is taken over, the next request plans and
+/// persists normally, and the one after it replays warm from disk.
+#[test]
+fn panic_inside_a_job_is_recovered_in_place() {
+    let _lock = serial();
+    let server = Server::new(ServeOptions {
+        cache_dir: Some(scratch("job-panic")),
+        ..ServeOptions::default()
+    })
+    .unwrap();
+
+    {
+        let _armed = sct_faults::scoped("cache.store.dir=panic*1").unwrap();
+        let started = Instant::now();
+        let doc = respond(&server, &plan_line(COUNTDOWN));
+        assert!(!ok(&doc), "a panic mid-store is an error, got {doc:?}");
+        assert!(
+            error_text(&doc).contains("planning thread panicked"),
+            "got: {}",
+            error_text(&doc)
+        );
+        assert!(started.elapsed() < Duration::from_secs(1));
+    }
+
+    let doc = respond(&server, &plan_line(COUNTDOWN));
+    assert!(
+        ok(&doc),
+        "the store must survive a panic under its lock: {doc:?}"
+    );
+    assert!(
+        decisions(&doc).iter().all(|(d, _)| d == "static"),
+        "{doc:?}"
+    );
+    let doc = respond(&server, &plan_line(COUNTDOWN));
+    assert_eq!(
+        doc.get("cache").and_then(|c| c.get("warm")),
+        Some(&Json::Bool(true)),
+        "the replan after the panic must have been persisted: {doc:?}"
+    );
+    // The panicked store wrote nothing; the replan stored both defines.
+    let stats = respond(&server, r#"{"op":"stats"}"#);
+    assert_eq!(stat(&stats, "cache", "stores"), 2, "{stats:?}");
+    assert_eq!(stat(&stats, "cache", "quarantined"), 0, "{stats:?}");
 }
 
 /// One client's stalled plan must not delay another's: every request is
