@@ -10,7 +10,7 @@ use crate::desugar::TERM_C_HEAD;
 use crate::prims::Prim;
 use crate::LangError;
 use sct_sexpr::Datum;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 
 /// Resolves a desugared top-level program.
@@ -50,6 +50,9 @@ pub fn resolve_program(forms: &[Datum]) -> Result<Program, LangError> {
 
 struct Resolver {
     globals: Vec<String>,
+    /// `globals` inverted, so every name lookup is O(1): a linear scan per
+    /// lookup made resolving an n-define program quadratic.
+    global_index: HashMap<String, GlobalIndex>,
     /// Innermost scope last; each scope is a frame's slot names.
     scopes: Vec<Vec<String>>,
     lambda_counter: u32,
@@ -63,19 +66,20 @@ impl Resolver {
     fn new() -> Resolver {
         Resolver {
             globals: Vec::new(),
+            global_index: HashMap::new(),
             scopes: Vec::new(),
             lambda_counter: 0,
         }
     }
 
     fn intern_global(&mut self, name: &str) -> GlobalIndex {
-        match self.globals.iter().position(|g| g == name) {
-            Some(i) => i as GlobalIndex,
-            None => {
-                self.globals.push(name.to_string());
-                (self.globals.len() - 1) as GlobalIndex
-            }
+        if let Some(&i) = self.global_index.get(name) {
+            return i;
         }
+        let i = self.globals.len() as GlobalIndex;
+        self.globals.push(name.to_string());
+        self.global_index.insert(name.to_string(), i);
+        i
     }
 
     fn lookup_local(&self, name: &str) -> Option<VarRef> {
@@ -94,8 +98,8 @@ impl Resolver {
         if let Some(v) = self.lookup_local(name) {
             return Ok(Expr::Var(v));
         }
-        if let Some(i) = self.globals.iter().position(|g| g == name) {
-            return Ok(Expr::Global(i as GlobalIndex));
+        if let Some(&i) = self.global_index.get(name) {
+            return Ok(Expr::Global(i));
         }
         if let Some(p) = Prim::from_name(name) {
             return Ok(Expr::PrimRef(p));
@@ -126,7 +130,7 @@ impl Resolver {
         // A special-form head only applies when the name is not shadowed.
         if let Some(head) = items[0].as_sym() {
             let shadowed =
-                self.lookup_local(head).is_some() || self.globals.iter().any(|g| g == head);
+                self.lookup_local(head).is_some() || self.global_index.contains_key(head);
             if !shadowed {
                 match head {
                     "quote" => {
@@ -169,11 +173,8 @@ impl Resolver {
                         if let Some(var) = self.lookup_local(name) {
                             return Ok(Expr::SetLocal { var, value });
                         }
-                        if let Some(i) = self.globals.iter().position(|g| g == name) {
-                            return Ok(Expr::SetGlobal {
-                                index: i as GlobalIndex,
-                                value,
-                            });
+                        if let Some(&index) = self.global_index.get(name.as_str()) {
+                            return Ok(Expr::SetGlobal { index, value });
                         }
                         if Prim::from_name(name).is_some() {
                             return Err(err(format!("cannot set! primitive {name}")));
