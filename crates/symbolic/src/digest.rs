@@ -4,11 +4,14 @@
 //! The hybrid pre-pass is deterministic given (a) the `define`'s resolved
 //! AST, (b) the resolved ASTs of every global it can transitively reach,
 //! (c) which of those globals the program `set!`s anywhere (the mutation
-//! taint), (d) the shared symbolic-evaluation prelude (non-λ initializers
+//! taint), (d) the pinned signatures of those globals (a callee's pinned
+//! signature fixes its summary's guard, and so the stubs its callers
+//! see), (e) the shared symbolic-evaluation prelude (non-λ initializers
 //! and the number of `define`s, which consume the executor's step budget
-//! before exploration starts), and (e) the planner configuration. A
-//! [`ProgramDigests::key`] folds exactly those inputs — plus the codec and
-//! hash-spec versions — into one 128-bit content address, so:
+//! before exploration starts), and (f) the rest of the planner
+//! configuration. A [`ProgramDigests::key`] folds exactly those inputs —
+//! plus the codec and hash-spec versions — into one 128-bit content
+//! address, so:
 //!
 //! * editing one `define` changes only the keys of that define and of the
 //!   defines that (transitively) reference it — every untouched define is
@@ -20,6 +23,21 @@
 //! * changing any budget, ladder, refutation, or signature knob changes
 //!   every affected key — a cached decision can never be replayed under a
 //!   configuration it was not computed for.
+//!
+//! # Merkle component digests
+//!
+//! Inputs (b)–(d) are folded per strongly connected component of the
+//! global reference graph, callees first: a component's digest hashes
+//! each member's `(name, structural hash, mutated bit, pinned signature)`
+//! with the members sorted by *name*, then the digests of the components
+//! its members reference, sorted by *digest value* and deduplicated. A
+//! key folds only its define's own component digest, which commits to
+//! everything the define reaches. Building every digest costs O(edges)
+//! for the whole program, and since nothing is ordered by global index
+//! or source position, the keys do not depend on the order the defines
+//! appear in: a shuffled program replays a store warmed in any other
+//! order. Entries persisted under an earlier key layout simply miss
+//! once and are replanned under the new keys.
 //!
 //! # Examples
 //!
@@ -35,40 +53,49 @@
 //!     "(define (dec x) (- x 2))
 //!      (define (f x) (if (zero? x) 0 (f (dec x))))").unwrap();
 //! let cfg = PlanConfig::default();
-//! let (d1, d2) = (ProgramDigests::new(&p1), ProgramDigests::new(&p2));
+//! let (d1, d2) = (ProgramDigests::new(&p1, &cfg), ProgramDigests::new(&p2, &cfg));
 //! // f references dec, so editing dec invalidates BOTH keys …
-//! assert_ne!(d1.key(&p1, 0, &cfg), d2.key(&p2, 0, &cfg));
-//! assert_ne!(d1.key(&p1, 1, &cfg), d2.key(&p2, 1, &cfg));
+//! assert_ne!(d1.key(&p1, 0), d2.key(&p2, 0));
+//! assert_ne!(d1.key(&p1, 1), d2.key(&p2, 1));
 //! // … while an identical compile reproduces them exactly.
 //! let p1b = compile_program(
 //!     "(define (dec x) (- x 1))
 //!      (define (f x) (if (zero? x) 0 (f (dec x))))").unwrap();
-//! assert_eq!(d1.key(&p1, 1, &cfg), ProgramDigests::new(&p1b).key(&p1b, 1, &cfg));
+//! assert_eq!(d1.key(&p1, 1), ProgramDigests::new(&p1b, &cfg).key(&p1b, 1));
 //! ```
 
-use crate::pipeline::{MutationMap, PlanConfig};
+use crate::exec::SymDomain;
+use crate::pipeline::{MutationMap, PlanConfig, Signature};
 use sct_core::plan_codec::PLAN_CODEC_SCHEMA;
 use sct_core::stable::{Digest128, StableHasher, STABLE_HASH_VERSION};
 use sct_lang::ast::{Expr, LambdaDef, Program, TopForm};
 use sct_sexpr::Datum;
 
-/// Structural digests of one compiled [`Program`], computed once and then
-/// queried per `define` via [`ProgramDigests::key`].
+/// Structural digests of one compiled [`Program`] under one
+/// [`PlanConfig`], computed once and then queried per `define` via
+/// [`ProgramDigests::key`].
 #[derive(Debug)]
 pub struct ProgramDigests {
     /// Structural hash of each global's define initializer(s), by index.
     per_global: Vec<Digest128>,
+    /// The Merkle digest of each component of the reference graph,
+    /// indexed like the mutation map's components (see the module docs).
+    per_component: Vec<Digest128>,
     /// The shared-prelude digest: define count plus every non-λ
     /// initializer (those consume executor steps proportional to their
     /// size before any exploration runs).
     prelude: Digest128,
+    /// The program-wide planner knobs (pinned signatures enter through
+    /// the component digests instead).
+    config: Digest128,
     /// The reference/mutation structure (shared with the pre-pass).
     mutation: MutationMap,
 }
 
 impl ProgramDigests {
-    /// Walks the program once, hashing every global's initializer(s).
-    pub fn new(program: &Program) -> ProgramDigests {
+    /// Walks the program once, hashing every global's initializer(s), then
+    /// the reference graph once, digesting every component.
+    pub fn new(program: &Program, config: &PlanConfig) -> ProgramDigests {
         let n = program.global_names.len();
         let mut hashers: Vec<StableHasher> = (0..n).map(|_| StableHasher::new()).collect();
         let mut prelude = StableHasher::new();
@@ -91,10 +118,44 @@ impl ProgramDigests {
             }
         }
         prelude.write_u64(defines);
+        let per_global: Vec<Digest128> = hashers.iter().map(StableHasher::finish128).collect();
+        let mutation = MutationMap::build(program);
+        // Callees first, so every callee digest exists when a caller's
+        // component folds it in.
+        let mut per_component: Vec<Digest128> = Vec::with_capacity(mutation.components().len());
+        for component in mutation.components() {
+            let mut h = StableHasher::new();
+            let mut members = component.members.to_vec();
+            members.sort_unstable_by_key(|&g| &program.global_names[g as usize]);
+            h.write_u64(members.len() as u64);
+            for g in members {
+                let name = &program.global_names[g as usize];
+                h.write_str(name);
+                write_digest(per_global[g as usize], &mut h);
+                h.write_u8(u8::from(mutation.is_mutated(g)));
+                hash_signature(config.signatures.get(name), &mut h);
+            }
+            let mut callees: Vec<Digest128> = component
+                .callees
+                .iter()
+                .map(|&c| per_component[c as usize])
+                .collect();
+            callees.sort_unstable();
+            callees.dedup();
+            h.write_u64(callees.len() as u64);
+            for d in callees {
+                write_digest(d, &mut h);
+            }
+            per_component.push(h.finish128());
+        }
+        let mut config_hash = StableHasher::new();
+        hash_config(config, &mut config_hash);
         ProgramDigests {
-            per_global: hashers.iter().map(StableHasher::finish128).collect(),
+            per_global,
+            per_component,
             prelude: prelude.finish128(),
-            mutation: MutationMap::build(program),
+            config: config_hash.finish128(),
+            mutation,
         }
     }
 
@@ -104,8 +165,8 @@ impl ProgramDigests {
         &self.mutation
     }
 
-    /// The content-address key for planning global `index` under `config`:
-    /// a 32-hex-character digest committing to everything the decision can
+    /// The content-address key for planning global `index`: a
+    /// 32-hex-character digest committing to everything the decision can
     /// depend on (see the module docs). Equivalent to
     /// [`ProgramDigests::key_at`] with occurrence 0 — callers planning a
     /// program with shadowed (re-`define`d) names must use `key_at`.
@@ -114,28 +175,21 @@ impl ProgramDigests {
     ///
     /// Panics when `index` is out of range for the program the digests
     /// were built from.
-    pub fn key(&self, program: &Program, index: u32, config: &PlanConfig) -> String {
-        self.key_at(program, index, 0, config)
+    pub fn key(&self, program: &Program, index: u32) -> String {
+        self.key_at(program, index, 0)
     }
 
     /// [`ProgramDigests::key`] for the `occurrence`-th `define` form of
     /// `index` (0-based, program order). The per-global structural hash
     /// covers *all* defines of a name, but a shadowed name yields one
     /// decision per form — the occurrence count keeps those entries from
-    /// aliasing each other in the store.
+    /// aliasing each other in the store. O(1) in program size.
     ///
     /// # Panics
     ///
     /// Panics when `index` is out of range for the program the digests
     /// were built from.
-    pub fn key_at(
-        &self,
-        program: &Program,
-        index: u32,
-        occurrence: u32,
-        config: &PlanConfig,
-    ) -> String {
-        let name = &program.global_names[index as usize];
+    pub fn key_at(&self, program: &Program, index: u32, occurrence: u32) -> String {
         let mut h = StableHasher::new();
         // Version pins: any bump invalidates every persisted entry. The IR
         // codegen version is part of the key because cached decisions are
@@ -148,29 +202,24 @@ impl ProgramDigests {
         h.write_str(PLAN_CODEC_SCHEMA);
         h.write_u32(sct_ir::CODEGEN_VERSION);
         // The define itself.
-        h.write_str(name);
+        h.write_str(&program.global_names[index as usize]);
         h.write_u32(occurrence);
-        let own = self.per_global[index as usize];
-        h.write_u64(own.hi);
-        h.write_u64(own.lo);
-        // Everything reachable from it: (name, structural hash, mutated?)
-        // triples in deterministic (index) order. The mutated bit folds the
-        // whole-program `set!` footprint into the key, so adding a `set!`
-        // anywhere re-keys exactly the defines it taints.
-        for i in self.mutation.reachable_from(index) {
-            h.write_str(&program.global_names[i as usize]);
-            let d = self.per_global[i as usize];
-            h.write_u64(d.hi);
-            h.write_u64(d.lo);
-            h.write_u8(u8::from(self.mutation.is_mutated(i)));
-        }
+        write_digest(self.per_global[index as usize], &mut h);
+        // Everything reachable from it, with the mutation bits and pinned
+        // signatures: its component's Merkle digest.
+        let component = self.mutation.component_of(index);
+        write_digest(self.per_component[component as usize], &mut h);
         // The shared evaluation prelude (see module docs).
-        h.write_u64(self.prelude.hi);
-        h.write_u64(self.prelude.lo);
-        // The planner configuration, as it applies to this define.
-        hash_config(config, name, &mut h);
+        write_digest(self.prelude, &mut h);
+        // The rest of the planner configuration.
+        write_digest(self.config, &mut h);
         h.finish128().to_hex()
     }
+}
+
+fn write_digest(d: Digest128, h: &mut StableHasher) {
+    h.write_u64(d.hi);
+    h.write_u64(d.lo);
 }
 
 /// True when the initializer is a λ, possibly under `terminating/c`
@@ -186,7 +235,10 @@ fn define_is_lambda(expr: &Expr) -> bool {
     }
 }
 
-fn hash_config(config: &PlanConfig, name: &str, h: &mut StableHasher) {
+/// Hashes the program-wide knobs of `config`, selected field by field:
+/// wiring that cannot change a decision (deadline, metrics, summaries
+/// on/off) stays out of the key.
+fn hash_config(config: &PlanConfig, h: &mut StableHasher) {
     h.write_u64(config.verify.exec.step_budget);
     h.write_u64(config.verify.exec.max_outcomes as u64);
     h.write_u32(config.verify.exec.havoc_budget);
@@ -202,9 +254,12 @@ fn hash_config(config: &PlanConfig, name: &str, h: &mut StableHasher) {
     }
     h.write_u8(u8::from(config.nat_ladder));
     h.write_u8(u8::from(config.refute));
-    // Only this define's pinned signature participates: the ladder
-    // consults `signatures` solely for the entry name.
-    match config.signatures.get(name) {
+}
+
+/// Hashes one global's pinned signature, if any: it decides the global's
+/// own ladder and, through its contract summary, its callers' stubs.
+fn hash_signature(signature: Option<&Signature>, h: &mut StableHasher) {
+    match signature {
         Some((domains, result)) => {
             h.write_u8(1);
             h.write_u64(domains.len() as u64);
@@ -217,13 +272,13 @@ fn hash_config(config: &PlanConfig, name: &str, h: &mut StableHasher) {
     }
 }
 
-fn domain_tag(d: crate::exec::SymDomain) -> u8 {
+fn domain_tag(d: SymDomain) -> u8 {
     match d {
-        crate::exec::SymDomain::Nat => 1,
-        crate::exec::SymDomain::Pos => 2,
-        crate::exec::SymDomain::Int => 3,
-        crate::exec::SymDomain::List => 4,
-        crate::exec::SymDomain::Any => 5,
+        SymDomain::Nat => 1,
+        SymDomain::Pos => 2,
+        SymDomain::Int => 3,
+        SymDomain::List => 4,
+        SymDomain::Any => 5,
     }
 }
 
@@ -384,9 +439,9 @@ mod tests {
 
     fn keys(src: &str, cfg: &PlanConfig) -> Vec<(String, String)> {
         let p = compile_program(src).unwrap();
-        let d = ProgramDigests::new(&p);
+        let d = ProgramDigests::new(&p, cfg);
         (0..p.global_names.len() as u32)
-            .map(|i| (p.global_names[i as usize].clone(), d.key(&p, i, cfg)))
+            .map(|i| (p.global_names[i as usize].clone(), d.key(&p, i)))
             .collect()
     }
 
@@ -478,6 +533,52 @@ mod tests {
             ),
         );
         assert_eq!(baseline, k(&other_pinned));
+    }
+
+    #[test]
+    fn pinning_a_callee_signature_rekeys_its_callers() {
+        // g stubs f under f's summary, whose guard is f's pinned
+        // signature: a decision planned under one callee signature must
+        // not replay under another.
+        let src = "(define (f l) (if (null? l) 0 (+ 1 (f (cdr l)))))
+                   (define (g l) (if (null? l) 0 (+ (f l) (g (cdr l)))))
+                   (define (h x) x)";
+        let base = keys(src, &PlanConfig::default());
+        let mut pinned = PlanConfig::default();
+        pinned.signatures.insert(
+            "f".into(),
+            (
+                vec![crate::exec::SymDomain::List],
+                crate::exec::SymDomain::Nat,
+            ),
+        );
+        let after = keys(src, &pinned);
+        assert_ne!(base[0].1, after[0].1, "f's own signature changed");
+        assert_ne!(base[1].1, after[1].1, "g reaches f: must be re-keyed");
+        assert_eq!(base[2].1, after[2].1, "h does not reach f");
+    }
+
+    #[test]
+    fn keys_do_not_depend_on_define_order() {
+        // Indices and component membership order both follow source
+        // order; the keys must not.
+        let defs = [
+            "(define (ev n) (if (zero? n) #t (od (- n 1))))",
+            "(define (od n) (if (zero? n) #f (ev (- n 1))))",
+            "(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))",
+            "(define (top l) (if (null? l) (ev 4) (+ (len l) (top (cdr l)))))",
+        ];
+        let cfg = PlanConfig::default();
+        let sorted = |order: [usize; 4]| {
+            let src: Vec<&str> = order.iter().map(|&i| defs[i]).collect();
+            let mut k = keys(&src.join("\n"), &cfg);
+            k.sort();
+            k
+        };
+        let forward = sorted([0, 1, 2, 3]);
+        for order in [[3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]] {
+            assert_eq!(sorted(order), forward, "order {order:?}");
+        }
     }
 
     #[test]

@@ -103,12 +103,15 @@ pub struct CalleeSummary {
     /// is `graphs` plus theirs, transitively: shared, not copied, so a
     /// summary costs memory in proportion to its own body.
     pub callees: Vec<Rc<CalleeSummary>>,
-    /// Global indices transitively referenced by the callee, sorted. A
-    /// caller the callee can reach back into (mutual recursion) must not
-    /// stub it: the callee's graphs were discovered against *its* entry,
-    /// and hiding the cycle from the caller's own exploration would lose
-    /// the very self-calls being judged.
-    pub reachable: Rc<Vec<u32>>,
+    /// The global indices of the callee's component of the global
+    /// reference graph, sorted. A caller in the same component (mutual
+    /// recursion) must not stub it: the callee's graphs were discovered
+    /// against *its* entry, and hiding the cycle from the caller's own
+    /// exploration would lose the very self-calls being judged. Same
+    /// component is exactly "the callee can reach back into the caller",
+    /// because an exploration only applies callees its define statically
+    /// reaches. Shared by every summary of the component.
+    pub component: Rc<[u32]>,
 }
 
 /// Registered summaries, keyed by the summarized define's entry λ id.
@@ -194,7 +197,7 @@ pub struct Executor<'p> {
     entry: Option<EntryInvariant>,
     summaries: Option<&'p SummaryTable>,
     /// Global index of the define under exploration, for the
-    /// mutual-recursion check against [`CalleeSummary::reachable`].
+    /// mutual-recursion check against [`CalleeSummary::component`].
     caller_global: Option<u32>,
 }
 
@@ -305,7 +308,7 @@ impl<'p> Executor<'p> {
 
     /// Registers verified callee summaries for this exploration.
     /// `caller_global` is the global index of the define under exploration
-    /// (when it has one): a summary whose `reachable` set contains it is
+    /// (when it has one): a summary whose `component` contains it is
     /// never stubbed, so mutual recursion always descends.
     pub fn set_summaries(&mut self, table: &'p SummaryTable, caller_global: Option<u32>) {
         self.summaries = Some(table);
@@ -702,8 +705,9 @@ impl<'p> Executor<'p> {
     /// the callee must have a verified summary (only `Static` defines get
     /// one, so opaque- and mutation-tainted callees always descend); it
     /// must not be the entry λ (the entry's own self-calls are the very
-    /// thing being judged) nor able to reach back into the caller (mutual
-    /// recursion must expose its cycle to the caller's exploration); the
+    /// thing being judged) nor in the caller's component of the reference
+    /// graph, i.e. able to reach back into it (mutual recursion must
+    /// expose its cycle to the caller's exploration); the
     /// application must match the summarized arity exactly; and every
     /// argument must be *provably* inside the summary's guard domain on
     /// the current path — the same entailment the summarized self-call
@@ -726,7 +730,7 @@ impl<'p> Executor<'p> {
             return None;
         }
         if let Some(caller) = self.caller_global {
-            if s.reachable.binary_search(&caller).is_ok() {
+            if s.component.binary_search(&caller).is_ok() {
                 return None;
             }
         }

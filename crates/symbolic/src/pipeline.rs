@@ -401,7 +401,9 @@ pub fn plan_program_incremental(
     let snapshot = GlobalSnapshot::build(program, &config.verify.exec);
     // Content addressing costs a structural hash of the whole program;
     // skip it when the store cannot use keys anyway (NullStore).
-    let digests = store.wants_keys().then(|| ProgramDigests::new(program));
+    let digests = store
+        .wants_keys()
+        .then(|| ProgramDigests::new(program, config));
     let mutation_owned;
     let mutation = match &digests {
         Some(d) => d.mutation(),
@@ -433,21 +435,13 @@ pub fn plan_program_incremental(
             (pos, index, def, blame, *occ - 1)
         })
         .collect();
-    // Callees first; a stable sort keeps shadowing defines of one global
+    // Callees first (components in emission order); a stable sort keeps
+    // the members of one component, and shadowing defines of one global,
     // in source order.
-    let mut rank = vec![0usize; program.global_names.len()];
-    for (r, g) in callee_first(mutation, defines.iter().map(|d| *d.1))
-        .into_iter()
-        .enumerate()
-    {
-        rank[g as usize] = r;
-    }
-    defines.sort_by_key(|d| rank[*d.1 as usize]);
+    defines.sort_by_key(|d| mutation.component_of(*d.1));
     for (pos, index, def, blame, occ) in defines {
         let name = &program.global_names[*index as usize];
-        let key = digests
-            .as_ref()
-            .map(|d| d.key_at(program, *index, occ, config));
+        let key = digests.as_ref().map(|d| d.key_at(program, *index, occ));
         let nested = nested_lambda_ids(def);
         if let Some(key) = &key {
             if let Some(portable) = store.load(key) {
@@ -464,7 +458,8 @@ pub fn plan_program_incremental(
                             .as_ref()
                             .zip(portable.summary.as_ref())
                             .and_then(|(li, p)| {
-                                rebind_summary(p, def, li, mutation, *index, &summary_table)
+                                let component = mutation.members_of(*index);
+                                rebind_summary(p, def, li, component, &summary_table)
                             });
                         match summary {
                             Some(s) => {
@@ -496,7 +491,12 @@ pub fn plan_program_incremental(
         // the program `set!`s, a later rebinding could invalidate the
         // discharge at run time — e.g. a helper swapped for one that no
         // longer descends. Such functions stay monitored.
-        let (decision, cacheable, summary_data) = if let Some(reason) = mutation.taints(*index) {
+        let (decision, cacheable, summary_data) = if let Some(g) = mutation.tainted_by(*index) {
+            let reason = format!(
+                "depends on global {} which the program mutates (set!); \
+                 a run-time rebinding could invalidate the proof",
+                program.global_names[g as usize]
+            );
             (monitor_fallback(name, def, blame, &reason), true, None)
         } else {
             plan_function(
@@ -551,7 +551,7 @@ pub fn plan_program_incremental(
                     result: data.result,
                     graphs: data.graphs,
                     callees: data.callees,
-                    reachable: Rc::new(mutation.reachable_from(*index)),
+                    component: mutation.members_of(*index).clone(),
                 }),
             );
         }
@@ -616,23 +616,22 @@ pub fn monitor_fallback_decisions(
     (plan, stats)
 }
 
-/// The globals reachable from `roots`, callees first: Tarjan's
-/// strongly-connected-components algorithm (iterative, over the static
-/// reference graph) emits a component only after every component it
-/// references. A caller is therefore planned after all of its callees, so
-/// each callee's contract summary is registered by the time the caller's
-/// exploration reaches it — whatever order the defines appear in. A plain
-/// DFS postorder would not do: entered through a cycle, it can finish a
-/// cycle member before a callee that a later member of the same cycle
-/// references. Members of one component (mutually recursive defines) come
-/// out in DFS order, which is harmless: the summary's reachable-set ban
-/// (`Executor::try_stub`) already stops them from stubbing each other.
-fn callee_first(mutation: &MutationMap, roots: impl Iterator<Item = u32>) -> Vec<u32> {
+/// The strongly connected components of the static reference graph over
+/// all globals, callees first: Tarjan's algorithm (iterative) emits a
+/// component only after every component it references. A caller is
+/// therefore planned after all of its callees, so each callee's contract
+/// summary is registered by the time the caller's exploration reaches it —
+/// whatever order the defines appear in. A plain DFS postorder would not
+/// do: entered through a cycle, it can finish a cycle member before a
+/// callee that a later member of the same cycle references. Members of
+/// one component (mutually recursive defines) never stub each other
+/// (`Executor::try_stub`), so their relative order is immaterial.
+fn callee_first(refs: &[Vec<u32>]) -> Vec<Vec<u32>> {
     const UNSEEN: u32 = u32::MAX;
-    let n = mutation.refs.len();
+    let n = refs.len();
     let (mut number, mut low, mut on_stack) = (vec![UNSEEN; n], vec![0; n], vec![false; n]);
-    let (mut stack, mut order, mut next) = (Vec::new(), Vec::with_capacity(n), 0);
-    for root in roots {
+    let (mut stack, mut components, mut next) = (Vec::new(), Vec::new(), 0);
+    for root in 0..n as u32 {
         if number[root as usize] != UNSEEN {
             continue;
         }
@@ -645,7 +644,7 @@ fn callee_first(mutation: &MutationMap, roots: impl Iterator<Item = u32>) -> Vec
                 stack.push(v);
                 on_stack[vu] = true;
             }
-            if let Some(&w) = mutation.refs_of(v).get(i) {
+            if let Some(&w) = refs[vu].get(i) {
                 frames.push((v, i + 1));
                 if number[w as usize] == UNSEEN {
                     frames.push((w, 0));
@@ -659,17 +658,19 @@ fn callee_first(mutation: &MutationMap, roots: impl Iterator<Item = u32>) -> Vec
             }
             if low[vu] == number[vu] {
                 // `v` roots a component: emit all of it.
+                let mut members = Vec::new();
                 while let Some(w) = stack.pop() {
                     on_stack[w as usize] = false;
-                    order.push(w);
+                    members.push(w);
                     if w == v {
                         break;
                     }
                 }
+                components.push(members);
             }
         }
     }
-    order
+    components
 }
 
 /// Compile-independent λ addressing for summary persistence: every λ of
@@ -776,8 +777,7 @@ fn rebind_summary(
     p: &PortableSummary,
     def: &LambdaDef,
     li: &LambdaIndex,
-    mutation: &MutationMap,
-    index: u32,
+    component: &Rc<[u32]>,
     table: &SummaryTable,
 ) -> Option<CalleeSummary> {
     if def.variadic || p.guard.len() != def.params as usize {
@@ -809,27 +809,44 @@ fn rebind_summary(
         result: sym_domain(p.result),
         graphs,
         callees,
-        reachable: Rc::new(mutation.reachable_from(index)),
+        component: component.clone(),
     })
 }
 
 /// Which globals the program mutates (`set!` anywhere — top level, define
-/// initializers, nested λs), plus the static global-reference graph, so
-/// the pre-pass can refuse to discharge any function whose proof could be
-/// invalidated by a run-time rebinding.
+/// initializers, nested λs), plus the static global-reference graph and
+/// its components, so the pre-pass can plan callees first and refuse to
+/// discharge any function whose proof could be invalidated by a run-time
+/// rebinding. Built in one pass over the program and one over the graph:
+/// nothing here ever walks a define's reachable set.
 #[derive(Debug)]
 pub(crate) struct MutationMap {
-    /// `refs[i]` = globals referenced (read or written) by global `i`'s
-    /// defining expression(s); every `define` of the index contributes.
-    refs: Vec<Vec<u32>>,
     /// Globals that are a `set!` target anywhere in the program.
     mutated: Vec<bool>,
-    names: Vec<String>,
+    /// The components of the reference graph, callees first.
+    components: Vec<Component>,
+    /// `component_of[i]` = the index in `components` of global `i`'s.
+    component_of: Vec<u32>,
+}
+
+/// One strongly connected component of the global reference graph.
+#[derive(Debug)]
+pub(crate) struct Component {
+    /// The member globals, sorted by index, shared with every contract
+    /// summary of a member ([`CalleeSummary::component`]).
+    pub(crate) members: Rc<[u32]>,
+    /// The other components the members reference, deduplicated. Each
+    /// precedes this one in [`MutationMap::components`].
+    pub(crate) callees: Vec<u32>,
+    /// The smallest-named mutated global reachable from the component.
+    taint: Option<u32>,
 }
 
 impl MutationMap {
     pub(crate) fn build(program: &Program) -> MutationMap {
         let n = program.global_names.len();
+        // `refs[i]` = globals referenced (read or written) by global `i`'s
+        // defining expression(s); every `define` of the index contributes.
         let mut refs: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut mutated = vec![false; n];
         for form in &program.top_level {
@@ -847,35 +864,44 @@ impl MutationMap {
                 }
             }
         }
-        MutationMap {
-            refs,
-            mutated,
-            names: program.global_names.clone(),
-        }
-    }
-
-    /// The globals global `i`'s defining expression(s) reference, in
-    /// source order (with repeats).
-    pub(crate) fn refs_of(&self, i: u32) -> &[u32] {
-        &self.refs[i as usize]
-    }
-
-    /// The set of globals reachable from `index` through static references
-    /// (including `index` itself), sorted by index — the deterministic
-    /// basis of the per-define cache key.
-    pub(crate) fn reachable_from(&self, index: u32) -> Vec<u32> {
-        let mut seen = vec![false; self.refs.len()];
-        let mut stack = vec![index];
-        let mut out = Vec::new();
-        while let Some(i) = stack.pop() {
-            if std::mem::replace(&mut seen[i as usize], true) {
-                continue;
+        let found = callee_first(&refs);
+        let mut component_of = vec![0u32; n];
+        for (c, members) in found.iter().enumerate() {
+            for &g in members {
+                component_of[g as usize] = c as u32;
             }
-            out.push(i);
-            stack.extend(self.refs[i as usize].iter().copied());
         }
-        out.sort_unstable();
-        out
+        // Callees first, so every callee component's taint is final by the
+        // time a caller folds it in.
+        let name = |g: u32| &program.global_names[g as usize];
+        let mut components: Vec<Component> = Vec::with_capacity(found.len());
+        for (c, mut members) in found.into_iter().enumerate() {
+            members.sort_unstable();
+            let mut callees: Vec<u32> = members
+                .iter()
+                .flat_map(|&g| refs[g as usize].iter())
+                .map(|&w| component_of[w as usize])
+                .filter(|&k| k as usize != c)
+                .collect();
+            callees.sort_unstable();
+            callees.dedup();
+            let taint = members
+                .iter()
+                .copied()
+                .filter(|&g| mutated[g as usize])
+                .chain(callees.iter().filter_map(|&k| components[k as usize].taint))
+                .min_by(|&a, &b| name(a).cmp(name(b)));
+            components.push(Component {
+                members: members.into(),
+                callees,
+                taint,
+            });
+        }
+        MutationMap {
+            mutated,
+            components,
+            component_of,
+        }
     }
 
     /// True when global `i` is a `set!` target anywhere in the program.
@@ -883,27 +909,25 @@ impl MutationMap {
         self.mutated[i as usize]
     }
 
-    /// If global `index` can transitively reach a mutated global, the
-    /// reason to keep it monitored; `None` when its reachable set is
-    /// mutation-free.
-    fn taints(&self, index: u32) -> Option<String> {
-        let mut seen = vec![false; self.refs.len()];
-        let mut stack = vec![index];
-        while let Some(i) = stack.pop() {
-            let i = i as usize;
-            if std::mem::replace(&mut seen[i], true) {
-                continue;
-            }
-            if self.mutated[i] {
-                return Some(format!(
-                    "depends on global {} which the program mutates (set!); \
-                     a run-time rebinding could invalidate the proof",
-                    self.names[i]
-                ));
-            }
-            stack.extend(self.refs[i].iter().copied());
-        }
-        None
+    /// The components of the reference graph, callees first.
+    pub(crate) fn components(&self) -> &[Component] {
+        &self.components
+    }
+
+    /// The index in [`MutationMap::components`] of global `i`'s component.
+    pub(crate) fn component_of(&self, i: u32) -> u32 {
+        self.component_of[i as usize]
+    }
+
+    /// The members of global `i`'s component, sorted by index.
+    fn members_of(&self, i: u32) -> &Rc<[u32]> {
+        &self.components[self.component_of(i) as usize].members
+    }
+
+    /// The smallest-named mutated global that global `i` can transitively
+    /// reach, if any.
+    fn tainted_by(&self, i: u32) -> Option<u32> {
+        self.components[self.component_of(i) as usize].taint
     }
 }
 

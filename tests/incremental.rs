@@ -126,6 +126,45 @@ fn editing_a_shared_helper_reverifies_its_dependents_only() {
 }
 
 #[test]
+fn reordering_the_defines_keeps_every_key() {
+    // A key is a function of content, not of define order: a store warmed
+    // in source order answers every decision of the same defines
+    // reversed or shuffled, and the replayed plan equals a fresh one.
+    let cfg = PlanConfig::default();
+    let source = sct_bench::layered_corpus(200, 7, 0);
+    let mut store = sct_cache::MemStore::new();
+    let prog = sct_lang::compile_program(&source).unwrap();
+    let (_, cold) = plan_program_incremental(&prog, &cfg, &mut PlanCache::new(), &mut store);
+    assert_eq!(cold.misses(), 200, "{cold:?}");
+    let mut orders = vec![(
+        "reversed".to_string(),
+        permute_defines(&source, |k| (0..k).rev().collect()).unwrap(),
+    )];
+    for seed in 1..=3u64 {
+        let shuffled = permute_defines(&source, |k| {
+            let mut order: Vec<usize> = (0..k).collect();
+            Rng::new(seed).shuffle(&mut order);
+            order
+        });
+        orders.push((format!("shuffle {seed}"), shuffled.unwrap()));
+    }
+    for (label, permuted) in orders {
+        let prog = sct_lang::compile_program(&permuted).unwrap();
+        let (warm_plan, warm) =
+            plan_program_incremental(&prog, &cfg, &mut PlanCache::new(), &mut store);
+        assert_eq!(
+            (warm.hits(), warm.misses()),
+            (200, 0),
+            "{label}: missed {:?}",
+            warm.missed_names()
+        );
+        let (fresh, _) =
+            plan_program_incremental(&prog, &cfg, &mut PlanCache::new(), &mut NullStore);
+        assert!(warm_plan.structurally_eq(&fresh), "{label}: replay drifted");
+    }
+}
+
+#[test]
 fn editing_a_helper_recomputes_exactly_its_dependents_summaries() {
     // Contract summaries ride inside the decision entries, so the same
     // invalidation frontier applies: editing `len` re-keys len

@@ -243,3 +243,43 @@ fn order_of_defines_does_not_change_the_layered_corpus_plan() {
 fn order_of_defines_does_not_change_the_fig10_composite_plan() {
     assert_order_independent(&fig10_composite(), "fig10-composite");
 }
+
+#[test]
+fn mutual_recursion_through_a_non_lambda_define_is_never_stubbed() {
+    // `f` and `h` recurse through `g`, whose λ comes out of a `let`: `g`
+    // is not planned itself, but its initializer puts all three in one
+    // component of the reference graph. Whichever of `f` and `h` plans
+    // first, the other must descend into it rather than stub it, or the
+    // cycle would vanish from its own exploration.
+    let defs = [
+        "(define (f l) (if (null? l) 0 (+ 1 (g (cdr l)))))",
+        "(define g (let ((k 1)) (lambda (l) (if (null? l) k (h (cdr l))))))",
+        "(define (h l) (if (null? l) 0 (f (cdr l))))",
+    ];
+    for order in [[0, 1, 2], [2, 1, 0]] {
+        let source: Vec<&str> = order.iter().map(|&i| defs[i]).collect();
+        let prog = sct_lang::compile_program(&source.join("\n")).unwrap();
+        let reg = Arc::new(Registry::new());
+        let on = PlanConfig {
+            time_budget: None,
+            obs: PlanObs::registered(reg.clone()),
+            ..PlanConfig::default()
+        };
+        let off = PlanConfig {
+            time_budget: None,
+            summaries: false,
+            ..PlanConfig::default()
+        };
+        let (stubbed, full) = (plan_program(&prog, &on), plan_program(&prog, &off));
+        assert_eq!(
+            reg.snapshot().counter("plan.summary.stubbed_applications"),
+            Some(0),
+            "order {order:?}: a component member was stubbed"
+        );
+        assert!(
+            stubbed.structurally_eq(&full),
+            "order {order:?}: differs from full descent\n{stubbed}\n{full}"
+        );
+        assert_eq!(stubbed.decisions.len(), 2, "f and h are planned, g is not");
+    }
+}
