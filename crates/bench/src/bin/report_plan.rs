@@ -10,7 +10,7 @@
 //!   "schema": "sct-plan-bench/1",
 //!   "fast": false, "layers": 6, "fanout": 3, "seed": 7, "reps": 3,
 //!   "corpora": [
-//!     { "defines": 1000,
+//!     { "defines": 1000, "compile_ms": 12.0,
 //!       "cold_full_ms": 1234.5, "cold_summary_ms": 56.7,
 //!       "speedup": 21.8,
 //!       "warm_ms": 12.3, "incremental_ms": 4.5,
@@ -22,7 +22,9 @@
 //! }
 //! ```
 //!
-//! One entry per corpus size. `cold_full_ms` is a fresh plan with full
+//! One entry per corpus size. `compile_ms` is the best of `reps` runs of
+//! the front end (`sct_lang::compile_program`: parse, desugar, resolve)
+//! on the corpus. `cold_full_ms` is a fresh plan with full
 //! body descent (`summaries: false`, no store), `cold_summary_ms` the
 //! same fresh plan with summary stubbing on — the tentpole number;
 //! `speedup` is their ratio (`null` for sizes where the full-descent
@@ -47,7 +49,9 @@
 //! `defines^1.5` across successive corpus sizes — with summaries each
 //! define's exploration is local (its own body plus one stub per
 //! callee), so whole-program planning is near-linear; without them the
-//! per-define cost multiplies through the callee closure.
+//! per-define cost multiplies through the callee closure. The committed
+//! artifact is also checked for near-linear `compile_ms` (below
+//! `defines^1.25`) and `warm_ms` (below `defines^1.5`) growth.
 //!
 //! Run: `cargo run --release -p sct-bench --bin report_plan
 //! [--fast] [--out PATH]`
@@ -84,6 +88,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 
 struct Row {
     defines: usize,
+    compile_ms: f64,
     cold_full_ms: Option<f64>,
     cold_summary_ms: f64,
     warm_ms: f64,
@@ -109,6 +114,15 @@ fn time_plan(
 fn measure(n: usize, reps: usize, skip_full: bool) -> Row {
     let src = layered_corpus(n, SEED, 0);
     let prog = sct_lang::compile_program(&src).expect("generated corpus compiles");
+
+    // The front end alone, best of `reps`.
+    let compile_ms = (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(sct_lang::compile_program(&src).unwrap());
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min);
 
     // Cold, summaries on, no store: the tentpole number. The stub counter
     // comes from the last rep's registry.
@@ -163,6 +177,7 @@ fn measure(n: usize, reps: usize, skip_full: bool) -> Row {
 
     Row {
         defines: n,
+        compile_ms,
         cold_full_ms,
         cold_summary_ms: median(cold_summary),
         warm_ms: median(warm),
@@ -201,8 +216,9 @@ fn main() {
 
     println!("contract-summary scaling (layers={LAYERS}, fanout={FANOUT}, reps={reps})\n");
     println!(
-        "{:>8} {:>14} {:>16} {:>9} {:>10} {:>13} {:>8} {:>9}",
+        "{:>8} {:>10} {:>14} {:>16} {:>9} {:>10} {:>13} {:>8} {:>9}",
         "defines",
+        "compile",
         "cold full",
         "cold summaries",
         "speedup",
@@ -217,8 +233,9 @@ fn main() {
         let row = measure(n, reps, false);
         let speedup = row.cold_full_ms.map(|f| f / row.cold_summary_ms);
         println!(
-            "{:>8} {:>14} {:>16} {:>9} {:>10} {:>13} {:>8} {:>9}",
+            "{:>8} {:>10} {:>14} {:>16} {:>9} {:>10} {:>13} {:>8} {:>9}",
             row.defines,
+            format!("{:.1}ms", row.compile_ms),
             row.cold_full_ms
                 .map(|v| format!("{v:.1}ms"))
                 .unwrap_or_else(|| "—".into()),
@@ -246,11 +263,13 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let speedup = r.cold_full_ms.map(|f| f / r.cold_summary_ms);
         doc.push_str(&format!(
-            "    {{ \"defines\": {}, \"cold_full_ms\": {}, \"cold_summary_ms\": {:.3}, \
+            "    {{ \"defines\": {}, \"compile_ms\": {:.3}, \"cold_full_ms\": {}, \
+             \"cold_summary_ms\": {:.3}, \
              \"speedup\": {}, \"warm_ms\": {:.3}, \"incremental_ms\": {:.3}, \
              \"incremental_misses\": {}, \"summary_hits\": {}, \"summary_misses\": {}, \
              \"stubbed_applications\": {}, \"static_summary\": {}, \"static_full\": {} }}{}\n",
             r.defines,
+            r.compile_ms,
             json_num(r.cold_full_ms),
             r.cold_summary_ms,
             json_num(speedup),

@@ -124,8 +124,9 @@ fn fig10_composite_plans_identically_with_summaries() {
 /// The committed `BENCH_plan.json` artifact must carry the scaling
 /// story the summary subsystem exists to win: schema `sct-plan-bench/1`,
 /// a ≥5× cold-plan speedup on the smallest corpus, warm and
-/// summaries-on planning beating full descent at every size, and
-/// sub-quadratic cold-plan growth across corpus sizes.
+/// summaries-on planning beating full descent at every size,
+/// sub-quadratic cold-plan and warm-replay growth across corpus sizes,
+/// and a front end growing below size^1.25.
 #[test]
 fn committed_plan_bench_artifact_pins_summary_speedup() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_plan.json");
@@ -141,13 +142,14 @@ fn committed_plan_bench_artifact_pins_summary_speedup() {
         .and_then(|c| c.as_arr())
         .expect("corpora array present");
     assert!(!corpora.is_empty());
-    let mut prev: Option<(f64, f64)> = None;
+    let mut prev: Option<(f64, f64, f64, f64)> = None;
     for (i, c) in corpora.iter().enumerate() {
         let defines = c.get("defines").and_then(|v| v.as_f64()).unwrap();
         let summary = c.get("cold_summary_ms").and_then(|v| v.as_f64()).unwrap();
         let warm = c.get("warm_ms").and_then(|v| v.as_f64()).unwrap();
+        let compile = c.get("compile_ms").and_then(|v| v.as_f64()).unwrap();
         assert!(
-            summary > 0.0 && warm > 0.0,
+            summary > 0.0 && warm > 0.0 && compile > 0.0,
             "{defines}: non-positive timings"
         );
         if let Some(full) = c.get("cold_full_ms").and_then(|v| v.as_f64()) {
@@ -161,7 +163,7 @@ fn committed_plan_bench_artifact_pins_summary_speedup() {
                 assert!(speedup >= 5.0, "cold-plan speedup {speedup} below 5x");
             }
         }
-        if let Some((pd, ps)) = prev {
+        if let Some((pd, ps, pw, pc)) = prev {
             // Sub-quadratic: time may grow no faster than size^1.5.
             let size_ratio = defines / pd;
             let time_ratio = summary / ps;
@@ -170,8 +172,19 @@ fn committed_plan_bench_artifact_pins_summary_speedup() {
                 "cold summary planning grew {time_ratio:.1}x over a \
                  {size_ratio:.1}x corpus — not sub-quadratic"
             );
+            let warm_ratio = warm / pw;
+            assert!(
+                warm_ratio < size_ratio.powf(1.5),
+                "warm replay grew {warm_ratio:.1}x over a {size_ratio:.1}x corpus"
+            );
+            // The front end is near-linear: below size^1.25.
+            let compile_ratio = compile / pc;
+            assert!(
+                compile_ratio < size_ratio.powf(1.25),
+                "compile grew {compile_ratio:.1}x over a {size_ratio:.1}x corpus"
+            );
         }
-        prev = Some((defines, summary));
+        prev = Some((defines, summary, warm, compile));
     }
 }
 
