@@ -200,13 +200,18 @@ fn global_actions(
     program: &Program,
     plan: Option<&EnforcementPlan>,
 ) -> HashMap<GlobalIndex, SiteAction> {
+    // Each λ's decision, indexed once; the first decision for a λ wins.
+    let mut by_lambda: HashMap<u32, &Decision> = HashMap::new();
+    for d in plan.map_or(&[][..], |p| &p.decisions) {
+        by_lambda.entry(d.lambda).or_insert(&d.decision);
+    }
     let mut out = HashMap::new();
     for (g, binding) in program.global_bindings().iter().enumerate() {
         let Some(lambda) = binding.static_lambda() else {
             continue;
         };
-        let action = match plan.and_then(|p| p.decisions.iter().find(|d| d.lambda == lambda)) {
-            Some(d) => match &d.decision {
+        let action = match by_lambda.get(&lambda) {
+            Some(decision) => match decision {
                 Decision::Static { guard } => {
                     if guard.iter().all(|&g| g == PlanDomain::Any) {
                         SiteAction::Skip { lambda }
