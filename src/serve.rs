@@ -9,15 +9,17 @@
 //! * a [`Server`] holds one warm process state — a persistent
 //!   [`DecisionStore`] (on-disk via `--cache-dir`, in-memory otherwise)
 //!   shared by every request;
-//! * each `plan`/`hybrid` request's program is planned whole on a
-//!   short-lived thread of its own ([`plan_program_incremental`],
-//!   callees before callers, with a fresh [`PlanCache`]), so a plan
-//!   depends on the program alone — never on scheduling or on other
-//!   requests — and parallelism comes from concurrent requests;
+//! * each `plan`/`run`/`hybrid` request is served end to end on a
+//!   short-lived thread of its own, exactly as `sct hybrid` runs:
+//!   compile once, plan whole ([`plan_program_incremental`], callees
+//!   before callers, a fresh [`PlanCache`]; skipped for `run`), check
+//!   for a refutation, compile the IR, execute (skipped for `plan`). A
+//!   plan depends on the program alone — never on scheduling or on other
+//!   requests — and nothing of a request outlives its thread;
 //! * any number of clients connect over a Unix socket (or a single client
-//!   over stdio) and receive independent, correct results — program
-//!   execution is per-connection, planning is shared-nothing except the
-//!   content-addressed store, which is safe by construction.
+//!   over stdio) and receive independent, correct results — requests
+//!   share nothing but the content-addressed store, which is safe by
+//!   construction, and parallelism comes from concurrent requests.
 //!
 //! # Wire protocol
 //!
@@ -47,14 +49,12 @@
 //!   — `warm` is true when every define loaded from the decision store
 //!   (zero symbolic exploration on this request).
 //! * `run` / `hybrid` → `{"ok":true,…,"value":"…","output":"…",
-//!   "stats":{…},"compiled":"cached"|"fresh"}`, or on failure
+//!   "stats":{…}}`, or on failure
 //!   `{"ok":false,…,"error":"…","blame":"…"|null,"refuted":bool}` (a
 //!   `hybrid` refutation is reported without running, `refuted` =
-//!   `true`). `hybrid` responses also carry the `cache` object, so
-//!   daemon clients can observe warm-plan behavior per request;
-//!   `compiled` reports whether the flat-IR image was reused from the
-//!   per-thread compile cache (compiled once per distinct source, reused
-//!   across requests).
+//!   `true`). `hybrid` responses also carry the `cache` object (so
+//!   daemon clients can observe warm-plan behavior per request),
+//!   `plan_summary` and `degraded`.
 //! * `stats` → request counters, aggregate cache traffic
 //!   ([`sct_cache::CacheStats`]), the aggregate plan effect
 //!   (`"plan":{"static_skips":…,"monitored_calls":…}` summed over every
@@ -85,19 +85,23 @@
 //! Every failure is contained to the smallest domain that can absorb it
 //! (see `docs/ARCHITECTURE.md` for the full ladder):
 //!
-//! * **A planning thread** is the one panic domain for planning: it
-//!   lives for one request and shares nothing but the store, so a panic
-//!   there drops its reply sender, the waiting request sees the
-//!   disconnect *immediately* — not after a timeout — and answers with
-//!   a distinct error. Nothing needs resetting or respawning; the next
-//!   request gets a fresh thread.
+//! * **A request's serving thread** is the one panic domain for its
+//!   planning and its execution: it lives for one request and shares
+//!   nothing but the store. It replies twice — the plan, then the run —
+//!   and a panic in either phase drops the pending reply's sender, so
+//!   the waiting request sees the disconnect *immediately* — not after
+//!   a timeout — and answers with a distinct error. Nothing needs
+//!   resetting or respawning; the next request gets a fresh thread.
 //! * **A deadline** ([`ServeOptions::deadline_ms`] or the request's
 //!   `deadline_ms`) degrades instead of erroring: the planner degrades
-//!   the `define`s it reaches past the deadline, and if the planning
-//!   thread has not answered at all by then, the whole plan is
-//!   fabricated as `Decision::Monitor` — sound, maximally pessimistic,
-//!   and never persisted under content keys. Executions stop with a
-//!   `deadline exceeded` error. A stalled planning thread's late real
+//!   the `define`s it reaches past the deadline, and if the serving
+//!   thread has not sent a plan at all by then, the request thread
+//!   compiles the program, fabricates the whole plan as
+//!   `Decision::Monitor` — sound, maximally pessimistic, and never
+//!   persisted under content keys — and runs it itself; the plan
+//!   channel is a rendezvous, so the serving thread then never runs it.
+//!   Fabrication covers planning only: a run stops at the deadline with
+//!   a `deadline exceeded` error. A stalled serving thread's late real
 //!   answer still lands in the store, so the next request self-heals to
 //!   the precise plan.
 //! * **Overload** is shed at admission: past
@@ -133,17 +137,13 @@ use sct_core::json::{parse, Json};
 use sct_core::monitor::TableStrategy;
 use sct_core::plan::{Decision, EnforcementPlan};
 use sct_interp::{EvalError, Machine, MachineConfig, SemanticsMode, Stats};
-use sct_ir::CompiledProgram;
 use sct_lang::ast::Program;
 use sct_obs::{trace, Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 use sct_symbolic::pipeline::{
     monitor_fallback_decisions, plan_program_incremental, DecisionStore, IncrementalStats,
     PlanCache, PlanConfig, PlanObs, DEADLINE_REASON,
 };
-use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -153,8 +153,8 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// How long a request waits for its planning thread before concluding it
-/// is wedged, when no deadline bounds the request (a defensive bound;
+/// How long a request waits for its serving thread's plan before
+/// concluding it is wedged, when no deadline bounds it (a defensive bound;
 /// planning normally finishes in milliseconds and is budget-capped by
 /// [`PlanConfig`]). A planning *panic* is detected immediately regardless
 /// — the reply channel disconnects — so this bound only covers a
@@ -162,7 +162,7 @@ use std::time::{Duration, Instant};
 const PLAN_REPLY_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// How long past an expired request deadline the request still accepts
-/// the planning thread's reply before fabricating a degraded plan.
+/// the serving thread's plan before fabricating a degraded plan.
 /// Long enough for a reply already in flight (store hits, the planner's
 /// own in-pass degradation — microseconds) to land; short enough that a
 /// genuinely stalled planner cannot stretch the request much past its
@@ -274,7 +274,7 @@ impl DecisionStore for StoreKind {
     }
 }
 
-/// A [`DecisionStore`] view over the shared store: planning threads lock
+/// A [`DecisionStore`] view over the shared store: serving threads lock
 /// per operation, so store I/O serializes but exploration (the expensive
 /// part) runs fully in parallel.
 struct SharedStore(Arc<Mutex<StoreKind>>);
@@ -288,69 +288,218 @@ impl DecisionStore for SharedStore {
     }
 }
 
-/// What [`plan_on_thread`] produced for one request.
-struct PlannedSource {
-    program: Program,
-    plan: EnforcementPlan,
-    stats: IncrementalStats,
+/// The three expensive ops, each served end to end on a thread of its own.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Op {
+    Plan,
+    Run,
+    Hybrid,
 }
 
-/// Plans `source` whole on a short-lived thread of its own, with a fresh
-/// [`PlanCache`] over the shared store. Returns the request-thread
-/// compile of the program too, so `hybrid` requests can run it without
-/// compiling again; that compile overlaps the planning thread's (the AST
-/// is `Rc`-based, not `Send`, so each thread compiles its own copy —
-/// linear and cheap next to symbolic exploration).
-///
-/// With [`PlanConfig::deadline`] set, a planning thread that has not
-/// answered by the deadline (plus a short grace) gets its plan fabricated
-/// as all-`Decision::Monitor` (the degradation ladder) instead of failing
-/// the request; the stalled thread's late real answer still reaches the
-/// store, healing the next request. Without a deadline, only a planning
-/// panic (immediate) or the defensive [`PLAN_REPLY_TIMEOUT`] ends the
-/// wait early, both as distinct errors.
-fn plan_on_thread(
-    source: &str,
-    config: &PlanConfig,
-    store: &Arc<Mutex<StoreKind>>,
-) -> Result<PlannedSource, String> {
-    // Guard the recursive compile/digest walks before either thread
-    // touches them.
-    source_depth_ok(source)?;
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let job_source = source.to_string();
-    let job_config = config.clone();
-    let mut job_store = SharedStore(Arc::clone(store));
-    thread::Builder::new()
-        .name("sct-plan".into())
-        .spawn(move || {
-            // Fault-injection site: a `panic` here unwinds the planning
-            // thread and drops the reply sender — the one panic domain
-            // the wait below must detect immediately.
-            sct_faults::act("serve.plan");
-            let result = match sct_lang::compile_program(&job_source) {
-                Ok(program) => Ok(plan_program_incremental(
-                    &program,
-                    &job_config,
-                    &mut PlanCache::new(),
-                    &mut job_store,
-                )),
-                Err(e) => Err(format!("compile error: {e}")),
-            };
-            // A gone receiver just means the request stopped waiting.
-            let _ = reply_tx.send(result);
-        })
-        .map_err(|e| format!("cannot start a planning thread: {e}"))?;
-    let program = sct_lang::compile_program(source).map_err(|e| format!("compile error: {e}"))?;
+/// One request as its serving thread needs it.
+struct Job {
+    op: Op,
+    source: String,
+    /// The planner's configuration; its `deadline` also bounds execution.
+    config: PlanConfig,
+    fuel: Option<u64>,
+}
+
+/// The serving thread's first reply: the plan as response members
+/// (none for `run`, which plans nothing).
+#[derive(Default)]
+struct Planned {
+    members: Vec<(String, Json)>,
+    /// How many decisions a deadline degraded to `Monitor`.
+    degraded: usize,
+    /// True when the request ends at the plan: `plan`, or a refuted
+    /// `hybrid`.
+    ends: bool,
+}
+
+/// The serving thread's second reply: one execution as plain data (the
+/// VM's values are `Rc`-based and stay on the thread that ran them).
+struct Executed {
+    members: Vec<(String, Json)>,
+    stats: Stats,
+    deadline: bool,
+    /// `[function, blame, witness]` of a size-change violation.
+    violation: Option<[String; 3]>,
+}
+
+/// The plan's response members for `op`.
+fn plan_reply(op: Op, plan: &EnforcementPlan, stats: &IncrementalStats) -> Planned {
+    // Decisions a deadline degraded, in the planner's own pass or in a
+    // fabricated plan: both carry [`DEADLINE_REASON`].
+    let degraded = plan
+        .decisions
+        .iter()
+        .filter(|d| matches!(&d.decision, Decision::Monitor { reason } if reason.starts_with(DEADLINE_REASON)))
+        .count();
+    let degraded_json = ("degraded".into(), Json::Int(degraded as i64));
+    if op == Op::Plan {
+        let members = vec![
+            ("ok".into(), Json::Bool(true)),
+            ("plan".into(), plan.to_json_value()),
+            ("cache".into(), cache_json(stats)),
+            ("defines".into(), defines_json(stats)),
+            degraded_json,
+        ];
+        return Planned {
+            members,
+            degraded,
+            ends: true,
+        };
+    }
+    // Per-request warm-plan observability: store hits/misses plus the
+    // warm bit (a fully warm plan did zero symbolic exploration).
+    let mut members = vec![
+        ("cache".into(), cache_json(stats)),
+        (
+            "plan_summary".into(),
+            Json::Obj(vec![
+                ("static".into(), Json::Int(plan.count("static") as i64)),
+                ("monitor".into(), Json::Int(plan.count("monitor") as i64)),
+                ("refuted".into(), Json::Int(plan.count("refuted") as i64)),
+            ]),
+        ),
+        degraded_json,
+    ];
+    let refutation = crate::refutation_error(plan);
+    if let Some(err) = &refutation {
+        let blame = match err {
+            EvalError::Sc(info) => info.blame.as_deref(),
+            _ => None,
+        };
+        members.extend(fail(&format!("{err} (statically refuted before running)")));
+        members.push(("refuted".into(), Json::Bool(true)));
+        members.push(("blame".into(), opt_str(blame)));
+    }
+    Planned {
+        members,
+        degraded,
+        ends: refutation.is_some(),
+    }
+}
+
+/// Compiles `program` to IR and runs it: monitored under `plan` when
+/// there is one, under the standard semantics otherwise.
+fn execute(
+    program: &Program,
+    plan: Option<EnforcementPlan>,
+    fuel: Option<u64>,
+    deadline: Option<Instant>,
+) -> Executed {
+    let config = match plan {
+        Some(plan) => MachineConfig {
+            mode: SemanticsMode::Monitored,
+            fuel,
+            deadline,
+            plan: Some(Rc::new(plan)),
+            ..MachineConfig::monitored(TableStrategy::Imperative)
+        },
+        None => MachineConfig {
+            fuel,
+            deadline,
+            ..MachineConfig::standard()
+        },
+    };
+    let mut machine = Machine::new(program, config);
+    let result = machine.run();
+    let mut violation = None;
+    let mut members = match &result {
+        Ok(v) => vec![
+            ("ok".into(), Json::Bool(true)),
+            ("value".into(), Json::str(v.to_write_string())),
+        ],
+        Err(e) => {
+            let mut blame = None;
+            if let EvalError::Sc(info) = e {
+                blame = info.blame.as_deref();
+                violation = Some([
+                    info.function.clone(),
+                    blame.unwrap_or("whole-program").to_owned(),
+                    info.violation.to_string(),
+                ]);
+            }
+            let mut members = fail(&e.to_string());
+            members.push(("blame".into(), opt_str(blame)));
+            members.push(("refuted".into(), Json::Bool(false)));
+            members
+        }
+    };
+    members.push(("output".into(), Json::str(&machine.output)));
+    members.push(("stats".into(), stats_json(&machine.stats)));
+    Executed {
+        members,
+        stats: machine.stats,
+        deadline: matches!(result, Err(EvalError::Deadline)),
+        violation,
+    }
+}
+
+/// The body of a request's serving thread: compile once, plan (not for
+/// `run`), send the plan, then — unless the plan ends the request —
+/// compile the IR, run, and send the result. The program, its plan and
+/// its IR all die with the thread.
+fn serve_job(
+    job: Job,
+    mut store: SharedStore,
+    plan_tx: mpsc::SyncSender<Result<Planned, String>>,
+    exec_tx: mpsc::Sender<Executed>,
+) {
+    if job.op != Op::Run {
+        // Fault-injection site: a `panic` here unwinds the thread and
+        // drops the plan sender — the disconnect the first wait must
+        // detect immediately.
+        sct_faults::act("serve.plan");
+    }
+    let program = match sct_lang::compile_program(&job.source) {
+        Ok(program) => program,
+        Err(e) => {
+            let _ = plan_tx.send(Err(format!("compile error: {e}")));
+            return;
+        }
+    };
+    let plan = (job.op != Op::Run).then(|| {
+        plan_program_incremental(&program, &job.config, &mut PlanCache::new(), &mut store)
+    });
+    let planned = plan
+        .as_ref()
+        .map_or_else(Planned::default, |(p, s)| plan_reply(job.op, p, s));
+    let ends = planned.ends;
+    // The plan channel is a rendezvous: a failed send means the request
+    // stopped waiting and runs a fabricated plan itself, so this thread
+    // must not run the program too.
+    if plan_tx.send(Ok(planned)).is_err() || ends {
+        return;
+    }
+    // Fault-injection site: a `panic` here drops the execution sender
+    // after the plan was delivered.
+    sct_faults::act("serve.execute");
+    let plan = plan.map(|(plan, _)| plan);
+    let _ = exec_tx.send(execute(&program, plan, job.fuel, job.config.deadline));
+}
+
+/// Waits for the serving thread's plan. `Ok(None)` means `deadline`
+/// passed with no plan even after a short grace: the caller fabricates
+/// the all-`Decision::Monitor` plan (the degradation ladder) instead of
+/// failing the request. Without a deadline, only a panic (immediate) or
+/// the defensive [`PLAN_REPLY_TIMEOUT`] ends the wait early, both as
+/// distinct errors.
+fn await_plan(
+    rx: &mpsc::Receiver<Result<Planned, String>>,
+    deadline: Option<Instant>,
+) -> Result<Option<Planned>, String> {
     let mut in_grace = false;
-    let (plan, stats) = loop {
-        let timeout = match config.deadline {
+    loop {
+        let timeout = match deadline {
             Some(d) => match d.checked_duration_since(Instant::now()) {
                 Some(left) => left.min(PLAN_REPLY_TIMEOUT),
                 // Past the deadline, a reply already in flight gets one
                 // short grace to land: an expired deadline still honors
                 // store hits and the planner's own (fast) in-pass
-                // degradation — fabrication is only for a planning
+                // degradation — fabrication is only for a serving
                 // thread that is truly stuck.
                 None => {
                     in_grace = true;
@@ -359,34 +508,23 @@ fn plan_on_thread(
             },
             None => PLAN_REPLY_TIMEOUT,
         };
-        match reply_rx.recv_timeout(timeout) {
-            Ok(reply) => break reply?,
-            // The reply sender is gone without a reply: planning
-            // panicked. Fail *now* with the real cause — waiting out a
-            // timeout would wedge the client for minutes on a lost
-            // request.
+        match rx.recv_timeout(timeout) {
+            Ok(reply) => return reply.map(Some),
+            // The sender is gone without a reply: the thread panicked.
+            // Fail *now* with the real cause — waiting out a timeout
+            // would wedge the client for minutes on a lost request.
             Err(mpsc::RecvTimeoutError::Disconnected) => {
                 return Err("planning thread panicked (retry the request)".to_string());
             }
-            // The degradation ladder's bottom rung: a sound, maximally
-            // pessimistic plan. Never persisted (no store call here), so
-            // one slow moment cannot pin pessimism under a content key.
-            Err(mpsc::RecvTimeoutError::Timeout) if in_grace => {
-                break monitor_fallback_decisions(&program, DEADLINE_REASON);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) if config.deadline.is_none() => {
+            Err(mpsc::RecvTimeoutError::Timeout) if in_grace => return Ok(None),
+            Err(mpsc::RecvTimeoutError::Timeout) if deadline.is_none() => {
                 return Err("planning thread did not answer".to_string());
             }
             // The deadline passed during this wait; loop again to enter
             // the grace window.
             Err(mpsc::RecvTimeoutError::Timeout) => {}
         }
-    };
-    Ok(PlannedSource {
-        program,
-        plan,
-        stats,
-    })
+    }
 }
 
 /// The daemon's metric handles, registered once at construction on the
@@ -470,80 +608,6 @@ impl ServerMetrics {
             _ => None,
         }
     }
-}
-
-/// How many of `plan`'s decisions were degraded to `Monitor` by a
-/// deadline (directly by the planner's in-pass check or fabricated for a
-/// stalled planning thread — both carry [`DEADLINE_REASON`]).
-fn degraded_count(plan: &EnforcementPlan) -> usize {
-    plan.decisions
-        .iter()
-        .filter(
-            |d| matches!(&d.decision, Decision::Monitor { reason } if reason.starts_with(DEADLINE_REASON)),
-        )
-        .count()
-}
-
-/// Per-thread compiled-IR cache: `sct-ir` compilation is paid once per
-/// distinct `(source, plan?)` and the image is reused across requests on
-/// the same connection (stdio serving is single-threaded, so the daemon's
-/// primary mode gets full reuse). Thread-local because the IR holds
-/// `Rc`-based AST nodes; bounded so an adversarial client cycling sources
-/// cannot grow the daemon without limit. Soundness: for a fixed source the
-/// enforcement plan is deterministic (warm and cold planning are
-/// structurally equal, pinned by `crates/cache/tests/robustness.rs`), so
-/// a cached plan-directed image bakes in exactly the decisions a fresh
-/// compile would.
-const IR_CACHE_CAP: usize = 32;
-
-/// Cache entry: the exact source and plan fingerprint (collision guards
-/// for the 64-bit key) plus the compiled image.
-type IrCacheMap = HashMap<(u64, bool), (String, u64, Rc<CompiledProgram>)>;
-
-thread_local! {
-    static IR_CACHE: RefCell<IrCacheMap> =
-        RefCell::new(HashMap::new());
-}
-
-/// Returns the compiled IR for `source` under `plan`, reusing the
-/// per-thread cache. The boolean is true on a cache hit (surfaced to
-/// clients as `"compiled":"cached"`).
-///
-/// The key covers the plan's *decisions fingerprint*, not just its
-/// presence: for the same source, a loaded daemon can plan `Monitor`
-/// (budget truncation) where an idle one plans `Static`, and pairing an
-/// image compiled against one plan with a machine configured with the
-/// other is rejected by `Machine::with_code`'s plan-token check — the
-/// cache must therefore never conflate them.
-fn compiled_for(
-    source: &str,
-    program: &Program,
-    plan: Option<&EnforcementPlan>,
-) -> (Rc<CompiledProgram>, bool) {
-    let plan_fp = plan.map_or(0, EnforcementPlan::decisions_fingerprint);
-    let mut h = DefaultHasher::new();
-    source.hash(&mut h);
-    plan_fp.hash(&mut h);
-    let key = (h.finish(), plan.is_some());
-    IR_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some((src, fp, code)) = cache.get(&key) {
-            if src == source && *fp == plan_fp {
-                return (code.clone(), true);
-            }
-        }
-        let code = Rc::new(sct_ir::compile(program, plan));
-        if cache.len() >= IR_CACHE_CAP {
-            // Evict one arbitrary entry; clearing everything would
-            // periodically discard the whole warm set under a working
-            // set one larger than the cap.
-            if let Some(&victim) = cache.keys().next() {
-                cache.remove(&victim);
-            }
-        }
-        cache.insert(key, (source.to_string(), plan_fp, code.clone()));
-        (code, false)
-    })
 }
 
 /// The daemon state: shared decision store, admission, metrics. One
@@ -728,16 +792,13 @@ impl Server {
                 let bucket = req.get("client").and_then(Json::as_str).unwrap_or(client);
                 match self.admit(bucket) {
                     Ok(_slot) => {
-                        match op {
-                            "plan" => self.metrics.plan.inc(),
-                            "run" => self.metrics.run.inc(),
-                            _ => self.metrics.hybrid.inc(),
-                        }
-                        members = match op {
-                            "plan" => self.op_plan(req, &span),
-                            "run" => self.op_run(req, false, &span),
-                            _ => self.op_run(req, true, &span),
+                        let (requests, op) = match op {
+                            "plan" => (&self.metrics.plan, Op::Plan),
+                            "run" => (&self.metrics.run, Op::Run),
+                            _ => (&self.metrics.hybrid, Op::Hybrid),
                         };
+                        requests.inc();
+                        members = self.op_serve(op, req, &span);
                     }
                     Err(reason) => {
                         self.metrics.shed.inc();
@@ -795,180 +856,119 @@ impl Server {
         (Json::Obj(full), quit)
     }
 
-    fn plan_source(&self, req: &Json, deadline: Option<Instant>) -> Result<PlannedSource, String> {
-        let source = req
-            .get("source")
-            .and_then(Json::as_str)
-            .ok_or("missing \"source\"")?;
-        let config = PlanConfig {
-            deadline,
-            obs: PlanObs::registered(Arc::clone(&self.metrics.registry)),
-            ..PlanConfig::default()
-        };
-        plan_on_thread(source, &config, &self.store)
-    }
-
-    /// Accounts a deadline-degraded plan and returns how many of its
-    /// decisions were degraded (reported to clients as `"degraded"`).
-    fn note_degraded(&self, plan: &EnforcementPlan) -> usize {
-        let degraded = degraded_count(plan);
-        if degraded > 0 {
-            self.metrics.deadline_exceeded.inc();
-        }
-        degraded
-    }
-
-    fn op_plan(&self, req: &Json, span: &trace::Span) -> Vec<(String, Json)> {
-        let plan_span = span.child("plan", &[]);
-        let planned = self.plan_source(req, self.request_deadline(req));
-        drop(plan_span);
-        match planned {
-            Ok(planned) => {
-                let degraded = self.note_degraded(&planned.plan);
-                vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("plan".into(), planned.plan.to_json_value()),
-                    ("cache".into(), cache_json(&planned.stats)),
-                    ("defines".into(), defines_json(&planned.stats)),
-                    ("degraded".into(), Json::Int(degraded as i64)),
-                ]
-            }
-            Err(e) => fail(&e),
-        }
-    }
-
-    /// `run` (standard semantics) and `hybrid` (plan + monitored run with
-    /// the static fast path) share everything but the planning step.
-    fn op_run(&self, req: &Json, hybrid: bool, span: &trace::Span) -> Vec<(String, Json)> {
+    /// Serves one `plan`/`run`/`hybrid` request end to end on a
+    /// short-lived thread of its own ([`serve_job`]): one compile, the
+    /// plan (not for `run`), then the run (not for `plan`). This thread
+    /// only waits on the two replies, inside the `plan` and `execute`
+    /// spans; it compiles only when it fabricates the deadline fallback
+    /// plan, which it then runs itself.
+    fn op_serve(&self, op: Op, req: &Json, span: &trace::Span) -> Vec<(String, Json)> {
         let Some(source) = req.get("source").and_then(Json::as_str) else {
             return fail("missing \"source\"");
         };
-        let fuel = req.get("fuel").and_then(Json::as_u64);
+        // Guard the recursive compile/digest walks before any compile.
+        if let Err(e) = source_depth_ok(source) {
+            return fail(&e);
+        }
         // One deadline spans the whole request: planning spends from the
         // same budget the execution finishes on.
         let deadline = self.request_deadline(req);
-        // `hybrid` plans first (which compiles on this thread); plain `run`
-        // compiles here. Either way the program is compiled exactly once
-        // per request on the request thread.
-        let (program, planned) = if hybrid {
-            let plan_span = span.child("plan", &[]);
-            let planned = self.plan_source(req, deadline);
-            drop(plan_span);
-            match planned {
-                Ok(planned) => {
-                    self.note_degraded(&planned.plan);
-                    (planned.program, Some((planned.plan, planned.stats)))
-                }
-                Err(e) => return fail(&e),
-            }
-        } else {
-            if let Err(e) = source_depth_ok(source) {
-                return fail(&e);
-            }
-            match sct_lang::compile_program(source) {
-                Ok(p) => (p, None),
-                Err(e) => return fail(&format!("compile error: {e}")),
-            }
-        };
-        let mut extra: Vec<(String, Json)> = Vec::new();
-        let config = match planned {
-            Some((plan, stats)) => {
-                // Per-request warm-plan observability: store hits/misses
-                // plus the warm bit (a fully warm plan did zero symbolic
-                // exploration on this request).
-                extra.push(("cache".into(), cache_json(&stats)));
-                extra.push((
-                    "plan_summary".into(),
-                    Json::Obj(vec![
-                        ("static".into(), Json::Int(plan.count("static") as i64)),
-                        ("monitor".into(), Json::Int(plan.count("monitor") as i64)),
-                        ("refuted".into(), Json::Int(plan.count("refuted") as i64)),
-                    ]),
-                ));
-                extra.push(("degraded".into(), Json::Int(degraded_count(&plan) as i64)));
-                if let Some(err) = crate::refutation_error(&plan) {
-                    let blame = match &err {
-                        EvalError::Sc(info) => info.blame.clone(),
-                        _ => None,
-                    };
-                    let mut out = fail(&format!("{err} (statically refuted before running)"));
-                    out.push(("refuted".into(), Json::Bool(true)));
-                    out.push(("blame".into(), opt_str(blame.as_deref())));
-                    out.extend(extra);
-                    return out;
-                }
-                MachineConfig {
-                    mode: SemanticsMode::Monitored,
-                    fuel,
-                    deadline,
-                    plan: Some(Rc::new(plan)),
-                    ..MachineConfig::monitored(TableStrategy::Imperative)
-                }
-            }
-            None => MachineConfig {
-                fuel,
+        let fuel = req.get("fuel").and_then(Json::as_u64);
+        let job = Job {
+            op,
+            source: source.to_string(),
+            config: PlanConfig {
                 deadline,
-                ..MachineConfig::standard()
+                obs: PlanObs::registered(Arc::clone(&self.metrics.registry)),
+                ..PlanConfig::default()
             },
+            fuel,
         };
-        let (code, ir_cached) = compiled_for(source, &program, config.plan.as_deref());
-        let mut machine = Machine::with_code(&program, code, config);
+        let store = SharedStore(Arc::clone(&self.store));
+        let (plan_tx, plan_rx) = mpsc::sync_channel(0);
+        let (exec_tx, exec_rx) = mpsc::channel();
+        if let Err(e) = thread::Builder::new()
+            .name("sct-serve".into())
+            .spawn(move || serve_job(job, store, plan_tx, exec_tx))
+        {
+            return fail(&format!("cannot start a serving thread: {e}"));
+        }
+        let plan_span = span.child("plan", &[]);
+        // `run` plans nothing, so there is nothing to fabricate: its
+        // deadline bounds the execution only.
+        let waited = await_plan(&plan_rx, deadline.filter(|_| op != Op::Run));
+        drop(plan_span);
+        let (planned, fallback) = match waited {
+            Ok(Some(planned)) => (planned, None),
+            Ok(None) => {
+                // The degradation ladder's bottom rung: a sound, maximally
+                // pessimistic plan, never persisted (no store call here),
+                // so one slow moment cannot pin pessimism under a content
+                // key. Dropping the receiver first makes the serving
+                // thread's late plan send fail, so it never runs too.
+                drop(plan_rx);
+                let program = match sct_lang::compile_program(source) {
+                    Ok(program) => program,
+                    Err(e) => return fail(&format!("compile error: {e}")),
+                };
+                let (plan, stats) = monitor_fallback_decisions(&program, DEADLINE_REASON);
+                (plan_reply(op, &plan, &stats), Some((program, plan)))
+            }
+            Err(e) => return fail(&e),
+        };
+        if planned.degraded > 0 {
+            self.metrics.deadline_exceeded.inc();
+        }
+        if planned.ends {
+            return planned.members;
+        }
         let exec_span = span.child("execute", &[]);
-        let result = machine.run();
+        let executed = match fallback {
+            Some((program, plan)) => Ok(execute(&program, Some(plan), fuel, deadline)),
+            None => exec_rx.recv(),
+        };
         drop(exec_span);
-        self.metrics.static_skips.add(machine.stats.static_skips);
-        self.metrics
-            .monitored_calls
-            .add(machine.stats.monitored_calls);
-        self.metrics.pic_hits.add(machine.stats.pic_hits);
-        self.metrics.pic_misses.add(machine.stats.pic_misses);
-        self.metrics
-            .pic_invalidations
-            .add(machine.stats.pic_invalidations);
-        if matches!(result, Err(EvalError::Deadline)) {
+        match executed {
+            Ok(executed) => {
+                let mut out = self.note_run(executed, span);
+                out.extend(planned.members);
+                out
+            }
+            // The execution sender is gone without a reply: the run
+            // panicked. Answered at once, like a planning panic.
+            Err(_) => fail("execution thread panicked (retry the request)"),
+        }
+    }
+
+    /// Accounts one execution in the daemon's metrics and returns its
+    /// response members.
+    fn note_run(&self, executed: Executed, span: &trace::Span) -> Vec<(String, Json)> {
+        let stats = &executed.stats;
+        self.metrics.static_skips.add(stats.static_skips);
+        self.metrics.monitored_calls.add(stats.monitored_calls);
+        self.metrics.pic_hits.add(stats.pic_hits);
+        self.metrics.pic_misses.add(stats.pic_misses);
+        self.metrics.pic_invalidations.add(stats.pic_invalidations);
+        if executed.deadline {
             self.metrics.deadline_exceeded.inc();
         }
         // The full per-run VM statistics land in the registry too, so a
         // `metrics` snapshot shows aggregate `vm.*` across every
         // execution this daemon served.
-        machine.stats.publish(&self.metrics.registry);
-        let mut out: Vec<(String, Json)> = Vec::new();
-        match result {
-            Ok(v) => {
-                out.push(("ok".into(), Json::Bool(true)));
-                out.push(("value".into(), Json::str(v.to_write_string())));
-            }
-            Err(e) => {
-                let blame = match &e {
-                    EvalError::Sc(info) => info.blame.clone(),
-                    _ => None,
-                };
-                if let EvalError::Sc(info) = &e {
-                    // The monitor's verdict as a trace event, carrying the
-                    // call-sequence witness that convicted the function.
-                    span.event(
-                        "monitor.blame",
-                        &[
-                            ("function", &info.function),
-                            ("blame", blame.as_deref().unwrap_or("whole-program")),
-                            ("witness", &info.violation.to_string()),
-                        ],
-                    );
-                }
-                out.push(("ok".into(), Json::Bool(false)));
-                out.push(("error".into(), Json::str(e.to_string())));
-                out.push(("blame".into(), opt_str(blame.as_deref())));
-                out.push(("refuted".into(), Json::Bool(false)));
-            }
+        stats.publish(&self.metrics.registry);
+        if let Some([function, blame, witness]) = &executed.violation {
+            // The monitor's verdict as a trace event, carrying the
+            // call-sequence witness that convicted the function.
+            span.event(
+                "monitor.blame",
+                &[
+                    ("function", function),
+                    ("blame", blame),
+                    ("witness", witness),
+                ],
+            );
         }
-        out.push(("output".into(), Json::str(&machine.output)));
-        out.push(("stats".into(), stats_json(&machine.stats)));
-        out.push((
-            "compiled".into(),
-            Json::str(if ir_cached { "cached" } else { "fresh" }),
-        ));
-        out.extend(extra);
-        out
+        executed.members
     }
 
     fn op_stats(&self) -> Vec<(String, Json)> {
@@ -1248,8 +1248,8 @@ fn serve_client(server: &Server, stream: UnixStream, client: &str) {
 }
 
 /// Binds `path` and serves clients until a `shutdown` request arrives.
-/// Each accepted connection gets its own thread, each `plan`/`hybrid`
-/// request a planning thread of its own, and the persistent
+/// Each accepted connection gets its own thread, each `plan`/`run`/
+/// `hybrid` request a serving thread of its own, and the persistent
 /// store is safe under the concurrency (atomic publishes, content-
 /// addressed keys).
 ///
@@ -1616,6 +1616,57 @@ mod tests {
                 .and_then(Json::as_str)
                 .unwrap()
                 .contains("deadline exceeded"),
+            "{out:?}"
+        );
+        let stats = ok_line(&s, r#"{"op":"stats"}"#);
+        assert_eq!(
+            stats
+                .get("requests")
+                .and_then(|r| r.get("deadline_exceeded"))
+                .and_then(Json::as_i64),
+            Some(1)
+        );
+    }
+
+    /// The plan-reply bound covers planning only: a `hybrid` request that
+    /// plans in time and then runs past its deadline answers with the
+    /// run's `deadline exceeded` error, its real plan undegraded, and the
+    /// deadline counted once.
+    #[test]
+    fn hybrid_deadline_during_execution_stops_the_run_not_the_plan() {
+        let s = server();
+        // A statically terminating countdown from 10^12: no fuel bounds
+        // it, so only the deadline ends the run.
+        let src = "(define (count i) (if (zero? i) 0 (count (- i 1)))) (count 1000000000000)";
+        // Warm the store first, so the deadline request's plan is a
+        // store hit and lands well inside its deadline.
+        let out = ok_line(&s, &format!(r#"{{"op":"plan","source":"{src}"}}"#));
+        assert_eq!(out.get("ok"), Some(&Json::Bool(true)), "{out:?}");
+        let started = Instant::now();
+        let out = ok_line(
+            &s,
+            &format!(r#"{{"op":"hybrid","deadline_ms":300,"source":"{src}"}}"#),
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "deadline must bound the run, took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(out.get("ok"), Some(&Json::Bool(false)), "{out:?}");
+        assert!(
+            out.get("error")
+                .and_then(Json::as_str)
+                .unwrap()
+                .contains("deadline exceeded"),
+            "{out:?}"
+        );
+        assert_eq!(out.get("refuted"), Some(&Json::Bool(false)), "{out:?}");
+        assert_eq!(out.get("degraded").and_then(Json::as_i64), Some(0));
+        assert_eq!(
+            out.get("plan_summary")
+                .and_then(|p| p.get("static"))
+                .and_then(Json::as_i64),
+            Some(1),
             "{out:?}"
         );
         let stats = ok_line(&s, r#"{"op":"stats"}"#);

@@ -156,6 +156,47 @@ fn worker_death_answers_fast_and_pool_respawns() {
     assert_eq!(stat(&stats, "requests", "plan"), 2, "{stats:?}");
 }
 
+/// A panic just before execution, after the plan was delivered, drops
+/// the serving thread's execution sender: the request answers at once
+/// with a distinct error, and the next request — whose plan the
+/// panicked one already stored — runs normally and plans warm.
+#[test]
+fn execution_panic_answers_fast_then_recovers() {
+    let _lock = serial();
+    let server = Server::new(ServeOptions::default()).unwrap();
+    let line = format!(r#"{{"op":"hybrid","source":"{COUNTDOWN} (decA 10)"}}"#);
+
+    {
+        let _armed = sct_faults::scoped("serve.execute=panic*1").unwrap();
+        let started = Instant::now();
+        let doc = respond(&server, &line);
+        let elapsed = started.elapsed();
+        assert!(!ok(&doc), "an execution panic is an error, got {doc:?}");
+        assert!(
+            error_text(&doc).contains("execution thread panicked"),
+            "distinct execution-panic error, got: {}",
+            error_text(&doc)
+        );
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "an execution panic must be detected immediately, took {elapsed:?}"
+        );
+    }
+
+    let doc = respond(&server, &line);
+    assert!(ok(&doc), "the next request must run normally: {doc:?}");
+    assert_eq!(
+        doc.get("value").and_then(Json::as_str),
+        Some("0"),
+        "{doc:?}"
+    );
+    assert_eq!(
+        doc.get("cache").and_then(|c| c.get("warm")),
+        Some(&Json::Bool(true)),
+        "the panicked request's plan was stored: {doc:?}"
+    );
+}
+
 /// A panic deep inside a planning job — in the middle of a cache store,
 /// while the planning thread holds the daemon's shared store lock —
 /// answers fast with the planning-panic error, and the daemon recovers

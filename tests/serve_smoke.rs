@@ -565,3 +565,78 @@ fn chaos_run_with_trace_out_emits_well_nested_jsonl() {
     }
     std::fs::remove_file(&trace_path).ok();
 }
+
+/// A traced `hybrid` request records its two phases: a `plan` span and
+/// then an `execute` span, both children of the request's root span, the
+/// plan ending before the execution starts.
+#[test]
+fn traced_hybrid_emits_plan_then_execute_under_the_request_span() {
+    use sct_core::json::{parse, Json};
+
+    let trace_path = scratch("phases").with_extension("jsonl");
+    let requests = concat!(
+        r#"{"op":"hybrid","source":"(define (sum i a) (if (zero? i) a (sum (- i 1) (+ a i)))) (sum 10 0)"}"#,
+        "\n",
+        r#"{"op":"shutdown"}"#,
+        "\n",
+    );
+    let mut child = sct()
+        .args(["serve", "--trace-out", trace_path.to_str().unwrap()])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawning sct serve with the tracer");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(requests.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "serve exited {:?}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let first = stdout.lines().next().expect("a hybrid response");
+    assert_line(first, r#""value":"55""#);
+    let trace = parse(first)
+        .unwrap()
+        .get("trace")
+        .and_then(Json::as_str)
+        .expect("trace id")
+        .to_owned();
+
+    // (name, span, parent, ev, ts) of every record in the hybrid's trace.
+    let text = std::fs::read_to_string(&trace_path).expect("trace file written");
+    let records: Vec<(String, i64, Option<i64>, String, i64)> = text
+        .lines()
+        .map(|line| parse(line).unwrap_or_else(|e| panic!("bad trace line ({e}): {line}")))
+        .filter(|ev| ev.get("trace").and_then(Json::as_str) == Some(trace.as_str()))
+        .map(|ev| {
+            (
+                ev.get("name").and_then(Json::as_str).unwrap().to_owned(),
+                ev.get("span").and_then(Json::as_i64).unwrap(),
+                ev.get("parent").and_then(Json::as_i64),
+                ev.get("ev").and_then(Json::as_str).unwrap().to_owned(),
+                ev.get("ts_us").and_then(Json::as_i64).unwrap(),
+            )
+        })
+        .collect();
+    let find = |name: &str, ev: &str| {
+        records
+            .iter()
+            .find(|r| r.0 == name && r.3 == ev)
+            .unwrap_or_else(|| panic!("no {ev} of {name} in {records:#?}"))
+    };
+    let root = find("serve.request", "start");
+    assert_eq!(root.2, None, "the request span is a root: {root:?}");
+    let plan = find("plan", "start");
+    let execute = find("execute", "start");
+    assert_eq!(plan.2, Some(root.1), "plan is the request's child");
+    assert_eq!(execute.2, Some(root.1), "execute is the request's child");
+    let plan_end = find("plan", "end");
+    assert!(
+        plan_end.4 <= execute.4,
+        "plan must end before execute starts: {records:#?}"
+    );
+    std::fs::remove_file(&trace_path).ok();
+}
