@@ -13,7 +13,10 @@
 //! * factorial: overhead negligible (bignum work dominates);
 //! * ack / sum: large overhead in tight loops — the monitor hot path laid
 //!   bare, and the curves the graph-interning work is measured against;
-//! * merge-sort: overhead dominated by data-structure order checks;
+//! * merge-sort: overhead from the order walk relating each call's list
+//!   argument to its fixnum arguments. The walk is linear in the list and
+//!   allocation-free, so the slowdown grows slowly with n: at the largest
+//!   n it stays within 2× of the smallest (`tests/paper_claims.rs`);
 //! * interpreted rows: the interpreter's own monitored calls multiply the
 //!   cost but stay within a constant factor as input grows;
 //! * hybrid: workloads the §4 verifier proves (fact, sum, ack) collapse
@@ -24,6 +27,8 @@
 //!
 //! `--fast` is the CI smoke mode: smallest size per workload, one rep;
 //! `--only ID` restricts the sweep to one workload (e.g. `--only ack`).
+//! `--check PATH` runs no sweep: it validates an existing `sct-fig10/5`
+//! document and exits 0 when it holds, 1 when it does not.
 
 use sct_bench::{
     fig10_json, fig10_json_path, CompiledWorkload, EvalTiming, Fig10Entry, PlanTiming, Setup,
@@ -131,6 +136,19 @@ fn main() {
             .position(|a| a == name)
             .and_then(|i| args.get(i + 1))
     };
+    if let Some(path) = flag_value("--check") {
+        let verdict = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {path}: {e}"))
+            .and_then(|text| sct_bench::check_fig10_json(&text));
+        match verdict {
+            Ok(summary) => println!("{path}: {summary}"),
+            Err(why) => {
+                eprintln!("{path}: {why}");
+                std::process::exit(1);
+            }
+        }
+        return;
+    }
     let fast = args.iter().any(|a| a == "--fast");
     let scale: u64 = flag_value("--scale")
         .and_then(|s| s.parse().ok())

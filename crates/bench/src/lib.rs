@@ -93,6 +93,8 @@
 //! * `--scale N` — multiply every input size by `N`.
 //! * `--reps N` — timed repetitions per point (median reported).
 //! * `--out PATH` — write the JSON somewhere other than the repo root.
+//! * `--check PATH` — run no sweep; validate the document at `PATH` with
+//!   [`check_fig10_json`] and exit 0 (valid) or 1 (invalid).
 
 use sct_cache::MemStore;
 use sct_core::monitor::{BackoffPolicy, TableStrategy};
@@ -497,6 +499,110 @@ pub fn fig10_json(
     out
 }
 
+/// Validates an `sct-fig10/5` document: the schema tag, a hybrid column,
+/// positive medians and slowdowns, warm planning no slower than cold,
+/// well-formed eval rows whose inline-cache hit rate agrees with its
+/// counters, and a hit rate of at least 0.9 on the `interp-*` workloads
+/// (deterministic, so it holds even for a one-rep `--fast` sweep).
+/// Returns a one-line summary, or the first violated property.
+///
+/// # Errors
+///
+/// A message naming the violated property and the offending row.
+pub fn check_fig10_json(text: &str) -> Result<String, String> {
+    use sct_core::json::{parse, Json};
+    fn rows<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
+        match doc.get(key).and_then(Json::as_arr) {
+            Some(rows) if !rows.is_empty() => Ok(rows),
+            _ => Err(format!("no {key:?} rows recorded")),
+        }
+    }
+    fn num(row: &Json, key: &str) -> Result<f64, String> {
+        row.get(key)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("{key:?} missing or not a number in {row}"))
+    }
+    fn ensure(ok: bool, what: &str, row: &Json) -> Result<(), String> {
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("{what}: {row}"))
+        }
+    }
+    let doc = parse(text).map_err(|e| format!("not JSON: {e}"))?;
+    let schema = doc.get("schema").and_then(Json::as_str);
+    if schema != Some("sct-fig10/5") {
+        return Err(format!("schema is {schema:?}, expected \"sct-fig10/5\""));
+    }
+    let entries = rows(&doc, "entries")?;
+    let mut setups: Vec<&str> = Vec::new();
+    for e in entries {
+        let setup = e.get("setup").and_then(Json::as_str).unwrap_or_default();
+        if !setups.contains(&setup) {
+            setups.push(setup);
+        }
+        ensure(
+            num(e, "median_ns")? > 0.0 && num(e, "slowdown")? > 0.0,
+            "non-positive median or slowdown",
+            e,
+        )?;
+    }
+    if !setups.contains(&"hybrid") {
+        return Err(format!("hybrid ablation column missing: {setups:?}"));
+    }
+    let planning = rows(&doc, "planning")?;
+    for p in planning {
+        let (cold, warm) = (num(p, "plan_ms")?, num(p, "plan_warm_ms")?);
+        ensure(cold > 0.0 && warm > 0.0, "non-positive planning time", p)?;
+        ensure(warm <= cold, "warm planning slower than cold", p)?;
+    }
+    let evals = rows(&doc, "eval")?;
+    for e in evals {
+        ensure(
+            num(e, "reference_ns")? > 0.0 && num(e, "vm_ns")? > 0.0,
+            "non-positive evaluator time",
+            e,
+        )?;
+        ensure(
+            num(e, "steps_per_sec")? > 0.0 && num(e, "speedup")? > 0.0,
+            "non-positive throughput or speedup",
+            e,
+        )?;
+        let rate = num(e, "pic_hit_rate")?;
+        let consulted = num(e, "pic_hits")? + num(e, "pic_misses")?;
+        ensure(
+            (0.0..=1.0).contains(&rate),
+            "pic_hit_rate outside [0, 1]",
+            e,
+        )?;
+        ensure(
+            consulted > 0.0 || rate == 1.0,
+            "no PIC traffic but rate != 1",
+            e,
+        )?;
+        let workload = e.get("workload").and_then(Json::as_str).unwrap_or_default();
+        if workload.starts_with("interp-") {
+            ensure(
+                consulted > 0.0,
+                "interpreter workload without generic dispatch",
+                e,
+            )?;
+            ensure(
+                rate >= 0.9,
+                "interpreter workload with ineffective caches",
+                e,
+            )?;
+        }
+    }
+    setups.sort_unstable();
+    Ok(format!(
+        "ok: {} entries, setups={setups:?}, {} planning rows, {} eval rows",
+        entries.len(),
+        planning.len(),
+        evals.len()
+    ))
+}
+
 /// Default output path for `BENCH_fig10.json`: the repository root,
 /// located relative to this crate's manifest so `cargo run` works from any
 /// working directory.
@@ -599,4 +705,87 @@ pub fn fmt_ms(d: Duration) -> String {
 /// Result checker used by tests: value must be truthy.
 pub fn check_truthy(v: &Value) -> bool {
     v.is_truthy()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A minimal valid document, as `fig10_json` writes it.
+    fn valid() -> String {
+        let entries: Vec<Fig10Entry> = Setup::all()
+            .iter()
+            .map(|s| Fig10Entry {
+                workload: "interp-sum",
+                setup: s.label(),
+                n: 100,
+                median_ns: 1_000,
+                slowdown: 1.5,
+            })
+            .collect();
+        let planning = [PlanTiming {
+            workload: "interp-sum",
+            plan_ms: 2.0,
+            plan_warm_ms: 0.5,
+        }];
+        let eval = [EvalTiming {
+            workload: "interp-sum",
+            n: 100,
+            reference_ns: 3_000,
+            vm_ns: 1_000,
+            speedup: 3.0,
+            steps_per_sec: 1e6,
+            pic_hits: 95,
+            pic_misses: 5,
+            pic_hit_rate: 0.95,
+        }];
+        fig10_json(&entries, &planning, &eval, true, 1, 1)
+    }
+
+    #[test]
+    fn fig10_check_accepts_the_writer_output_and_the_committed_artifact() {
+        check_fig10_json(&valid()).unwrap();
+        let committed = std::fs::read_to_string(fig10_json_path()).unwrap();
+        check_fig10_json(&committed).unwrap();
+    }
+
+    #[test]
+    fn fig10_check_rejects_each_violated_property() {
+        let doc = valid();
+        for (from, to, why) in [
+            ("sct-fig10/5", "sct-fig10/4", "schema"),
+            ("\"hybrid\"", "\"hybrid-x\"", "hybrid"),
+            ("\"median_ns\": 1000", "\"median_ns\": 0", "median"),
+            (
+                "\"plan_warm_ms\": 0.5000",
+                "\"plan_warm_ms\": 2.5",
+                "warm planning",
+            ),
+            ("\"vm_ns\": 1000", "\"vm_ns\": 0", "evaluator time"),
+            (
+                "\"pic_hit_rate\": 0.9500",
+                "\"pic_hit_rate\": 1.5",
+                "outside [0, 1]",
+            ),
+            (
+                "\"pic_hit_rate\": 0.9500",
+                "\"pic_hit_rate\": 0.5",
+                "ineffective caches",
+            ),
+            (
+                "\"pic_hits\": 95, \"pic_misses\": 5",
+                "\"pic_hits\": 0, \"pic_misses\": 0",
+                "no PIC traffic",
+            ),
+            (
+                "\"pic_hits\": 95, \"pic_misses\": 5, \"pic_hit_rate\": 0.9500",
+                "\"pic_hits\": 0, \"pic_misses\": 0, \"pic_hit_rate\": 1.0",
+                "generic dispatch",
+            ),
+        ] {
+            assert!(doc.contains(from), "{from} not in {doc}");
+            let err = check_fig10_json(&doc.replace(from, to)).unwrap_err();
+            assert!(err.contains(why), "{why}: got {err}");
+        }
+    }
 }

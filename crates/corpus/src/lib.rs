@@ -35,7 +35,7 @@ pub enum OrderSpec {
     /// (`lh-range`, `acl2-fig-2`).
     ReverseInt,
     /// Figure 5 extended pointwise to pairs and hashes (used by the
-    /// interpreter rows; see DESIGN.md).
+    /// interpreter rows; see "Value orders" in `docs/ARCHITECTURE.md`).
     Extended,
 }
 
@@ -138,7 +138,8 @@ pub struct StaticSpec {
     /// One domain per parameter.
     pub domains: &'static [Domain],
     /// Result domain, assumed at summarized recursive calls (the range of
-    /// the function's total-correctness contract; see DESIGN.md).
+    /// the function's total-correctness contract; see "Hybrid enforcement"
+    /// in `docs/ARCHITECTURE.md`).
     pub result: Domain,
 }
 

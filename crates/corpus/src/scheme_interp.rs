@@ -15,7 +15,8 @@
 //!   argument descent.
 //! * Environments are immutable hashes; the per-body compiled closures are
 //!   re-applied along interpreted recursion with pointwise-descending
-//!   environments, which the `ExtendedOrder` recognizes (see DESIGN.md).
+//!   environments, which the `ExtendedOrder` recognizes (see "Value
+//!   orders" in `docs/ARCHITECTURE.md`).
 //! * Globals live in a `set!`-updated table built before `main` runs.
 //!
 //! Interpreted programs avoid `let` in recursive paths (a `let` would put

@@ -504,7 +504,8 @@ pub const DERIV: CorpusProgram = CorpusProgram {
 };
 
 /// `destruct`: list surgery loops (functional analog of the Gabriel
-/// destructive benchmark; see DESIGN.md on the mutation substitution).
+/// destructive benchmark; see "Value orders" in `docs/ARCHITECTURE.md` on
+/// the mutation substitution).
 pub const DESTRUCT: CorpusProgram = CorpusProgram {
     id: "destruct",
     description: "list rotation and rebuilding (Gabriel destruct, functional analog)",

@@ -85,7 +85,8 @@ pub const ACK_SRC: &str = "
         [else (ack (- m 1) (ack m (- n 1)))]))";
 
 /// Direct merge-sort threading explicit lengths so descent is on integers
-/// (lists produced by take/drop are not subterms; see DESIGN.md).
+/// (a list produced by `take-n` is not a subterm of its input; see
+/// "Value orders" in `docs/ARCHITECTURE.md`).
 pub const MSORT_SRC: &str = "
 (define (take-n l k) (if (zero? k) '() (cons (car l) (take-n (cdr l) (- k 1)))))
 (define (drop-n l k) (if (zero? k) l (drop-n (cdr l) (- k 1))))

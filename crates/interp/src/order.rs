@@ -1,7 +1,7 @@
 //! The default well-founded partial order on λSCT values (Figure 5), plus
 //! customizable alternatives (§3.3 allows replacing the default).
 
-use crate::value::{equal, value_hash, value_size, Value};
+use crate::value::{equal, value_hash, value_size, PairData, Value};
 use sct_core::order::{SizeChange, WellFoundedOrder};
 use std::rc::Rc;
 
@@ -80,39 +80,55 @@ enum SubtermRel {
 /// One walk answering both `needle = haystack` and `needle ≺ haystack`.
 ///
 /// Equal values have equal node counts, so the cached sizes split the
-/// question: at `size(needle) == size(haystack)` only equality is possible
-/// (pre-pruned by the cached structural hashes before the full comparison);
-/// at `size(needle) < size(haystack)` only proper containment is. The
-/// common case — a tail of the same list — stays linear in the distance
-/// between the terms, and the old double traversal (`equal` at every spine
-/// node *after* a separate top-level `equal`) is gone.
+/// question: at `size(needle) == size(haystack)` only equality is possible;
+/// at `size(needle) < size(haystack)` only proper containment is.
 fn subterm_rel(needle: &Value, haystack: &Value) -> SubtermRel {
-    let needle_size = value_size(needle);
+    let size = value_size(needle);
     let haystack_size = value_size(haystack);
-    if needle_size > haystack_size {
-        return SubtermRel::Unrelated;
+    if size == haystack_size && same_size_equal(needle, haystack) {
+        SubtermRel::Equal
+    } else if size < haystack_size && occurs_within(needle, size, haystack) {
+        SubtermRel::Proper
+    } else {
+        SubtermRel::Unrelated
     }
-    if needle_size == haystack_size {
-        // Same node count: containment is impossible, equality possible.
-        return if value_hash(needle) == value_hash(haystack) && equal(needle, haystack) {
-            SubtermRel::Equal
-        } else {
-            SubtermRel::Unrelated
-        };
-    }
-    // Strictly smaller: a proper subterm of some component (which itself
-    // may be an `Equal` hit — still proper containment overall).
-    match haystack {
-        Value::Pair(p) => {
-            if subterm_rel(needle, &p.car) != SubtermRel::Unrelated
-                || subterm_rel(needle, &p.cdr) != SubtermRel::Unrelated
-            {
-                SubtermRel::Proper
-            } else {
-                SubtermRel::Unrelated
-            }
+}
+
+/// Whether `needle` (of node count `size`) equals a proper subterm of
+/// `haystack`, which is strictly larger.
+///
+/// The cdr spine is walked in a loop and a car is entered only when its
+/// cached size is at least `size`, so the walk is linear in the distance
+/// between the two terms, recurses only in the car direction, and never
+/// allocates.
+fn occurs_within(needle: &Value, size: u64, haystack: &Value) -> bool {
+    let mut cur = haystack;
+    // Every node on the spine is strictly larger than the needle, and a
+    // needle has at least one node, so only pairs are reached here.
+    while let Value::Pair(p) = cur {
+        let car_size = value_size(&p.car);
+        if (car_size == size && same_size_equal(needle, &p.car))
+            || (car_size > size && occurs_within(needle, size, &p.car))
+        {
+            return true;
         }
-        _ => SubtermRel::Unrelated,
+        let cdr_size = value_size(&p.cdr);
+        if cdr_size <= size {
+            return cdr_size == size && same_size_equal(needle, &p.cdr);
+        }
+        cur = &p.cdr;
+    }
+    false
+}
+
+/// `equal` for two values of the same node count: fixnums by value, pairs
+/// through `equal` (pointer, then cached hash and size, then the walk),
+/// other atoms pre-filtered by their structural hash.
+fn same_size_equal(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Fix(x), Value::Fix(y)) => x == y,
+        (Value::Pair(_), Value::Pair(_)) => equal(a, b),
+        _ => value_hash(a) == value_hash(b) && equal(a, b),
     }
 }
 
@@ -131,66 +147,87 @@ fn subterm_rel(needle: &Value, haystack: &Value) -> SubtermRel {
 /// `((n . 2) . ρ)` is pointwise-below `((n . 3) . ρ)`. The paper's §2.4 /
 /// Table-1 `scheme` benchmarks (a monitored interpreter running factorial,
 /// sum, and merge-sort) rely on the interpreter's chains carrying exactly
-/// this kind of descent; we document the substitution in DESIGN.md and use
-/// this order for those rows.
+/// this kind of descent; we document the substitution under "Value orders"
+/// in `docs/ARCHITECTURE.md` and use this order for those rows.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExtendedOrder;
 
+/// One step of [`ExtendedOrder::compare`]: settled, or the pointwise pair
+/// rule still to apply to these two pairs.
+enum Step<'a> {
+    Done(SizeChange),
+    Pointwise(&'a PairData, &'a PairData),
+}
+
+/// `new ⪯ old`: the answers the pointwise rule accepts for a coordinate.
+fn weakly_below(sc: SizeChange) -> bool {
+    matches!(sc, SizeChange::Descend | SizeChange::Equal)
+}
+
 impl ExtendedOrder {
     /// `new ⪯ old` under the extended order, with the strictness recorded.
+    ///
+    /// The pointwise rule recurses into cars and loops along the cdrs, so
+    /// two long lists compare without deep recursion.
     fn compare(&self, old: &Value, new: &Value) -> SizeChange {
+        let (mut p, mut q) = match self.step(old, new) {
+            Step::Done(sc) => return sc,
+            Step::Pointwise(p, q) => (p, q),
+        };
+        // Equality of the whole was excluded by the subterm walk, so once
+        // every coordinate relates by ⪯ at least one is strict.
+        loop {
+            if !weakly_below(self.compare(&p.car, &q.car)) {
+                return SizeChange::Unknown;
+            }
+            match self.step(&p.cdr, &q.cdr) {
+                Step::Done(sc) if weakly_below(sc) => return SizeChange::Descend,
+                Step::Done(_) => return SizeChange::Unknown,
+                Step::Pointwise(p2, q2) => (p, q) = (p2, q2),
+            }
+        }
+    }
+
+    /// Every rule but the pointwise pair rule, which is handed back.
+    fn step<'a>(&self, old: &'a Value, new: &'a Value) -> Step<'a> {
         if let Some(sc) = int_abs_rel(old, new) {
-            return sc;
+            return Step::Done(sc);
         }
         match (old, new) {
-            (Value::Pair(p), _) => {
-                // Subterm rule first (cheap for list tails); the same walk
-                // settles equality.
-                match subterm_rel(new, old) {
-                    SubtermRel::Equal => return SizeChange::Equal,
-                    SubtermRel::Proper => return SizeChange::Descend,
-                    SubtermRel::Unrelated => {}
-                }
-                if let Value::Pair(q) = new {
-                    let car = self.compare(&p.car, &q.car);
-                    let cdr = self.compare(&p.cdr, &q.cdr);
-                    let ok = |c: SizeChange| matches!(c, SizeChange::Descend | SizeChange::Equal);
-                    if ok(car) && ok(cdr) {
-                        // Equal overall was excluded by the subterm walk,
-                        // so at least one coordinate is strict.
-                        return SizeChange::Descend;
-                    }
-                }
-                SizeChange::Unknown
-            }
+            // Subterm rule first (cheap for list tails); the same walk
+            // settles equality.
+            (Value::Pair(p), _) => match (subterm_rel(new, old), new) {
+                (SubtermRel::Equal, _) => Step::Done(SizeChange::Equal),
+                (SubtermRel::Proper, _) => Step::Done(SizeChange::Descend),
+                (SubtermRel::Unrelated, Value::Pair(q)) => Step::Pointwise(p, q),
+                (SubtermRel::Unrelated, _) => Step::Done(SizeChange::Unknown),
+            },
             (Value::Hash(h), Value::Hash(g)) => {
                 if h.map.len() != g.map.len() {
-                    return SizeChange::Unknown;
+                    return Step::Done(SizeChange::Unknown);
                 }
                 let mut strict = false;
                 for (k, old_v) in h.map.iter() {
                     let Some(new_v) = g.map.get(k) else {
-                        return SizeChange::Unknown;
+                        return Step::Done(SizeChange::Unknown);
                     };
                     match self.compare(old_v, new_v) {
                         SizeChange::Descend => strict = true,
                         SizeChange::Equal => {}
-                        SizeChange::Unknown => return SizeChange::Unknown,
+                        SizeChange::Unknown => return Step::Done(SizeChange::Unknown),
                     }
                 }
-                if strict {
+                Step::Done(if strict {
                     SizeChange::Descend
                 } else {
                     SizeChange::Equal
-                }
+                })
             }
-            _ => {
-                if equal(old, new) {
-                    SizeChange::Equal
-                } else {
-                    SizeChange::Unknown
-                }
-            }
+            _ => Step::Done(if equal(old, new) {
+                SizeChange::Equal
+            } else {
+                SizeChange::Unknown
+            }),
         }
     }
 }
@@ -396,6 +433,52 @@ mod tests {
             SizeChange::Unknown,
             "strings are atomic in the Figure 5 order"
         );
+    }
+
+    /// Runs `f` on a thread with the default 2 MiB test stack.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow");
+    }
+
+    fn int_list(len: i64, last: i64) -> Value {
+        Value::list(
+            (0..len)
+                .map(|i| Value::int(if i == len - 1 { last } else { i }))
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn long_list_against_fixnum_walks_without_recursing_on_the_spine() {
+        on_small_stack(|| {
+            let l = int_list(500_000, -1);
+            assert_eq!(rel(&l, &Value::int(7)), SizeChange::Descend, "an element");
+            assert_eq!(rel(&l, &Value::int(500_000)), SizeChange::Unknown);
+            assert_eq!(
+                ExtendedOrder.relate(&l, &Value::int(500_000)),
+                SizeChange::Unknown
+            );
+            assert_eq!(rel(&Value::int(500_000), &l), SizeChange::Unknown);
+        });
+    }
+
+    #[test]
+    fn long_lists_compare_pointwise_without_recursing_on_the_spine() {
+        on_small_stack(|| {
+            let (old, new) = (int_list(500_000, 5), int_list(500_000, 4));
+            assert_eq!(ExtendedOrder.relate(&old, &new), SizeChange::Descend);
+            assert_eq!(ExtendedOrder.relate(&new, &old), SizeChange::Unknown);
+            assert_eq!(
+                ExtendedOrder.relate(&old, &int_list(500_000, 5)),
+                SizeChange::Equal
+            );
+            assert_eq!(rel(&old, &new), SizeChange::Unknown, "not a subterm");
+        });
     }
 
     #[test]

@@ -436,56 +436,57 @@ pub fn eq(a: &Value, b: &Value) -> bool {
 }
 
 /// `equal?`: structural equality. Pair comparison short-circuits via cached
-/// hashes and is iterative along cdr chains.
+/// hashes and sizes and is iterative along cdr chains. The work stack
+/// starts empty (`Vec::new` does not allocate), so atoms, pointer-equal
+/// pairs and pairs whose hash or size differs answer without touching the
+/// heap.
 pub fn equal(a: &Value, b: &Value) -> bool {
-    let mut stack = vec![(a.clone(), b.clone())];
-    while let Some((x, y)) = stack.pop() {
-        match (&x, &y) {
-            (Value::Pair(p), Value::Pair(q)) => {
-                if Rc::ptr_eq(p, q) {
-                    continue;
-                }
-                if p.hash_code() != q.hash_code() || p.size() != q.size() {
-                    return false;
-                }
-                stack.push((p.car.clone(), q.car.clone()));
-                stack.push((p.cdr.clone(), q.cdr.clone()));
-            }
-            (Value::Str(s), Value::Str(t)) => {
-                if s != t {
-                    return false;
-                }
-            }
-            (Value::Hash(hx), Value::Hash(hy)) => {
-                if Rc::ptr_eq(hx, hy) {
-                    continue;
-                }
-                if hx.map.len() != hy.map.len() {
-                    return false;
-                }
-                for (k, v) in hx.map.iter() {
-                    match hy.map.get(k) {
-                        Some(w) if equal(v, w) => {}
-                        _ => return false,
-                    }
-                }
-            }
-            (Value::Closure(c), Value::Closure(d)) => {
-                // Structural closure equality: same lambda and captured
-                // environment fingerprint (the formal model's (⃗x,e,ρ) = (⃗x,e,ρ′)
-                // approximated as in §5 by hashing).
-                if !(c.def.id == d.def.id && c.fingerprint == d.fingerprint) {
-                    return false;
-                }
-            }
-            _ => {
-                if !eqv(&x, &y) {
-                    return false;
-                }
-            }
+    let mut pending = Vec::new();
+    if !equal_step(a, b, &mut pending) {
+        return false;
+    }
+    while let Some((p, q)) = pending.pop() {
+        if !equal_step(&p.car, &q.car, &mut pending) || !equal_step(&p.cdr, &q.cdr, &mut pending) {
+            return false;
         }
     }
     true
+}
+
+/// Compares `x` and `y` one level deep: `false` on a mismatch, otherwise
+/// `true` with any pair of pairs still to be compared pushed on `pending`.
+fn equal_step<'a>(
+    x: &'a Value,
+    y: &'a Value,
+    pending: &mut Vec<(&'a PairData, &'a PairData)>,
+) -> bool {
+    match (x, y) {
+        (Value::Pair(p), Value::Pair(q)) => {
+            if !Rc::ptr_eq(p, q) {
+                if p.hash_code() != q.hash_code() || p.size() != q.size() {
+                    return false;
+                }
+                pending.push((p, q));
+            }
+            true
+        }
+        (Value::Str(s), Value::Str(t)) => s == t,
+        (Value::Hash(hx), Value::Hash(hy)) => {
+            Rc::ptr_eq(hx, hy)
+                || (hx.map.len() == hy.map.len()
+                    && hx
+                        .map
+                        .iter()
+                        .all(|(k, v)| hy.map.get(k).is_some_and(|w| equal(v, w))))
+        }
+        // Structural closure equality: same lambda and captured
+        // environment fingerprint (the formal model's (⃗x,e,ρ) = (⃗x,e,ρ′)
+        // approximated as in §5 by hashing).
+        (Value::Closure(c), Value::Closure(d)) => {
+            c.def.id == d.def.id && c.fingerprint == d.fingerprint
+        }
+        _ => eqv(x, y),
+    }
 }
 
 /// `PartialEq`/`Hash` for [`Value`] use *structural* semantics (`equal?` and

@@ -212,3 +212,41 @@ fn structural_keys_catch_y_combinator_divergence() {
         "allocation keys must miss Y-combinator recursion (the documented trade-off)"
     );
 }
+
+/// Figure 10 — merge-sort's monitoring overhead is a constant factor, not
+/// a function of input size: on the committed `BENCH_fig10.json`, the
+/// imperative and continuation-mark slowdowns at the largest n are at
+/// most 2× their slowdowns at the smallest n. The order walk relating
+/// list arguments to fixnum arguments must stay cheap for this to hold.
+#[test]
+fn committed_fig10_msort_overhead_is_flat_in_n() {
+    use sct_contracts::core::json::{parse, Json};
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_fig10.json");
+    let doc = parse(&std::fs::read_to_string(path).unwrap()).expect("artifact parses");
+    let entries = doc.get("entries").and_then(Json::as_arr).unwrap();
+    for setup in ["imperative", "continuation-mark"] {
+        // (n, slowdown) rows in sweep order.
+        let rows: Vec<(u64, f64)> = entries
+            .iter()
+            .filter(|e| {
+                e.get("workload").and_then(Json::as_str) == Some("msort")
+                    && e.get("setup").and_then(Json::as_str) == Some(setup)
+            })
+            .map(|e| {
+                let n = e.get("n").and_then(Json::as_u64).unwrap();
+                (n, e.get("slowdown").and_then(Json::as_f64).unwrap())
+            })
+            .collect();
+        let smallest = rows.iter().min_by_key(|r| r.0).expect("msort rows");
+        let largest = rows.iter().max_by_key(|r| r.0).unwrap();
+        assert!(largest.0 > smallest.0, "{setup}: a single size swept");
+        assert!(
+            largest.1 <= 2.0 * smallest.1,
+            "{setup}: slowdown {:.2}x at n={} vs {:.2}x at n={}",
+            largest.1,
+            largest.0,
+            smallest.1,
+            smallest.0
+        );
+    }
+}
