@@ -49,14 +49,18 @@
 //! `defines^1.5` across successive corpus sizes — with summaries each
 //! define's exploration is local (its own body plus one stub per
 //! callee), so whole-program planning is near-linear; without them the
-//! per-define cost multiplies through the callee closure. The committed
-//! artifact is also checked for near-linear `compile_ms` (below
-//! `defines^1.25`) and `warm_ms` (below `defines^1.5`) growth.
+//! per-define cost multiplies through the callee closure. A full run is
+//! also checked for near-linear `compile_ms` (below `defines^1.25`) and
+//! `warm_ms` (below `defines^1.5`) growth; `sct_bench::check_plan_json`
+//! holds every rule.
 //!
 //! Run: `cargo run --release -p sct-bench --bin report_plan
 //! [--fast] [--out PATH]`
 //!
 //! `--fast` is the CI smoke mode (64/128-define corpora, 1 rep).
+//! `--check PATH` runs no sweep: it validates the document at `PATH`
+//! (a fast one when `--fast` is given too) and exits 0 (valid) or 1
+//! (invalid).
 
 use sct_bench::{layered_corpus, FANOUT, LAYERS};
 use sct_contracts::{plan_program_incremental, PlanCache, PlanConfig};
@@ -201,10 +205,25 @@ fn json_num(v: Option<f64>) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let fast = args.iter().any(|a| a == "--fast");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
+    let flag_value = |flag: &str| {
+        args.iter()
+            .position(|a| a == flag)
+            .and_then(|i| args.get(i + 1))
+    };
+    if let Some(path) = flag_value("--check") {
+        let verdict = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {path}: {e}"))
+            .and_then(|text| sct_bench::check_plan_json(&text, fast));
+        match verdict {
+            Ok(summary) => println!("{path}: {summary}"),
+            Err(why) => {
+                eprintln!("{path}: {why}");
+                std::process::exit(1);
+            }
+        }
+        return;
+    }
+    let out_path = flag_value("--out")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(sct_bench::plan_json_path);
 

@@ -97,6 +97,7 @@
 //!   [`check_fig10_json`] and exit 0 (valid) or 1 (invalid).
 
 use sct_cache::MemStore;
+use sct_core::json::{parse, Json};
 use sct_core::monitor::{BackoffPolicy, TableStrategy};
 use sct_core::plan::EnforcementPlan;
 use sct_corpus::workloads::Workload;
@@ -510,30 +511,7 @@ pub fn fig10_json(
 ///
 /// A message naming the violated property and the offending row.
 pub fn check_fig10_json(text: &str) -> Result<String, String> {
-    use sct_core::json::{parse, Json};
-    fn rows<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
-        match doc.get(key).and_then(Json::as_arr) {
-            Some(rows) if !rows.is_empty() => Ok(rows),
-            _ => Err(format!("no {key:?} rows recorded")),
-        }
-    }
-    fn num(row: &Json, key: &str) -> Result<f64, String> {
-        row.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{key:?} missing or not a number in {row}"))
-    }
-    fn ensure(ok: bool, what: &str, row: &Json) -> Result<(), String> {
-        if ok {
-            Ok(())
-        } else {
-            Err(format!("{what}: {row}"))
-        }
-    }
-    let doc = parse(text).map_err(|e| format!("not JSON: {e}"))?;
-    let schema = doc.get("schema").and_then(Json::as_str);
-    if schema != Some("sct-fig10/5") {
-        return Err(format!("schema is {schema:?}, expected \"sct-fig10/5\""));
-    }
+    let doc = parse_schema(text, "sct-fig10/5")?;
     let entries = rows(&doc, "entries")?;
     let mut setups: Vec<&str> = Vec::new();
     for e in entries {
@@ -603,6 +581,121 @@ pub fn check_fig10_json(text: &str) -> Result<String, String> {
     ))
 }
 
+/// Parses a bench document and checks its `schema` tag.
+fn parse_schema(text: &str, schema: &str) -> Result<Json, String> {
+    let doc = parse(text).map_err(|e| format!("not JSON: {e}"))?;
+    let found = doc.get("schema").and_then(Json::as_str);
+    if found != Some(schema) {
+        return Err(format!("schema is {found:?}, expected {schema:?}"));
+    }
+    Ok(doc)
+}
+
+/// The non-empty array `doc[key]`.
+fn rows<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    match doc.get(key).and_then(Json::as_arr) {
+        Some(rows) if !rows.is_empty() => Ok(rows),
+        _ => Err(format!("no {key:?} rows recorded")),
+    }
+}
+
+/// The number `row[key]`.
+fn num(row: &Json, key: &str) -> Result<f64, String> {
+    row.get(key)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| format!("{key:?} missing or not a number in {row}"))
+}
+
+/// `Err("what: row")` unless `ok`.
+fn ensure(ok: bool, what: &str, row: &Json) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(format!("{what}: {row}"))
+    }
+}
+
+/// Validates an `sct-plan-bench/1` document (see `report_plan`): the
+/// schema tag, a `fast` flag equal to `fast`, and per corpus positive
+/// timings, `0 < incremental_misses < defines`, every define a summary
+/// hit and statically discharged, some stubbed applications, and — where
+/// full descent was measured — summary-stubbed and warm planning both
+/// faster than it. A full run (`fast` false) must also show the ≥ 5×
+/// cold-plan speedup on the smallest corpus and, between successive
+/// sizes, cold summary planning and warm replay growing below
+/// `size^1.5` and the front end below `size^1.25`. Returns a one-line
+/// summary, or the first violated property.
+///
+/// # Errors
+///
+/// A message naming the violated property and the offending row.
+pub fn check_plan_json(text: &str, fast: bool) -> Result<String, String> {
+    let doc = parse_schema(text, "sct-plan-bench/1")?;
+    let recorded = doc.get("fast").and_then(Json::as_bool);
+    if recorded != Some(fast) {
+        return Err(format!("fast is {recorded:?}, expected {fast}"));
+    }
+    let corpora = rows(&doc, "corpora")?;
+    let mut prev: Option<&Json> = None;
+    for (i, c) in corpora.iter().enumerate() {
+        let defines = num(c, "defines")?;
+        ensure(defines > 0.0, "no defines", c)?;
+        let (cold, warm) = (num(c, "cold_summary_ms")?, num(c, "warm_ms")?);
+        ensure(
+            cold > 0.0 && warm > 0.0 && num(c, "compile_ms")? > 0.0,
+            "non-positive timing",
+            c,
+        )?;
+        ensure(num(c, "incremental_ms")? > 0.0, "non-positive timing", c)?;
+        let misses = num(c, "incremental_misses")?;
+        ensure(
+            0.0 < misses && misses < defines,
+            "incremental misses outside (0, defines)",
+            c,
+        )?;
+        ensure(
+            num(c, "summary_hits")? == defines && num(c, "static_summary")? == defines,
+            "a define missed its summary or was not discharged",
+            c,
+        )?;
+        ensure(
+            num(c, "stubbed_applications")? > 0.0,
+            "no stubbed applications",
+            c,
+        )?;
+        if let Some(full) = c.get("cold_full_ms").and_then(Json::as_f64) {
+            ensure(
+                cold < full && warm < full,
+                "summaries or warm replay not faster than full descent",
+                c,
+            )?;
+            if !fast && i == 0 {
+                ensure(num(c, "speedup")? >= 5.0, "cold-plan speedup below 5x", c)?;
+            }
+        }
+        if let (Some(p), false) = (prev, fast) {
+            let size = defines / num(p, "defines")?;
+            for (key, exponent) in [
+                ("cold_summary_ms", 1.5),
+                ("compile_ms", 1.25),
+                ("warm_ms", 1.5),
+            ] {
+                ensure(
+                    num(c, key)? / num(p, key)? < size.powf(exponent),
+                    &format!("{key} grew faster than defines^{exponent}"),
+                    c,
+                )?;
+            }
+        }
+        prev = Some(c);
+    }
+    Ok(format!(
+        "ok: {} corpora, largest {defines} defines",
+        corpora.len(),
+        defines = num(&corpora[corpora.len() - 1], "defines")?
+    ))
+}
+
 /// Default output path for `BENCH_fig10.json`: the repository root,
 /// located relative to this crate's manifest so `cargo run` works from any
 /// working directory.
@@ -610,14 +703,6 @@ pub fn fig10_json_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_fig10.json")
-}
-
-/// Default output path for `BENCH_serve.json` (the `report_serve` load
-/// driver's `sct-serve/1` document), repo root as above.
-pub fn serve_json_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_serve.json")
 }
 
 /// Default output path for `BENCH_plan.json` (the `report_plan` contract
@@ -785,6 +870,83 @@ mod tests {
         ] {
             assert!(doc.contains(from), "{from} not in {doc}");
             let err = check_fig10_json(&doc.replace(from, to)).unwrap_err();
+            assert!(err.contains(why), "{why}: got {err}");
+        }
+    }
+
+    /// A minimal valid full-run document, in `report_plan`'s layout.
+    const PLAN: &str = r#"{ "schema": "sct-plan-bench/1", "fast": false, "corpora": [
+    { "defines": 100, "compile_ms": 1.0, "cold_full_ms": 60.0, "cold_summary_ms": 10.0, "speedup": 6.0, "warm_ms": 2.0, "incremental_ms": 3.0, "incremental_misses": 5, "summary_hits": 100, "summary_misses": 0, "stubbed_applications": 250, "static_summary": 100, "static_full": 100 },
+    { "defines": 300, "compile_ms": 3.0, "cold_full_ms": null, "cold_summary_ms": 30.0, "speedup": null, "warm_ms": 6.0, "incremental_ms": 9.0, "incremental_misses": 7, "summary_hits": 300, "summary_misses": 0, "stubbed_applications": 750, "static_summary": 300, "static_full": null }
+  ] }"#;
+
+    #[test]
+    fn plan_check_accepts_a_valid_document_and_the_committed_artifact() {
+        check_plan_json(PLAN, false).unwrap();
+        // A fast run skips the speedup and growth gates.
+        let fast = PLAN
+            .replace("\"fast\": false", "\"fast\": true")
+            .replace("\"speedup\": 6.0", "\"speedup\": 1.0")
+            .replace("\"compile_ms\": 3.0", "\"compile_ms\": 30.0");
+        check_plan_json(&fast, true).unwrap();
+        let committed = std::fs::read_to_string(plan_json_path()).unwrap();
+        check_plan_json(&committed, false).unwrap();
+    }
+
+    #[test]
+    fn plan_check_rejects_each_violated_property() {
+        for (from, to, why) in [
+            ("sct-plan-bench/1", "sct-plan-bench/2", "schema"),
+            ("\"fast\": false", "\"fast\": true", "fast"),
+            ("\"warm_ms\": 2.0", "\"warm_ms\": 0", "non-positive"),
+            ("\"compile_ms\": 1.0", "\"compile_ms\": 0", "non-positive"),
+            (
+                "\"incremental_ms\": 3.0",
+                "\"incremental_ms\": 0",
+                "non-positive",
+            ),
+            (
+                "\"incremental_misses\": 5",
+                "\"incremental_misses\": 0",
+                "incremental",
+            ),
+            (
+                "\"incremental_misses\": 5",
+                "\"incremental_misses\": 100",
+                "incremental",
+            ),
+            ("\"summary_hits\": 100", "\"summary_hits\": 99", "summary"),
+            (
+                "\"static_summary\": 100",
+                "\"static_summary\": 99",
+                "discharged",
+            ),
+            (
+                "\"stubbed_applications\": 250",
+                "\"stubbed_applications\": 0",
+                "stubbed",
+            ),
+            (
+                "\"cold_full_ms\": 60.0",
+                "\"cold_full_ms\": 9.0",
+                "full descent",
+            ),
+            ("\"warm_ms\": 2.0", "\"warm_ms\": 61.0", "full descent"),
+            ("\"speedup\": 6.0", "\"speedup\": 4.9", "speedup"),
+            (
+                "\"cold_summary_ms\": 30.0",
+                "\"cold_summary_ms\": 52.0",
+                "cold_summary_ms grew",
+            ),
+            (
+                "\"compile_ms\": 3.0",
+                "\"compile_ms\": 4.0",
+                "compile_ms grew",
+            ),
+            ("\"warm_ms\": 6.0", "\"warm_ms\": 11.0", "warm_ms grew"),
+        ] {
+            assert!(PLAN.contains(from), "{from} not in {PLAN}");
+            let err = check_plan_json(&PLAN.replacen(from, to, 1), false).unwrap_err();
             assert!(err.contains(why), "{why}: got {err}");
         }
     }

@@ -80,8 +80,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Counters a store keeps about its own traffic, surfaced by the
-/// `sct serve` `stats` op and the `--cache-dir` CLI summary line.
+/// A store's traffic as plain numbers, read from its [`CacheObs`]
+/// handles; surfaced by the `--cache-dir` CLI summary and by tests.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Loads answered from a persisted, decodable entry.
@@ -112,12 +112,12 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// Observability handles a store mirrors its traffic into: the same
-/// counters as [`CacheStats`] plus load/store latency histograms, all
-/// registered under `cache.*` in an [`sct_obs::Registry`]. Attach with
-/// [`DiskCache::with_obs`] / [`MemStore::with_obs`]; stores built
-/// without one record nothing.
-#[derive(Debug, Clone)]
+/// The one ledger of a store's traffic: the [`CacheStats`] counters
+/// plus load/store latency histograms. [`CacheObs::register`] names them
+/// `cache.*` in an [`sct_obs::Registry`]; the default handles belong to
+/// no registry, which is what a store starts with until
+/// [`DiskCache::with_obs`] / [`MemStore::with_obs`] replaces them.
+#[derive(Debug, Clone, Default)]
 pub struct CacheObs {
     hits: sct_obs::Counter,
     misses: sct_obs::Counter,
@@ -143,6 +143,37 @@ impl CacheObs {
             store_us: reg.histogram("cache.store_us"),
         }
     }
+
+    /// The counters' current values.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            rejected: self.rejected.get(),
+            quarantined: self.quarantined.get(),
+            stores: self.stores.get(),
+            write_errors: self.write_errors.get(),
+        }
+    }
+
+    /// Accounts one load that started at `start`.
+    fn loaded<T>(&self, result: Option<T>, start: std::time::Instant) -> Option<T> {
+        match result {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
+        }
+        self.load_us.record_elapsed_us(start);
+        result
+    }
+
+    /// Accounts one store that started at `start`.
+    fn stored(&self, ok: bool, start: std::time::Instant) {
+        match ok {
+            true => self.stores.inc(),
+            false => self.write_errors.inc(),
+        }
+        self.store_us.record_elapsed_us(start);
+    }
 }
 
 /// Process-wide counter for temp-file names: two [`DiskCache`] handles in
@@ -155,8 +186,7 @@ static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new
 #[derive(Debug)]
 pub struct DiskCache {
     dir: PathBuf,
-    stats: CacheStats,
-    obs: Option<CacheObs>,
+    obs: CacheObs,
 }
 
 impl DiskCache {
@@ -172,15 +202,14 @@ impl DiskCache {
         fs::create_dir_all(&dir)?;
         Ok(DiskCache {
             dir,
-            stats: CacheStats::default(),
-            obs: None,
+            obs: CacheObs::default(),
         })
     }
 
-    /// Mirror this store's traffic (and load/store latency) into
-    /// registered `cache.*` metrics.
+    /// Count this store's traffic (and load/store latency) in `obs`,
+    /// typically handles registered as `cache.*` in a registry.
     pub fn with_obs(mut self, obs: CacheObs) -> DiskCache {
-        self.obs = Some(obs);
+        self.obs = obs;
         self
     }
 
@@ -191,14 +220,7 @@ impl DiskCache {
 
     /// Traffic counters so far (hits/misses/rejects/stores).
     pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Resets the traffic counters to zero. The `sct serve` `stats` op
-    /// reports *cumulative* totals and never calls this; it exists for
-    /// library callers that want windowed accounting.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
+        self.obs.stats()
     }
 
     /// The path an entry for `key` lives at: `<dir>/<k[0..2]>/<k>.plan`.
@@ -234,19 +256,13 @@ impl DiskCache {
 
     /// Preserves the undecodable bytes at `path` as `<key>.quarantine`
     /// (best-effort; deletion is the fallback) so an operator can inspect
-    /// what corrupted, and the key recomputes either way. Returns whether
-    /// the quarantine rename succeeded.
-    fn quarantine(&mut self, path: &Path) -> bool {
+    /// what corrupted, and the key recomputes either way.
+    fn quarantine(&self, path: &Path) {
         let bad = path.with_extension("quarantine");
         if fs::rename(path, &bad).is_ok() {
-            self.stats.quarantined += 1;
-            if let Some(o) = &self.obs {
-                o.quarantined.inc();
-            }
-            true
+            self.obs.quarantined.inc();
         } else {
             fs::remove_file(path).ok();
-            false
         }
     }
 }
@@ -258,43 +274,25 @@ impl DecisionStore for DiskCache {
         // Failpoint: a read that fails (EIO, permission flaps) is a miss,
         // exactly like an absent file — the planner recomputes.
         let result = if sct_faults::io_check("cache.load.read").is_err() {
-            self.stats.misses += 1;
             None
         } else {
             match fs::read_to_string(&path) {
-                Err(_) => {
-                    self.stats.misses += 1;
-                    None
-                }
+                Err(_) => None,
                 Ok(text) => match decode_entry(&text) {
-                    Ok(entry) => {
-                        self.stats.hits += 1;
-                        Some(entry)
-                    }
+                    Ok(entry) => Some(entry),
                     Err(_) => {
                         // Truncated / corrupt / version-mismatched:
                         // quarantine the bad bytes and recompute. Never a
                         // crash, and a stale replay is impossible — the
                         // key commits to the decision's inputs.
-                        self.stats.misses += 1;
-                        self.stats.rejected += 1;
-                        if let Some(o) = &self.obs {
-                            o.rejected.inc();
-                        }
+                        self.obs.rejected.inc();
                         self.quarantine(&path);
                         None
                     }
                 },
             }
         };
-        if let Some(o) = &self.obs {
-            match result {
-                Some(_) => o.hits.inc(),
-                None => o.misses.inc(),
-            }
-            o.load_us.record_elapsed_us(start);
-        }
-        result
+        self.obs.loaded(result, start)
     }
 
     fn store(&mut self, key: &str, entry: &PortableDecision) {
@@ -339,18 +337,7 @@ impl DecisionStore for DiskCache {
             })?;
             Ok(())
         };
-        let write_ok = write().is_ok();
-        match write_ok {
-            true => self.stats.stores += 1,
-            false => self.stats.write_errors += 1,
-        }
-        if let Some(o) = &self.obs {
-            match write_ok {
-                true => o.stores.inc(),
-                false => o.write_errors.inc(),
-            }
-            o.store_us.record_elapsed_us(start);
-        }
+        self.obs.stored(write().is_ok(), start);
     }
 }
 
@@ -360,8 +347,7 @@ impl DecisionStore for DiskCache {
 #[derive(Debug, Default)]
 pub struct MemStore {
     entries: HashMap<String, PortableDecision>,
-    stats: CacheStats,
-    obs: Option<CacheObs>,
+    obs: CacheObs,
 }
 
 impl MemStore {
@@ -370,15 +356,15 @@ impl MemStore {
         MemStore::default()
     }
 
-    /// Mirror this store's traffic into registered `cache.*` metrics.
+    /// Count this store's traffic (and load/store latency) in `obs`.
     pub fn with_obs(mut self, obs: CacheObs) -> MemStore {
-        self.obs = Some(obs);
+        self.obs = obs;
         self
     }
 
     /// Traffic counters so far.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        self.obs.stats()
     }
 
     /// Number of entries held.
@@ -402,34 +388,13 @@ impl MemStore {
 impl DecisionStore for MemStore {
     fn load(&mut self, key: &str) -> Option<PortableDecision> {
         let start = std::time::Instant::now();
-        let result = match self.entries.get(key) {
-            Some(e) => {
-                self.stats.hits += 1;
-                Some(e.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        };
-        if let Some(o) = &self.obs {
-            match result {
-                Some(_) => o.hits.inc(),
-                None => o.misses.inc(),
-            }
-            o.load_us.record_elapsed_us(start);
-        }
-        result
+        self.obs.loaded(self.entries.get(key).cloned(), start)
     }
 
     fn store(&mut self, key: &str, entry: &PortableDecision) {
         let start = std::time::Instant::now();
-        self.stats.stores += 1;
         self.entries.insert(key.to_string(), entry.clone());
-        if let Some(o) = &self.obs {
-            o.stores.inc();
-            o.store_us.record_elapsed_us(start);
-        }
+        self.obs.stored(true, start);
     }
 }
 

@@ -4,7 +4,7 @@
 //! storeless recompute), the counters record every degradation, and the
 //! next clean run repairs the entry — the cache self-heals.
 
-use sct_cache::DiskCache;
+use sct_cache::{CacheObs, CacheStats, DiskCache};
 use sct_lang::compile_program;
 use sct_symbolic::pipeline::{plan_program_incremental, DecisionStore, PlanCache, PlanConfig};
 use std::path::PathBuf;
@@ -94,7 +94,10 @@ fn rename_failure_mid_store_leaves_no_debris_and_repairs() {
 fn torn_write_is_quarantined_then_self_heals() {
     let _s = serial();
     let dir = scratch("torn");
-    let mut cache = DiskCache::open(&dir).unwrap();
+    let registry = sct_obs::Registry::new();
+    let mut cache = DiskCache::open(&dir)
+        .unwrap()
+        .with_obs(CacheObs::register(&registry));
     {
         // One torn publish: half the entry's bytes land under the real
         // key — the model of a crash mid-write on a non-atomic filesystem.
@@ -116,6 +119,20 @@ fn torn_write_is_quarantined_then_self_heals() {
     // Self-healed: the run after is a pure hit.
     let (_, hits, misses) = plan_sum(&mut cache);
     assert_eq!((hits, misses), (1, 0));
+    // One ledger: the store's stats are the registry's `cache.*`
+    // counters, field for field.
+    let snap = registry.snapshot();
+    let counter = |name: &str| snap.counter(&format!("cache.{name}")).unwrap();
+    let expected = CacheStats {
+        hits: counter("hits"),
+        misses: counter("misses"),
+        rejected: counter("rejected"),
+        quarantined: counter("quarantined"),
+        stores: counter("stores"),
+        write_errors: counter("write_errors"),
+    };
+    assert_eq!(cache.stats(), expected);
+    assert_eq!((expected.hits, expected.misses, expected.stores), (1, 2, 2));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -15,13 +15,14 @@
 //! wait-free. [`Registry::snapshot`] reads the whole registry into a
 //! plain [`Snapshot`] that renders as JSON or Prometheus-style text.
 //!
-//! # Instance vs. global
+//! # One registry per invocation
 //!
-//! [`Registry::new`] builds a private registry — each `sct serve`
-//! server instance owns one so that concurrent in-process daemons (the
-//! test suite runs many) never share counters. [`Registry::global`] is
-//! the process-wide default used by the one-shot CLI paths
-//! (`sct run --metrics`).
+//! There is no process-wide registry: every invocation owns one. Each
+//! `sct serve` server builds its own in [`Registry::new`], so concurrent
+//! in-process daemons (the test suite runs many) never share counters,
+//! and each one-shot CLI command run with `--metrics` builds one for
+//! that command. Every layer (store, planner, VM) counts into the
+//! registry it is handed, so each event is counted once, in one place.
 //!
 //! # Coherence
 //!
@@ -57,7 +58,7 @@ pub mod trace;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Number of log2 buckets in a [`Histogram`]: bucket 0 holds zeros,
@@ -265,12 +266,6 @@ impl Registry {
     /// An empty, private registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The process-wide registry used by the one-shot CLI paths.
-    pub fn global() -> &'static Registry {
-        static GLOBAL: OnceLock<Registry> = OnceLock::new();
-        GLOBAL.get_or_init(Registry::new)
     }
 
     /// Get or create the counter `name`.

@@ -252,7 +252,8 @@ fn hash_config(config: &PlanConfig, h: &mut StableHasher) {
         }
         None => h.write_u8(0),
     }
-    h.write_u8(u8::from(config.nat_ladder));
+    // The ladder is always on; the constant keeps existing keys valid.
+    h.write_u8(1);
     h.write_u8(u8::from(config.refute));
 }
 
@@ -504,10 +505,6 @@ mod tests {
     #[test]
     fn config_changes_rekey() {
         let base = PlanConfig::default();
-        let no_ladder = PlanConfig {
-            nat_ladder: false,
-            ..PlanConfig::default()
-        };
         let mut small_fuel = PlanConfig::default();
         small_fuel.verify.exec.step_budget = 7;
         let mut pinned = PlanConfig::default();
@@ -520,7 +517,6 @@ mod tests {
         );
         let k = |cfg: &PlanConfig| keys(TWO, cfg)[1].1.clone();
         let baseline = k(&base);
-        assert_ne!(baseline, k(&no_ladder));
         assert_ne!(baseline, k(&small_fuel));
         assert_ne!(baseline, k(&pinned));
         // A signature pinned to a *different* define leaves sum's key alone.

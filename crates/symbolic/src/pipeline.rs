@@ -93,15 +93,7 @@ pub type Signature = (Vec<SymDomain>, SymDomain);
 /// wiring cannot change a decision.
 #[derive(Debug, Clone, Default)]
 pub struct PlanObs {
-    reg: Option<RegRef>,
-}
-
-/// Where an armed [`PlanObs`] records: the process-global registry or a
-/// shared per-server one.
-#[derive(Debug, Clone)]
-enum RegRef {
-    Global,
-    Shared(std::sync::Arc<sct_obs::Registry>),
+    reg: Option<std::sync::Arc<sct_obs::Registry>>,
 }
 
 impl PlanObs {
@@ -110,27 +102,15 @@ impl PlanObs {
         PlanObs::default()
     }
 
-    /// A hook recording into a shared registry (a serve daemon's own).
+    /// A hook recording into `reg` (a serve daemon's or a CLI
+    /// invocation's own registry).
     pub fn registered(reg: std::sync::Arc<sct_obs::Registry>) -> PlanObs {
-        PlanObs {
-            reg: Some(RegRef::Shared(reg)),
-        }
-    }
-
-    /// A hook recording into [`sct_obs::Registry::global`] (CLI paths).
-    pub fn global_registry() -> PlanObs {
-        PlanObs {
-            reg: Some(RegRef::Global),
-        }
+        PlanObs { reg: Some(reg) }
     }
 
     /// The registry this hook records into, when armed.
     pub fn registry(&self) -> Option<&sct_obs::Registry> {
-        match &self.reg {
-            None => None,
-            Some(RegRef::Global) => Some(sct_obs::Registry::global()),
-            Some(RegRef::Shared(a)) => Some(a),
-        }
+        self.reg.as_deref()
     }
 
     fn define_done(&self, micros: u64) {
@@ -199,10 +179,6 @@ pub struct PlanConfig {
     /// Wall-clock budget per function, checked between ladder attempts;
     /// `None` disables the clock (fuel still bounds each attempt).
     pub time_budget: Option<Duration>,
-    /// When true (the default), functions without a declared signature get
-    /// the `Any…` → `Nat…` → `Pos…` domain ladder; when false, only
-    /// `Any…` is tried (no guarded discharges).
-    pub nat_ladder: bool,
     /// When true (the default), definite violations become
     /// [`Decision::Refuted`]; when false they degrade to
     /// [`Decision::Monitor`]. Refutation presumes the monitor runs the
@@ -252,7 +228,6 @@ impl Default for PlanConfig {
         PlanConfig {
             verify: VerifyConfig::default(),
             time_budget: Some(Duration::from_millis(500)),
-            nat_ladder: true,
             refute: true,
             signatures: HashMap::new(),
             deadline: None,
@@ -1288,7 +1263,7 @@ fn plan_function(
 
     let params = def.params as usize;
     // The candidate ladder: a declared signature wins; otherwise Any…,
-    // then (optionally) Nat… and Pos… with a run-time guard. Automatic
+    // then Nat… and Pos… with a run-time guard. Automatic
     // rungs always use result domain Any: a non-trivial result domain is
     // an *assumption* the executor does not verify against actual return
     // values, and a wrong one prunes feasible continuation paths — hiding
@@ -1302,7 +1277,7 @@ fn plan_function(
         Some(sig) => vec![sig.clone()],
         None => {
             let mut c = vec![(vec![SymDomain::Any; params], SymDomain::Any)];
-            if config.nat_ladder && params > 0 {
+            if params > 0 {
                 c.push((vec![SymDomain::Nat; params], SymDomain::Any));
                 c.push((vec![SymDomain::Pos; params], SymDomain::Any));
             }

@@ -85,7 +85,7 @@ use sct_contracts::{
     plan_program_incremental, refutation_error, BackoffPolicy, DiskCache, EvalError, Machine,
     MachineConfig, PlanCache, PlanConfig, SemanticsMode, SymDomain, TableStrategy, VerifyConfig,
 };
-use sct_obs::trace;
+use sct_obs::{trace, Registry};
 use sct_symbolic::pipeline::PlanObs;
 use sct_symbolic::NullStore as SymNullStore;
 use std::process::ExitCode;
@@ -237,14 +237,16 @@ fn report(result: Result<sct_contracts::Value, EvalError>, output: &str) -> Exit
     }
 }
 
-/// Prints the process-global [`sct_obs::Registry`] snapshot as
+/// Publishes a run's VM `stats` to the invocation's `registry`, then
+/// prints its snapshot as
 /// `; metric NAME VALUE` lines on stderr, one per counter and gauge (in
 /// name order — the snapshot is sorted), plus each histogram's
 /// observation count as `NAME.count`. Histogram durations are elapsed
 /// wall-clock and vary run to run, so only the deterministic count is
 /// printed — the smoke tests replay these lines verbatim.
-fn print_metrics() {
-    let snap = sct_obs::Registry::global().snapshot();
+fn print_metrics(registry: &Registry, stats: &sct_contracts::interp::Stats) {
+    stats.publish(registry);
+    let snap = registry.snapshot();
     for (name, v) in &snap.counters {
         eprintln!("; metric {name} {v}");
     }
@@ -258,13 +260,12 @@ fn print_metrics() {
 
 /// Runs the machine and prints the shared `; applications=… …` counter
 /// line (with the hybrid-only `static-skips` column when a plan is
-/// active), then reports the result. With `metrics`, the machine's
-/// statistics are published to the process-global registry and the
-/// whole snapshot is printed after the counter lines.
+/// active), then reports the result. With a `metrics` registry, its
+/// snapshot is printed after the counter lines.
 fn run_and_report(
     program: &sct_contracts::lang::ast::Program,
     config: MachineConfig,
-    metrics: bool,
+    metrics: Option<&Registry>,
 ) -> ExitCode {
     let hybrid = config.plan.is_some();
     let trace = config.trace;
@@ -305,9 +306,8 @@ fn run_and_report(
     }
     let out = m.output.clone();
     let code = report(r, &out);
-    if metrics {
-        m.stats.publish(sct_obs::Registry::global());
-        print_metrics();
+    if let Some(registry) = metrics {
+        print_metrics(registry, &m.stats);
     }
     code
 }
@@ -551,8 +551,7 @@ fn main() -> ExitCode {
             let out = m.output.clone();
             let code = report(r, &out);
             if metrics {
-                m.stats.publish(sct_obs::Registry::global());
-                print_metrics();
+                print_metrics(&Registry::new(), &m.stats);
             }
             code
         }
@@ -564,6 +563,8 @@ fn main() -> ExitCode {
                     return usage();
                 }
             };
+            // `--metrics`: the registry the planner, store and VM count into.
+            let registry = opts.metrics.then(|| Arc::new(Registry::new()));
             if cmd != "hybrid" {
                 if opts.plan_only {
                     eprintln!("--plan is only valid with `sct hybrid`");
@@ -581,7 +582,8 @@ fn main() -> ExitCode {
                     eprintln!("--no-summaries is only valid with `sct hybrid`");
                     return usage();
                 }
-                return run_and_report(&program, opts.machine_config(cmd == "trace"), opts.metrics);
+                let config = opts.machine_config(cmd == "trace");
+                return run_and_report(&program, config, registry.as_deref());
             }
 
             // Eager refutation presumes the default order of Figure 5; a
@@ -594,13 +596,11 @@ fn main() -> ExitCode {
                 // the soundness oracle tests compare against.
                 summaries: !opts.no_summaries,
                 // `--metrics` routes planner observability (plan time,
-                // ladder rungs, fuel) into the global registry the final
+                // ladder rungs, fuel) into the registry the final
                 // snapshot prints from.
-                obs: if opts.metrics {
-                    PlanObs::global_registry()
-                } else {
-                    PlanObs::disabled()
-                },
+                obs: registry
+                    .clone()
+                    .map_or_else(PlanObs::disabled, PlanObs::registered),
                 ..PlanConfig::default()
             };
             let mut disk;
@@ -608,10 +608,9 @@ fn main() -> ExitCode {
             let store: &mut dyn sct_symbolic::DecisionStore = match &opts.cache_dir {
                 Some(dir) => match DiskCache::open(dir) {
                     Ok(c) => {
-                        disk = if opts.metrics {
-                            c.with_obs(CacheObs::register(sct_obs::Registry::global()))
-                        } else {
-                            c
+                        disk = match &registry {
+                            Some(r) => c.with_obs(CacheObs::register(r)),
+                            None => c,
                         };
                         &mut disk
                     }
@@ -648,7 +647,7 @@ fn main() -> ExitCode {
             }
             let mut config = opts.machine_config(false);
             config.plan = Some(Rc::new(plan));
-            run_and_report(&program, config, opts.metrics)
+            run_and_report(&program, config, registry.as_deref())
         }
         "verify" => {
             let Some(function) = rest.get(1) else {

@@ -56,18 +56,21 @@
 //!   daemon clients can observe warm-plan behavior per request),
 //!   `plan_summary` and `degraded`.
 //! * `stats` → request counters, aggregate cache traffic
-//!   ([`sct_cache::CacheStats`]), the aggregate plan effect
-//!   (`"plan":{"static_skips":…,"monitored_calls":…}` summed over every
-//!   execution served), uptime, and per-op latency
+//!   (`"cache":{"hits":…,"misses":…,"rejected":…,"stores":…,
+//!   "quarantined":…}`), the aggregate plan effect
+//!   (`"plan":{"static_skips":…,"monitored_calls":…}`) and inline-cache
+//!   traffic (`"pic":{"hits":…,"misses":…,"invalidations":…}`) summed
+//!   over every execution served, uptime, and per-op latency
 //!   summaries (`"latency":{"plan":{"count":…,"p50_us":…,…},…}`).
+//!   It is a view of one snapshot of the server's registry — each member
+//!   reads one `serve.*`, `cache.*` or `vm.*` metric — so it reconciles
+//!   with `metrics` by construction: there is no second ledger.
 //! * `metrics` → `{"ok":true,"op":"metrics","metrics":<sct-obs
 //!   snapshot>}` — the server's full [`sct_obs::Registry`] snapshot:
 //!   every `serve.*`, `cache.*`, `plan.*`, and `vm.*` counter, gauge,
 //!   and histogram, coherent at one point in time. With
 //!   `"format":"prometheus"` the snapshot arrives instead as
-//!   Prometheus-style exposition text under `"text"`. The `stats` op
-//!   and the `metrics` op read the *same* atomics, so their counts
-//!   always reconcile.
+//!   Prometheus-style exposition text under `"text"`.
 //! * `shutdown` → `{"ok":true,"op":"shutdown"}`, then the daemon exits
 //!   (stdio: the loop returns; socket: the process terminates).
 //!
@@ -132,7 +135,7 @@
 //! assert!(out.contains("\"value\":\"3\""), "{out}");
 //! ```
 
-use sct_cache::{CacheObs, CacheStats, DiskCache, MemStore};
+use sct_cache::{CacheObs, DiskCache, MemStore};
 use sct_core::json::{parse, Json};
 use sct_core::monitor::TableStrategy;
 use sct_core::plan::{Decision, EnforcementPlan};
@@ -148,7 +151,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -244,40 +247,10 @@ pub struct ServeOptions {
     pub max_inflight_per_client: usize,
 }
 
-/// The shared store behind the daemon: disk-backed or in-memory.
-enum StoreKind {
-    Disk(DiskCache),
-    Mem(MemStore),
-}
-
-impl StoreKind {
-    fn traffic(&self) -> CacheStats {
-        match self {
-            StoreKind::Disk(d) => d.stats(),
-            StoreKind::Mem(m) => m.stats(),
-        }
-    }
-}
-
-impl DecisionStore for StoreKind {
-    fn load(&mut self, key: &str) -> Option<sct_core::plan_codec::PortableDecision> {
-        match self {
-            StoreKind::Disk(d) => d.load(key),
-            StoreKind::Mem(m) => m.load(key),
-        }
-    }
-    fn store(&mut self, key: &str, entry: &sct_core::plan_codec::PortableDecision) {
-        match self {
-            StoreKind::Disk(d) => d.store(key, entry),
-            StoreKind::Mem(m) => m.store(key, entry),
-        }
-    }
-}
-
 /// A [`DecisionStore`] view over the shared store: serving threads lock
 /// per operation, so store I/O serializes but exploration (the expensive
 /// part) runs fully in parallel.
-struct SharedStore(Arc<Mutex<StoreKind>>);
+struct SharedStore(Arc<Mutex<Box<dyn DecisionStore + Send>>>);
 
 impl DecisionStore for SharedStore {
     fn load(&mut self, key: &str) -> Option<sct_core::plan_codec::PortableDecision> {
@@ -528,11 +501,10 @@ fn await_plan(
 }
 
 /// The daemon's metric handles, registered once at construction on the
-/// server's **own** [`Registry`] (never the process-global one: the test
-/// suite runs many servers in one process, and their counts must not
-/// bleed into each other). Every former `Counters` field is now a
-/// lock-free atomic; the `stats` op and the `metrics` op read the *same*
-/// atomics, so their numbers reconcile exactly by construction.
+/// server's **own** [`Registry`] (the test suite runs many servers in one
+/// process, and their counts must not bleed into each other). The
+/// registry is the daemon's only ledger: the `stats` op and the
+/// `metrics` op both read it, so their numbers reconcile exactly.
 struct ServerMetrics {
     /// The server's registry — also handed to the cache ([`CacheObs`])
     /// and the planner ([`PlanObs`]), and published to by the VM after
@@ -548,18 +520,8 @@ struct ServerMetrics {
     shed: Counter,
     /// Requests whose deadline fired — a degraded plan or a stopped run.
     deadline_exceeded: Counter,
-    /// Aggregate run-time plan effect across every `run`/`hybrid`
-    /// execution this daemon served: calls the static proofs absorbed vs.
-    /// calls the residual monitor still guarded.
-    static_skips: Counter,
-    monitored_calls: Counter,
-    /// Aggregate polymorphic-inline-cache traffic on generic call sites
-    /// across every `run`/`hybrid` execution.
-    pic_hits: Counter,
-    pic_misses: Counter,
-    pic_invalidations: Counter,
-    /// Expensive requests currently admitted (mirrors the admission
-    /// control's own atomic).
+    /// Expensive requests currently admitted, across all clients: the
+    /// level admission control checks against [`ServeOptions::max_queue`].
     inflight: Gauge,
     /// Per-op request latency, microseconds, whole-request (parse to
     /// response).
@@ -581,11 +543,6 @@ impl ServerMetrics {
             errors: registry.counter("serve.errors"),
             shed: registry.counter("serve.shed"),
             deadline_exceeded: registry.counter("serve.deadline_exceeded"),
-            static_skips: registry.counter("serve.static_skips"),
-            monitored_calls: registry.counter("serve.monitored_calls"),
-            pic_hits: registry.counter("serve.pic_hits"),
-            pic_misses: registry.counter("serve.pic_misses"),
-            pic_invalidations: registry.counter("serve.pic_invalidations"),
             inflight: registry.gauge("serve.inflight"),
             latency_plan: registry.histogram("serve.latency.plan_us"),
             latency_run: registry.histogram("serve.latency.run_us"),
@@ -614,14 +571,12 @@ impl ServerMetrics {
 /// `Server` serves any number of sequential or concurrent clients; see
 /// the module docs for the protocol.
 pub struct Server {
-    store: Arc<Mutex<StoreKind>>,
+    store: Arc<Mutex<Box<dyn DecisionStore + Send>>>,
     metrics: ServerMetrics,
     cache_dir: Option<PathBuf>,
     deadline_ms: Option<u64>,
     max_queue: usize,
     max_inflight_per_client: usize,
-    /// Expensive requests currently admitted, across all clients.
-    inflight: AtomicUsize,
     /// Admitted-request count per client bucket.
     per_client: Mutex<HashMap<String, usize>>,
     started: Instant,
@@ -638,7 +593,6 @@ struct Admitted<'a> {
 
 impl Drop for Admitted<'_> {
     fn drop(&mut self) {
-        self.server.inflight.fetch_sub(1, Ordering::SeqCst);
         self.server.metrics.inflight.dec();
         let mut per = lock_or_recover(&self.server.per_client);
         match per.get_mut(&self.client) {
@@ -670,14 +624,13 @@ impl Server {
     pub fn new(options: ServeOptions) -> io::Result<Server> {
         // The server's own registry — every layer below (cache, planner,
         // VM publishes) reports into it, so one `metrics` snapshot covers
-        // the whole daemon, and `stats` reads the same atomics.
+        // the whole daemon, and `stats` is a view of it.
         let registry = Arc::new(Registry::new());
         let metrics = ServerMetrics::register(Arc::clone(&registry));
-        let store = match &options.cache_dir {
-            Some(dir) => {
-                StoreKind::Disk(DiskCache::open(dir)?.with_obs(CacheObs::register(&registry)))
-            }
-            None => StoreKind::Mem(MemStore::new().with_obs(CacheObs::register(&registry))),
+        let obs = CacheObs::register(&registry);
+        let store: Box<dyn DecisionStore + Send> = match &options.cache_dir {
+            Some(dir) => Box::new(DiskCache::open(dir)?.with_obs(obs)),
+            None => Box::new(MemStore::new().with_obs(obs)),
         };
         let store = Arc::new(Mutex::new(store));
         Ok(Server {
@@ -687,7 +640,6 @@ impl Server {
             deadline_ms: options.deadline_ms,
             max_queue: options.max_queue,
             max_inflight_per_client: options.max_inflight_per_client,
-            inflight: AtomicUsize::new(0),
             per_client: Mutex::new(HashMap::new()),
             started: Instant::now(),
             quitting: AtomicBool::new(false),
@@ -696,11 +648,12 @@ impl Server {
 
     /// Admission control for expensive requests. Checks the global bound
     /// first (it protects the process), then the per-client quota, under
-    /// one lock so concurrent admissions cannot both sneak past a bound.
+    /// one lock so concurrent admissions cannot both sneak past a bound:
+    /// the `serve.inflight` gauge only grows under that lock.
     fn admit(&self, client: &str) -> Result<Admitted<'_>, String> {
         let mut per = lock_or_recover(&self.per_client);
-        let inflight = self.inflight.load(Ordering::SeqCst);
-        if self.max_queue > 0 && inflight >= self.max_queue {
+        let inflight = self.metrics.inflight.get();
+        if self.max_queue > 0 && inflight >= self.max_queue as i64 {
             return Err(format!(
                 "overloaded: {inflight} requests in flight (max {}); retry later",
                 self.max_queue
@@ -714,7 +667,6 @@ impl Server {
             ));
         }
         *per.entry(client.to_string()).or_insert(0) += 1;
-        self.inflight.fetch_add(1, Ordering::SeqCst);
         self.metrics.inflight.inc();
         Ok(Admitted {
             server: self,
@@ -943,19 +895,13 @@ impl Server {
     /// Accounts one execution in the daemon's metrics and returns its
     /// response members.
     fn note_run(&self, executed: Executed, span: &trace::Span) -> Vec<(String, Json)> {
-        let stats = &executed.stats;
-        self.metrics.static_skips.add(stats.static_skips);
-        self.metrics.monitored_calls.add(stats.monitored_calls);
-        self.metrics.pic_hits.add(stats.pic_hits);
-        self.metrics.pic_misses.add(stats.pic_misses);
-        self.metrics.pic_invalidations.add(stats.pic_invalidations);
         if executed.deadline {
             self.metrics.deadline_exceeded.inc();
         }
-        // The full per-run VM statistics land in the registry too, so a
-        // `metrics` snapshot shows aggregate `vm.*` across every
-        // execution this daemon served.
-        stats.publish(&self.metrics.registry);
+        // The per-run VM statistics land in the registry, so `vm.*`
+        // aggregates every execution this daemon served; the `stats` op
+        // reads its `plan` and `pic` objects from there.
+        executed.stats.publish(&self.metrics.registry);
         if let Some([function, blame, witness]) = &executed.violation {
             // The monitor's verdict as a trace event, carrying the
             // call-sequence witness that convicted the function.
@@ -971,52 +917,64 @@ impl Server {
         executed.members
     }
 
+    /// The `stats` op: a view of one registry snapshot, so every number
+    /// in it reconciles with the `metrics` op by construction.
     fn op_stats(&self) -> Vec<(String, Json)> {
-        let m = &self.metrics;
-        let traffic = lock_or_recover(&self.store).traffic();
-        let ci = |c: &Counter| Json::Int(c.get().min(i64::MAX as u64) as i64);
+        let snap = self.metrics.registry.snapshot();
+        // An object whose members read the named counters.
+        let counters = |members: &[(&str, &str)]| {
+            Json::Obj(
+                members
+                    .iter()
+                    .map(|&(member, name)| {
+                        let v = snap.counter(name).unwrap_or(0);
+                        (member.into(), Json::Int(v.min(i64::MAX as u64) as i64))
+                    })
+                    .collect(),
+            )
+        };
         vec![
             ("ok".into(), Json::Bool(true)),
             (
                 "requests".into(),
-                Json::Obj(vec![
-                    ("plan".into(), ci(&m.plan)),
-                    ("run".into(), ci(&m.run)),
-                    ("hybrid".into(), ci(&m.hybrid)),
-                    ("stats".into(), ci(&m.stats)),
-                    ("metrics".into(), ci(&m.metrics)),
-                    ("errors".into(), ci(&m.errors)),
-                    ("shed".into(), ci(&m.shed)),
-                    ("deadline_exceeded".into(), ci(&m.deadline_exceeded)),
+                counters(&[
+                    ("plan", "serve.requests.plan"),
+                    ("run", "serve.requests.run"),
+                    ("hybrid", "serve.requests.hybrid"),
+                    ("stats", "serve.requests.stats"),
+                    ("metrics", "serve.requests.metrics"),
+                    ("errors", "serve.errors"),
+                    ("shed", "serve.shed"),
+                    ("deadline_exceeded", "serve.deadline_exceeded"),
                 ]),
             ),
             (
                 "cache".into(),
-                Json::Obj(vec![
-                    ("hits".into(), Json::Int(traffic.hits as i64)),
-                    ("misses".into(), Json::Int(traffic.misses as i64)),
-                    ("rejected".into(), Json::Int(traffic.rejected as i64)),
-                    ("stores".into(), Json::Int(traffic.stores as i64)),
-                    ("quarantined".into(), Json::Int(traffic.quarantined as i64)),
+                counters(&[
+                    ("hits", "cache.hits"),
+                    ("misses", "cache.misses"),
+                    ("rejected", "cache.rejected"),
+                    ("stores", "cache.stores"),
+                    ("quarantined", "cache.quarantined"),
                 ]),
             ),
             (
                 // Aggregate run-time plan effect, mirroring the CLI's
                 // `; plan: S static skips, M monitored calls` line.
                 "plan".into(),
-                Json::Obj(vec![
-                    ("static_skips".into(), ci(&m.static_skips)),
-                    ("monitored_calls".into(), ci(&m.monitored_calls)),
+                counters(&[
+                    ("static_skips", "vm.static_skips"),
+                    ("monitored_calls", "vm.monitored_calls"),
                 ]),
             ),
             (
                 // Aggregate inline-cache traffic, mirroring the CLI's
                 // `; pic: H hits, M misses, I invalidations` line.
                 "pic".into(),
-                Json::Obj(vec![
-                    ("hits".into(), ci(&m.pic_hits)),
-                    ("misses".into(), ci(&m.pic_misses)),
-                    ("invalidations".into(), ci(&m.pic_invalidations)),
+                counters(&[
+                    ("hits", "vm.pic_hits"),
+                    ("misses", "vm.pic_misses"),
+                    ("invalidations", "vm.pic_invalidations"),
                 ]),
             ),
             (
@@ -1032,16 +990,13 @@ impl Server {
                 // histograms the `metrics` op exposes in full.
                 "latency".into(),
                 Json::Obj(
-                    [
-                        ("plan", &m.latency_plan),
-                        ("run", &m.latency_run),
-                        ("hybrid", &m.latency_hybrid),
-                        ("stats", &m.latency_stats),
-                        ("metrics", &m.latency_metrics),
-                    ]
-                    .into_iter()
-                    .map(|(op, h)| (op.to_string(), latency_json(&h.snapshot())))
-                    .collect(),
+                    ["plan", "run", "hybrid", "stats", "metrics"]
+                        .into_iter()
+                        .map(|op| {
+                            let h = snap.histogram(&format!("serve.latency.{op}_us"));
+                            (op.to_string(), latency_json(h))
+                        })
+                        .collect(),
                 ),
             ),
         ]
@@ -1085,13 +1040,11 @@ fn opt_str(s: Option<&str>) -> Json {
 
 /// `{count, p50_us, p90_us, p99_us}` for one latency histogram; the
 /// quantile keys are omitted while the histogram is empty.
-fn latency_json(snap: &HistogramSnapshot) -> Json {
-    let mut members = vec![(
-        "count".into(),
-        Json::Int(snap.count.min(i64::MAX as u64) as i64),
-    )];
+fn latency_json(snap: Option<&HistogramSnapshot>) -> Json {
+    let count = snap.map_or(0, |h| h.count);
+    let mut members = vec![("count".into(), Json::Int(count.min(i64::MAX as u64) as i64))];
     for (key, q) in [("p50_us", 0.50), ("p90_us", 0.90), ("p99_us", 0.99)] {
-        if let Some(v) = snap.quantile(q) {
+        if let Some(v) = snap.and_then(|h| h.quantile(q)) {
             members.push((key.into(), Json::Int(v.min(i64::MAX as u64) as i64)));
         }
     }
@@ -1705,15 +1658,21 @@ mod tests {
         assert!(s.handle_line("").response.is_none());
     }
 
-    /// The acceptance criterion: `stats` and `metrics` read the same
-    /// atomics, so a snapshot taken on a quiet daemon reconciles with
-    /// the `stats` counters *exactly* — not approximately.
+    /// The acceptance criterion: `stats` is a view of the registry, so a
+    /// snapshot taken on a quiet daemon reconciles with the `stats`
+    /// counters *exactly* — not approximately.
     #[test]
     fn metrics_snapshot_reconciles_with_stats_counters() {
         let s = server();
         ok_line(
             &s,
             r#"{"op":"hybrid","source":"(define (sum i a) (if (zero? i) a (sum (- i 1) (+ a i)))) (sum 50 0)"}"#,
+        );
+        // A first-class call site under a monitored caller: inline-cache
+        // traffic for the `pic` object.
+        ok_line(
+            &s,
+            r#"{"op":"hybrid","source":"(define (g n) (if (zero? n) 0 (g (- n 1)))) (define (h n) (if (zero? n) 1 (h (- n 1)))) (define (call fn n) (fn n)) (define (drive n) (+ (call g n) (call h n))) (drive 6) (drive 6)"}"#,
         );
         ok_line(&s, r#"{"op":"plan","source":"(define (id x) x)"}"#);
         ok_line(&s, "definitely not json");
@@ -1731,15 +1690,23 @@ mod tests {
         assert_eq!(counter("serve.errors"), stat(req, "errors"));
         assert_eq!(counter("serve.shed"), stat(req, "shed"));
         let plan = stats.get("plan").unwrap();
-        assert_eq!(counter("serve.static_skips"), stat(plan, "static_skips"));
-        assert_eq!(
-            counter("serve.monitored_calls"),
-            stat(plan, "monitored_calls")
+        assert_eq!(counter("vm.static_skips"), stat(plan, "static_skips"));
+        assert_eq!(counter("vm.monitored_calls"), stat(plan, "monitored_calls"));
+        assert!(stat(plan, "monitored_calls") > 0, "{stats:?}");
+        let pic = stats.get("pic").unwrap();
+        assert_eq!(counter("vm.pic_hits"), stat(pic, "hits"));
+        assert_eq!(counter("vm.pic_misses"), stat(pic, "misses"));
+        assert_eq!(counter("vm.pic_invalidations"), stat(pic, "invalidations"));
+        assert!(
+            stat(pic, "hits") > 0 && stat(pic, "misses") > 0,
+            "{stats:?}"
         );
         let cache = stats.get("cache").unwrap();
         assert_eq!(counter("cache.hits"), stat(cache, "hits"));
         assert_eq!(counter("cache.misses"), stat(cache, "misses"));
         assert_eq!(counter("cache.stores"), stat(cache, "stores"));
+        assert_eq!(counter("cache.rejected"), stat(cache, "rejected"));
+        assert_eq!(counter("cache.quarantined"), stat(cache, "quarantined"));
         // The VM published into the same registry: the hybrid run above
         // took steps and skipped checks statically.
         assert!(counter("vm.runs") >= 1, "{m:?}");

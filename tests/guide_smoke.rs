@@ -250,6 +250,34 @@ fn guide_incremental_replan_loop() {
     std::fs::remove_dir_all(&cache_dir).ok();
 }
 
+/// `--metrics` with `--cache-dir`: the store counts into the same
+/// per-invocation registry as the planner and the VM, once per event.
+#[test]
+fn guide_cache_dir_metrics_count_store_traffic() {
+    let cache_dir = std::env::temp_dir().join(format!("sct-guide-metrics-{}", std::process::id()));
+    std::fs::remove_dir_all(&cache_dir).ok();
+    let dir = cache_dir.to_str().unwrap();
+    let args = [
+        "hybrid",
+        "examples/guide/pair.sct",
+        "--cache-dir",
+        dir,
+        "--metrics",
+    ];
+    let cold = sct(&args);
+    assert!(cold.status.success(), "{}", stderr(&cold));
+    let err = stderr(&cold);
+    for line in ["; metric cache.misses 2", "; metric cache.stores 2"] {
+        assert!(err.contains(line), "wanted {line:?} in: {err}");
+    }
+    let warm = sct(&args);
+    let err = stderr(&warm);
+    for line in ["; metric cache.hits 2", "; metric cache.stores 0"] {
+        assert!(err.contains(line), "wanted {line:?} in: {err}");
+    }
+    std::fs::remove_dir_all(&cache_dir).ok();
+}
+
 /// §5: the `sct serve` one-liner — a stdio plan request answers with the
 /// embedded sct-plan/1 document and cold-miss cache counters.
 #[test]

@@ -295,6 +295,13 @@ fn socket_stress_concurrent_clients_get_independent_results() {
         // 8 clients × 4 rounds × (1 hybrid + 1 run + 1 plan) + this
         // replay: the daemon must have counted every request.
         assert_line(&stats, r#""plan":33,"run":32,"hybrid":32"#);
+        // The latency histograms account for every request too.
+        let stats = sct_core::json::parse(&stats).unwrap();
+        let latency = stats.get("latency").unwrap();
+        for (op, requests) in [("plan", 33), ("run", 32), ("hybrid", 32)] {
+            let count = latency.get(op).and_then(|h| h.get("count"));
+            assert_eq!(count.and_then(|c| c.as_i64()), Some(requests), "{op}");
+        }
         let shutdown = request(&mut stream, &mut reader, r#"{"op":"shutdown"}"#);
         assert_line(&shutdown, r#""ok":true"#);
     }
