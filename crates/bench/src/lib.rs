@@ -7,9 +7,10 @@
 //!   for the six workloads under unchecked / continuation-mark /
 //!   imperative configurations).
 //! * `report_divergence` — §5.1.2 (steps and time to catch divergence).
-//!
-//! The Criterion benches in `benches/` measure the same configurations
-//! with statistical rigor; the reports favor breadth and readability.
+//! * `report_ablation` — how each monitor configuration knob changes the
+//!   cost and check count of a monitored tight loop.
+//! * `report_plan` — planning time with contract summaries on and off
+//!   across layered corpora of growing size.
 //!
 //! # The `BENCH_fig10.json` trajectory file
 //!

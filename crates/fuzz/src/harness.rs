@@ -44,7 +44,6 @@ use sct_lang::ast::Program;
 use sct_symbolic::{plan_program_incremental, PlanCache, PlanConfig};
 use std::fmt;
 use std::rc::Rc;
-use std::time::Duration;
 
 /// Harness configuration: the planner budget and the monitored-run fuel.
 #[derive(Debug, Clone)]
@@ -62,7 +61,6 @@ impl Default for FuzzConfig {
     fn default() -> FuzzConfig {
         let mut plan = PlanConfig::default();
         plan.verify.exec.step_budget = 30_000;
-        plan.time_budget = Some(Duration::from_millis(200));
         FuzzConfig {
             plan,
             fuel: 2_000_000,

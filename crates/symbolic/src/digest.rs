@@ -6,12 +6,9 @@
 //! (c) which of those globals the program `set!`s anywhere (the mutation
 //! taint), (d) the pinned signatures of those globals (a callee's pinned
 //! signature fixes its summary's guard, and so the stubs its callers
-//! see), (e) the shared symbolic-evaluation prelude (non-λ initializers
-//! and the number of `define`s, which consume the executor's step budget
-//! before exploration starts), and (f) the rest of the planner
-//! configuration. A [`ProgramDigests::key`] folds exactly those inputs —
-//! plus the codec and hash-spec versions — into one 128-bit content
-//! address, so:
+//! see), and (e) the rest of the planner configuration. A
+//! [`ProgramDigests::key`] folds exactly those inputs — plus the codec and
+//! hash-spec versions — into one 128-bit content address, so:
 //!
 //! * editing one `define` changes only the keys of that define and of the
 //!   defines that (transitively) reference it — every untouched define is
@@ -81,10 +78,6 @@ pub struct ProgramDigests {
     /// The Merkle digest of each component of the reference graph,
     /// indexed like the mutation map's components (see the module docs).
     per_component: Vec<Digest128>,
-    /// The shared-prelude digest: define count plus every non-λ
-    /// initializer (those consume executor steps proportional to their
-    /// size before any exploration runs).
-    prelude: Digest128,
     /// The program-wide planner knobs (pinned signatures enter through
     /// the component digests instead).
     config: Digest128,
@@ -98,26 +91,14 @@ impl ProgramDigests {
     pub fn new(program: &Program, config: &PlanConfig) -> ProgramDigests {
         let n = program.global_names.len();
         let mut hashers: Vec<StableHasher> = (0..n).map(|_| StableHasher::new()).collect();
-        let mut prelude = StableHasher::new();
-        let mut defines = 0u64;
         for form in &program.top_level {
-            match form {
-                TopForm::Define { index, expr } => {
-                    defines += 1;
-                    hash_expr(expr, program, &mut hashers[*index as usize]);
-                    if !define_is_lambda(expr) {
-                        prelude.write_str(&program.global_names[*index as usize]);
-                        hash_expr(expr, program, &mut prelude);
-                    }
-                }
-                TopForm::Expr(_) => {
-                    // Top-level expressions are not symbolically evaluated
-                    // by the verifier's executor; only their `set!` targets
-                    // matter, and those are in the mutation map.
-                }
+            // Top-level expressions are not symbolically evaluated by the
+            // verifier's executor; only their `set!` targets matter, and
+            // those are in the mutation map.
+            if let TopForm::Define { index, expr } = form {
+                hash_expr(expr, program, &mut hashers[*index as usize]);
             }
         }
-        prelude.write_u64(defines);
         let per_global: Vec<Digest128> = hashers.iter().map(StableHasher::finish128).collect();
         let mutation = MutationMap::build(program);
         // Callees first, so every callee digest exists when a caller's
@@ -153,7 +134,6 @@ impl ProgramDigests {
         ProgramDigests {
             per_global,
             per_component,
-            prelude: prelude.finish128(),
             config: config_hash.finish128(),
             mutation,
         }
@@ -209,8 +189,6 @@ impl ProgramDigests {
         // signatures: its component's Merkle digest.
         let component = self.mutation.component_of(index);
         write_digest(self.per_component[component as usize], &mut h);
-        // The shared evaluation prelude (see module docs).
-        write_digest(self.prelude, &mut h);
         // The rest of the planner configuration.
         write_digest(self.config, &mut h);
         h.finish128().to_hex()
@@ -220,19 +198,6 @@ impl ProgramDigests {
 fn write_digest(d: Digest128, h: &mut StableHasher) {
     h.write_u64(d.hi);
     h.write_u64(d.lo);
-}
-
-/// True when the initializer is a λ, possibly under `terminating/c`
-/// wrappers — the cheap-to-evaluate case the prelude digest may skip.
-fn define_is_lambda(expr: &Expr) -> bool {
-    let mut e = expr;
-    loop {
-        match e {
-            Expr::TermC { body, .. } => e = body,
-            Expr::Lambda(_) => return true,
-            _ => return false,
-        }
-    }
 }
 
 /// Hashes the program-wide knobs of `config`, selected field by field:
@@ -245,15 +210,6 @@ fn hash_config(config: &PlanConfig, h: &mut StableHasher) {
     h.write_u64(config.verify.exec.max_chain as u64);
     h.write_u32(config.verify.result_havoc_depth);
     h.write_u64(config.verify.ljb_cap as u64);
-    match config.time_budget {
-        Some(d) => {
-            h.write_u8(1);
-            h.write_u64(d.as_nanos().min(u128::from(u64::MAX)) as u64);
-        }
-        None => h.write_u8(0),
-    }
-    // The ladder is always on; the constant keeps existing keys valid.
-    h.write_u8(1);
     h.write_u8(u8::from(config.refute));
 }
 
@@ -587,6 +543,24 @@ mod tests {
         let a = keys("(define (h a b c) (if (zero? a) 0 (h (- a 1) b c)))", &cfg);
         let b = keys("(define (h a b c) (if (zero? c) 0 (h (- a 1) b c)))", &cfg);
         assert_ne!(a[0].1, b[0].1, "slot-0 vs slot-2 guard must re-key");
+    }
+
+    #[test]
+    fn adding_a_non_lambda_define_leaves_other_keys_alone() {
+        // A key commits to what its define reaches, not to the rest of
+        // the program: an unrelated initializer, before or after the
+        // others, re-keys nothing else.
+        let cfg = PlanConfig::default();
+        let before = keys(TWO, &cfg);
+        for src in [
+            format!("(define unrelated 5)\n{TWO}"),
+            format!("{TWO}\n(define unrelated 5)"),
+        ] {
+            let after = keys(&src, &cfg);
+            for entry in &before {
+                assert!(after.contains(entry), "{} re-keyed in {src}", entry.0);
+            }
+        }
     }
 
     #[test]

@@ -188,10 +188,10 @@ pub struct Executor<'p> {
     /// The distinct summaries those applications used, in first-use
     /// order; their graphs complete `graphs` (see `merge_summaries`).
     pub stubs: Vec<Rc<CalleeSummary>>,
-    /// The evaluated top-level environment. Never written after
-    /// [`Executor::new`] finishes, so explorations of the same program
-    /// share one allocation through [`GlobalSnapshot`].
+    /// The evaluated top-level environment and its failed flags, shared
+    /// with the [`GlobalSnapshot`] this executor started from.
     globals: Rc<Vec<SValue>>,
+    failed: Rc<Vec<bool>>,
     steps: u64,
     havoc_left: u32,
     entry: Option<EntryInvariant>,
@@ -201,31 +201,57 @@ pub struct Executor<'p> {
     caller_global: Option<u32>,
 }
 
-/// The evaluated top-level environment of a program, extracted from one
-/// [`Executor::new`] and shared by every later
-/// [`Executor::with_snapshot`]. Evaluating the definitions costs
-/// O(defines); before this existed each per-`define` exploration paid it
-/// again, which made whole-program planning quadratic in program size.
-/// The snapshot restores the exact post-`eval_globals` executor state —
-/// same values, same atom numbering, same step count, same incomplete
-/// marker — so a snapshot-seeded exploration is bit-identical to a
-/// fresh one.
+/// The evaluated top-level environment of a program, shared by every
+/// exploration of one planning pass (or one verifier call) through
+/// [`Executor::with_snapshot`].
+///
+/// Each `define` initializer is evaluated once, in source order, with a
+/// step count and an incomplete marker of its own. A global whose
+/// initializer does not end in exactly one complete value is *failed*:
+/// an exploration that reads it stops there, incomplete, naming the
+/// global. Nothing else carries over — an exploration starts at zero
+/// steps and with no incomplete marker, so its fuel and verdict depend
+/// only on the globals it actually reads. The atom table does carry over:
+/// a non-λ initializer can evaluate to an atom (`(define n (length xs))`),
+/// so exploration atoms are numbered after the snapshot's.
 pub struct GlobalSnapshot {
     globals: Rc<Vec<SValue>>,
+    failed: Rc<Vec<bool>>,
     atom_kinds: Vec<AtomKind>,
-    incomplete: Option<String>,
-    steps: u64,
 }
 
 impl GlobalSnapshot {
     /// Evaluates `program`'s definitions once.
     pub fn build(program: &Program, config: &ExecConfig) -> GlobalSnapshot {
-        let ex = Executor::new(program, config.clone());
+        let n = program.global_names.len();
+        let mut ex = Executor::with_snapshot(
+            program,
+            config.clone(),
+            &GlobalSnapshot {
+                globals: Rc::new(vec![SValue::Conc(Value::Undefined); n]),
+                failed: Rc::new(vec![false; n]),
+                atom_kinds: Vec::new(),
+            },
+        );
+        for form in &program.top_level {
+            if let TopForm::Define { index, expr } = form {
+                ex.steps = 0;
+                ex.incomplete = None;
+                ex.havoc_left = config.havoc_budget;
+                let outs = ex.eval(expr, &None, Path::new(), &PMap::new());
+                let value = match (outs.as_slice(), &ex.incomplete) {
+                    ([(_, SOut::Val(v))], None) => Some(v.clone()),
+                    _ => None,
+                };
+                let i = *index as usize;
+                Rc::make_mut(&mut ex.failed)[i] = value.is_none();
+                Rc::make_mut(&mut ex.globals)[i] = value.unwrap_or(SValue::Conc(Value::Undefined));
+            }
+        }
         GlobalSnapshot {
-            globals: ex.globals.clone(),
-            atom_kinds: ex.atom_kinds.clone(),
-            incomplete: ex.incomplete.clone(),
-            steps: ex.steps,
+            globals: ex.globals,
+            failed: ex.failed,
+            atom_kinds: ex.atom_kinds,
         }
     }
 }
@@ -242,34 +268,8 @@ impl<'a> WellFoundedOrder<SValue> for PathOrder<'a> {
 }
 
 impl<'p> Executor<'p> {
-    /// Creates an executor and evaluates the program's definitions.
-    pub fn new(program: &'p Program, config: ExecConfig) -> Executor<'p> {
-        let mut ex = Executor {
-            program,
-            config,
-            atom_kinds: Vec::new(),
-            graphs: HashMap::new(),
-            incomplete: None,
-            opaque_applications: 0,
-            stubbed_applications: 0,
-            stubs: Vec::new(),
-            globals: Rc::new(vec![
-                SValue::Conc(Value::Undefined);
-                program.global_names.len()
-            ]),
-            steps: 0,
-            havoc_left: 0,
-            entry: None,
-            summaries: None,
-            caller_global: None,
-        };
-        ex.havoc_left = ex.config.havoc_budget;
-        ex.eval_globals();
-        ex
-    }
-
-    /// Creates an executor starting from a prebuilt [`GlobalSnapshot`] of
-    /// the same program, skipping the O(defines) definition re-evaluation.
+    /// Creates an executor over a [`GlobalSnapshot`] of the same program,
+    /// at zero steps and with no incomplete marker.
     pub fn with_snapshot(
         program: &'p Program,
         config: ExecConfig,
@@ -280,12 +280,13 @@ impl<'p> Executor<'p> {
             config,
             atom_kinds: snapshot.atom_kinds.clone(),
             graphs: HashMap::new(),
-            incomplete: snapshot.incomplete.clone(),
+            incomplete: None,
             opaque_applications: 0,
             stubbed_applications: 0,
             stubs: Vec::new(),
             globals: snapshot.globals.clone(),
-            steps: snapshot.steps,
+            failed: snapshot.failed.clone(),
+            steps: 0,
             havoc_left: 0,
             entry: None,
             summaries: None,
@@ -362,28 +363,6 @@ impl<'p> Executor<'p> {
         }
     }
 
-    fn eval_globals(&mut self) {
-        let forms = &self.program.top_level;
-        for form in forms {
-            if let TopForm::Define { index, expr } = form {
-                let outs = self.eval(expr, &None, Path::new(), &PMap::new());
-                match outs.as_slice() {
-                    [(_, SOut::Val(v))] => {
-                        Rc::make_mut(&mut self.globals)[*index as usize] = v.clone()
-                    }
-                    _ => {
-                        self.note_incomplete(format!(
-                            "definition of {} did not evaluate deterministically",
-                            self.program.global_names[*index as usize]
-                        ));
-                        let v = self.fresh(AtomKind::Any);
-                        Rc::make_mut(&mut self.globals)[*index as usize] = v;
-                    }
-                }
-            }
-        }
-    }
-
     fn apply_delta(&mut self, path: &Path, d: &Delta) -> Option<Path> {
         match d {
             Delta::Lin(c) => {
@@ -425,6 +404,13 @@ impl<'p> Executor<'p> {
                 vec![(path, SOut::Val(val))]
             }
             Expr::Global(i) => {
+                if self.failed[*i as usize] {
+                    self.note_incomplete(format!(
+                        "definition of {} did not evaluate deterministically",
+                        self.program.global_names[*i as usize]
+                    ));
+                    return vec![(path, SOut::Abort)];
+                }
                 let val = self.globals[*i as usize].clone();
                 if matches!(val, SValue::Conc(Value::Undefined)) {
                     return vec![(path, SOut::Abort)];

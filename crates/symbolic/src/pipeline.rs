@@ -8,9 +8,8 @@
 //! * A function whose exploration is exhaustive and whose every discovered
 //!   graph set passes the Lee–Jones–Ben-Amram check becomes
 //!   [`Decision::Static`] — the monitor's fast path skips it entirely.
-//! * A function whose exploration hits the fuel budget, the wall-clock
-//!   budget, or an unsupported feature becomes [`Decision::Monitor`]: the
-//!   *fuel-budget fallback*. The plan never weakens Theorem 3.1 — anything
+//! * A function whose exploration hits the fuel budget or an unsupported
+//!   feature becomes [`Decision::Monitor`]: the *fuel-budget fallback*. The plan never weakens Theorem 3.1 — anything
 //!   unproven keeps full dynamic monitoring.
 //! * A function for which *every* attempted domain assignment yields an
 //!   exhaustive exploration with a definite graph-set violation becomes
@@ -76,7 +75,7 @@ use sct_lang::ast::{Expr, LambdaDef, LambdaId, Program, TopForm};
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A declared verification signature: one domain per parameter plus the
 /// result domain assumed at summarized self-calls.
@@ -176,9 +175,6 @@ pub struct PlanConfig {
     /// *fuel budget*: an exploration that exhausts it reports incomplete
     /// and the function falls back to [`Decision::Monitor`].
     pub verify: VerifyConfig,
-    /// Wall-clock budget per function, checked between ladder attempts;
-    /// `None` disables the clock (fuel still bounds each attempt).
-    pub time_budget: Option<Duration>,
     /// When true (the default), definite violations become
     /// [`Decision::Refuted`]; when false they degrade to
     /// [`Decision::Monitor`]. Refutation presumes the monitor runs the
@@ -201,9 +197,9 @@ pub struct PlanConfig {
     /// fallback rung, so the plan stays sound, just maximally pessimistic.
     /// Store hits are still honored past the deadline (a load is cheap and
     /// a persisted decision is load-independent). Deadline-degraded
-    /// decisions are *never persisted*: like time-budget truncations, they
-    /// reflect machine load, not program content, and the content key must
-    /// not pin one slow moment's pessimism. Excluded from the content key
+    /// decisions are *never persisted*: they reflect machine load, not
+    /// program content, and the content key must not pin one slow
+    /// moment's pessimism. Excluded from the content key
     /// for the same reason (see `digest::hash_config`).
     pub deadline: Option<Instant>,
     /// Metrics hook — [`PlanObs::disabled`] by default. Excluded from
@@ -227,7 +223,6 @@ impl Default for PlanConfig {
     fn default() -> Self {
         PlanConfig {
             verify: VerifyConfig::default(),
-            time_budget: Some(Duration::from_millis(500)),
             refute: true,
             signatures: HashMap::new(),
             deadline: None,
@@ -466,13 +461,13 @@ pub fn plan_program_incremental(
         // the program `set!`s, a later rebinding could invalidate the
         // discharge at run time — e.g. a helper swapped for one that no
         // longer descends. Such functions stay monitored.
-        let (decision, cacheable, summary_data) = if let Some(g) = mutation.tainted_by(*index) {
+        let (decision, summary_data) = if let Some(g) = mutation.tainted_by(*index) {
             let reason = format!(
                 "depends on global {} which the program mutates (set!); \
                  a run-time rebinding could invalidate the proof",
                 program.global_names[g as usize]
             );
-            (monitor_fallback(name, def, blame, &reason), true, None)
+            (monitor_fallback(name, def, blame, &reason), None)
         } else {
             plan_function(
                 program,
@@ -500,22 +495,14 @@ pub fn plan_program_incremental(
                     .iter()
                     .any(|(id, set)| *id == def.id && !set.is_empty())
         });
-        // A decision reached only because the wall clock truncated the
-        // ladder depends on machine load, not on the inputs the key
-        // commits to: persisting it would pin a slow moment's pessimism
-        // forever (the same reasoning that forbids refuting on a
-        // truncated ladder). Recompute it next time instead. The summary
-        // is persisted inside the decision's entry (such ladders cannot
-        // end `Static`, so they never carry one).
-        if cacheable {
-            if let Some(key) = &key {
-                let mut entry = PortableDecision::from_decision(&decision, &nested);
-                entry.summary = summary_data
-                    .as_ref()
-                    .zip(lambda_index.as_ref())
-                    .and_then(|(data, li)| portable_summary(name, data, li, program));
-                store.store(key, &entry);
-            }
+        // The summary is persisted inside the decision's entry.
+        if let Some(key) = &key {
+            let mut entry = PortableDecision::from_decision(&decision, &nested);
+            entry.summary = summary_data
+                .as_ref()
+                .zip(lambda_index.as_ref())
+                .and_then(|(data, li)| portable_summary(name, data, li, program));
+            store.store(key, &entry);
         }
         if let Some(data) = summary_data {
             summary_table.insert(
@@ -1038,7 +1025,7 @@ fn run_attempt(
         Some(entry_id),
         summaries,
         caller_global,
-        Some(snapshot),
+        snapshot,
     ) {
         Ok(e) => e,
         Err(reason) => return (Attempt::Inconclusive { reason }, None),
@@ -1114,8 +1101,6 @@ struct LadderOutcome {
     verified: Option<VerifiedRung>,
     violations: Vec<(ScGraph, String, bool)>,
     last_reason: String,
-    attempts: usize,
-    truncated: bool,
     /// Whether any attempt answered an application from a callee summary.
     /// A non-verified outcome with stubs is re-derived stub-free so that
     /// Monitor/Refuted verdicts stay bit-identical to full descent.
@@ -1128,7 +1113,6 @@ fn run_ladder(
     name: &str,
     def: &Rc<LambdaDef>,
     candidates: &[Signature],
-    start: Instant,
     config: &PlanConfig,
     cache: &mut PlanCache,
     names: &Rc<HashMap<LambdaId, String>>,
@@ -1140,23 +1124,9 @@ fn run_ladder(
         verified: None,
         violations: Vec::new(),
         last_reason: String::new(),
-        attempts: 0,
-        truncated: false,
         stubbed: false,
     };
     for (domains, result) in candidates {
-        if let Some(budget) = config.time_budget {
-            if out.attempts > 0 && start.elapsed() > budget {
-                out.truncated = true;
-                out.last_reason = format!(
-                    "time budget ({}ms) exhausted after {} attempt(s)",
-                    budget.as_millis(),
-                    out.attempts
-                );
-                break;
-            }
-        }
-        out.attempts += 1;
         let rung = if config.signatures.contains_key(name) {
             "signature"
         } else {
@@ -1232,7 +1202,7 @@ fn plan_function(
     summaries: Option<&SummaryTable>,
     caller_global: Option<u32>,
     snapshot: &GlobalSnapshot,
-) -> (FnDecision, bool, Option<SummaryData>) {
+) -> (FnDecision, Option<SummaryData>) {
     let start = Instant::now();
     let base = FnDecision {
         name: name.to_string(),
@@ -1258,7 +1228,7 @@ fn plan_function(
         let mut d = base;
         d.detail = reason.clone();
         d.decision = Decision::Monitor { reason };
-        return (finish(d), true, None);
+        return (finish(d), None);
     }
 
     let params = def.params as usize;
@@ -1290,7 +1260,6 @@ fn plan_function(
         name,
         def,
         &candidates,
-        start,
         config,
         cache,
         &names,
@@ -1301,16 +1270,13 @@ fn plan_function(
     // Stubbing may only ever *improve* a verdict (it prunes paths and
     // borrows the callee's already-verified graphs), so a Verified rung
     // stands. But a non-Static verdict reached via stubs could differ from
-    // full descent in witness/reason wording, so re-derive it stub-free —
-    // unless the wall clock already cut the ladder short, in which case
-    // the decision is tainted (not persisted) either way.
-    if outcome.verified.is_none() && outcome.stubbed && !outcome.truncated {
+    // full descent in witness/reason wording, so re-derive it stub-free.
+    if outcome.verified.is_none() && outcome.stubbed {
         outcome = run_ladder(
             program,
             name,
             def,
             &candidates,
-            start,
             config,
             cache,
             &names,
@@ -1345,25 +1311,17 @@ fn plan_function(
             graphs: rung.exploration.own_graphs,
             callees: rung.exploration.stubs,
         };
-        return (finish(d), true, Some(summary));
+        return (finish(d), Some(summary));
     }
 
     let LadderOutcome {
         mut violations,
         mut last_reason,
-        attempts,
-        truncated,
         ..
     } = outcome;
     let mut d = base;
-    // Refute only when the FULL ladder ran (a time-budget break must not
-    // turn a would-be discharge on a later rung into a rejection — the
-    // verdict would then depend on machine load) and every rung found a
-    // definite violation.
     let refutable = config.refute
-        && !violations.is_empty()
-        && attempts == candidates.len()
-        && violations.len() == attempts
+        && violations.len() == candidates.len()
         && violations.iter().all(|(_, _, definite)| *definite);
     if refutable {
         // Every domain assignment agreed on a *direct* violating graph:
@@ -1388,7 +1346,7 @@ fn plan_function(
             reason: last_reason,
         };
     }
-    (finish(d), !truncated, None)
+    (finish(d), None)
 }
 
 /// The inverse of [`plan_domain`]: rebinding a persisted summary's guard
@@ -1464,6 +1422,7 @@ fn collect_lambda_ids(e: &Expr, out: &mut Vec<LambdaId>) {
 mod tests {
     use super::*;
     use sct_lang::compile_program;
+    use std::time::Duration;
 
     #[test]
     fn sum_is_nat_guarded_static() {
@@ -1579,43 +1538,6 @@ mod tests {
         fn store(&mut self, key: &str, entry: &PortableDecision) {
             self.map.insert(key.to_string(), entry.clone());
         }
-    }
-
-    #[test]
-    fn budget_truncated_decisions_are_not_persisted() {
-        // A Monitor verdict reached because the wall clock cut the ladder
-        // short reflects machine load, not program content: persisting it
-        // would pin one slow moment's pessimism under a key that future
-        // (fast) runs reproduce. It must recompute instead.
-        let prog =
-            compile_program("(define (sum i acc) (if (zero? i) acc (sum (- i 1) (+ acc i))))")
-                .unwrap();
-        let truncated_cfg = PlanConfig {
-            time_budget: Some(Duration::ZERO),
-            ..PlanConfig::default()
-        };
-        let mut store = TestStore::default();
-        let (plan, _) =
-            plan_program_incremental(&prog, &truncated_cfg, &mut PlanCache::new(), &mut store);
-        assert_eq!(plan.count("monitor"), 1, "{:?}", plan.decisions);
-        assert!(
-            store.map.is_empty(),
-            "load-dependent decision must not be cached"
-        );
-        assert!(
-            store.summaries().is_empty(),
-            "a truncated ladder must not publish a contract summary either"
-        );
-        // An untruncated run persists as usual — decision and summary.
-        let (_, stats) = plan_program_incremental(
-            &prog,
-            &PlanConfig::default(),
-            &mut PlanCache::new(),
-            &mut store,
-        );
-        assert_eq!(stats.misses(), 1);
-        assert_eq!(store.map.len(), 1);
-        assert_eq!(store.summaries().len(), 1, "sum is recursive and Static");
     }
 
     #[test]
@@ -1757,25 +1679,50 @@ mod tests {
     }
 
     #[test]
-    fn budget_truncated_ladder_never_refutes() {
-        // With a zero wall clock only the first rung runs; whatever it
-        // finds, a truncated ladder must not refute a function a later
-        // rung would have discharged — the verdict would otherwise depend
-        // on machine load.
-        let prog =
-            compile_program("(define (sum i acc) (if (zero? i) acc (sum (- i 1) (+ acc i))))")
-                .unwrap();
-        let cfg = PlanConfig {
-            time_budget: Some(Duration::ZERO),
-            ..PlanConfig::default()
-        };
+    fn small_fuel_budget_plans_a_large_program() {
+        // Each exploration draws fuel only for what it reaches, so a
+        // budget that covers one define covers any number of them.
+        let source: String = (0..600)
+            .map(|i| format!("(define (len{i} l) (if (null? l) 0 (+ 1 (len{i} (cdr l)))))\n"))
+            .collect();
+        let prog = compile_program(&source).unwrap();
+        let mut cfg = PlanConfig::default();
+        cfg.verify.exec.step_budget = 500;
         let plan = plan_program(&prog, &cfg);
-        assert_eq!(plan.count("refuted"), 0, "{:?}", plan.decisions);
-        // Sanity: the full ladder does discharge it.
-        assert_eq!(
-            plan_program(&prog, &PlanConfig::default()).count("static"),
-            1
+        assert_eq!(plan.count("static"), 600, "{:?}", plan.decisions[0]);
+    }
+
+    #[test]
+    fn a_failed_initializer_taints_only_its_readers() {
+        // `bad` does not evaluate to a value. `sum` never reads it and
+        // stays Static; a define that reads `bad`, or reads a global whose
+        // initializer reads `bad`, stays Monitor and says which
+        // definition failed.
+        let prog = compile_program(
+            "(define (sum i acc) (if (zero? i) acc (sum (- i 1) (+ acc i))))
+             (define bad (car '()))
+             (define worse (cons bad '()))
+             (define (reads-bad l) (if (null? l) bad (reads-bad (cdr l))))
+             (define (reads-worse l) (if (null? l) worse (reads-worse (cdr l))))",
+        )
+        .unwrap();
+        let plan = plan_program(&prog, &PlanConfig::default());
+        let decision = |name: &str| {
+            let d = plan.decisions.iter().find(|d| d.name == name).unwrap();
+            d.decision.clone()
+        };
+        assert!(
+            matches!(decision("sum"), Decision::Static { .. }),
+            "{:?}",
+            decision("sum")
         );
+        for (name, failed) in [("reads-bad", "bad"), ("reads-worse", "worse")] {
+            let Decision::Monitor { reason } = decision(name) else {
+                panic!("{name}: {:?}", decision(name));
+            };
+            let expected = format!("definition of {failed} did not evaluate");
+            assert!(reason.contains(&expected), "{name}: {reason}");
+        }
     }
 
     #[test]

@@ -163,7 +163,7 @@ pub fn explore_function(
         None,
         None,
         None,
-        None,
+        &GlobalSnapshot::build(program, &config.exec),
     )
 }
 
@@ -180,6 +180,8 @@ pub fn explore_function(
 /// stubbed with their contract summaries instead of descending (see
 /// [`Executor::set_summaries`]); `caller_global` is the explored define's
 /// global index, used to refuse stubs that could reach back into it.
+/// `snapshot` is the program's evaluated globals, built once per planning
+/// pass.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn explore_with_names(
     program: &Program,
@@ -191,14 +193,9 @@ pub(crate) fn explore_with_names(
     expected_entry: Option<LambdaId>,
     summaries: Option<&SummaryTable>,
     caller_global: Option<u32>,
-    snapshot: Option<&GlobalSnapshot>,
+    snapshot: &GlobalSnapshot,
 ) -> Result<Exploration, String> {
-    // A planning pass shares one evaluated top-level environment across
-    // all of its explorations; one-off entry points evaluate their own.
-    let mut ex = match snapshot {
-        Some(snap) => Executor::with_snapshot(program, config.exec.clone(), snap),
-        None => Executor::new(program, config.exec.clone()),
-    };
+    let mut ex = Executor::with_snapshot(program, config.exec.clone(), snapshot);
     if let Some(table) = summaries {
         ex.set_summaries(table, caller_global);
     }

@@ -120,7 +120,7 @@ fn guide_hybrid_metrics_replays_deterministically() {
     let err = stderr(&h);
     for line in [
         "; metric plan.defines 1",
-        "; metric plan.fuel_used 32",
+        "; metric plan.fuel_used 30",
         "; metric plan.rung.nat.attempts 1",
         "; metric plan.rung.nat.discharged 1",
         "; metric vm.runs 1",
@@ -275,6 +275,83 @@ fn guide_cache_dir_metrics_count_store_traffic() {
     for line in ["; metric cache.hits 2", "; metric cache.stores 0"] {
         assert!(err.contains(line), "wanted {line:?} in: {err}");
     }
+    std::fs::remove_dir_all(&cache_dir).ok();
+}
+
+/// `--cache-dir` with `--plan`: a cold run then a warm one. The warm run
+/// is pure hits, and the store holds exactly one `sct-plan/3` entry per
+/// define, each `static` and carrying its contract summary, with no
+/// sidecar files.
+#[test]
+fn guide_cache_round_trip_entries() {
+    use sct_core::json::{parse, Json};
+    let cache_dir = std::env::temp_dir().join(format!("sct-guide-entries-{}", std::process::id()));
+    std::fs::remove_dir_all(&cache_dir).ok();
+    let dir = cache_dir.to_str().unwrap();
+    let args = [
+        "hybrid",
+        "examples/guide/pair.sct",
+        "--cache-dir",
+        dir,
+        "--plan",
+    ];
+    let cold = sct(&args);
+    assert!(cold.status.success(), "{}", stderr(&cold));
+    assert!(
+        stderr(&cold).contains("cache: 0 hits, 2 misses"),
+        "{}",
+        stderr(&cold)
+    );
+    let warm = sct(&args);
+    assert!(warm.status.success(), "{}", stderr(&warm));
+    assert!(
+        stderr(&warm).contains("cache: 2 hits, 0 misses"),
+        "{}",
+        stderr(&warm)
+    );
+
+    let doc = parse(&stdout(&warm)).expect("--plan prints JSON");
+    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("sct-plan/1"));
+    assert_eq!(
+        doc.get("functions")
+            .and_then(Json::as_arr)
+            .map(<[Json]>::len),
+        Some(2)
+    );
+
+    let files: Vec<_> = std::fs::read_dir(&cache_dir)
+        .unwrap()
+        .flatten()
+        .filter(|shard| shard.path().is_dir())
+        .flat_map(|shard| std::fs::read_dir(shard.path()).unwrap().flatten())
+        .map(|f| f.path())
+        .collect();
+    let has_ext = |p: &Path, ext: &str| p.extension().is_some_and(|e| e == ext);
+    assert!(!files.iter().any(|p| has_ext(p, "sum")), "{files:?}");
+    let entries: Vec<_> = files.iter().filter(|p| has_ext(p, "plan")).collect();
+    assert_eq!(entries.len(), 2, "{files:?}");
+    let mut names = Vec::new();
+    for path in entries {
+        let entry = parse(&std::fs::read_to_string(path).unwrap()).expect("entry is JSON");
+        assert_eq!(
+            entry.get("schema").and_then(Json::as_str),
+            Some("sct-plan/3")
+        );
+        assert_eq!(entry.get("decision").and_then(Json::as_str), Some("static"));
+        assert!(entry.get("covers_idx").is_some() && entry.get("detail").is_some());
+        // sum and len are both recursive: each entry carries its summary.
+        let summary = entry.get("summary").expect("a contract summary");
+        assert!(summary.get("guard").is_some() && summary.get("graphs").is_some());
+        names.push(
+            entry
+                .get("name")
+                .and_then(Json::as_str)
+                .unwrap()
+                .to_string(),
+        );
+    }
+    names.sort();
+    assert_eq!(names, ["len", "sum"]);
     std::fs::remove_dir_all(&cache_dir).ok();
 }
 

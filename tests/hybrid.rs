@@ -18,15 +18,13 @@ use sct_contracts::{
     TableStrategy, Value,
 };
 use std::rc::Rc;
-use std::time::Duration;
 
 /// A fast plan configuration for sweeping many corpus programs in debug
-/// builds: smaller fuel, tight wall clock. Plan *quality* is irrelevant to
-/// the agreement properties — anything unproven just stays monitored.
+/// builds: smaller fuel. Plan *quality* is irrelevant to the agreement
+/// properties — anything unproven just stays monitored.
 fn quick_plan_config() -> PlanConfig {
     let mut cfg = PlanConfig::default();
     cfg.verify.exec.step_budget = 30_000;
-    cfg.time_budget = Some(Duration::from_millis(200));
     cfg
 }
 
@@ -314,4 +312,36 @@ fn refutation_is_eager_even_if_never_applied() {
         matches!(hybrid, Err(EvalError::Sc(ref info)) if info.blame.as_deref() == Some("p")),
         "hybrid rejects before running, with blame, got {hybrid:?}"
     );
+}
+
+/// Fuel alone bounds each define's planning: with no wall clock in the
+/// planner, no define of the Table 1 corpus, the Figure 10 workloads or a
+/// fixed-seed batch of fuzz cases takes a second to plan under the
+/// default configuration.
+#[test]
+fn fuel_bounds_every_define_planning_time() {
+    let mut sources: Vec<(String, String)> = table1::all()
+        .into_iter()
+        .map(|p| (p.id.to_string(), p.source.to_string()))
+        .collect();
+    sources.extend(
+        sct_contracts::corpus::workloads::fig10()
+            .into_iter()
+            .map(|w| (w.id.to_string(), w.source)),
+    );
+    sources.extend((0..100).map(|i| {
+        let case = sct_fuzz::gen_case(sct_fuzz::case_seed(1, i));
+        (format!("fuzz case {}", case.seed), case.source)
+    }));
+    for (label, source) in sources {
+        let prog = sct_contracts::lang::compile_program(&source).expect(&label);
+        for d in plan_program(&prog, &PlanConfig::default()).decisions {
+            assert!(
+                d.micros < 1_000_000,
+                "{label}/{} took {} µs to plan",
+                d.name,
+                d.micros
+            );
+        }
+    }
 }

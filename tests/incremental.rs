@@ -8,15 +8,17 @@
 //! share a cache.
 
 use sct_contracts::core::json::{parse, Json};
-use sct_contracts::core::plan_codec::decode_entry;
-use sct_contracts::symbolic::{NullStore, PlanObs};
+use sct_contracts::core::plan_codec::{decode_entry, PortableDecision};
+use sct_contracts::symbolic::{DecisionStore, NullStore, PlanObs};
 use sct_contracts::{
     plan_program_incremental, DiskCache, PlanCache, PlanConfig, ServeOptions, Server,
 };
 use sct_fuzz::{permute_defines, Rng};
+use sct_obs::Registry;
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -162,6 +164,103 @@ fn reordering_the_defines_keeps_every_key() {
             plan_program_incremental(&prog, &cfg, &mut PlanCache::new(), &mut NullStore);
         assert!(warm_plan.structurally_eq(&fresh), "{label}: replay drifted");
     }
+}
+
+/// The layered corpus the slice-locality oracles plan, with its entry
+/// call.
+fn layered_program(n: usize) -> String {
+    format!("{}\n(f0 '(1 2 3))", sct_bench::layered_corpus(n, 7, 0))
+}
+
+/// Cold-plans `source` into a fresh store and returns the entries by key,
+/// with the planning time zeroed.
+fn planned_entries(source: &str) -> HashMap<String, PortableDecision> {
+    let prog = sct_lang::compile_program(source).unwrap();
+    let mut store = sct_cache::MemStore::new();
+    plan_program_incremental(
+        &prog,
+        &PlanConfig::default(),
+        &mut PlanCache::new(),
+        &mut store,
+    );
+    store
+        .entries()
+        .iter()
+        .map(|(key, entry)| {
+            let entry = PortableDecision {
+                micros: 0,
+                ..entry.clone()
+            };
+            (key.clone(), entry)
+        })
+        .collect()
+}
+
+#[test]
+fn adding_an_unrelated_define_keeps_every_other_key_and_decision() {
+    // A define's key and decision depend only on what it reaches: adding
+    // a define, λ or not, before or after the others, re-keys and
+    // re-plans nothing else, and a warm store answers every old define.
+    let corpus = layered_program(200);
+    let base = planned_entries(&corpus);
+    assert_eq!(base.len(), 200);
+    for (extra, new_lambda) in [
+        ("(define unrelated 5)", None),
+        ("(define (unrel x) x)", Some("unrel")),
+    ] {
+        for source in [format!("{extra}\n{corpus}"), format!("{corpus}\n{extra}")] {
+            let edited = planned_entries(&source);
+            assert_eq!(edited.len(), 200 + usize::from(new_lambda.is_some()));
+            for (key, entry) in &base {
+                assert_eq!(edited.get(key), Some(entry), "{} drifted", entry.name);
+            }
+            let mut warm = sct_cache::MemStore::new();
+            for (key, entry) in &base {
+                warm.store(key, entry);
+            }
+            let prog = sct_lang::compile_program(&source).unwrap();
+            let (_, stats) = plan_program_incremental(
+                &prog,
+                &PlanConfig::default(),
+                &mut PlanCache::new(),
+                &mut warm,
+            );
+            assert_eq!(
+                stats.hits(),
+                200,
+                "{extra}: missed {:?}",
+                stats.missed_names()
+            );
+            assert_eq!(stats.missed_names(), Vec::from_iter(new_lambda), "{extra}");
+        }
+    }
+}
+
+#[test]
+fn fuel_per_define_does_not_grow_with_program_size() {
+    // An exploration starts from zero steps and draws fuel only for what
+    // it reaches, so the mean fuel per define of two layered corpora
+    // three times apart in size is the same, up to the layers' slightly
+    // different proportions.
+    let fuel_per_define = |n: usize| {
+        let reg = Arc::new(Registry::new());
+        let cfg = PlanConfig {
+            obs: PlanObs::registered(reg.clone()),
+            ..PlanConfig::default()
+        };
+        let prog = sct_lang::compile_program(&layered_program(n)).unwrap();
+        plan_program_incremental(&prog, &cfg, &mut PlanCache::new(), &mut NullStore);
+        let snapshot = reg.snapshot();
+        let fuel = snapshot.counter("plan.fuel_used").unwrap();
+        let defines = snapshot.counter("plan.defines").unwrap();
+        assert_eq!(defines, n as u64);
+        fuel as f64 / defines as f64
+    };
+    let (small, large) = (fuel_per_define(100), fuel_per_define(300));
+    assert!(
+        (small - large).abs() < 0.01 * small,
+        "fuel per define {small:.2} at 100 defines vs {large:.2} at 300"
+    );
 }
 
 #[test]
@@ -381,7 +480,7 @@ fn serve_plans_equal_the_cli_plan_under_concurrent_requests() {
         // The CLI replays what the daemon persisted: every define hits,
         // every persisted summary rebinds, and the plan is the one it
         // would have computed itself.
-        let reg = std::sync::Arc::new(sct_obs::Registry::new());
+        let reg = Arc::new(Registry::new());
         let warm_cfg = PlanConfig {
             obs: PlanObs::registered(reg.clone()),
             ..PlanConfig::default()

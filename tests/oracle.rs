@@ -41,7 +41,6 @@ use sct_contracts::{plan_program, MachineConfig, PlanConfig, SemanticsMode, Tabl
 use sct_fuzz::harness::{assert_pic_transparent, run_reference, run_vm_stats, Outcome};
 use sct_fuzz::ExprGen;
 use std::rc::Rc;
-use std::time::Duration;
 
 /// Runs `source` through both machines under `config` and asserts (or,
 /// for the proptest driver, returns) outcome equality. Every case runs
@@ -68,7 +67,6 @@ fn assert_agree(source: &str, config: &MachineConfig, what: &str) {
 fn quick_plan_config() -> PlanConfig {
     let mut cfg = PlanConfig::default();
     cfg.verify.exec.step_budget = 30_000;
-    cfg.time_budget = Some(Duration::from_millis(200));
     cfg
 }
 

@@ -15,7 +15,6 @@ use sct_contracts::{
     plan_program, Decision, EvalError, Machine, MachineConfig, PlanConfig, TableStrategy,
 };
 use std::rc::Rc;
-use std::time::Duration;
 
 /// `(f f n)` terminates for small `n` (decrements below 5) but diverges
 /// for `n >= 5` (increments forever). Self-application keeps the call
@@ -30,7 +29,6 @@ const SELF_APP: &str = r#"
 fn quick_plan_config() -> PlanConfig {
     let mut cfg = PlanConfig::default();
     cfg.verify.exec.step_budget = 30_000;
-    cfg.time_budget = Some(Duration::from_millis(200));
     cfg
 }
 

@@ -154,13 +154,11 @@ fn fuzz_schema_sweep_plans_identically_with_summaries() {
     }
 }
 
-/// Plans `source` (summaries on, no wall-clock budget, so a slow host
-/// cannot truncate a ladder) and returns the order-free view of its
+/// Plans `source` (summaries on) and returns the order-free view of its
 /// decisions plus `plan.summary.stubbed_applications`.
 fn order_free_plan(source: &str) -> (Vec<impl PartialEq + std::fmt::Debug>, u64) {
     let reg = Arc::new(Registry::new());
     let cfg = PlanConfig {
-        time_budget: None,
         obs: PlanObs::registered(reg.clone()),
         ..PlanConfig::default()
     };
@@ -225,12 +223,10 @@ fn mutual_recursion_through_a_non_lambda_define_is_never_stubbed() {
         let prog = sct_lang::compile_program(&source.join("\n")).unwrap();
         let reg = Arc::new(Registry::new());
         let on = PlanConfig {
-            time_budget: None,
             obs: PlanObs::registered(reg.clone()),
             ..PlanConfig::default()
         };
         let off = PlanConfig {
-            time_budget: None,
             summaries: false,
             ..PlanConfig::default()
         };
