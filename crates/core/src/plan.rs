@@ -43,7 +43,7 @@
 use crate::intern::{FxBuildHasher, GraphId, Interner};
 use crate::json::{escape, Json};
 use crate::ljb::{closure_check, ClosureResult};
-use crate::{ScGraph, ScViolation};
+use crate::ScGraph;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -373,28 +373,6 @@ impl fmt::Display for EnforcementPlan {
     }
 }
 
-/// Outcome of a (possibly cached) closure check, the cacheable subset of
-/// [`ClosureResult`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckedClosure {
-    /// SCT holds; the closure had this many distinct graphs.
-    Ok {
-        /// Size of the computed closure.
-        closure_size: usize,
-    },
-    /// A witness composite is idempotent without self-descent.
-    Violation(ScViolation),
-    /// The closure exceeded the cap — "could not verify", never "verified".
-    Overflow,
-}
-
-impl CheckedClosure {
-    /// True for [`CheckedClosure::Ok`].
-    pub fn is_ok(&self) -> bool {
-        matches!(self, CheckedClosure::Ok { .. })
-    }
-}
-
 /// A memoized Lee–Jones–Ben-Amram closure check.
 ///
 /// Keys are the *interned graph set*: each [`ScGraph`] is hash-consed into
@@ -422,7 +400,7 @@ impl CheckedClosure {
 #[derive(Debug, Default)]
 pub struct LjbCache {
     interner: Interner,
-    memo: HashMap<Vec<GraphId>, CheckedClosure, FxBuildHasher>,
+    memo: HashMap<Vec<GraphId>, ClosureResult, FxBuildHasher>,
     hits: u64,
     misses: u64,
 }
@@ -445,9 +423,9 @@ impl LjbCache {
     /// Memoized [`closure_check`]: interns `graphs`, sorts and dedups the
     /// ids, and reuses a previous verdict for the same set when one exists.
     ///
-    /// The cap participates in correctness only for [`CheckedClosure::Overflow`]
+    /// The cap participates in correctness only for [`ClosureResult::Overflow`]
     /// results, which are cached too; callers should use one cap per cache.
-    pub fn check(&mut self, graphs: &[ScGraph], cap: usize) -> CheckedClosure {
+    pub fn check(&mut self, graphs: &[ScGraph], cap: usize) -> ClosureResult {
         let mut ids: Vec<GraphId> = graphs
             .iter()
             .map(|g| self.interner.intern(g.clone()))
@@ -459,11 +437,7 @@ impl LjbCache {
             return cached.clone();
         }
         self.misses += 1;
-        let result = match closure_check(graphs, cap) {
-            ClosureResult::Ok { closure_size } => CheckedClosure::Ok { closure_size },
-            ClosureResult::Violation(v) => CheckedClosure::Violation(v),
-            ClosureResult::Overflow => CheckedClosure::Overflow,
-        };
+        let result = closure_check(graphs, cap);
         self.memo.insert(ids, result.clone());
         result
     }
@@ -625,7 +599,7 @@ mod tests {
         let bad = ScGraph::from_arcs(1, 1, [e(0, 0)]);
         let v1 = cache.check(std::slice::from_ref(&bad), 10_000);
         let v2 = cache.check(&[bad], 10_000);
-        assert!(matches!(v1, CheckedClosure::Violation(_)));
+        assert!(matches!(v1, ClosureResult::Violation(_)));
         assert_eq!(v1, v2);
         assert_eq!((cache.hits(), cache.misses()), (2, 2));
     }

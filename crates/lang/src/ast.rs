@@ -139,6 +139,44 @@ impl Expr {
     pub fn quoted(d: Datum) -> Expr {
         Expr::Quote(Rc::new(d))
     }
+
+    /// Calls `f` on each direct subexpression, in source order; a
+    /// `lambda`'s body is its one child. The one `match` every walk that
+    /// only recurses goes through.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
+        match self {
+            Expr::Quote(_) | Expr::Var(_) | Expr::Global(_) | Expr::PrimRef(_) => {}
+            Expr::Lambda(def) => f(&def.body),
+            Expr::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                f(cond);
+                f(then_branch);
+                f(else_branch);
+            }
+            Expr::App { func, args } => {
+                f(func);
+                args.iter().for_each(f);
+            }
+            Expr::Seq(exprs) => exprs.iter().for_each(f),
+            Expr::SetLocal { value, .. }
+            | Expr::SetGlobal { value, .. }
+            | Expr::TermC { body: value, .. } => f(value),
+            Expr::Let { inits, body } | Expr::LetRec { inits, body } => {
+                inits.iter().for_each(&mut f);
+                f(body);
+            }
+        }
+    }
+
+    /// Calls `f` on `self` and every expression nested in it, in source
+    /// pre-order: a node before its children, children left to right.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
+        self.for_each_child(|child| child.walk(f));
+    }
 }
 
 /// One top-level form.
@@ -153,6 +191,15 @@ pub enum TopForm {
     },
     /// A top-level expression evaluated for value/effect.
     Expr(Expr),
+}
+
+impl TopForm {
+    /// The form's expression: a define's initializer, or the expression.
+    pub fn expr(&self) -> &Expr {
+        match self {
+            TopForm::Define { expr, .. } | TopForm::Expr(expr) => expr,
+        }
+    }
 }
 
 /// A compiled program: global table plus top-level forms in order. The
@@ -207,49 +254,21 @@ impl Program {
     /// `sct-ir` keys on.
     pub fn global_bindings(&self) -> Vec<GlobalBinding> {
         let mut out = vec![GlobalBinding::default(); self.global_names.len()];
-        fn scan(e: &Expr, out: &mut [GlobalBinding]) {
-            match e {
-                Expr::SetGlobal { index, value } => {
-                    out[*index as usize].mutated = true;
-                    scan(value, out);
-                }
-                Expr::Quote(_) | Expr::Var(_) | Expr::Global(_) | Expr::PrimRef(_) => {}
-                Expr::Lambda(def) => scan(&def.body, out),
-                Expr::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                } => {
-                    scan(cond, out);
-                    scan(then_branch, out);
-                    scan(else_branch, out);
-                }
-                Expr::App { func, args } => {
-                    scan(func, out);
-                    args.iter().for_each(|a| scan(a, out));
-                }
-                Expr::Seq(exprs) => exprs.iter().for_each(|a| scan(a, out)),
-                Expr::SetLocal { value, .. } => scan(value, out),
-                Expr::Let { inits, body } | Expr::LetRec { inits, body } => {
-                    inits.iter().for_each(|a| scan(a, out));
-                    scan(body, out);
-                }
-                Expr::TermC { body, .. } => scan(body, out),
-            }
-        }
         for form in &self.top_level {
-            match form {
-                TopForm::Define { index, expr } => {
-                    let b = &mut out[*index as usize];
-                    b.define_count += 1;
-                    b.lambda = match expr {
-                        Expr::Lambda(def) => Some(def.id),
-                        _ => None,
-                    };
-                    scan(expr, &mut out);
-                }
-                TopForm::Expr(expr) => scan(expr, &mut out),
+            if let TopForm::Define { index, expr } = form {
+                let b = &mut out[*index as usize];
+                b.define_count += 1;
+                b.lambda = if let Expr::Lambda(def) = expr {
+                    Some(def.id)
+                } else {
+                    None
+                };
             }
+            form.expr().walk(&mut |e| {
+                if let Expr::SetGlobal { index, .. } = e {
+                    out[*index as usize].mutated = true;
+                }
+            });
         }
         out
     }
@@ -276,6 +295,32 @@ mod tests {
             ..fixed
         };
         assert_eq!(var.frame_size(), 3);
+    }
+
+    #[test]
+    fn walk_visits_parents_first_and_children_in_source_order() {
+        let p = crate::compile_program(
+            "(define (g y) y) (define h 0)
+             (define (f x) (if x (g 1) (set! h (lambda () 2))))",
+        )
+        .unwrap();
+        let mut seen = Vec::new();
+        p.top_level[2].expr().walk(&mut |e| {
+            seen.push(match e {
+                Expr::Quote(d) => format!("{d}"),
+                Expr::Var(_) => "x".into(),
+                Expr::Global(i) => p.global_names[*i as usize].clone(),
+                Expr::Lambda(def) => def.describe(),
+                Expr::If { .. } => "if".into(),
+                Expr::App { .. } => "app".into(),
+                Expr::SetGlobal { .. } => "set!".into(),
+                other => panic!("unexpected {other:?}"),
+            })
+        });
+        assert_eq!(
+            seen,
+            ["f", "if", "x", "app", "g", "1", "set!", "lambda#1", "2"]
+        );
     }
 
     #[test]

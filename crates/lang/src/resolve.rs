@@ -363,28 +363,6 @@ fn collect_free(expr: &Expr, boundary: u16, out: &mut BTreeSet<VarRef>) {
                 }
             }
         }
-        Expr::Quote(_) | Expr::Global(_) | Expr::PrimRef(_) => {}
-        Expr::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            collect_free(cond, boundary, out);
-            collect_free(then_branch, boundary, out);
-            collect_free(else_branch, boundary, out);
-        }
-        Expr::App { func, args } => {
-            collect_free(func, boundary, out);
-            for a in args.iter() {
-                collect_free(a, boundary, out);
-            }
-        }
-        Expr::Seq(exprs) => {
-            for e in exprs.iter() {
-                collect_free(e, boundary, out);
-            }
-        }
-        Expr::SetGlobal { value, .. } => collect_free(value, boundary, out),
         Expr::Let { inits, body } => {
             for i in inits.iter() {
                 collect_free(i, boundary, out);
@@ -397,7 +375,7 @@ fn collect_free(expr: &Expr, boundary: u16, out: &mut BTreeSet<VarRef>) {
             }
             collect_free(body, boundary + 1, out);
         }
-        Expr::TermC { body, .. } => collect_free(body, boundary, out),
+        _ => expr.for_each_child(|child| collect_free(child, boundary, out)),
     }
 }
 

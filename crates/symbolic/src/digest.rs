@@ -6,9 +6,12 @@
 //! (c) which of those globals the program `set!`s anywhere (the mutation
 //! taint), (d) the pinned signatures of those globals (a callee's pinned
 //! signature fixes its summary's guard, and so the stubs its callers
-//! see), and (e) the rest of the planner configuration. A
-//! [`ProgramDigests::key`] folds exactly those inputs — plus the codec and
-//! hash-spec versions — into one 128-bit content address, so:
+//! see), (e) which of those globals' initializers failed to evaluate
+//! (the only input source order decides: an initializer that reads a
+//! global defined after it fails), and (f) the rest of the planner
+//! configuration. A [`ProgramDigests::key`] folds exactly those inputs —
+//! plus the codec and hash-spec versions — into one 128-bit content
+//! address, so:
 //!
 //! * editing one `define` changes only the keys of that define and of the
 //!   defines that (transitively) reference it — every untouched define is
@@ -23,17 +26,19 @@
 //!
 //! # Merkle component digests
 //!
-//! Inputs (b)–(d) are folded per strongly connected component of the
+//! Inputs (b)–(e) are folded per strongly connected component of the
 //! global reference graph, callees first: a component's digest hashes
-//! each member's `(name, structural hash, mutated bit, pinned signature)`
+//! each member's `(name, structural hash, mutated bit, pinned signature)`,
+//! a failed member's structural hash closed by one extra tag byte,
 //! with the members sorted by *name*, then the digests of the components
 //! its members reference, sorted by *digest value* and deduplicated. A
 //! key folds only its define's own component digest, which commits to
 //! everything the define reaches. Building every digest costs O(edges)
 //! for the whole program, and since nothing is ordered by global index
 //! or source position, the keys do not depend on the order the defines
-//! appear in: a shuffled program replays a store warmed in any other
-//! order. Entries persisted under an earlier key layout simply miss
+//! appear in, except through a failed bit, which marks exactly where the
+//! order changes a verdict: a shuffled program replays a store warmed in
+//! any other order. Entries persisted under an earlier key layout simply miss
 //! once and are replanned under the new keys.
 //!
 //! # Examples
@@ -41,28 +46,31 @@
 //! ```
 //! use sct_lang::compile_program;
 //! use sct_symbolic::digest::ProgramDigests;
-//! use sct_symbolic::pipeline::PlanConfig;
+//! use sct_symbolic::exec::GlobalSnapshot;
+//! use sct_symbolic::pipeline::{PlanConfig, ProgramIndex};
 //!
-//! let p1 = compile_program(
-//!     "(define (dec x) (- x 1))
-//!      (define (f x) (if (zero? x) 0 (f (dec x))))").unwrap();
-//! let p2 = compile_program(
-//!     "(define (dec x) (- x 2))
-//!      (define (f x) (if (zero? x) 0 (f (dec x))))").unwrap();
 //! let cfg = PlanConfig::default();
-//! let (d1, d2) = (ProgramDigests::new(&p1, &cfg), ProgramDigests::new(&p2, &cfg));
+//! let keys = |src: &str| {
+//!     let p = compile_program(src).unwrap();
+//!     let index = ProgramIndex::build(&p);
+//!     let snapshot = GlobalSnapshot::build(&p, &cfg.verify.exec);
+//!     let d = ProgramDigests::new(&p, &index, &snapshot, &cfg);
+//!     (d.key(&p, 0), d.key(&p, 1))
+//! };
+//! let k1 = keys("(define (dec x) (- x 1))
+//!                (define (f x) (if (zero? x) 0 (f (dec x))))");
+//! let k2 = keys("(define (dec x) (- x 2))
+//!                (define (f x) (if (zero? x) 0 (f (dec x))))");
 //! // f references dec, so editing dec invalidates BOTH keys …
-//! assert_ne!(d1.key(&p1, 0), d2.key(&p2, 0));
-//! assert_ne!(d1.key(&p1, 1), d2.key(&p2, 1));
+//! assert_ne!(k1.0, k2.0);
+//! assert_ne!(k1.1, k2.1);
 //! // … while an identical compile reproduces them exactly.
-//! let p1b = compile_program(
-//!     "(define (dec x) (- x 1))
-//!      (define (f x) (if (zero? x) 0 (f (dec x))))").unwrap();
-//! assert_eq!(d1.key(&p1, 1), ProgramDigests::new(&p1b, &cfg).key(&p1b, 1));
+//! assert_eq!(k1, keys("(define (dec x) (- x 1))
+//!                      (define (f x) (if (zero? x) 0 (f (dec x))))"));
 //! ```
 
-use crate::exec::SymDomain;
-use crate::pipeline::{MutationMap, PlanConfig, Signature};
+use crate::exec::{GlobalSnapshot, SymDomain};
+use crate::pipeline::{PlanConfig, ProgramIndex, Signature};
 use sct_core::plan_codec::PLAN_CODEC_SCHEMA;
 use sct_core::stable::{Digest128, StableHasher, STABLE_HASH_VERSION};
 use sct_lang::ast::{Expr, LambdaDef, Program, TopForm};
@@ -72,39 +80,54 @@ use sct_sexpr::Datum;
 /// [`PlanConfig`], computed once and then queried per `define` via
 /// [`ProgramDigests::key`].
 #[derive(Debug)]
-pub struct ProgramDigests {
+pub struct ProgramDigests<'i> {
     /// Structural hash of each global's define initializer(s), by index.
     per_global: Vec<Digest128>,
     /// The Merkle digest of each component of the reference graph,
-    /// indexed like the mutation map's components (see the module docs).
+    /// indexed like the program index's components (see the module docs).
     per_component: Vec<Digest128>,
     /// The program-wide planner knobs (pinned signatures enter through
     /// the component digests instead).
     config: Digest128,
-    /// The reference/mutation structure (shared with the pre-pass).
-    mutation: MutationMap,
+    /// The reference/mutation structure, the planner's own.
+    index: &'i ProgramIndex,
 }
 
-impl ProgramDigests {
-    /// Walks the program once, hashing every global's initializer(s), then
-    /// the reference graph once, digesting every component.
-    pub fn new(program: &Program, config: &PlanConfig) -> ProgramDigests {
+impl<'i> ProgramDigests<'i> {
+    /// Hashes every global's initializer(s) in one walk of the program,
+    /// then digests every component in one pass over `index`'s reference
+    /// graph. `snapshot` supplies the failed-initializer bits.
+    pub fn new(
+        program: &Program,
+        index: &'i ProgramIndex,
+        snapshot: &GlobalSnapshot,
+        config: &PlanConfig,
+    ) -> ProgramDigests<'i> {
         let n = program.global_names.len();
         let mut hashers: Vec<StableHasher> = (0..n).map(|_| StableHasher::new()).collect();
         for form in &program.top_level {
             // Top-level expressions are not symbolically evaluated by the
             // verifier's executor; only their `set!` targets matter, and
-            // those are in the mutation map.
+            // those are in the index.
             if let TopForm::Define { index, expr } = form {
                 hash_expr(expr, program, &mut hashers[*index as usize]);
             }
         }
+        // A failed initializer (one reading a global defined after it)
+        // fails in that source order only, so its readers' decisions
+        // depend on the order: the bit keeps orders from sharing entries.
+        // A tag no expression starts with, and only on failed globals, so
+        // every other key keeps its bytes.
+        for (i, h) in hashers.iter_mut().enumerate() {
+            if snapshot.failed(i as u32) {
+                h.write_u8(FAILED_TAG);
+            }
+        }
         let per_global: Vec<Digest128> = hashers.iter().map(StableHasher::finish128).collect();
-        let mutation = MutationMap::build(program);
         // Callees first, so every callee digest exists when a caller's
         // component folds it in.
-        let mut per_component: Vec<Digest128> = Vec::with_capacity(mutation.components().len());
-        for component in mutation.components() {
+        let mut per_component: Vec<Digest128> = Vec::with_capacity(index.components().len());
+        for component in index.components() {
             let mut h = StableHasher::new();
             let mut members = component.members.to_vec();
             members.sort_unstable_by_key(|&g| &program.global_names[g as usize]);
@@ -113,7 +136,7 @@ impl ProgramDigests {
                 let name = &program.global_names[g as usize];
                 h.write_str(name);
                 write_digest(per_global[g as usize], &mut h);
-                h.write_u8(u8::from(mutation.is_mutated(g)));
+                h.write_u8(u8::from(index.is_mutated(g)));
                 hash_signature(config.signatures.get(name), &mut h);
             }
             let mut callees: Vec<Digest128> = component
@@ -135,14 +158,8 @@ impl ProgramDigests {
             per_global,
             per_component,
             config: config_hash.finish128(),
-            mutation,
+            index,
         }
-    }
-
-    /// The mutation/reference structure (reused by the pre-pass so the
-    /// program is walked once, not twice).
-    pub(crate) fn mutation(&self) -> &MutationMap {
-        &self.mutation
     }
 
     /// The content-address key for planning global `index`: a
@@ -187,7 +204,7 @@ impl ProgramDigests {
         write_digest(self.per_global[index as usize], &mut h);
         // Everything reachable from it, with the mutation bits and pinned
         // signatures: its component's Merkle digest.
-        let component = self.mutation.component_of(index);
+        let component = self.index.component_of(index);
         write_digest(self.per_component[component as usize], &mut h);
         // The rest of the planner configuration.
         write_digest(self.config, &mut h);
@@ -238,6 +255,10 @@ fn domain_tag(d: SymDomain) -> u8 {
         SymDomain::Any => 5,
     }
 }
+
+/// Closes a failed global's structural hash. [`hash_expr`] tags are
+/// `1..=13`, so no initializer can hash to the same bytes.
+const FAILED_TAG: u8 = 14;
 
 /// Hashes an expression structurally: tags per variant, names instead of
 /// global indices, and *no λ ids* — two compiles of structurally equal
@@ -394,9 +415,15 @@ mod tests {
     use super::*;
     use sct_lang::compile_program;
 
+    fn digests<'i>(p: &Program, index: &'i ProgramIndex, cfg: &PlanConfig) -> ProgramDigests<'i> {
+        let snapshot = GlobalSnapshot::build(p, &cfg.verify.exec);
+        ProgramDigests::new(p, index, &snapshot, cfg)
+    }
+
     fn keys(src: &str, cfg: &PlanConfig) -> Vec<(String, String)> {
         let p = compile_program(src).unwrap();
-        let d = ProgramDigests::new(&p, cfg);
+        let index = ProgramIndex::build(&p);
+        let d = digests(&p, &index, cfg);
         (0..p.global_names.len() as u32)
             .map(|i| (p.global_names[i as usize].clone(), d.key(&p, i)))
             .collect()
@@ -561,6 +588,30 @@ mod tests {
                 assert!(after.contains(entry), "{} re-keyed in {src}", entry.0);
             }
         }
+    }
+
+    #[test]
+    fn key_layout_is_pinned() {
+        // Existing stores stay valid only while these exact bytes do: a
+        // change here re-keys every persisted entry, so it must be a
+        // deliberate layout change, never a side effect of a refactor.
+        let p = compile_program(
+            "(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))
+             (define (adder n) (lambda (x) (+ x n)))
+             (define (adder n) (lambda (x) (- x (len n))))",
+        )
+        .unwrap();
+        let index = ProgramIndex::build(&p);
+        let d = digests(&p, &index, &PlanConfig::default());
+        let got = [d.key_at(&p, 0, 0), d.key_at(&p, 1, 0), d.key_at(&p, 1, 1)];
+        assert_eq!(
+            got,
+            [
+                "adf25375c56f41ef216b7643993f3dc4",
+                "4be592106127c27e47b1c30cf284ac7d",
+                "02c4ae7b89f41f94eb7769328b93ec40",
+            ]
+        );
     }
 
     #[test]

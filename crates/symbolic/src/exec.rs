@@ -254,6 +254,13 @@ impl GlobalSnapshot {
             atom_kinds: ex.atom_kinds,
         }
     }
+
+    /// Whether global `i`'s initializer failed to evaluate. The only fact
+    /// here that source order decides: an initializer reading a global
+    /// defined after it fails in that order alone.
+    pub(crate) fn failed(&self, i: u32) -> bool {
+        self.failed[i as usize]
+    }
 }
 
 struct PathOrder<'a> {

@@ -66,8 +66,9 @@
 
 use crate::digest::ProgramDigests;
 use crate::exec::{CalleeSummary, GlobalSnapshot, SummaryTable, SymDomain};
-use crate::verify::{explore_with_names, lambda_names, Exploration, VerifyConfig};
-use sct_core::plan::{CheckedClosure, Decision, EnforcementPlan, FnDecision, PlanDomain};
+use crate::verify::{explore_with_names, Exploration, VerifyConfig};
+use sct_core::ljb::ClosureResult;
+use sct_core::plan::{Decision, EnforcementPlan, FnDecision, PlanDomain};
 use sct_core::plan_codec::PortableDecision;
 use sct_core::summary_codec::{LambdaRef, PortableSummary};
 use sct_core::ScGraph;
@@ -363,8 +364,9 @@ pub fn plan_program_incremental(
     store: &mut dyn DecisionStore,
 ) -> (EnforcementPlan, IncrementalStats) {
     let mut out = Vec::new();
-    // One AST walk for λ display names, shared by every attempt below.
-    let names = Rc::new(lambda_names(program));
+    // The one walk over the program: references, `set!` targets,
+    // components, λ ids and names, shared by everything below.
+    let index = ProgramIndex::build(program);
     // One evaluation of the top-level environment, shared by every
     // exploration below — re-evaluating all N definitions per define
     // made whole-program planning quadratic.
@@ -373,14 +375,12 @@ pub fn plan_program_incremental(
     // skip it when the store cannot use keys anyway (NullStore).
     let digests = store
         .wants_keys()
-        .then(|| ProgramDigests::new(program, config));
-    let mutation_owned;
-    let mutation = match &digests {
-        Some(d) => d.mutation(),
-        None => {
-            mutation_owned = MutationMap::build(program);
-            &mutation_owned
-        }
+        .then(|| ProgramDigests::new(program, &index, &snapshot, config));
+    let pass = Pass {
+        program,
+        config,
+        index: &index,
+        snapshot: &snapshot,
     };
     // Contract summaries: already-planned `Static` recursive defines are
     // registered here, and later explorations in this same pass stub
@@ -391,7 +391,6 @@ pub fn plan_program_incremental(
     if summaries_on {
         config.obs.summary_touch();
     }
-    let lambda_index = (summaries_on && store.wants_keys()).then(|| LambdaIndex::build(program));
     let mut summary_table: SummaryTable = HashMap::new();
     // The λ-defines in source order. Occurrence counter per global: a
     // shadowed name yields one decision per `define` form, and those must
@@ -399,38 +398,36 @@ pub fn plan_program_incremental(
     // counter feeds the content key.
     let mut occurrence: HashMap<u32, u32> = HashMap::new();
     let mut defines: Vec<_> = lambda_defines(program)
-        .map(|(pos, index, def, blame)| {
-            let occ = occurrence.entry(*index).or_insert(0);
+        .map(|(pos, global, def, blame)| {
+            let occ = occurrence.entry(*global).or_insert(0);
             *occ += 1;
-            (pos, index, def, blame, *occ - 1)
+            (pos, *global, def, blame, *occ - 1)
         })
         .collect();
     // Callees first (components in emission order); a stable sort keeps
     // the members of one component, and shadowing defines of one global,
     // in source order.
-    defines.sort_by_key(|d| mutation.component_of(*d.1));
-    for (pos, index, def, blame, occ) in defines {
-        let name = &program.global_names[*index as usize];
-        let key = digests.as_ref().map(|d| d.key_at(program, *index, occ));
-        let nested = nested_lambda_ids(def);
+    defines.sort_by_key(|d| index.component_of(d.1));
+    for (pos, global, def, blame, occ) in defines {
+        let name = &program.global_names[global as usize];
+        let key = digests.as_ref().map(|d| d.key_at(program, global, occ));
+        // The define's own λ comes first, then the λs nested in it.
+        let nested = &index.lambdas_at(pos)[1..];
         if let Some(key) = &key {
             if let Some(portable) = store.load(key) {
                 // The content address commits to the define's structure,
                 // so a rebind failure can only mean corruption — fall
                 // through to recompute.
-                if let Some(decision) = portable.rebind(def.id, &nested) {
+                if let Some(decision) = portable.rebind(def.id, nested) {
                     // A hit decision needs no verification, but its
                     // summary (Static defines only) still feeds later
                     // defines' stubs — that is what makes a warm
                     // incremental replan near-linear.
                     if summaries_on && matches!(decision.decision, Decision::Static { .. }) {
-                        let summary = lambda_index
+                        let summary = portable
+                            .summary
                             .as_ref()
-                            .zip(portable.summary.as_ref())
-                            .and_then(|(li, p)| {
-                                let component = mutation.members_of(*index);
-                                rebind_summary(p, def, li, component, &summary_table)
-                            });
+                            .and_then(|p| rebind_summary(p, def, &index, global, &summary_table));
                         match summary {
                             Some(s) => {
                                 config.obs.summary_hit();
@@ -461,7 +458,7 @@ pub fn plan_program_incremental(
         // the program `set!`s, a later rebinding could invalidate the
         // discharge at run time — e.g. a helper swapped for one that no
         // longer descends. Such functions stay monitored.
-        let (decision, summary_data) = if let Some(g) = mutation.tainted_by(*index) {
+        let (decision, summary_data) = if let Some(g) = index.tainted_by(global) {
             let reason = format!(
                 "depends on global {} which the program mutates (set!); \
                  a run-time rebinding could invalidate the proof",
@@ -470,16 +467,13 @@ pub fn plan_program_incremental(
             (monitor_fallback(name, def, blame, &reason), None)
         } else {
             plan_function(
-                program,
-                name,
+                &pass,
+                cache,
+                global,
                 def,
                 blame,
-                config,
-                cache,
-                names.clone(),
+                nested,
                 summaries_on.then_some(&summary_table),
-                Some(*index),
-                &snapshot,
             )
         };
         // Only `Static` decisions produce a summary — opaque-tainted
@@ -497,11 +491,10 @@ pub fn plan_program_incremental(
         });
         // The summary is persisted inside the decision's entry.
         if let Some(key) = &key {
-            let mut entry = PortableDecision::from_decision(&decision, &nested);
+            let mut entry = PortableDecision::from_decision(&decision, nested);
             entry.summary = summary_data
                 .as_ref()
-                .zip(lambda_index.as_ref())
-                .and_then(|(data, li)| portable_summary(name, data, li, program));
+                .and_then(|data| portable_summary(name, data, &index, program));
             store.store(key, &entry);
         }
         if let Some(data) = summary_data {
@@ -513,7 +506,7 @@ pub fn plan_program_incremental(
                     result: data.result,
                     graphs: data.graphs,
                     callees: data.callees,
-                    component: mutation.members_of(*index).clone(),
+                    component: index.members_of(global).clone(),
                 }),
             );
         }
@@ -635,64 +628,6 @@ fn callee_first(refs: &[Vec<u32>]) -> Vec<Vec<u32>> {
     components
 }
 
-/// Compile-independent λ addressing for summary persistence: every λ of
-/// the *last* `define` form of each global maps to `(global, traversal
-/// idx)` — idx 0 is the define's entry λ, nested λs follow in source
-/// order — which is the basis [`LambdaRef`] is expressed in. λs of
-/// shadowed earlier defines and of top-level expressions have no portable
-/// address (the executor's global table keeps the last binding, so only
-/// it can be applied by name); a summary mentioning one stays in-memory
-/// for the current pass instead of being persisted.
-struct LambdaIndex {
-    by_id: HashMap<LambdaId, (u32, u32)>,
-    by_global: HashMap<u32, Vec<LambdaId>>,
-    /// Global name → index, because [`Program::global_index`] is a linear
-    /// scan: resolving the hundreds of [`LambdaRef`]s in each of N
-    /// summaries through it made warm replay quadratic in program size.
-    global_of: HashMap<String, u32>,
-}
-
-impl LambdaIndex {
-    fn build(program: &Program) -> LambdaIndex {
-        let mut by_global: HashMap<u32, Vec<LambdaId>> = HashMap::new();
-        for (_, index, def, _) in lambda_defines(program) {
-            let mut ids = vec![def.id];
-            ids.extend(nested_lambda_ids(def));
-            by_global.insert(*index, ids);
-        }
-        let mut by_id = HashMap::new();
-        for (gi, ids) in &by_global {
-            for (i, id) in ids.iter().enumerate() {
-                by_id.insert(*id, (*gi, i as u32));
-            }
-        }
-        let global_of = program
-            .global_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i as u32))
-            .collect();
-        LambdaIndex {
-            by_id,
-            by_global,
-            global_of,
-        }
-    }
-
-    fn lambda_ref(&self, id: LambdaId, program: &Program) -> Option<LambdaRef> {
-        let (gi, idx) = self.by_id.get(&id)?;
-        Some(LambdaRef {
-            global: program.global_names[*gi as usize].clone(),
-            idx: *idx,
-        })
-    }
-
-    fn resolve(&self, lr: &LambdaRef) -> Option<LambdaId> {
-        let gi = self.global_of.get(&lr.global)?;
-        self.by_global.get(gi)?.get(lr.idx as usize).copied()
-    }
-}
-
 /// The ingredients of a freshly verified define's contract summary, as
 /// returned by `plan_function` alongside every `Static` decision: the
 /// discharged rung's domains, the graph sets the exploration discovered
@@ -706,20 +641,20 @@ struct SummaryData {
 
 /// Encodes a summary for persistence, or `None` when some graph set or
 /// stubbed callee belongs to a λ without a portable address (see
-/// [`LambdaIndex`]).
+/// [`ProgramIndex::lambda_ref`]).
 fn portable_summary(
     name: &str,
     data: &SummaryData,
-    li: &LambdaIndex,
+    index: &ProgramIndex,
     program: &Program,
 ) -> Option<PortableSummary> {
     let mut graphs = Vec::with_capacity(data.graphs.len());
     for (id, set) in &data.graphs {
-        graphs.push((li.lambda_ref(*id, program)?, set.clone()));
+        graphs.push((index.lambda_ref(*id, program)?, set.clone()));
     }
     let mut callees = Vec::with_capacity(data.callees.len());
     for c in &data.callees {
-        callees.push(li.lambda_ref(c.id, program)?.global);
+        callees.push(index.lambda_ref(c.id, program)?.global);
     }
     Some(PortableSummary {
         name: name.to_string(),
@@ -738,8 +673,8 @@ fn portable_summary(
 fn rebind_summary(
     p: &PortableSummary,
     def: &LambdaDef,
-    li: &LambdaIndex,
-    component: &Rc<[u32]>,
+    index: &ProgramIndex,
+    global: u32,
     table: &SummaryTable,
 ) -> Option<CalleeSummary> {
     if def.variadic || p.guard.len() != def.params as usize {
@@ -747,15 +682,15 @@ fn rebind_summary(
     }
     let mut graphs = Vec::with_capacity(p.graphs.len());
     for (lr, set) in &p.graphs {
-        graphs.push((li.resolve(lr)?, set.clone()));
+        graphs.push((index.resolve(lr)?, set.clone()));
     }
     let mut callees = Vec::with_capacity(p.callees.len());
-    for global in &p.callees {
+    for callee in &p.callees {
         let entry = LambdaRef {
-            global: global.clone(),
+            global: callee.clone(),
             idx: 0,
         };
-        callees.push(table.get(&li.resolve(&entry)?)?.clone());
+        callees.push(table.get(&index.resolve(&entry)?)?.clone());
     }
     // Only recursive summaries are persisted (only they are worth
     // stubbing); anything else is corruption.
@@ -771,24 +706,45 @@ fn rebind_summary(
         result: sym_domain(p.result),
         graphs,
         callees,
-        component: component.clone(),
+        component: index.members_of(global).clone(),
     })
 }
 
-/// Which globals the program mutates (`set!` anywhere — top level, define
-/// initializers, nested λs), plus the static global-reference graph and
-/// its components, so the pre-pass can plan callees first and refuse to
-/// discharge any function whose proof could be invalidated by a run-time
-/// rebinding. Built in one pass over the program and one over the graph:
-/// nothing here ever walks a define's reachable set.
+/// The planner's fact sheet about one program, filled in by one walk over
+/// its top-level forms ([`Expr::walk`]) and one pass over the global
+/// reference graph: which globals are `set!` anywhere (top level, define
+/// initializers, nested λs), the reference graph's components callees
+/// first with their mutation taint, every form's λ ids and the λ display
+/// names. [`plan_program_incremental`] builds it once per pass, plans
+/// callees first from it, refuses to discharge any function whose proof
+/// a run-time rebinding could invalidate, and lends it to
+/// [`ProgramDigests`]. Nothing here ever walks a define's reachable set.
 #[derive(Debug)]
-pub(crate) struct MutationMap {
+pub struct ProgramIndex {
     /// Globals that are a `set!` target anywhere in the program.
     mutated: Vec<bool>,
     /// The components of the reference graph, callees first.
     components: Vec<Component>,
     /// `component_of[i]` = the index in `components` of global `i`'s.
     component_of: Vec<u32>,
+    /// Every λ id, form by form, each form's in source pre-order — so a
+    /// λ-define's own λ leads its nested ones. Top-level form `i` owns
+    /// `lambdas[form_start[i]..form_start[i + 1]]`. The order is
+    /// persisted (as [`LambdaRef::idx`] and as cover indices), so it must
+    /// never change.
+    lambdas: Vec<LambdaId>,
+    form_start: Vec<usize>,
+    /// Display names by λ id (from `define`/`letrec` hints).
+    names: Rc<HashMap<LambdaId, String>>,
+    /// The top-level position of each global's *last* λ-define: only its
+    /// λs have a portable address (see [`ProgramIndex::lambda_ref`]).
+    last_define: Vec<Option<usize>>,
+    /// Those portable addresses, `(global, idx)` by λ id.
+    portable: HashMap<LambdaId, (u32, u32)>,
+    /// Global name → index, because [`Program::global_index`] is a linear
+    /// scan: resolving the hundreds of [`LambdaRef`]s in each of N
+    /// summaries through it made warm replay quadratic in program size.
+    global_of: HashMap<String, u32>,
 }
 
 /// One strongly connected component of the global reference graph.
@@ -798,34 +754,53 @@ pub(crate) struct Component {
     /// summary of a member ([`CalleeSummary::component`]).
     pub(crate) members: Rc<[u32]>,
     /// The other components the members reference, deduplicated. Each
-    /// precedes this one in [`MutationMap::components`].
+    /// precedes this one in [`ProgramIndex::components`].
     pub(crate) callees: Vec<u32>,
     /// The smallest-named mutated global reachable from the component.
     taint: Option<u32>,
 }
 
-impl MutationMap {
-    pub(crate) fn build(program: &Program) -> MutationMap {
+impl ProgramIndex {
+    /// Indexes `program` in one walk.
+    pub fn build(program: &Program) -> ProgramIndex {
         let n = program.global_names.len();
         // `refs[i]` = globals referenced (read or written) by global `i`'s
         // defining expression(s); every `define` of the index contributes.
+        // Top-level expressions define nothing: only their `set!` targets
+        // and λs matter.
         let mut refs: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut mutated = vec![false; n];
-        for form in &program.top_level {
-            match form {
+        let mut lambdas = Vec::with_capacity(program.lambda_count as usize);
+        let mut form_start = Vec::with_capacity(program.top_level.len() + 1);
+        let mut names = HashMap::new();
+        let mut last_define = vec![None; n];
+        let mut sink = Vec::new();
+        for (pos, form) in program.top_level.iter().enumerate() {
+            form_start.push(lambdas.len());
+            let out = match form {
                 TopForm::Define { index, expr } => {
-                    let mut out = Vec::new();
-                    collect_global_refs(expr, &mut out, &mut mutated);
-                    refs[*index as usize].extend(out);
+                    if unwrap_termc(expr).is_some() {
+                        last_define[*index as usize] = Some(pos);
+                    }
+                    &mut refs[*index as usize]
                 }
-                TopForm::Expr(expr) => {
-                    // Top-level expressions can mutate but define nothing;
-                    // only their `set!` targets matter.
-                    let mut sink = Vec::new();
-                    collect_global_refs(expr, &mut sink, &mut mutated);
+                TopForm::Expr(_) => &mut sink,
+            };
+            form.expr().walk(&mut |e| match e {
+                Expr::Global(i) => out.push(*i),
+                Expr::SetGlobal { index, .. } => {
+                    mutated[*index as usize] = true;
+                    out.push(*index);
                 }
-            }
+                Expr::Lambda(def) => {
+                    lambdas.push(def.id);
+                    names.insert(def.id, def.describe());
+                }
+                _ => {}
+            });
+            sink.clear();
         }
+        form_start.push(lambdas.len());
         let found = callee_first(&refs);
         let mut component_of = vec![0u32; n];
         for (c, members) in found.iter().enumerate() {
@@ -859,10 +834,30 @@ impl MutationMap {
                 taint,
             });
         }
-        MutationMap {
+        let mut portable = HashMap::new();
+        for (g, pos) in last_define.iter().enumerate() {
+            let Some(pos) = *pos else { continue };
+            let own = &lambdas[form_start[pos]..form_start[pos + 1]];
+            for (idx, &id) in own.iter().enumerate() {
+                portable.insert(id, (g as u32, idx as u32));
+            }
+        }
+        let global_of = program
+            .global_names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n.clone(), i as u32))
+            .collect();
+        ProgramIndex {
             mutated,
             components,
             component_of,
+            lambdas,
+            form_start,
+            names: Rc::new(names),
+            last_define,
+            portable,
+            global_of,
         }
     }
 
@@ -876,7 +871,7 @@ impl MutationMap {
         &self.components
     }
 
-    /// The index in [`MutationMap::components`] of global `i`'s component.
+    /// The index in [`ProgramIndex::components`] of global `i`'s component.
     pub(crate) fn component_of(&self, i: u32) -> u32 {
         self.component_of[i as usize]
     }
@@ -891,48 +886,37 @@ impl MutationMap {
     fn tainted_by(&self, i: u32) -> Option<u32> {
         self.components[self.component_of(i) as usize].taint
     }
-}
 
-/// Collects the globals `e` references (into `out`) and marks the ones it
-/// `set!`s (into `mutated`).
-fn collect_global_refs(e: &Expr, out: &mut Vec<u32>, mutated: &mut [bool]) {
-    match e {
-        Expr::Global(i) => out.push(*i),
-        Expr::SetGlobal { index, value } => {
-            mutated[*index as usize] = true;
-            out.push(*index);
-            collect_global_refs(value, out, mutated);
-        }
-        Expr::Lambda(def) => collect_global_refs(&def.body, out, mutated),
-        Expr::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            collect_global_refs(cond, out, mutated);
-            collect_global_refs(then_branch, out, mutated);
-            collect_global_refs(else_branch, out, mutated);
-        }
-        Expr::App { func, args } => {
-            collect_global_refs(func, out, mutated);
-            for a in args.iter() {
-                collect_global_refs(a, out, mutated);
-            }
-        }
-        Expr::Seq(exprs) => {
-            for x in exprs.iter() {
-                collect_global_refs(x, out, mutated);
-            }
-        }
-        Expr::SetLocal { value, .. } => collect_global_refs(value, out, mutated),
-        Expr::Let { inits, body } | Expr::LetRec { inits, body } => {
-            for i in inits.iter() {
-                collect_global_refs(i, out, mutated);
-            }
-            collect_global_refs(body, out, mutated);
-        }
-        Expr::TermC { body, .. } => collect_global_refs(body, out, mutated),
-        Expr::Quote(_) | Expr::Var(_) | Expr::PrimRef(_) => {}
+    /// The λ ids of top-level form `pos`, in source pre-order: a
+    /// λ-define's own λ first, then the λs nested in it.
+    pub(crate) fn lambdas_at(&self, pos: usize) -> &[LambdaId] {
+        &self.lambdas[self.form_start[pos]..self.form_start[pos + 1]]
+    }
+
+    /// Display names by λ id, shared by every exploration of the pass.
+    pub(crate) fn names(&self) -> &Rc<HashMap<LambdaId, String>> {
+        &self.names
+    }
+
+    /// The compile-independent address of λ `id` for summary persistence:
+    /// `(global, idx)` where idx indexes [`ProgramIndex::lambdas_at`] of
+    /// the global's *last* λ-define. λs of shadowed earlier defines and
+    /// of top-level expressions have none (the executor's global table
+    /// keeps the last binding, so only it can be applied by name); a
+    /// summary mentioning one stays in memory for the current pass
+    /// instead of being persisted.
+    fn lambda_ref(&self, id: LambdaId, program: &Program) -> Option<LambdaRef> {
+        let (global, idx) = self.portable.get(&id)?;
+        Some(LambdaRef {
+            global: program.global_names[*global as usize].clone(),
+            idx: *idx,
+        })
+    }
+
+    /// The inverse of [`ProgramIndex::lambda_ref`] in the current compile.
+    fn resolve(&self, lr: &LambdaRef) -> Option<LambdaId> {
+        let pos = self.last_define[*self.global_of.get(&lr.global)? as usize]?;
+        self.lambdas_at(pos).get(lr.idx as usize).copied()
     }
 }
 
@@ -1001,31 +985,35 @@ enum Attempt {
     Inconclusive { reason: String },
 }
 
-#[allow(clippy::too_many_arguments)]
+/// What every exploration of one planning pass shares.
+struct Pass<'a> {
+    program: &'a Program,
+    config: &'a PlanConfig,
+    index: &'a ProgramIndex,
+    snapshot: &'a GlobalSnapshot,
+}
+
 fn run_attempt(
-    program: &Program,
+    pass: &Pass,
+    cache: &mut PlanCache,
     name: &str,
     entry_id: LambdaId,
-    domains: &[SymDomain],
-    result: SymDomain,
-    config: &PlanConfig,
-    cache: &mut PlanCache,
-    names: Rc<HashMap<LambdaId, String>>,
+    (domains, result): &Signature,
     summaries: Option<&SummaryTable>,
     caller_global: Option<u32>,
-    snapshot: &GlobalSnapshot,
 ) -> (Attempt, Option<Exploration>) {
+    let config = pass.config;
     let exploration = match explore_with_names(
-        program,
+        pass.program,
         name,
         domains,
-        result,
+        *result,
         &config.verify,
-        names,
+        pass.index.names().clone(),
         Some(entry_id),
         summaries,
         caller_global,
-        snapshot,
+        pass.snapshot,
     ) {
         Ok(e) => e,
         Err(reason) => return (Attempt::Inconclusive { reason }, None),
@@ -1049,14 +1037,14 @@ fn run_attempt(
     let mut summary = Vec::new();
     for (id, graphs) in &exploration.graphs {
         match cache.ljb.check(graphs, config.verify.ljb_cap) {
-            CheckedClosure::Ok { .. } => {
+            ClosureResult::Ok { .. } => {
                 summary.push(format!(
                     "{}: {} graphs",
                     exploration.name_of(*id),
                     graphs.len()
                 ));
             }
-            CheckedClosure::Violation(v) => {
+            ClosureResult::Violation(v) => {
                 let culprit = exploration.name_of(*id);
                 let definite = graphs.contains(&v.witness) && *id == entry_id;
                 return (
@@ -1068,7 +1056,7 @@ fn run_attempt(
                     Some(exploration),
                 );
             }
-            CheckedClosure::Overflow => {
+            ClosureResult::Overflow => {
                 return (
                     Attempt::Inconclusive {
                         reason: "graph closure overflow".into(),
@@ -1107,26 +1095,24 @@ struct LadderOutcome {
     stubbed: bool,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_ladder(
-    program: &Program,
+    pass: &Pass,
+    cache: &mut PlanCache,
     name: &str,
     def: &Rc<LambdaDef>,
     candidates: &[Signature],
-    config: &PlanConfig,
-    cache: &mut PlanCache,
-    names: &Rc<HashMap<LambdaId, String>>,
     summaries: Option<&SummaryTable>,
     caller_global: Option<u32>,
-    snapshot: &GlobalSnapshot,
 ) -> LadderOutcome {
+    let config = pass.config;
     let mut out = LadderOutcome {
         verified: None,
         violations: Vec::new(),
         last_reason: String::new(),
         stubbed: false,
     };
-    for (domains, result) in candidates {
+    for candidate in candidates {
+        let (domains, result) = candidate;
         let rung = if config.signatures.contains_key(name) {
             "signature"
         } else {
@@ -1138,17 +1124,13 @@ fn run_ladder(
         };
         config.obs.rung_attempt(rung);
         let (attempt, exploration) = run_attempt(
-            program,
+            pass,
+            cache,
             name,
             def.id,
-            domains,
-            *result,
-            config,
-            cache,
-            names.clone(),
+            candidate,
             summaries,
             caller_global,
-            snapshot,
         );
         match &exploration {
             Some(ex) => {
@@ -1190,19 +1172,16 @@ fn run_ladder(
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn plan_function(
-    program: &Program,
-    name: &str,
+    pass: &Pass,
+    cache: &mut PlanCache,
+    global: u32,
     def: &Rc<LambdaDef>,
     blame: Option<String>,
-    config: &PlanConfig,
-    cache: &mut PlanCache,
-    names: Rc<HashMap<LambdaId, String>>,
+    nested: &[LambdaId],
     summaries: Option<&SummaryTable>,
-    caller_global: Option<u32>,
-    snapshot: &GlobalSnapshot,
 ) -> (FnDecision, Option<SummaryData>) {
+    let (name, config) = (&pass.program.global_names[global as usize], pass.config);
     let start = Instant::now();
     let base = FnDecision {
         name: name.to_string(),
@@ -1255,35 +1234,13 @@ fn plan_function(
         }
     };
 
-    let mut outcome = run_ladder(
-        program,
-        name,
-        def,
-        &candidates,
-        config,
-        cache,
-        &names,
-        summaries,
-        caller_global,
-        snapshot,
-    );
+    let mut outcome = run_ladder(pass, cache, name, def, &candidates, summaries, Some(global));
     // Stubbing may only ever *improve* a verdict (it prunes paths and
     // borrows the callee's already-verified graphs), so a Verified rung
     // stands. But a non-Static verdict reached via stubs could differ from
     // full descent in witness/reason wording, so re-derive it stub-free.
     if outcome.verified.is_none() && outcome.stubbed {
-        outcome = run_ladder(
-            program,
-            name,
-            def,
-            &candidates,
-            config,
-            cache,
-            &names,
-            None,
-            None,
-            snapshot,
-        );
+        outcome = run_ladder(pass, cache, name, def, &candidates, None, None);
     }
 
     if let Some(rung) = outcome.verified {
@@ -1294,7 +1251,6 @@ fn plan_function(
         // same exploration; λ ids belonging to *other* globals are
         // not (they may be called from unexplored contexts).
         if unconditional {
-            let nested = nested_lambda_ids(def);
             d.covers = rung
                 .exploration
                 .graphs
@@ -1371,58 +1327,37 @@ fn plan_domain(d: SymDomain) -> PlanDomain {
     }
 }
 
-/// λ ids syntactically nested inside `def` (excluding `def` itself).
-fn nested_lambda_ids(def: &LambdaDef) -> Vec<LambdaId> {
-    let mut out = Vec::new();
-    collect_lambda_ids(&def.body, &mut out);
-    out
-}
-
-fn collect_lambda_ids(e: &Expr, out: &mut Vec<LambdaId>) {
-    match e {
-        Expr::Lambda(def) => {
-            out.push(def.id);
-            collect_lambda_ids(&def.body, out);
-        }
-        Expr::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            collect_lambda_ids(cond, out);
-            collect_lambda_ids(then_branch, out);
-            collect_lambda_ids(else_branch, out);
-        }
-        Expr::App { func, args } => {
-            collect_lambda_ids(func, out);
-            for a in args.iter() {
-                collect_lambda_ids(a, out);
-            }
-        }
-        Expr::Seq(exprs) => {
-            for x in exprs.iter() {
-                collect_lambda_ids(x, out);
-            }
-        }
-        Expr::SetLocal { value, .. } | Expr::SetGlobal { value, .. } => {
-            collect_lambda_ids(value, out)
-        }
-        Expr::Let { inits, body } | Expr::LetRec { inits, body } => {
-            for i in inits.iter() {
-                collect_lambda_ids(i, out);
-            }
-            collect_lambda_ids(body, out);
-        }
-        Expr::TermC { body, .. } => collect_lambda_ids(body, out),
-        Expr::Quote(_) | Expr::Var(_) | Expr::Global(_) | Expr::PrimRef(_) => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sct_lang::compile_program;
     use std::time::Duration;
+
+    #[test]
+    fn index_lists_lambdas_in_source_pre_order() {
+        // Persisted cover indices and summary addresses count in this
+        // order, so it must stay source pre-order whatever order the
+        // resolver numbers λs in (it numbers each after its body).
+        let prog = compile_program(
+            "(define (f x) (let ([g (lambda (y) (lambda (z) z))] [h (lambda (w) w)]) x))
+             (define k (terminating/c (lambda (n) n) \"k\"))
+             ((lambda (q) q) 1)",
+        )
+        .unwrap();
+        let index = ProgramIndex::build(&prog);
+        let named = |pos: usize| -> Vec<String> {
+            let names = index.names();
+            index
+                .lambdas_at(pos)
+                .iter()
+                .map(|id| names[id].clone())
+                .collect()
+        };
+        assert_eq!(named(0), ["f", "g", "lambda#0", "h"]);
+        assert_eq!(index.lambdas_at(0)[1..], [1, 0, 2]);
+        assert_eq!(named(1), ["k"]);
+        assert_eq!(named(2), ["lambda#5"]);
+    }
 
     #[test]
     fn sum_is_nat_guarded_static() {

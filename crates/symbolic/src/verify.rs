@@ -6,10 +6,11 @@ use crate::exec::{
     merge_summaries, CalleeSummary, EntryInvariant, ExecConfig, Executor, GlobalSnapshot, SOut,
     SummaryTable, SymDomain,
 };
+use crate::pipeline::ProgramIndex;
 use crate::sym::{Path, SValue};
 use sct_core::graph::ScGraph;
 use sct_core::ljb::{closure_check, ClosureResult};
-use sct_lang::ast::{Expr, LambdaId, Program, TopForm};
+use sct_lang::ast::{LambdaId, Program};
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
@@ -159,7 +160,7 @@ pub fn explore_function(
         domains,
         result,
         config,
-        Rc::new(lambda_names(program)),
+        ProgramIndex::build(program).names().clone(),
         None,
         None,
         None,
@@ -345,56 +346,5 @@ fn havoc_escaping(ex: &mut Executor<'_>, v: &SValue, path: &Path, depth: u32) {
             havoc_escaping(ex, &pair.1, path, depth);
         }
         _ => {}
-    }
-}
-
-/// Display names for λ ids (from `define`/`letrec` hints).
-pub(crate) fn lambda_names(program: &Program) -> HashMap<u32, String> {
-    let mut names = HashMap::new();
-    for form in &program.top_level {
-        let expr = match form {
-            TopForm::Define { expr, .. } => expr,
-            TopForm::Expr(expr) => expr,
-        };
-        collect_names(expr, &mut names);
-    }
-    names
-}
-
-fn collect_names(e: &Expr, out: &mut HashMap<u32, String>) {
-    match e {
-        Expr::Lambda(def) => {
-            out.insert(def.id, def.describe());
-            collect_names(&def.body, out);
-        }
-        Expr::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            collect_names(cond, out);
-            collect_names(then_branch, out);
-            collect_names(else_branch, out);
-        }
-        Expr::App { func, args } => {
-            collect_names(func, out);
-            for a in args.iter() {
-                collect_names(a, out);
-            }
-        }
-        Expr::Seq(exprs) => {
-            for x in exprs.iter() {
-                collect_names(x, out);
-            }
-        }
-        Expr::SetLocal { value, .. } | Expr::SetGlobal { value, .. } => collect_names(value, out),
-        Expr::Let { inits, body } | Expr::LetRec { inits, body } => {
-            for i in inits.iter() {
-                collect_names(i, out);
-            }
-            collect_names(body, out);
-        }
-        Expr::TermC { body, .. } => collect_names(body, out),
-        Expr::Quote(_) | Expr::Var(_) | Expr::Global(_) | Expr::PrimRef(_) => {}
     }
 }

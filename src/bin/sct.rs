@@ -19,11 +19,6 @@
 //!   --loop-entries                monitor loop entries only
 //!   --fuel N                      step budget
 //!   --cache-dir DIR               (hybrid) persistent plan cache
-//!   --no-summaries                (hybrid) disable contract summaries:
-//!                                 every application descends into the
-//!                                 callee's body instead of stubbing
-//!                                 already-verified callees (the A/B
-//!                                 baseline for `report_plan`)
 //!   --metrics                     print the final `sct-obs` registry
 //!                                 snapshot as `; metric NAME VALUE`
 //!                                 lines after the answer (plan time,
@@ -103,7 +98,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  sct run <file> [--metrics]\n  sct monitor <file> [--strategy imperative|cm] \
          [--order default|reverse-int|extended] [--backoff N] [--loop-entries] [--fuel N]\n  \
-         sct hybrid <file> [--plan] [--dump-ir] [--cache-dir DIR] [--no-summaries] [--metrics] \
+         sct hybrid <file> [--plan] [--dump-ir] [--cache-dir DIR] [--metrics] \
          [monitor options]\n  \
          sct verify <file> <function> [domains [-> result]]\n  sct trace <file>\n  \
          sct serve [--socket PATH] [--cache-dir DIR] [--deadline-ms MS] \
@@ -124,7 +119,6 @@ struct Options {
     custom_order: bool,
     cache_dir: Option<String>,
     metrics: bool,
-    no_summaries: bool,
 }
 
 impl Options {
@@ -140,7 +134,6 @@ impl Options {
             custom_order: false,
             cache_dir: None,
             metrics: false,
-            no_summaries: false,
         };
         let mut it = args.iter();
         while let Some(a) = it.next() {
@@ -187,7 +180,6 @@ impl Options {
                     o.cache_dir = Some(it.next().ok_or("missing --cache-dir value")?.clone())
                 }
                 "--metrics" => o.metrics = true,
-                "--no-summaries" => o.no_summaries = true,
                 other => return Err(format!("unknown option {other}")),
             }
         }
@@ -578,10 +570,6 @@ fn main() -> ExitCode {
                     eprintln!("--cache-dir is only valid with `sct hybrid` and `sct serve`");
                     return usage();
                 }
-                if opts.no_summaries {
-                    eprintln!("--no-summaries is only valid with `sct hybrid`");
-                    return usage();
-                }
                 let config = opts.machine_config(cmd == "trace");
                 return run_and_report(&program, config, registry.as_deref());
             }
@@ -591,10 +579,6 @@ fn main() -> ExitCode {
             // rejects, so only the proof side of the plan is kept then.
             let plan_config = PlanConfig {
                 refute: !opts.custom_order,
-                // `--no-summaries` forces full body descent at every
-                // application — the A/B switch `report_plan` benches and
-                // the soundness oracle tests compare against.
-                summaries: !opts.no_summaries,
                 // `--metrics` routes planner observability (plan time,
                 // ladder rungs, fuel) into the registry the final
                 // snapshot prints from.

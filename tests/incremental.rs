@@ -166,6 +166,38 @@ fn reordering_the_defines_keeps_every_key() {
     }
 }
 
+#[test]
+fn a_forward_reference_replays_the_plan_of_its_own_order() {
+    // `a`'s initializer reads `b` before `b` is defined in order A, so it
+    // fails there and `f`, which reads `a`, stays monitored; in order B
+    // `b` comes first and `f` is static. The same defines in both orders
+    // must not share `f`'s entry: a store warmed in order B replays order
+    // A exactly as planning order A without a store does.
+    let f = "(define (f x) (if (<= x 0) a (f (- x 1))))";
+    for init in ["(define (g) b) (define a (g))", "(define a b)"] {
+        let order_a = format!("{init}\n(define b 5)\n{f}\n(f 3)");
+        let order_b = format!("(define b 5)\n{init}\n{f}\n(f 3)");
+        let cfg = PlanConfig::default();
+        let plan = |source: &str, store: &mut dyn DecisionStore| {
+            let prog = sct_lang::compile_program(source).unwrap();
+            plan_program_incremental(&prog, &cfg, &mut PlanCache::new(), store).0
+        };
+        let f_tag = |plan: &sct_contracts::EnforcementPlan| {
+            let f = plan.decisions.iter().find(|d| d.name == "f").unwrap();
+            f.decision.tag()
+        };
+        let storeless = plan(&order_a, &mut NullStore);
+        assert_eq!(f_tag(&storeless), "monitor", "{init}");
+        let mut store = sct_cache::MemStore::new();
+        assert_eq!(f_tag(&plan(&order_b, &mut store)), "static", "{init}");
+        let replayed = plan(&order_a, &mut store);
+        assert!(
+            replayed.structurally_eq(&storeless),
+            "{init}: {replayed:?}\nvs {storeless:?}"
+        );
+    }
+}
+
 /// The layered corpus the slice-locality oracles plan, with its entry
 /// call.
 fn layered_program(n: usize) -> String {

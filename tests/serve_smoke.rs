@@ -94,6 +94,108 @@ fn stdio_mode_answers_all_ops() {
     assert_line(&lines[7], r#""op":"shutdown""#);
 }
 
+/// The stdio session's responses as documents: plan, hybrid, stats and
+/// metrics agree with each other, and every response carries its own
+/// 16-hex trace id.
+#[test]
+fn stdio_metrics_reconcile_with_stats_and_trace_ids_are_distinct() {
+    use sct_core::json::{parse, Json};
+
+    let requests = concat!(
+        r#"{"op":"plan","id":1,"source":"(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))"}"#,
+        "\n",
+        r#"{"op":"hybrid","id":2,"source":"(define (sum i a) (if (zero? i) a (sum (- i 1) (+ a i)))) (sum 100 0)"}"#,
+        "\n",
+        r#"{"op":"stats","id":3}"#,
+        "\n",
+        r#"{"op":"metrics","id":4}"#,
+        "\n",
+        r#"{"op":"shutdown"}"#,
+        "\n",
+    );
+    let mut child = sct()
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawning sct serve");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(requests.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "serve exited {:?}", out.status);
+    let docs: Vec<Json> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(|l| parse(l).unwrap_or_else(|e| panic!("response is not JSON ({e}): {l}")))
+        .collect();
+    assert_eq!(docs.len(), 5, "one response per request: {docs:#?}");
+    let at = |doc: &Json, path: &[&str]| -> Json {
+        let mut v = doc;
+        for key in path {
+            v = v
+                .get(key)
+                .unwrap_or_else(|| panic!("no {path:?} in {doc:?}"));
+        }
+        v.clone()
+    };
+    let int = |doc: &Json, path: &[&str]| at(doc, path).as_i64().unwrap();
+    let (plan, hybrid, stats, metrics) = (&docs[0], &docs[1], &docs[2], &docs[3]);
+    for doc in &docs {
+        assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{doc:?}");
+    }
+
+    assert_eq!(at(plan, &["plan", "schema"]).as_str(), Some("sct-plan/1"));
+    assert_eq!(int(plan, &["cache", "hits"]), 0);
+    assert_eq!(int(plan, &["cache", "misses"]), 1);
+    assert_eq!(at(plan, &["cache", "warm"]), Json::Bool(false));
+
+    assert_eq!(at(hybrid, &["value"]).as_str(), Some("5050"));
+    assert_eq!(int(hybrid, &["stats", "checks"]), 0);
+    assert!(int(hybrid, &["stats", "static_skips"]) > 0, "{hybrid:?}");
+    assert!(at(hybrid, &["cache", "warm"]).as_bool().is_some());
+    assert!(hybrid.get("compiled").is_none(), "{hybrid:?}");
+
+    assert_eq!(int(stats, &["requests", "plan"]), 1);
+    assert!(int(stats, &["cache", "stores"]) >= 2, "{stats:?}");
+    assert!(int(stats, &["plan", "static_skips"]) > 0, "{stats:?}");
+
+    // The metrics snapshot and the stats view read the same counters.
+    let counter = |name: &str| int(metrics, &["metrics", "counters", name]);
+    assert_eq!(
+        counter("serve.requests.plan"),
+        int(stats, &["requests", "plan"])
+    );
+    assert_eq!(
+        counter("serve.requests.hybrid"),
+        int(stats, &["requests", "hybrid"])
+    );
+    assert_eq!(counter("cache.stores"), int(stats, &["cache", "stores"]));
+    for pre_registered in ["serve.shed", "serve.deadline_exceeded", "cache.quarantined"] {
+        counter(pre_registered);
+    }
+    let latency = at(
+        metrics,
+        &["metrics", "histograms", "serve.latency.hybrid_us"],
+    );
+    assert_eq!(int(&latency, &["count"]), 1);
+    assert!(int(&latency, &["p50"]) >= 0);
+
+    let traces: Vec<String> = docs
+        .iter()
+        .map(|doc| at(doc, &["trace"]).as_str().unwrap().to_owned())
+        .collect();
+    for trace in &traces {
+        assert_eq!(trace.len(), 16, "{trace}");
+        assert!(trace.chars().all(|c| c.is_ascii_hexdigit()), "{trace}");
+    }
+    let distinct: std::collections::HashSet<&String> = traces.iter().collect();
+    assert_eq!(distinct.len(), traces.len(), "{traces:?}");
+}
+
 /// Protocol fuzz: mutated, truncated, and overlong NDJSON lines. Every
 /// non-empty line must get exactly one response — an error for the
 /// malformed ones — and the session must survive all of them and still
