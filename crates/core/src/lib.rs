@@ -15,11 +15,11 @@
 //!   with `desc?`, which is equivalent to re-testing every contiguous
 //!   subsequence (previously seen composites already passed) and is what
 //!   makes per-call monitoring affordable.
-//! * [`Interner`] — hash-consing of graphs into `Copy` [`GraphId`]s with
-//!   `desc?`/idempotence computed once per distinct graph and binary
-//!   composition memoized, so steady-state monitoring is pure cache hits
-//!   (see `docs/ARCHITECTURE.md`, "Graph interning and the fixed-point
-//!   cost model").
+//! * [`intern`] — one graph pool per thread, hash-consing graphs into
+//!   `Copy` [`GraphId`]s with `desc?`/idempotence computed once per
+//!   distinct graph and binary composition memoized, so steady-state
+//!   monitoring is pure cache hits (see `docs/ARCHITECTURE.md`, "Graph
+//!   interning and the fixed-point cost model").
 //! * [`order`] — the well-founded partial order `≺` of Figure 5 as a trait,
 //!   so users can "replace the default order with an appropriate one" (§3.3)
 //!   as needed by e.g. `lh-range` or `acl2-fig-2` in Table 1.
@@ -38,7 +38,7 @@
 //! * [`plan`] — the hybrid enforcement plan ([`EnforcementPlan`]): the
 //!   per-function record of whether termination was statically discharged,
 //!   must be dynamically monitored, or was statically refuted, plus the
-//!   [`LjbCache`] memo keyed by interned graph sets that makes
+//!   [`LjbCache`] memo keyed by graph sets that makes
 //!   re-verification free.
 //!
 //! # Examples
@@ -81,7 +81,7 @@ pub mod table;
 
 pub use blame::BlameLabel;
 pub use graph::{Arc, Change, ScGraph};
-pub use intern::{FxBuildHasher, GraphId, Interner};
+pub use intern::{FxBuildHasher, GraphId};
 pub use ljb::{closure_check, ClosureResult};
 pub use monitor::{Backoff, BackoffPolicy, KeyStrategy, MonitorConfig, TableStrategy};
 pub use order::{AbsIntOrder, FnOrder, SizeChange, WellFoundedOrder};

@@ -33,14 +33,14 @@
 //! an *optimization*, never a weakening, of Theorem 3.1's guarantee.
 //!
 //! This module also provides [`LjbCache`], a memo for the
-//! Lee–Jones–Ben-Amram closure check keyed by the *interned graph set*
-//! (sorted [`GraphId`]s): Ben-Amram's closure analysis (LMCS 2010) shows
+//! Lee–Jones–Ben-Amram closure check keyed by the *graph set* (sorted ids
+//! from the cache's own graph table): Ben-Amram's closure analysis (LMCS 2010) shows
 //! the closure and its ranking structure depend only on the graph set, so
 //! re-verifying a function whose discovered graphs are unchanged — across
 //! pre-pass runs, benchmark repetitions, or REPL reloads — costs one hash
 //! lookup instead of a closure computation.
 
-use crate::intern::{FxBuildHasher, GraphId, Interner};
+use crate::intern::FxBuildHasher;
 use crate::json::{escape, Json};
 use crate::ljb::{closure_check, ClosureResult};
 use crate::ScGraph;
@@ -375,9 +375,11 @@ impl fmt::Display for EnforcementPlan {
 
 /// A memoized Lee–Jones–Ben-Amram closure check.
 ///
-/// Keys are the *interned graph set*: each [`ScGraph`] is hash-consed into
-/// the cache's [`Interner`] and the sorted, deduplicated [`GraphId`] vector
-/// identifies the set. Since the closure result depends only on the set,
+/// Keys are the *graph set*: each [`ScGraph`] is numbered in the cache's
+/// own graph table and the sorted, deduplicated id vector identifies the
+/// set. The table is private to the cache, never the thread's monitor pool
+/// ([`crate::intern`]): planning must not change the ids, and so the
+/// witness order, of a monitored run on the same thread. Since the closure result depends only on the set,
 /// re-verifying a function whose discovered graphs are unchanged is one
 /// hash lookup — which is what makes the hybrid pre-pass free to re-run
 /// (per benchmark repetition, per `sct hybrid` invocation on an unchanged
@@ -399,36 +401,30 @@ impl fmt::Display for EnforcementPlan {
 /// ```
 #[derive(Debug, Default)]
 pub struct LjbCache {
-    interner: Interner,
-    memo: HashMap<Vec<GraphId>, ClosureResult, FxBuildHasher>,
+    ids: HashMap<ScGraph, u32, FxBuildHasher>,
+    memo: HashMap<Vec<u32>, ClosureResult, FxBuildHasher>,
     hits: u64,
     misses: u64,
 }
 
 impl LjbCache {
-    /// An empty cache with a private graph pool.
+    /// An empty cache.
     pub fn new() -> LjbCache {
         LjbCache::default()
     }
 
-    /// A cache interning into an existing pool (so ids — and warm graphs —
-    /// are shared with, e.g., the monitor's pool).
-    pub fn with_interner(interner: Interner) -> LjbCache {
-        LjbCache {
-            interner,
-            ..LjbCache::default()
-        }
-    }
-
-    /// Memoized [`closure_check`]: interns `graphs`, sorts and dedups the
+    /// Memoized [`closure_check`]: numbers `graphs`, sorts and dedups the
     /// ids, and reuses a previous verdict for the same set when one exists.
     ///
     /// The cap participates in correctness only for [`ClosureResult::Overflow`]
     /// results, which are cached too; callers should use one cap per cache.
     pub fn check(&mut self, graphs: &[ScGraph], cap: usize) -> ClosureResult {
-        let mut ids: Vec<GraphId> = graphs
+        let mut ids: Vec<u32> = graphs
             .iter()
-            .map(|g| self.interner.intern(g.clone()))
+            .map(|g| {
+                let next = self.ids.len() as u32;
+                *self.ids.entry(g.clone()).or_insert(next)
+            })
             .collect();
         ids.sort_unstable();
         ids.dedup();
@@ -450,11 +446,6 @@ impl LjbCache {
     /// Number of lookups that had to run the closure.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// The pool the cache interns into.
-    pub fn interner(&self) -> &Interner {
-        &self.interner
     }
 }
 

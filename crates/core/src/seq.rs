@@ -22,9 +22,9 @@
 //! The suffix composites are held as a **sorted vector of interned
 //! [`GraphId`]s** — inline (no heap) up to four composites, spilling to a
 //! shared `Rc<[GraphId]>` beyond that. All graph work is delegated to the
-//! [`Interner`]: composition is a memo-table hit and `desc?` is a cached
-//! bit once a graph has been seen. Three consequences for the monitor's
-//! hot path:
+//! thread's graph [`Pool`]: composition is a memo-table hit and `desc?` is
+//! a cached bit once a graph has been seen. Three consequences for the
+//! monitor's hot path:
 //!
 //! * [`push`](CallSeq::push) only runs `desc?` on composites **newly
 //!   created** by that push — carried-over members were checked when they
@@ -39,7 +39,7 @@
 //!   `Copy` of at most four words or one `Rc` bump.
 
 use crate::graph::ScGraph;
-use crate::intern::{GraphId, Interner};
+use crate::intern::{self, GraphId, Pool};
 use std::fmt;
 use std::rc::Rc;
 
@@ -107,12 +107,9 @@ impl Composites {
 }
 
 /// The per-function sequence of size-change graphs `⃗g`, kept as the sorted
-/// set of interned suffix-composite ids (see module docs).
-///
-/// The argument-free methods ([`push`](CallSeq::push),
-/// [`check`](CallSeq::check), …) use the thread-local
-/// [`Interner::global`] pool; the `*_in` variants take an explicit handle.
-/// A sequence's ids live in the pool that created them — don't mix pools.
+/// set of interned suffix-composite ids (see module docs). The ids live in
+/// the pool of the thread that built the sequence, and a sequence never
+/// leaves that thread (it is neither `Send` nor `Sync`).
 ///
 /// # Examples
 ///
@@ -173,18 +170,12 @@ impl CallSeq {
         self.composites.as_slice()
     }
 
-    /// The current suffix composites, resolved against the global pool.
+    /// The current suffix composites, resolved against the thread's pool.
     pub fn composites(&self) -> Vec<ScGraph> {
-        self.composites_in(&Interner::global())
-    }
-
-    /// The current suffix composites, resolved against `interner`.
-    pub fn composites_in(&self, interner: &Interner) -> Vec<ScGraph> {
-        self.composites
-            .as_slice()
-            .iter()
-            .map(|&id| interner.graph(id))
-            .collect()
+        intern::with(|pool| {
+            let ids = self.composites.as_slice();
+            ids.iter().map(|&id| pool.graph(id).clone()).collect()
+        })
     }
 
     /// Shared-structure successor: same composites, one more call.
@@ -195,158 +186,114 @@ impl CallSeq {
         }
     }
 
-    /// Computes `Sₙ = { c ; g | c ∈ Sₙ₋₁ } ∪ { g }` and either detects the
-    /// fixed point (returning `None`) or hands the sorted new set to `k`.
-    fn extend_with<T>(
-        &self,
-        interner: &Interner,
-        g: GraphId,
-        k: impl FnOnce(&[GraphId], &[GraphId]) -> Result<T, ScViolation>,
-    ) -> Option<Result<T, ScViolation>> {
-        let old = self.composites.as_slice();
-        let n = old.len() + 1;
-        let mut stack_buf = [GraphId::DUMMY; SCRATCH];
-        let mut heap_buf: Vec<GraphId> = Vec::new();
-        let slots: &mut [GraphId] = if n <= SCRATCH {
-            &mut stack_buf[..n]
-        } else {
-            heap_buf.resize(n, GraphId::DUMMY);
-            &mut heap_buf[..]
-        };
-        let g_rows = interner.rows(g);
-        let mut m = 0;
-        slots[m] = g;
-        m += 1;
-        for &c in old {
-            // Arity-incompatible composites cannot extend through g; they
-            // are dropped, exactly as in the set-of-graphs formulation.
-            if interner.cols(c) == g_rows {
-                slots[m] = interner.compose(c, g);
-                m += 1;
+    /// Appends `g`: computes `Sₙ = { c ; g | c ∈ Sₙ₋₁ } ∪ { g }` and, when
+    /// `checked`, runs `desc?` on the composites that are new to `Sₙ` —
+    /// carried-over members passed when they first appeared, and at the
+    /// fixed point no check runs at all. One borrow of the pool covers the
+    /// whole step.
+    fn extend(&self, g: ScGraph, checked: bool) -> Result<CallSeq, ScViolation> {
+        intern::with(|pool| {
+            let g = pool.intern(g);
+            let old = self.composites.as_slice();
+            let n = old.len() + 1;
+            let mut stack_buf = [GraphId::DUMMY; SCRATCH];
+            let mut heap_buf: Vec<GraphId> = Vec::new();
+            let slots: &mut [GraphId] = if n <= SCRATCH {
+                &mut stack_buf[..n]
+            } else {
+                heap_buf.resize(n, GraphId::DUMMY);
+                &mut heap_buf[..]
+            };
+            let g_rows = pool.rows(g);
+            let mut m = 0;
+            slots[m] = g;
+            m += 1;
+            for &c in old {
+                // Arity-incompatible composites cannot extend through g;
+                // they are dropped, exactly as in the set-of-graphs
+                // formulation.
+                if pool.cols(c) == g_rows {
+                    slots[m] = pool.compose(c, g);
+                    m += 1;
+                }
             }
-        }
-        let filled = &mut slots[..m];
-        filled.sort_unstable();
-        let mut w = 1;
-        for r in 1..m {
-            if filled[r] != filled[w - 1] {
-                filled[w] = filled[r];
-                w += 1;
+            let filled = &mut slots[..m];
+            filled.sort_unstable();
+            let mut w = 1;
+            for r in 1..m {
+                if filled[r] != filled[w - 1] {
+                    filled[w] = filled[r];
+                    w += 1;
+                }
             }
-        }
-        let new_ids = &filled[..w];
-        if new_ids == old {
-            // Fixed point: the steady state of every long-running loop.
-            return None;
-        }
-        Some(k(new_ids, old))
+            let new_ids = &filled[..w];
+            if new_ids == old {
+                // Fixed point: the steady state of every long-running loop.
+                return Ok(self.share_extended());
+            }
+            if checked {
+                first_new_violation(pool, new_ids, old)?;
+            }
+            Ok(CallSeq {
+                composites: Composites::from_sorted(new_ids),
+                len: self.len + 1,
+            })
+        })
     }
 
     /// Appends a graph *with* the `prog?` check — the `upd` path of
-    /// Figure 4 — against the global interner pool.
+    /// Figure 4. Only composites *new* to this push are `desc?`-checked.
     ///
     /// # Errors
     ///
     /// [`ScViolation`] when some contiguous subsequence composes to an
-    /// idempotent graph with no strict self-descent.
+    /// idempotent graph with no strict self-descent, carrying the first
+    /// new failing composite.
     pub fn push(&self, g: ScGraph) -> Result<CallSeq, ScViolation> {
-        self.push_in(&Interner::global(), g)
-    }
-
-    /// [`push`](CallSeq::push) against an explicit interner pool.
-    ///
-    /// Only composites *new* to this push are `desc?`-checked: carried-over
-    /// members passed when they first appeared, and at the fixed point no
-    /// check runs at all.
-    ///
-    /// # Errors
-    ///
-    /// [`ScViolation`] exactly as [`push`](CallSeq::push), carrying the
-    /// first new failing composite.
-    pub fn push_in(&self, interner: &Interner, g: ScGraph) -> Result<CallSeq, ScViolation> {
-        let gid = interner.intern(g);
-        self.push_id_in(interner, gid)
-    }
-
-    /// [`push_in`](CallSeq::push_in) for an already-interned graph.
-    ///
-    /// # Errors
-    ///
-    /// [`ScViolation`] exactly as [`push`](CallSeq::push).
-    pub fn push_id_in(&self, interner: &Interner, gid: GraphId) -> Result<CallSeq, ScViolation> {
-        match self.extend_with(interner, gid, |new_ids, old| {
-            // Both slices are sorted: walk them together and check only the
-            // ids that were not already members.
-            let mut oi = 0;
-            for &id in new_ids {
-                while oi < old.len() && old[oi] < id {
-                    oi += 1;
-                }
-                let carried_over = oi < old.len() && old[oi] == id;
-                if !carried_over && !interner.desc_ok(id) {
-                    return Err(ScViolation {
-                        witness: interner.graph(id),
-                    });
-                }
-            }
-            Ok(CallSeq {
-                composites: Composites::from_sorted(new_ids),
-                len: self.len + 1,
-            })
-        }) {
-            None => Ok(self.share_extended()),
-            Some(res) => res,
-        }
+        self.extend(g, true)
     }
 
     /// Appends a graph *without* checking — the `ext` function of the
     /// call-sequence semantics (Figure 6), used to state completeness.
-    /// Global-pool variant.
     pub fn push_unchecked(&self, g: ScGraph) -> CallSeq {
-        self.push_unchecked_in(&Interner::global(), g)
-    }
-
-    /// [`push_unchecked`](CallSeq::push_unchecked) against an explicit pool.
-    pub fn push_unchecked_in(&self, interner: &Interner, g: ScGraph) -> CallSeq {
-        let gid = interner.intern(g);
-        match self.extend_with(interner, gid, |new_ids, _old| {
-            Ok(CallSeq {
-                composites: Composites::from_sorted(new_ids),
-                len: self.len + 1,
-            })
-        }) {
-            None => self.share_extended(),
-            Some(Ok(seq)) => seq,
-            Some(Err(_)) => unreachable!("unchecked extension never fails"),
-        }
+        self.extend(g, false)
+            .expect("unchecked extension never fails")
     }
 
     /// Checks `prog?` over **all** suffix composites currently tracked
     /// (unlike [`push`](CallSeq::push), which trusts carried-over members —
-    /// this is the entry point after unchecked extension). Global pool.
+    /// this is the entry point after unchecked extension).
     ///
     /// # Errors
     ///
     /// [`ScViolation`] carrying the first failing composite found.
     pub fn check(&self) -> Result<(), ScViolation> {
-        self.check_in(&Interner::global())
+        intern::with(|pool| first_new_violation(pool, self.composites.as_slice(), &[]))
     }
+}
 
-    /// [`check`](CallSeq::check) against an explicit pool.
-    ///
-    /// # Errors
-    ///
-    /// [`ScViolation`] carrying the first failing composite found.
-    pub fn check_in(&self, interner: &Interner) -> Result<(), ScViolation> {
-        for &id in self.composites.as_slice() {
-            if !interner.desc_ok(id) {
-                return Err(ScViolation {
-                    witness: interner.graph(id),
-                });
-            }
+/// The first member of the sorted `ids` that is not in the sorted
+/// `carried` and fails `desc?`, as a violation.
+fn first_new_violation(
+    pool: &Pool,
+    ids: &[GraphId],
+    carried: &[GraphId],
+) -> Result<(), ScViolation> {
+    // Both slices are sorted: walk them together and check only the ids
+    // that were not already members.
+    let mut oi = 0;
+    for &id in ids {
+        while oi < carried.len() && carried[oi] < id {
+            oi += 1;
         }
-        Ok(())
+        let carried_over = oi < carried.len() && carried[oi] == id;
+        if !carried_over && !pool.desc_ok(id) {
+            return Err(ScViolation {
+                witness: pool.graph(id).clone(),
+            });
+        }
     }
+    Ok(())
 }
 
 impl fmt::Debug for CallSeq {
@@ -466,27 +413,34 @@ mod tests {
         assert_eq!(s1.composite_ids(), s2.composite_ids());
         assert_eq!(s2.len(), 2);
         // Large composite sets share the heap allocation at the fixed point.
-        let it = Interner::new();
         let mut seq = CallSeq::new();
         // Arity-8 rotation generates > INLINE distinct composites.
         let rot = ScGraph::from_arcs(8, 8, (0..8).map(|i| (i, Change::Descend, (i + 1) % 8)));
         for _ in 0..20 {
-            seq = seq.push_in(&it, rot.clone()).unwrap();
+            seq = seq.push(rot.clone()).unwrap();
         }
         let before = seq.composite_ids().to_vec();
-        let next = seq.push_in(&it, rot.clone()).unwrap();
+        let next = seq.push(rot.clone()).unwrap();
         assert_eq!(next.composite_ids(), &before[..]);
         assert!(before.len() > INLINE, "exercises the heap variant");
     }
 
     #[test]
-    fn explicit_pool_matches_global_behavior() {
-        let it = Interner::new();
-        let stay = g(&[(0, Change::NonAscend, 0)]);
-        let descend = g(&[(0, Change::Descend, 0)]);
-        let seq = CallSeq::new().push_in(&it, descend).unwrap();
-        assert!(seq.check_in(&it).is_ok());
-        assert!(seq.push_in(&it, stay).is_err());
-        assert_eq!(seq.composites_in(&it).len(), 1);
+    fn fresh_thread_pool_matches_warm_pool() {
+        // The same pushes behave the same on a warm pool and on the empty
+        // pool of a new thread.
+        let run = || {
+            let stay = g(&[(0, Change::NonAscend, 0)]);
+            let descend = g(&[(0, Change::Descend, 0)]);
+            let seq = CallSeq::new().push(descend).unwrap();
+            (
+                seq.check().is_ok(),
+                seq.push(stay).is_err(),
+                seq.composites().len(),
+            )
+        };
+        let warm = run();
+        assert_eq!(warm, (true, true, 1));
+        assert_eq!(std::thread::spawn(run).join().unwrap(), warm);
     }
 }

@@ -17,7 +17,7 @@
 //! argument snapshot `V`.
 
 use crate::graph::ScGraph;
-use crate::intern::{FxBuildHasher, Interner};
+use crate::intern::FxBuildHasher;
 use crate::order::WellFoundedOrder;
 use crate::seq::{CallSeq, ScViolation};
 use sct_persist::PMap;
@@ -55,8 +55,8 @@ impl<V> FnEntry<V> {
     }
 
     /// Steps the entry with new arguments: computes `graph(⃗vₙ₋₁, ⃗vₙ)` and
-    /// pushes it through the `prog?` check, against the global interner
-    /// pool.
+    /// pushes it through the `prog?` check. The order runs before the
+    /// push touches the graph pool.
     ///
     /// # Errors
     ///
@@ -67,50 +67,24 @@ impl<V> FnEntry<V> {
         args: Rc<[V]>,
         order: &O,
     ) -> Result<FnEntry<V>, ScViolation> {
-        self.step_in(args, order, &Interner::global())
-    }
-
-    /// [`step`](FnEntry::step) against an explicit interner pool — the form
-    /// the tables use so one pool serves a whole monitored run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the [`ScViolation`] when the extended sequence violates
-    /// the size-change principle.
-    pub fn step_in<O: WellFoundedOrder<V> + ?Sized>(
-        &self,
-        args: Rc<[V]>,
-        order: &O,
-        interner: &Interner,
-    ) -> Result<FnEntry<V>, ScViolation> {
         let g = ScGraph::from_args(order, &self.last_args, &args);
-        let seq = self.seq.push_in(interner, g)?;
+        let seq = self.seq.push(g)?;
         Ok(FnEntry {
             last_args: args,
             seq,
         })
     }
 
-    /// Steps the entry without checking (`ext` of Figure 6), global pool.
+    /// Steps the entry without checking (`ext` of Figure 6).
     pub fn step_unchecked<O: WellFoundedOrder<V> + ?Sized>(
         &self,
         args: Rc<[V]>,
         order: &O,
     ) -> FnEntry<V> {
-        self.step_unchecked_in(args, order, &Interner::global())
-    }
-
-    /// [`step_unchecked`](FnEntry::step_unchecked) against an explicit pool.
-    pub fn step_unchecked_in<O: WellFoundedOrder<V> + ?Sized>(
-        &self,
-        args: Rc<[V]>,
-        order: &O,
-        interner: &Interner,
-    ) -> FnEntry<V> {
         let g = ScGraph::from_args(order, &self.last_args, &args);
         FnEntry {
             last_args: args,
-            seq: self.seq.push_unchecked_in(interner, g),
+            seq: self.seq.push_unchecked(g),
         }
     }
 }
@@ -132,7 +106,6 @@ impl<V> FnEntry<V> {
 /// ```
 pub struct ScTable<K, V> {
     map: PMap<K, FnEntry<V>>,
-    interner: Interner,
 }
 
 impl<K: Hash + Eq + Clone + std::fmt::Debug, V: std::fmt::Debug> std::fmt::Debug for ScTable<K, V> {
@@ -145,7 +118,6 @@ impl<K, V> Clone for ScTable<K, V> {
     fn clone(&self) -> Self {
         ScTable {
             map: self.map.clone(),
-            interner: self.interner.clone(),
         }
     }
 }
@@ -160,23 +132,9 @@ where
 }
 
 impl<K: Hash + Eq + Clone, V> ScTable<K, V> {
-    /// The empty table `{}`, using the global interner pool.
+    /// The empty table `{}`.
     pub fn new() -> ScTable<K, V> {
-        ScTable::with_interner(Interner::global())
-    }
-
-    /// The empty table over an explicit interner pool; the monitor creates
-    /// all its tables through this so one pool serves the whole run.
-    pub fn with_interner(interner: Interner) -> ScTable<K, V> {
-        ScTable {
-            map: PMap::new(),
-            interner,
-        }
-    }
-
-    /// The interner pool this table's graph ids live in.
-    pub fn interner(&self) -> &Interner {
-        &self.interner
+        ScTable { map: PMap::new() }
     }
 
     /// Number of functions tracked.
@@ -208,11 +166,10 @@ impl<K: Hash + Eq + Clone, V> ScTable<K, V> {
     ) -> Result<ScTable<K, V>, ScViolation> {
         let entry = match self.map.get(&key) {
             None => FnEntry::first_call(args),
-            Some(prev) => prev.step_in(args, order, &self.interner)?,
+            Some(prev) => prev.step(args, order)?,
         };
         Ok(ScTable {
             map: self.map.insert(key, entry),
-            interner: self.interner.clone(),
         })
     }
 
@@ -226,11 +183,10 @@ impl<K: Hash + Eq + Clone, V> ScTable<K, V> {
     ) -> ScTable<K, V> {
         let entry = match self.map.get(&key) {
             None => FnEntry::first_call(args),
-            Some(prev) => prev.step_unchecked_in(args, order, &self.interner),
+            Some(prev) => prev.step_unchecked(args, order),
         };
         ScTable {
             map: self.map.insert(key, entry),
-            interner: self.interner.clone(),
         }
     }
 
@@ -266,7 +222,6 @@ pub struct TableUndo<K, V> {
 /// ```
 pub struct MutScTable<K, V> {
     map: HashMap<K, FnEntry<V>, FxBuildHasher>,
-    interner: Interner,
 }
 
 impl<K: Hash + Eq + std::fmt::Debug, V: std::fmt::Debug> std::fmt::Debug for MutScTable<K, V> {
@@ -285,22 +240,11 @@ where
 }
 
 impl<K: Hash + Eq + Clone, V> MutScTable<K, V> {
-    /// The empty table, using the global interner pool.
+    /// The empty table.
     pub fn new() -> MutScTable<K, V> {
-        MutScTable::with_interner(Interner::global())
-    }
-
-    /// The empty table over an explicit interner pool.
-    pub fn with_interner(interner: Interner) -> MutScTable<K, V> {
         MutScTable {
             map: HashMap::default(),
-            interner,
         }
-    }
-
-    /// The interner pool this table's graph ids live in.
-    pub fn interner(&self) -> &Interner {
-        &self.interner
     }
 
     /// Number of functions tracked.
@@ -334,7 +278,7 @@ impl<K: Hash + Eq + Clone, V> MutScTable<K, V> {
     ) -> Result<TableUndo<K, V>, ScViolation> {
         match self.map.entry(key.clone()) {
             std::collections::hash_map::Entry::Occupied(mut slot) => {
-                let next = slot.get().step_in(args, order, &self.interner)?;
+                let next = slot.get().step(args, order)?;
                 let prev = slot.insert(next);
                 Ok(TableUndo {
                     key,
@@ -360,9 +304,9 @@ impl<K: Hash + Eq + Clone, V> MutScTable<K, V> {
     ) -> (TableUndo<K, V>, Option<ScViolation>) {
         let entry = match self.map.get(&key) {
             None => FnEntry::first_call(args),
-            Some(prev) => prev.step_unchecked_in(args, order, &self.interner),
+            Some(prev) => prev.step_unchecked(args, order),
         };
-        let violation = entry.seq.check_in(&self.interner).err();
+        let violation = entry.seq.check().err();
         let prev = self.map.insert(key.clone(), entry);
         (TableUndo { key, prev }, violation)
     }

@@ -11,11 +11,14 @@
 //!
 //! The interner tests establish that hash-consing and the composition
 //! memo table are pure caches: interning is idempotent, memoized answers
-//! equal direct computation, and repetition changes nothing.
+//! equal direct computation, and repetition changes nothing. They run on
+//! the thread's graph pool, which earlier cases have already warmed; the
+//! call-sequence property compares it with the empty pool of a new thread.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use sct_core::graph::{Change, ScGraph};
-use sct_core::intern::Interner;
+use sct_core::intern;
 use sct_core::order::AbsIntOrder;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -154,16 +157,18 @@ proptest! {
         cells in cells64(),
     ) {
         let (r, c) = dims;
-        let it = Interner::new();
         let g = build(r, c, &cells);
-        let id = it.intern(g.clone());
-        prop_assert_eq!(it.intern(g.clone()), id);
-        prop_assert_eq!(it.intern(g.force_dense()), id, "dense twin interns to the same id");
-        prop_assert_eq!(&it.graph(id), &g);
-        prop_assert_eq!(it.rows(id), g.rows());
-        prop_assert_eq!(it.cols(id), g.cols());
-        prop_assert_eq!(it.desc_ok(id), g.desc_ok());
-        prop_assert_eq!(it.is_idempotent(id), g.is_idempotent());
+        intern::with(|pool| {
+            let id = pool.intern(g.clone());
+            prop_assert_eq!(pool.intern(g.clone()), id);
+            prop_assert_eq!(pool.intern(g.force_dense()), id, "dense twin interns to the same id");
+            prop_assert_eq!(pool.graph(id), &g);
+            prop_assert_eq!(pool.rows(id), g.rows());
+            prop_assert_eq!(pool.cols(id), g.cols());
+            prop_assert_eq!(pool.desc_ok(id), g.desc_ok());
+            prop_assert_eq!(pool.is_idempotent(id), g.is_idempotent());
+            Ok::<(), TestCaseError>(())
+        })?;
     }
 
     #[test]
@@ -172,65 +177,82 @@ proptest! {
         sheets in proptest::collection::vec(cells64(), 1..6),
     ) {
         // Square graphs at one arity so every pair composes.
-        let it = Interner::new();
         let graphs: Vec<ScGraph> = sheets.iter().map(|s| build(m, m, s)).collect();
-        let ids: Vec<_> = graphs.iter().map(|g| it.intern(g.clone())).collect();
-        // First pass: record every pairwise composition.
-        let mut first = Vec::new();
-        for (&a, ga) in ids.iter().zip(&graphs) {
-            for (&b, gb) in ids.iter().zip(&graphs) {
-                let ab = it.compose(a, b);
-                // Memoized answer equals direct computation...
-                prop_assert_eq!(&it.graph(ab), &ga.compose(gb));
-                // ...and its memoized properties match the graph's.
-                prop_assert_eq!(it.desc_ok(ab), ga.compose(gb).desc_ok());
-                first.push(ab);
+        intern::with(|pool| {
+            let ids: Vec<_> = graphs.iter().map(|g| pool.intern(g.clone())).collect();
+            // First pass: record every pairwise composition.
+            let mut first = Vec::new();
+            for (&a, ga) in ids.iter().zip(&graphs) {
+                for (&b, gb) in ids.iter().zip(&graphs) {
+                    let ab = pool.compose(a, b);
+                    // Memoized answer equals direct computation...
+                    prop_assert_eq!(pool.graph(ab), &ga.compose(gb));
+                    // ...and its memoized properties match the graph's.
+                    prop_assert_eq!(pool.desc_ok(ab), ga.compose(gb).desc_ok());
+                    first.push(ab);
+                }
             }
-        }
-        let graphs_before = it.len();
-        let cache_before = it.compose_cache_len();
-        // Second pass in reverse order: pure cache hits, identical ids,
-        // and no growth of either table.
-        let mut second = Vec::new();
-        for &a in ids.iter() {
-            for &b in ids.iter() {
-                second.push(it.compose(a, b));
+            let graphs_before = pool.len();
+            let cache_before = pool.compose_cache_len();
+            // Second pass in reverse order: pure cache hits, identical ids,
+            // and no growth of either table.
+            let mut second = Vec::new();
+            for &a in ids.iter() {
+                for &b in ids.iter() {
+                    second.push(pool.compose(a, b));
+                }
             }
-        }
-        prop_assert_eq!(first, second);
-        prop_assert_eq!(it.len(), graphs_before);
-        prop_assert_eq!(it.compose_cache_len(), cache_before);
+            prop_assert_eq!(first, second);
+            prop_assert_eq!(pool.len(), graphs_before);
+            prop_assert_eq!(pool.compose_cache_len(), cache_before);
+            Ok::<(), TestCaseError>(())
+        })?;
     }
 
     #[test]
     fn callseq_over_private_pool_matches_global(
         sheets in proptest::collection::vec(cells64(), 0..10),
     ) {
-        use sct_core::seq::CallSeq;
-        // The same push sequence must accept/reject identically whichever
-        // pool resolves it.
-        let it = Interner::new();
+        use sct_core::seq::{CallSeq, ScViolation};
+        // The same push sequence must accept/reject identically on this
+        // thread's warm pool and on the empty pool of a new thread. Each
+        // run reports per push its composite count, or the witness of the
+        // violation that ended it.
         let graphs: Vec<ScGraph> = sheets.iter().map(|s| build(2, 2, s)).collect();
-        let mut with_global = Some(CallSeq::new());
-        let mut with_private = Some(CallSeq::new());
-        for g in &graphs {
-            let a = with_global.take().map(|s| s.push(g.clone()));
-            let b = with_private.take().map(|s| s.push_in(&it, g.clone()));
-            match (a, b) {
-                (Some(Ok(sa)), Some(Ok(sb))) => {
-                    prop_assert_eq!(sa.composite_count(), sb.composite_count());
-                    with_global = Some(sa);
-                    with_private = Some(sb);
+        let run = |graphs: Vec<ScGraph>| -> Vec<Result<usize, ScViolation>> {
+            let mut seq = CallSeq::new();
+            let mut out = Vec::new();
+            for g in graphs {
+                match seq.push(g) {
+                    Ok(next) => {
+                        out.push(Ok(next.composite_count()));
+                        seq = next;
+                    }
+                    Err(e) => {
+                        out.push(Err(e));
+                        break;
+                    }
                 }
-                (Some(Err(ea)), Some(Err(eb))) => {
+            }
+            out
+        };
+        let private = {
+            let graphs = graphs.clone();
+            std::thread::spawn(move || run(graphs)).join().unwrap()
+        };
+        let global = run(graphs);
+        prop_assert_eq!(global.len(), private.len(), "pools disagree on where the run stops");
+        for (a, b) in global.iter().zip(&private) {
+            match (a, b) {
+                (Ok(ca), Ok(cb)) => prop_assert_eq!(ca, cb),
+                (Err(ea), Err(eb)) => {
                     // Which failing composite is reported first depends on
                     // id order, which is pool-local; both witnesses must
                     // still be genuine violations.
                     prop_assert!(!ea.witness.desc_ok());
                     prop_assert!(!eb.witness.desc_ok());
-                    break;
                 }
-                (a, b) => prop_assert!(false, "pools disagree: {:?} vs {:?}", a.is_some(), b.is_some()),
+                (a, b) => prop_assert!(false, "pools disagree: {:?} vs {:?}", a.is_ok(), b.is_ok()),
             }
         }
     }

@@ -34,7 +34,7 @@ use crate::prims::{call_prim, PrimEffect};
 use crate::value::{mix2, Closure, ClosureEnv, ContractData, Slot, Value, WrapKind, WrappedData};
 use sct_bignum::Int;
 use sct_core::graph::ScGraph;
-use sct_core::intern::{FxBuildHasher, Interner};
+use sct_core::intern::FxBuildHasher;
 use sct_core::monitor::{Backoff, KeyStrategy, MonitorConfig, TableStrategy};
 use sct_core::plan::{EnforcementPlan, PlanDomain};
 use sct_core::table::{MutScTable, ScTable, TableUndo};
@@ -404,8 +404,6 @@ pub struct Machine<'p> {
     designated: HashSet<u64, FxBuildHasher>,
     last_seen_tick: HashMap<u64, u64, FxBuildHasher>,
     guard_tick: u64,
-    // Shared graph pool (see `Interner::global`).
-    interner: Interner,
     // Imperative-strategy table (also used by CallSeqCollect).
     imp_table: MutScTable<u64, Value>,
     // Continuation-mark-strategy table stack.
@@ -480,10 +478,6 @@ impl<'p> Machine<'p> {
         let pics = vec![Pic::new(); code.sites.len()];
         let consts = code.consts.iter().map(|d| datum_to_value(d)).collect();
         let backoff = Backoff::new(config.monitor.backoff);
-        // The thread-local pool: `std::mem::take` on the imperative table
-        // (contract extents) builds `MutScTable::new()`, which uses the
-        // same pool — every table in this machine must agree on one.
-        let interner = Interner::global();
         Machine {
             program,
             code,
@@ -514,8 +508,7 @@ impl<'p> Machine<'p> {
             designated: HashSet::default(),
             last_seen_tick: HashMap::default(),
             guard_tick: 0,
-            imp_table: MutScTable::with_interner(interner.clone()),
-            interner,
+            imp_table: MutScTable::new(),
             marks: Vec::new(),
             blames: Vec::new(),
             extent_depth: 0,
@@ -1645,7 +1638,7 @@ impl<'p> Machine<'p> {
                     let order = self.config.order.clone();
                     let current = match self.marks.last() {
                         Some(m) => m.table.clone(),
-                        None => ScTable::with_interner(self.interner.clone()),
+                        None => ScTable::new(),
                     };
                     match current.update(key, snapshot, &order) {
                         Ok(table) => {

@@ -36,7 +36,7 @@ use crate::value::{
     mix2, value_hash, Closure, ClosureEnv, ContractData, Value, WrapKind, WrappedData,
 };
 use sct_core::graph::ScGraph;
-use sct_core::intern::{FxBuildHasher, Interner};
+use sct_core::intern::FxBuildHasher;
 use sct_core::monitor::{Backoff, KeyStrategy, TableStrategy};
 use sct_core::table::{MutScTable, ScTable, TableUndo};
 use sct_lang::ast::{Expr, Program, TopForm, VarRef};
@@ -164,10 +164,6 @@ pub struct Machine<'p> {
     designated: HashSet<u64>,
     last_seen_tick: HashMap<u64, u64>,
     guard_tick: u64,
-    // Shared graph pool: every table this machine creates interns its
-    // size-change graphs here, so `desc?` and composition are memoized
-    // across the whole run (and across runs on this thread).
-    interner: Interner,
     // Imperative-strategy table (also used by CallSeqCollect).
     imp_table: MutScTable<u64, Value>,
     // Continuation-mark-strategy table stack.
@@ -192,10 +188,6 @@ impl<'p> Machine<'p> {
                 fast_path.insert(id, rule);
             }
         }
-        // The thread-local pool: `std::mem::take` on the imperative table
-        // (contract extents) builds `MutScTable::new()`, which uses the
-        // same pool — every table in this machine must agree on one.
-        let interner = Interner::global();
         Machine {
             program,
             config,
@@ -212,8 +204,7 @@ impl<'p> Machine<'p> {
             designated: HashSet::new(),
             last_seen_tick: HashMap::new(),
             guard_tick: 0,
-            imp_table: MutScTable::with_interner(interner.clone()),
-            interner,
+            imp_table: MutScTable::new(),
             marks: Vec::new(),
             blames: Vec::new(),
             extent_depth: 0,
@@ -1014,7 +1005,7 @@ impl<'p> Machine<'p> {
                     let order = self.config.order.clone();
                     let current = match self.marks.last() {
                         Some(m) => m.table.clone(),
-                        None => ScTable::with_interner(self.interner.clone()),
+                        None => ScTable::new(),
                     };
                     match current.update(key, snapshot, &order) {
                         Ok(table) => {

@@ -345,3 +345,33 @@ fn fuel_bounds_every_define_planning_time() {
         }
     }
 }
+
+/// Planning never interns into the thread's graph pool. Planning and
+/// execution share a thread in `sct hybrid` and in every `sct serve`
+/// request; a pool warmed by planning would renumber the run's graph ids,
+/// and with them which failing composite the monitor reports as the
+/// violation witness.
+#[test]
+fn planning_leaves_the_thread_graph_pool_unchanged() {
+    let graphs = || sct_contracts::core::intern::with(|pool| pool.len());
+    let source = "(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))
+                  (define spin (terminating/c (lambda (x) (spin x)) \"p\"))
+                  (len '(1 2 3))";
+    let prog = sct_contracts::lang::compile_program(source).unwrap();
+    let before = graphs();
+    let plan = plan_program(&prog, &quick_plan_config());
+    assert_eq!(
+        (plan.count("static"), plan.count("refuted")),
+        (1, 1),
+        "{plan}"
+    );
+    assert_eq!(
+        graphs(),
+        before,
+        "planning interned into the monitor's pool"
+    );
+    // The monitored run of the same program does intern its graphs.
+    let value = run_monitored_with(source, sct_contracts::interp::OrderHandle::default());
+    assert_eq!(value.unwrap().to_write_string(), "3");
+    assert!(graphs() > before);
+}
