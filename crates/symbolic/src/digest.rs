@@ -69,8 +69,9 @@
 //!                      (define (f x) (if (zero? x) 0 (f (dec x))))"));
 //! ```
 
-use crate::exec::{GlobalSnapshot, SymDomain};
+use crate::exec::{self, GlobalSnapshot, SymDomain};
 use crate::pipeline::{PlanConfig, ProgramIndex, Signature};
+use crate::verify;
 use sct_core::plan_codec::PLAN_CODEC_SCHEMA;
 use sct_core::stable::{Digest128, StableHasher, STABLE_HASH_VERSION};
 use sct_lang::ast::{Expr, LambdaDef, Program, TopForm};
@@ -222,11 +223,13 @@ fn write_digest(d: Digest128, h: &mut StableHasher) {
 /// on/off) stays out of the key.
 fn hash_config(config: &PlanConfig, h: &mut StableHasher) {
     h.write_u64(config.verify.exec.step_budget);
-    h.write_u64(config.verify.exec.max_outcomes as u64);
-    h.write_u32(config.verify.exec.havoc_budget);
-    h.write_u64(config.verify.exec.max_chain as u64);
-    h.write_u32(config.verify.result_havoc_depth);
-    h.write_u64(config.verify.ljb_cap as u64);
+    // The verifier's fixed budgets, written where their config fields
+    // once were so that existing keys keep their bytes.
+    h.write_u64(exec::MAX_OUTCOMES as u64);
+    h.write_u32(exec::HAVOC_BUDGET);
+    h.write_u64(exec::MAX_CHAIN as u64);
+    h.write_u32(verify::RESULT_HAVOC_DEPTH);
+    h.write_u64(verify::LJB_CAP as u64);
     h.write_u8(u8::from(config.refute));
 }
 

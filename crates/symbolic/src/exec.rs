@@ -27,25 +27,23 @@ use std::rc::Rc;
 pub struct ExecConfig {
     /// Total `eval` invocations before giving up.
     pub step_budget: u64,
-    /// Cap on simultaneous outcomes of one expression.
-    pub max_outcomes: usize,
-    /// Total budget for havoc callback applications.
-    pub havoc_budget: u32,
-    /// Maximum abstract chain length (defensive; chains are bounded by
-    /// the number of λs anyway).
-    pub max_chain: usize,
 }
 
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             step_budget: 200_000,
-            max_outcomes: 256,
-            havoc_budget: 64,
-            max_chain: 64,
         }
     }
 }
+
+/// Cap on simultaneous outcomes of one expression.
+pub(crate) const MAX_OUTCOMES: usize = 256;
+/// Total budget for havoc callback applications, per exploration.
+pub(crate) const HAVOC_BUDGET: u32 = 64;
+/// Maximum abstract chain length (defensive; chains are bounded by the
+/// number of λs anyway).
+pub(crate) const MAX_CHAIN: usize = 64;
 
 /// Argument domain for the entry function's parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,7 +235,7 @@ impl GlobalSnapshot {
             if let TopForm::Define { index, expr } = form {
                 ex.steps = 0;
                 ex.incomplete = None;
-                ex.havoc_left = config.havoc_budget;
+                ex.havoc_left = HAVOC_BUDGET;
                 let outs = ex.eval(expr, &None, Path::new(), &PMap::new());
                 let value = match (outs.as_slice(), &ex.incomplete) {
                     ([(_, SOut::Val(v))], None) => Some(v.clone()),
@@ -282,7 +280,7 @@ impl<'p> Executor<'p> {
         config: ExecConfig,
         snapshot: &GlobalSnapshot,
     ) -> Executor<'p> {
-        let mut ex = Executor {
+        Executor {
             program,
             config,
             atom_kinds: snapshot.atom_kinds.clone(),
@@ -294,13 +292,11 @@ impl<'p> Executor<'p> {
             globals: snapshot.globals.clone(),
             failed: snapshot.failed.clone(),
             steps: 0,
-            havoc_left: 0,
+            havoc_left: HAVOC_BUDGET,
             entry: None,
             summaries: None,
             caller_global: None,
-        };
-        ex.havoc_left = ex.config.havoc_budget;
-        ex
+        }
     }
 
     /// Steps executed so far — the fuel drawn against
@@ -468,7 +464,7 @@ impl<'p> Executor<'p> {
                             }
                         }
                     }
-                    if out.len() > self.config.max_outcomes {
+                    if out.len() > MAX_OUTCOMES {
                         self.note_incomplete("outcome cap exceeded");
                         break;
                     }
@@ -491,7 +487,7 @@ impl<'p> Executor<'p> {
                             }
                         }
                     }
-                    if out.len() > self.config.max_outcomes {
+                    if out.len() > MAX_OUTCOMES {
                         self.note_incomplete("outcome cap exceeded");
                         break;
                     }
@@ -510,7 +506,7 @@ impl<'p> Executor<'p> {
                         }
                     }
                     states = next;
-                    if states.len() > self.config.max_outcomes {
+                    if states.len() > MAX_OUTCOMES {
                         self.note_incomplete("outcome cap exceeded");
                         break;
                     }
@@ -586,9 +582,9 @@ impl<'p> Executor<'p> {
                 }
             }
             states = next;
-            if states.len() > self.config.max_outcomes {
+            if states.len() > MAX_OUTCOMES {
                 self.note_incomplete("outcome cap exceeded");
-                states.truncate(self.config.max_outcomes);
+                states.truncate(MAX_OUTCOMES);
             }
         }
         states
@@ -677,7 +673,7 @@ impl<'p> Executor<'p> {
         if let Some(out) = self.try_stub(&def, &args, &path) {
             return out;
         }
-        if chain.len() >= self.config.max_chain {
+        if chain.len() >= MAX_CHAIN {
             self.note_incomplete("chain depth cap exceeded");
             let r = self.fresh(AtomKind::Any);
             return vec![(path, SOut::Val(r))];

@@ -1036,7 +1036,7 @@ fn run_attempt(
     }
     let mut summary = Vec::new();
     for (id, graphs) in &exploration.graphs {
-        match cache.ljb.check(graphs, config.verify.ljb_cap) {
+        match cache.ljb.check(graphs, crate::verify::LJB_CAP) {
             ClosureResult::Ok { .. } => {
                 summary.push(format!(
                     "{}: {} graphs",

@@ -60,27 +60,18 @@ impl fmt::Display for StaticVerdict {
 }
 
 /// Configuration for a verification run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct VerifyConfig {
     /// Executor resource limits.
     pub exec: ExecConfig,
-    /// Depth to which closures escaping in the result are applied with
-    /// fresh inputs (§3.6: a `term/c`d value may be used arbitrarily by
-    /// its context).
-    pub result_havoc_depth: u32,
-    /// Cap on the LJB closure size.
-    pub ljb_cap: usize,
 }
 
-impl Default for VerifyConfig {
-    fn default() -> Self {
-        VerifyConfig {
-            exec: ExecConfig::default(),
-            result_havoc_depth: 2,
-            ljb_cap: 20_000,
-        }
-    }
-}
+/// Depth to which closures escaping in the result are applied with fresh
+/// inputs (§3.6: a `term/c`d value may be used arbitrarily by its
+/// context).
+pub(crate) const RESULT_HAVOC_DEPTH: u32 = 2;
+/// Cap on the LJB closure size.
+pub(crate) const LJB_CAP: usize = 20_000;
 
 /// The result of an exhaustive symbolic exploration (the first half of
 /// [`verify_function`]): every way each λ may call itself, as size-change
@@ -245,7 +236,7 @@ pub(crate) fn explore_with_names(
     let outcomes = ex.apply(&entry_value, args, path, &sct_persist::PMap::new());
     for (p, out) in &outcomes {
         if let SOut::Val(v) = out {
-            havoc_escaping(&mut ex, v, p, config.result_havoc_depth);
+            havoc_escaping(&mut ex, v, p, RESULT_HAVOC_DEPTH);
         }
     }
 
@@ -292,7 +283,7 @@ pub fn verify_function(
     // LJB check per function.
     let mut summary = Vec::new();
     for (id, graphs) in &exploration.graphs {
-        match closure_check(graphs, config.ljb_cap) {
+        match closure_check(graphs, LJB_CAP) {
             ClosureResult::Ok { .. } => {
                 summary.push((exploration.name_of(*id), graphs.len()));
             }
