@@ -10,8 +10,8 @@
 //! (the only input source order decides: an initializer that reads a
 //! global defined after it fails), and (f) the rest of the planner
 //! configuration. A [`ProgramDigests::key`] folds exactly those inputs —
-//! plus the codec and hash-spec versions — into one 128-bit content
-//! address, so:
+//! plus the codec, hash-spec and planner versions — into one 128-bit
+//! content address, so:
 //!
 //! * editing one `define` changes only the keys of that define and of the
 //!   defines that (transitively) reference it — every untouched define is
@@ -199,6 +199,7 @@ impl<'i> ProgramDigests<'i> {
         h.write_u32(STABLE_HASH_VERSION);
         h.write_str(PLAN_CODEC_SCHEMA);
         h.write_u32(sct_ir::CODEGEN_VERSION);
+        h.write_u32(PLANNER_VERSION);
         // The define itself.
         h.write_str(&program.global_names[index as usize]);
         h.write_u32(occurrence);
@@ -212,6 +213,12 @@ impl<'i> ProgramDigests<'i> {
         h.finish128().to_hex()
     }
 }
+
+/// Version of the decision the planner derives from a key's inputs,
+/// bumped when a planner fix changes some decisions without changing
+/// those inputs. 1: atoms in reason text are numbered per exploration,
+/// not program-wide.
+const PLANNER_VERSION: u32 = 1;
 
 fn write_digest(d: Digest128, h: &mut StableHasher) {
     h.write_u64(d.hi);
@@ -610,9 +617,9 @@ mod tests {
         assert_eq!(
             got,
             [
-                "adf25375c56f41ef216b7643993f3dc4",
-                "4be592106127c27e47b1c30cf284ac7d",
-                "02c4ae7b89f41f94eb7769328b93ec40",
+                "5edc616a138ab3652a96e0a4fff8abed",
+                "829de64d545985dd38bd545953caf04a",
+                "9c32b3a2ef3fac908855d0b31a7c5b00",
             ]
         );
     }

@@ -12,7 +12,7 @@
 
 use crate::linear::LinCon;
 use crate::solver::{Branch, Delta, Solver};
-use crate::sym::{extend, lookup, AtomId, AtomKind, Path, SClosure, SEnv, SValue};
+use crate::sym::{extend, lookup, AtomId, AtomKind, Path, SClosure, SEnv, SFrame, SValue};
 use sct_core::graph::ScGraph;
 use sct_core::order::{SizeChange, WellFoundedOrder};
 use sct_interp::{datum_to_value, Value};
@@ -190,6 +190,10 @@ pub struct Executor<'p> {
     /// with the [`GlobalSnapshot`] this executor started from.
     globals: Rc<Vec<SValue>>,
     failed: Rc<Vec<bool>>,
+    /// Kinds of the snapshot's atoms, and what of the snapshot this
+    /// exploration has read so far, renumbered (see [`Executor::import`]).
+    snapshot_kinds: Rc<[AtomKind]>,
+    imported: Imported,
     steps: u64,
     havoc_left: u32,
     entry: Option<EntryInvariant>,
@@ -209,13 +213,27 @@ pub struct Executor<'p> {
 /// an exploration that reads it stops there, incomplete, naming the
 /// global. Nothing else carries over — an exploration starts at zero
 /// steps and with no incomplete marker, so its fuel and verdict depend
-/// only on the globals it actually reads. The atom table does carry over:
-/// a non-λ initializer can evaluate to an atom (`(define n (length xs))`),
-/// so exploration atoms are numbered after the snapshot's.
+/// only on the globals it actually reads. Neither do atom numbers: a non-λ
+/// initializer can evaluate to an atom (`(define n (length xs))`), but an
+/// exploration numbers its atoms from zero and gives a snapshot atom the
+/// next number when it first reads a value holding it. Atom names in a
+/// define's verdict therefore depend only on what the define reaches, not
+/// on which other initializers allocated atoms.
 pub struct GlobalSnapshot {
     globals: Rc<Vec<SValue>>,
     failed: Rc<Vec<bool>>,
-    atom_kinds: Vec<AtomKind>,
+    atom_kinds: Rc<[AtomKind]>,
+}
+
+/// The snapshot atoms, closures and frames one exploration has read, by
+/// snapshot identity, mapped to their renumbered copies. Closures and
+/// frames are keyed by pointer so that sharing, and the cycles of
+/// `letrec` frames, survive the copy.
+#[derive(Default)]
+struct Imported {
+    atoms: HashMap<AtomId, AtomId>,
+    closures: HashMap<*const SClosure, Rc<SClosure>>,
+    frames: HashMap<*const SFrame, Rc<SFrame>>,
 }
 
 impl GlobalSnapshot {
@@ -228,7 +246,7 @@ impl GlobalSnapshot {
             &GlobalSnapshot {
                 globals: Rc::new(vec![SValue::Conc(Value::Undefined); n]),
                 failed: Rc::new(vec![false; n]),
-                atom_kinds: Vec::new(),
+                atom_kinds: Rc::from([]),
             },
         );
         for form in &program.top_level {
@@ -249,7 +267,7 @@ impl GlobalSnapshot {
         GlobalSnapshot {
             globals: ex.globals,
             failed: ex.failed,
-            atom_kinds: ex.atom_kinds,
+            atom_kinds: Rc::from(ex.atom_kinds),
         }
     }
 
@@ -274,7 +292,7 @@ impl<'a> WellFoundedOrder<SValue> for PathOrder<'a> {
 
 impl<'p> Executor<'p> {
     /// Creates an executor over a [`GlobalSnapshot`] of the same program,
-    /// at zero steps and with no incomplete marker.
+    /// at zero steps, with no incomplete marker and no atoms.
     pub fn with_snapshot(
         program: &'p Program,
         config: ExecConfig,
@@ -283,7 +301,7 @@ impl<'p> Executor<'p> {
         Executor {
             program,
             config,
-            atom_kinds: snapshot.atom_kinds.clone(),
+            atom_kinds: Vec::new(),
             graphs: HashMap::new(),
             incomplete: None,
             opaque_applications: 0,
@@ -291,6 +309,8 @@ impl<'p> Executor<'p> {
             stubs: Vec::new(),
             globals: snapshot.globals.clone(),
             failed: snapshot.failed.clone(),
+            snapshot_kinds: snapshot.atom_kinds.clone(),
+            imported: Imported::default(),
             steps: 0,
             havoc_left: HAVOC_BUDGET,
             entry: None,
@@ -320,16 +340,76 @@ impl<'p> Executor<'p> {
     }
 
     /// The current value of a global, by name.
-    pub fn global(&self, name: &str) -> Option<SValue> {
+    pub fn global(&mut self, name: &str) -> Option<SValue> {
         let i = self.program.global_index(name)?;
-        Some(self.globals[i as usize].clone())
+        self.global_at(i)
     }
 
     /// The current value of a global, by index — [`Executor::global`]
     /// without the linear name scan, for callers that already resolved
     /// the index (a planning pass visiting every define).
-    pub fn global_at(&self, i: u32) -> Option<SValue> {
-        self.globals.get(i as usize).cloned()
+    pub fn global_at(&mut self, i: u32) -> Option<SValue> {
+        let v = self.globals.get(i as usize)?.clone();
+        Some(self.import(&v))
+    }
+
+    /// A snapshot value in this exploration's atom numbering: each
+    /// snapshot atom gets the next exploration atom the first time it is
+    /// read, and keeps it. Without snapshot atoms this is the identity.
+    fn import(&mut self, v: &SValue) -> SValue {
+        match v {
+            _ if self.snapshot_kinds.is_empty() => v.clone(),
+            SValue::Conc(_) => v.clone(),
+            SValue::Atom(a) => {
+                let next = self.atom_kinds.len() as AtomId;
+                let b = *self.imported.atoms.entry(*a).or_insert(next);
+                if b == next {
+                    self.atom_kinds.push(self.snapshot_kinds[*a as usize]);
+                }
+                SValue::Atom(b)
+            }
+            SValue::Term(p, args) => {
+                SValue::Term(*p, args.iter().map(|x| self.import(x)).collect())
+            }
+            SValue::SPair(pair) => {
+                SValue::SPair(Rc::new((self.import(&pair.0), self.import(&pair.1))))
+            }
+            SValue::SClosure(c) if c.env.is_none() => v.clone(),
+            SValue::SClosure(c) => {
+                let key = Rc::as_ptr(c);
+                if !self.imported.closures.contains_key(&key) {
+                    let env = self.import_env(&c.env);
+                    // Importing the environment may have reached this very
+                    // closure through a `letrec` frame: keep that copy.
+                    let copy = Rc::new(SClosure {
+                        def: c.def.clone(),
+                        env,
+                    });
+                    self.imported.closures.entry(key).or_insert(copy);
+                }
+                SValue::SClosure(self.imported.closures[&key].clone())
+            }
+        }
+    }
+
+    fn import_env(&mut self, env: &SEnv) -> SEnv {
+        let frame = env.as_ref()?;
+        let key = Rc::as_ptr(frame);
+        if let Some(copy) = self.imported.frames.get(&key) {
+            return Some(copy.clone());
+        }
+        let parent = self.import_env(&frame.parent);
+        let copy = Rc::new(SFrame {
+            slots: std::cell::RefCell::new(Vec::new()),
+            parent,
+        });
+        // Registered before its slots are filled, so a slot that reaches
+        // back to this frame finds the copy instead of recursing.
+        self.imported.frames.insert(key, copy.clone());
+        let slots = frame.slots.borrow().clone();
+        let slots = slots.iter().map(|v| self.import(v)).collect();
+        *copy.slots.borrow_mut() = slots;
+        Some(copy)
     }
 
     /// Allocates a fresh atom.
@@ -415,6 +495,7 @@ impl<'p> Executor<'p> {
                     return vec![(path, SOut::Abort)];
                 }
                 let val = self.globals[*i as usize].clone();
+                let val = self.import(&val);
                 if matches!(val, SValue::Conc(Value::Undefined)) {
                     return vec![(path, SOut::Abort)];
                 }

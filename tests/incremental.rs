@@ -198,6 +198,40 @@ fn a_forward_reference_replays_the_plan_of_its_own_order() {
     }
 }
 
+#[test]
+fn an_unread_initializer_does_not_renumber_a_readers_atoms() {
+    // `f`'s reason names an atom of its own exploration. An initializer
+    // `f` does not read — one that fails, one that succeeds with an atom —
+    // is outside `f`'s key, so it must not change that atom's name either:
+    // a store warmed without it replays exactly what planning with it and
+    // no store says.
+    let f = "(define (f xs) (if (null? xs) 0 (f (cons 1 xs))))\n(f '())";
+    let cfg = PlanConfig::default();
+    let plan = |source: &str, store: &mut dyn DecisionStore| {
+        let prog = sct_lang::compile_program(source).unwrap();
+        plan_program_incremental(&prog, &cfg, &mut PlanCache::new(), store)
+    };
+    for unread in [
+        "(define junk (flat/c number?))",
+        "(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))\n(define n (len '(1 2 3)))",
+    ] {
+        let mut store = sct_cache::MemStore::new();
+        let (alone, _) = plan(f, &mut store);
+        assert!(
+            alone.decisions[0].detail.contains("(cons 1 α0)"),
+            "{alone:?}"
+        );
+        let with_unread = format!("{unread}\n{f}");
+        let (storeless, _) = plan(&with_unread, &mut NullStore);
+        let (replayed, stats) = plan(&with_unread, &mut store);
+        assert!(stats.hits() >= 1, "{unread}: f's entry is shared");
+        assert!(
+            replayed.structurally_eq(&storeless),
+            "{unread}: {replayed:?}\nvs {storeless:?}"
+        );
+    }
+}
+
 /// The layered corpus the slice-locality oracles plan, with its entry
 /// call.
 fn layered_program(n: usize) -> String {
