@@ -1,6 +1,7 @@
-//! `sct serve` end-to-end: the stdio request/response mode CI smokes, and
-//! a multi-client Unix-socket stress test asserting concurrent clients
-//! receive correct, *independent* blame/plan results.
+//! `sct serve` end-to-end: the stdio request/response mode CI smokes, a
+//! multi-client Unix-socket stress test asserting concurrent clients
+//! receive correct, *independent* blame/plan results, and load shedding
+//! under a stalled planner.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -425,6 +426,88 @@ fn socket_stress_concurrent_clients_get_independent_results() {
         }
     }
     std::fs::remove_dir_all(&cache_dir).ok();
+    std::fs::remove_file(&socket).ok();
+}
+
+/// Load shedding over the socket: with one admission slot held by a plan
+/// whose planner stalls for 3 s, a second request is refused at once with
+/// a well-formed `shed` response, the admitted request still completes,
+/// the stats count exactly that one shed request and no error, and the
+/// daemon shuts down cleanly.
+#[test]
+fn socket_load_shedding_refuses_the_second_request_while_the_first_completes() {
+    use sct_core::json::{parse, Json};
+
+    let socket = scratch("shed").with_extension("socket");
+    let mut child: Child = sct()
+        .args([
+            "serve",
+            "--socket",
+            socket.to_str().unwrap(),
+            "--max-queue",
+            "1",
+            "--faults",
+            "serve.plan=stall-3000*1",
+        ])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawning sct serve --socket");
+    drop(connect_with_retry(&socket));
+
+    let source = "(define (dec n) (if (zero? n) 0 (dec (- n 1))))";
+    let plan = |id: u32| format!(r#"{{"op":"plan","id":{id},"source":"{source}"}}"#);
+    let ask = |line: String| {
+        let mut stream = connect_with_retry(&socket);
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        parse(&request(&mut stream, &mut reader, &line)).unwrap()
+    };
+    let field = |json: &Json, key: &str| json.get(key).cloned().unwrap_or(Json::Null);
+
+    // The first plan takes the single admission slot and stalls in it.
+    let slow = thread::spawn({
+        let line = plan(1);
+        let socket = socket.clone();
+        move || {
+            let mut stream = connect_with_retry(&socket);
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            request(&mut stream, &mut reader, &line)
+        }
+    });
+    thread::sleep(Duration::from_millis(500));
+    let shed = ask(plan(2));
+    assert_eq!(field(&shed, "ok"), Json::Bool(false), "{shed}");
+    assert_eq!(field(&shed, "shed"), Json::Bool(true), "{shed}");
+    let error = field(&shed, "error");
+    assert!(
+        error.as_str().is_some_and(|e| e.contains("overloaded")),
+        "{shed}"
+    );
+    let admitted = parse(&slow.join().expect("slow client panicked")).unwrap();
+    assert_eq!(field(&admitted, "ok"), Json::Bool(true), "{admitted}");
+
+    let stats = ask(r#"{"op":"stats"}"#.to_string());
+    let requests = field(&stats, "requests");
+    assert_eq!(field(&requests, "shed").as_i64(), Some(1), "{stats}");
+    assert_eq!(field(&requests, "errors").as_i64(), Some(0), "{stats}");
+
+    let shutdown = ask(r#"{"op":"shutdown"}"#.to_string());
+    assert_eq!(field(&shutdown, "ok"), Json::Bool(true), "{shutdown}");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        match child.try_wait().unwrap() {
+            Some(status) => {
+                assert!(status.success(), "daemon exited {status:?}");
+                break;
+            }
+            None if Instant::now() > deadline => {
+                child.kill().ok();
+                panic!("daemon did not exit after shutdown");
+            }
+            None => thread::sleep(Duration::from_millis(25)),
+        }
+    }
     std::fs::remove_file(&socket).ok();
 }
 
