@@ -230,8 +230,7 @@ fn write_digest(d: Digest128, h: &mut StableHasher) {
 /// on/off) stays out of the key.
 fn hash_config(config: &PlanConfig, h: &mut StableHasher) {
     h.write_u64(config.verify.exec.step_budget);
-    // The verifier's fixed budgets, written where their config fields
-    // once were so that existing keys keep their bytes.
+    // The verifier's fixed budgets: a change to one re-keys every entry.
     h.write_u64(exec::MAX_OUTCOMES as u64);
     h.write_u32(exec::HAVOC_BUDGET);
     h.write_u64(exec::MAX_CHAIN as u64);

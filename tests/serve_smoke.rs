@@ -475,7 +475,20 @@ fn socket_load_shedding_refuses_the_second_request_while_the_first_completes() {
             request(&mut stream, &mut reader, &line)
         }
     });
-    thread::sleep(Duration::from_millis(500));
+    // `metrics` is not admitted, so it can watch the slot fill.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let snapshot = ask(r#"{"op":"metrics"}"#.to_string());
+        let gauges = field(&field(&snapshot, "metrics"), "gauges");
+        if field(&gauges, "serve.inflight").as_i64() == Some(1) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the first plan was never admitted"
+        );
+        thread::sleep(Duration::from_millis(10));
+    }
     let shed = ask(plan(2));
     assert_eq!(field(&shed, "ok"), Json::Bool(false), "{shed}");
     assert_eq!(field(&shed, "shed"), Json::Bool(true), "{shed}");
