@@ -217,8 +217,9 @@ impl<'i> ProgramDigests<'i> {
 /// Version of the decision the planner derives from a key's inputs,
 /// bumped when a planner fix changes some decisions without changing
 /// those inputs. 1: atoms in reason text are numbered per exploration,
-/// not program-wide.
-const PLANNER_VERSION: u32 = 1;
+/// not program-wide. 2: a `Static` detail lists only the define's own
+/// λs, not every callee's graph set.
+const PLANNER_VERSION: u32 = 2;
 
 fn write_digest(d: Digest128, h: &mut StableHasher) {
     h.write_u64(d.hi);
@@ -616,9 +617,9 @@ mod tests {
         assert_eq!(
             got,
             [
-                "5edc616a138ab3652a96e0a4fff8abed",
-                "829de64d545985dd38bd545953caf04a",
-                "9c32b3a2ef3fac908855d0b31a7c5b00",
+                "881c4b8c68a23513e26f5e43aba350ab",
+                "c15a3fdf4351abb788b99cadcc6171aa",
+                "8d46aa670d0d31ceabc5567f71aaa60a",
             ]
         );
     }

@@ -82,7 +82,7 @@ pub struct EntryInvariant {
 /// captured by its set of call-site graphs). `crate::pipeline` registers
 /// one per already-planned `Static` define; the executor's application
 /// path then *stubs* applications of the callee — recording the summary,
-/// whose graphs `merge_summaries` later adds to the caller's, and
+/// whose graphs `merge_summaries` later weighs against the caller's, and
 /// returning a fresh `result`-domain value — instead of descending into
 /// the body.
 #[derive(Debug, Clone)]
@@ -115,31 +115,59 @@ pub struct CalleeSummary {
 /// Registered summaries, keyed by the summarized define's entry λ id.
 pub type SummaryTable = HashMap<LambdaId, Rc<CalleeSummary>>;
 
-/// Adds the full graph maps of `stubs` — each summary's own sets and,
-/// transitively, its callees' — to `into`, once per summary and without
-/// duplicate graphs. Sets of `skip` (the exploring define's own entry λ,
-/// whose graphs it derives itself) are left out.
+/// The graph sets an exploration must LJB-check, in λ-id order: every set
+/// it discovered itself (`own`), unioned with whatever its stubbed
+/// summaries carry for the same λ, plus the union for any λ that two
+/// *different* summaries carry a set for. `stubs` is walked transitively
+/// — each summary's callees too — visiting each summary once, and sets
+/// are told apart by identity (which summary holds them), never by
+/// content. Sets of `skip` (the exploring define's own entry λ, whose
+/// graphs it derives itself) are left out.
+///
+/// A λ whose graphs all come from one summary's set is neither copied
+/// nor checked: that set passed the LJB check when its define was
+/// planned (or was replayed from the store, which is trusted the same
+/// way), and the check holds for every subset of a set that passes it,
+/// because the closure of a subset is contained in the closure of the
+/// set. For the same reason it cannot overflow a closure cap that the
+/// whole set stayed under.
 pub(crate) fn merge_summaries(
-    into: &mut HashMap<LambdaId, Vec<ScGraph>>,
+    own: &HashMap<LambdaId, Vec<ScGraph>>,
     stubs: &[Rc<CalleeSummary>],
     skip: LambdaId,
-) {
+) -> Vec<(LambdaId, Vec<ScGraph>)> {
     let mut seen = std::collections::HashSet::new();
     let mut stack: Vec<&Rc<CalleeSummary>> = stubs.iter().collect();
+    let mut carried: Vec<(LambdaId, &[ScGraph])> = Vec::new();
     while let Some(s) = stack.pop() {
         if !seen.insert(Rc::as_ptr(s)) {
             continue;
         }
-        for (id, set) in s.graphs.iter().filter(|(id, _)| *id != skip) {
-            let own = into.entry(*id).or_default();
-            for g in set {
-                if !own.contains(g) {
-                    own.push(g.clone());
-                }
-            }
-        }
+        carried.extend(
+            s.graphs
+                .iter()
+                .filter(|(id, _)| *id != skip)
+                .map(|(id, set)| (*id, set.as_slice())),
+        );
         stack.extend(&s.callees);
     }
+    carried.sort_by_key(|(id, _)| *id);
+    let mut checked = own.clone();
+    for group in carried.chunk_by(|a, b| a.0 == b.0) {
+        let id = group[0].0;
+        if group.len() == 1 && !checked.contains_key(&id) {
+            continue;
+        }
+        let set = checked.entry(id).or_default();
+        for g in group.iter().flat_map(|(_, set)| set.iter()) {
+            if !set.contains(g) {
+                set.push(g.clone());
+            }
+        }
+    }
+    let mut checked: Vec<_> = checked.into_iter().collect();
+    checked.sort_by_key(|(id, _)| *id);
+    checked
 }
 
 /// One evaluation outcome along a path.
@@ -184,7 +212,8 @@ pub struct Executor<'p> {
     /// stubs to stay bit-identical to full descent.
     pub stubbed_applications: u64,
     /// The distinct summaries those applications used, in first-use
-    /// order; their graphs complete `graphs` (see `merge_summaries`).
+    /// order; `merge_summaries` decides which of their graphs must be
+    /// checked together with `graphs`.
     pub stubs: Vec<Rc<CalleeSummary>>,
     /// The evaluated top-level environment and its failed flags, shared
     /// with the [`GlobalSnapshot`] this executor started from.
@@ -783,13 +812,14 @@ impl<'p> Executor<'p> {
     /// the current path — the same entailment the summarized self-call
     /// check uses, because the callee's proof only covers those inputs.
     ///
-    /// The stub merges the summary's graph sets into the caller's
-    /// discovered sets (graph composition at the apply site, instead of
-    /// rediscovery by descent) — except any set for the entry λ itself,
-    /// which must only ever contain self-calls this exploration actually
-    /// observed — and returns a fresh value in the summary's result
-    /// domain, exactly like a summarized self-call returns a fresh value
-    /// in the entry's declared result domain.
+    /// The stub records the summary, whose graph sets `merge_summaries`
+    /// weighs against the caller's discovered sets when the exploration
+    /// ends (graph composition at the apply site, instead of rediscovery
+    /// by descent) — except any set for the entry λ itself, which must
+    /// only ever contain self-calls this exploration actually observed —
+    /// and returns a fresh value in the summary's result domain, exactly
+    /// like a summarized self-call returns a fresh value in the entry's
+    /// declared result domain.
     fn try_stub(&mut self, def: &Rc<LambdaDef>, args: &[SValue], path: &Path) -> Option<Outcomes> {
         let s = self.summaries?.get(&def.id)?.clone();
         if def.variadic || args.len() != s.domains.len() {
@@ -1264,4 +1294,64 @@ fn kind_stable(
         }
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sct_core::graph::Change;
+
+    fn summary(
+        id: LambdaId,
+        graphs: Vec<(LambdaId, Vec<ScGraph>)>,
+        callees: Vec<Rc<CalleeSummary>>,
+    ) -> Rc<CalleeSummary> {
+        Rc::new(CalleeSummary {
+            id,
+            domains: vec![SymDomain::Any],
+            result: SymDomain::Any,
+            graphs,
+            callees,
+            component: Rc::from([]),
+        })
+    }
+
+    #[test]
+    fn merge_materializes_only_sets_that_can_fail() {
+        let down = ScGraph::from_arcs(1, 1, [(0, Change::Descend, 0)]);
+        let keep = ScGraph::from_arcs(1, 1, [(0, Change::NonAscend, 0)]);
+        // λ 0 explores; λ 1 and λ 2 are summarized callees that both
+        // descended into the helper λ 7, each finding a different set;
+        // `b` also reaches `a` through its own stub (a diamond). λ 9 is a
+        // helper the exploration descended into itself, which `a` carries
+        // too. `a`'s set for λ 0, the explorer's entry, is never used.
+        let a = summary(
+            1,
+            vec![
+                (0, vec![keep.clone()]),
+                (1, vec![down.clone()]),
+                (7, vec![down.clone()]),
+                (9, vec![keep.clone()]),
+            ],
+            vec![],
+        );
+        let b = summary(
+            2,
+            vec![(2, vec![down.clone()]), (7, vec![keep.clone()])],
+            vec![a.clone()],
+        );
+        let own = HashMap::from([(0, vec![down.clone()]), (9, vec![down.clone()])]);
+        let checked = merge_summaries(&own, &[a, b], 0);
+        assert_eq!(
+            checked,
+            vec![
+                (0, vec![down.clone()]),
+                // Two different summaries' sets for one λ: their union.
+                (7, vec![keep.clone(), down.clone()]),
+                // An own set, unioned with what a summary carries for it.
+                (9, vec![down, keep]),
+            ],
+            "λ 1 and λ 2 come from one summary each and are not copied"
+        );
+    }
 }

@@ -963,7 +963,7 @@ fn unwrap_termc(expr: &Expr) -> Option<(&Rc<LambdaDef>, Option<String>)> {
 /// One attempt's distilled outcome.
 enum Attempt {
     /// Exhaustive and every graph set passes.
-    Verified { detail: String },
+    Verified,
     /// Exhaustive with a graph-set violation. `definite` is true only when
     /// (a) the witness is one of the *discovered* graphs — a single
     /// feasible recursion step the monitor rejects the moment it executes,
@@ -1034,16 +1034,9 @@ fn run_attempt(
             Some(exploration),
         );
     }
-    let mut summary = Vec::new();
     for (id, graphs) in &exploration.graphs {
         match cache.ljb.check(graphs, crate::verify::LJB_CAP) {
-            ClosureResult::Ok { .. } => {
-                summary.push(format!(
-                    "{}: {} graphs",
-                    exploration.name_of(*id),
-                    graphs.len()
-                ));
-            }
+            ClosureResult::Ok { .. } => {}
             ClosureResult::Violation(v) => {
                 let culprit = exploration.name_of(*id);
                 let definite = graphs.contains(&v.witness) && *id == entry_id;
@@ -1066,19 +1059,12 @@ fn run_attempt(
             }
         }
     }
-    summary.sort();
-    (
-        Attempt::Verified {
-            detail: format!("verified ({})", summary.join(", ")),
-        },
-        Some(exploration),
-    )
+    (Attempt::Verified, Some(exploration))
 }
 
 /// The winning rung of a ladder run: everything needed to build both the
 /// `Static` decision and the define's contract summary.
 struct VerifiedRung {
-    detail: String,
     domains: Vec<SymDomain>,
     result: SymDomain,
     exploration: Exploration,
@@ -1147,10 +1133,9 @@ fn run_ladder(
             None => out.stubbed |= summaries.is_some_and(|t| !t.is_empty()),
         }
         match attempt {
-            Attempt::Verified { detail } => {
+            Attempt::Verified => {
                 config.obs.rung_discharged(rung);
                 out.verified = Some(VerifiedRung {
-                    detail,
                     domains: domains.clone(),
                     result: *result,
                     exploration: exploration.expect("verified attempt has an exploration"),
@@ -1260,7 +1245,18 @@ fn plan_function(
                 .collect();
         }
         d.decision = Decision::Static { guard };
-        d.detail = rung.detail;
+        // The detail lists the λs the decision is about — the entry and
+        // the λs nested in it — never a callee's: the text is the same
+        // whether callees were stubbed or descended into.
+        let exploration = &rung.exploration;
+        let mut sets: Vec<String> = exploration
+            .graphs
+            .iter()
+            .filter(|(id, _)| *id == def.id || nested.contains(id))
+            .map(|(id, set)| format!("{}: {} graphs", exploration.name_of(*id), set.len()))
+            .collect();
+        sets.sort();
+        d.detail = format!("verified ({})", sets.join(", "));
         let summary = SummaryData {
             domains: rung.domains,
             result: rung.result,
@@ -1331,6 +1327,7 @@ fn plan_domain(d: SymDomain) -> PlanDomain {
 mod tests {
     use super::*;
     use sct_lang::compile_program;
+    use std::collections::HashSet;
     use std::time::Duration;
 
     #[test]
@@ -1528,8 +1525,9 @@ mod tests {
     fn persisted_summaries_rebind_their_stubbed_callees() {
         // `mid` stubs `len`, and `top` stubs `mid`: `mid`'s persisted
         // summary names `len` instead of copying its graphs. Editing only
-        // `top` must reload both summaries, rebuild the chain, and give
-        // `top` the same graphs (and detail) a fresh plan derives.
+        // `top` must reload both summaries, rebuild the chain, stub it in
+        // `top`'s exploration, and give `top` the decision a fresh plan
+        // derives.
         let v1 = "(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))
                   (define (mid l) (if (null? l) 0 (+ (len l) (mid (cdr l)))))
                   (define (top l) (if (null? l) 0 (+ (mid l) (top (cdr l)))))";
@@ -1556,16 +1554,30 @@ mod tests {
             ..PlanConfig::default()
         };
         let edited = compile_program(&v2).unwrap();
+        let cold_keys: HashSet<String> = store.map.keys().cloned().collect();
         let (replanned, stats) =
             plan_program_incremental(&edited, &cfg, &mut PlanCache::new(), &mut store);
         assert_eq!(stats.missed_names(), vec!["top"]);
-        assert_eq!(reg.snapshot().counter("plan.summary.hits"), Some(2));
+        let snap = reg.snapshot();
+        // `len` rebinds first, then `mid`, whose callee link needs `len`.
+        assert_eq!(snap.counter("plan.summary.hits"), Some(2));
+        // Only `top` was explored, and it answered `(mid l)` from the
+        // rebound summary: its fresh entry names `mid` as its callee.
+        assert!(snap.counter("plan.summary.stubbed_applications").unwrap() > 0);
+        let fresh_top: Vec<_> = store
+            .map
+            .iter()
+            .filter(|(k, _)| !cold_keys.contains(*k))
+            .filter_map(|(_, e)| e.summary.as_ref())
+            .collect();
+        assert_eq!(fresh_top.len(), 1, "only top's entry is new");
+        assert_eq!(fresh_top[0].name, "top");
+        assert_eq!(fresh_top[0].callees, vec!["mid".to_string()]);
         let fresh = plan_program(&edited, &PlanConfig::default());
         assert!(
             replanned.structurally_eq(&fresh),
             "{replanned:?}\n{fresh:?}"
         );
-        assert!(replanned.decisions[2].detail.contains("len: 1 graphs"));
     }
 
     #[test]

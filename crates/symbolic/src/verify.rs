@@ -82,8 +82,12 @@ pub(crate) const LJB_CAP: usize = 20_000;
 /// (`crate::pipeline`) makes re-verification free.
 #[derive(Debug, Clone)]
 pub struct Exploration {
-    /// Discovered self-call graph sets, in λ-id order — the exploration's
-    /// own plus those its stubbed callee summaries carry.
+    /// The self-call graph sets the LJB check must pass, in λ-id order:
+    /// each set the exploration discovered itself, unioned with the sets
+    /// its stubbed callee summaries carry for the same λ, plus the union
+    /// for any λ that two different summaries carry. A λ whose graphs all
+    /// come from one summary's set is left out — that set already passed
+    /// (see `merge_summaries`). Without stubs this is `own_graphs`.
     pub graphs: Vec<(LambdaId, Vec<ScGraph>)>,
     /// The sets the exploration discovered itself, in λ-id order.
     pub own_graphs: Vec<(LambdaId, Vec<ScGraph>)>,
@@ -244,16 +248,12 @@ pub(crate) fn explore_with_names(
         return Err(reason);
     }
 
-    let sorted = |map: HashMap<LambdaId, Vec<ScGraph>>| {
-        let mut v: Vec<_> = map.into_iter().collect();
-        v.sort_by_key(|(id, _)| *id);
-        v
-    };
-    let mut all = ex.graphs.clone();
-    merge_summaries(&mut all, &ex.stubs, clo.def.id);
+    let graphs = merge_summaries(&ex.graphs, &ex.stubs, clo.def.id);
+    let mut own_graphs: Vec<_> = std::mem::take(&mut ex.graphs).into_iter().collect();
+    own_graphs.sort_by_key(|(id, _)| *id);
     Ok(Exploration {
-        graphs: sorted(all),
-        own_graphs: sorted(std::mem::take(&mut ex.graphs)),
+        graphs,
+        own_graphs,
         stubs: std::mem::take(&mut ex.stubs),
         names,
         opaque_calls: ex.opaque_applications,

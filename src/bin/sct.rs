@@ -202,6 +202,38 @@ impl Options {
     }
 }
 
+/// The flags of `run`/`monitor`/`trace`/`hybrid` that take a value.
+const VALUE_FLAGS: [&str; 5] = [
+    "--strategy",
+    "--order",
+    "--backoff",
+    "--fuel",
+    "--cache-dir",
+];
+
+/// Splits a subcommand's arguments into its `<file>` and its flags. The
+/// file is the one argument that is neither a flag nor a flag's value,
+/// wherever it appears; none, or more than one, is a usage error.
+fn split_file(args: &[String]) -> Result<(&String, Vec<String>), String> {
+    let (mut files, mut flags) = (Vec::new(), Vec::new());
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if !a.starts_with("--") {
+            files.push(a);
+            continue;
+        }
+        flags.push(a.clone());
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            flags.extend(it.next().cloned());
+        }
+    }
+    match files.as_slice() {
+        [file] => Ok((file, flags)),
+        [] => Err("missing <file>".into()),
+        _ => Err(format!("expected one <file>, got {}", files.len())),
+    }
+}
+
 fn parse_domain(s: &str) -> Result<SymDomain, String> {
     match s.trim() {
         "nat" => Ok(SymDomain::Nat),
@@ -508,8 +540,21 @@ fn main() -> ExitCode {
     if cmd == "fuzz" {
         return fuzz_cmd(rest);
     }
-    let Some(file) = rest.first() else {
-        return usage();
+    // `verify` takes positional arguments after the file; every other
+    // subcommand takes one file anywhere among its flags.
+    let (file, flags) = if cmd == "verify" {
+        match rest.split_first() {
+            Some((file, _)) => (file, Vec::new()),
+            None => return usage(),
+        }
+    } else {
+        match split_file(rest) {
+            Ok(split) => split,
+            Err(e) => {
+                eprintln!("{e}");
+                return usage();
+            }
+        }
     };
     let source = match std::fs::read_to_string(file) {
         Ok(s) => s,
@@ -529,7 +574,7 @@ fn main() -> ExitCode {
     match cmd {
         "run" => {
             let mut metrics = false;
-            for a in &rest[1..] {
+            for a in &flags {
                 match a.as_str() {
                     "--metrics" => metrics = true,
                     other => {
@@ -548,7 +593,7 @@ fn main() -> ExitCode {
             code
         }
         "monitor" | "trace" | "hybrid" => {
-            let opts = match Options::parse(&rest[1..]) {
+            let opts = match Options::parse(&flags) {
                 Ok(o) => o,
                 Err(e) => {
                     eprintln!("{e}");

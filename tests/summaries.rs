@@ -139,6 +139,52 @@ fn committed_plan_bench_artifact_pins_summary_speedup() {
     }
 }
 
+/// The layered call DAG `plan-cold` plans: every define above layer 0
+/// stubs three callees whose own summaries stub three more, so a
+/// define's exploration reaches summaries many layers down. Callees
+/// precede callers in source order; the reversed order makes the planner
+/// reorder every define.
+///
+/// Every define is pinned to `list -> any`. Unpinned, the corpus falls in
+/// the divergence class `stub_proofs_are_never_weaker_than_descent` pins:
+/// whole-body descent of a define that applies several list recursions
+/// to `(cdr l)` trips the executor's kind check at the `Any` rung and
+/// ends on a vacuous `Nat` guard, while the stubbed proof holds at `Any`.
+#[test]
+fn layered_corpus_plans_identically_with_summaries() {
+    let source = sct_bench::layered_corpus(300, 7, 0);
+    let mut cfg = PlanConfig::default();
+    for i in 0..300 {
+        cfg.signatures
+            .insert(format!("f{i}"), (vec![SymDomain::List], SymDomain::Any));
+    }
+    assert_modes_agree(&source, &cfg, "layered-300");
+    let reversed = permute_defines(&source, |k| (0..k).rev().collect()).unwrap();
+    assert_modes_agree(&reversed, &cfg, "layered-300 reversed");
+}
+
+/// A define's cache entry grows with its own body, not with everything it
+/// reaches: the top define of a 1000-define layered corpus reaches about
+/// 130 summaries, and its entry must not list them.
+#[test]
+fn layered_corpus_entries_stay_small() {
+    let prog = sct_lang::compile_program(&sct_bench::layered_corpus(1000, 7, 0)).unwrap();
+    let mut store = MemStore::new();
+    plan_program_incremental(
+        &prog,
+        &PlanConfig::default(),
+        &mut PlanCache::new(),
+        &mut store,
+    );
+    let top = store
+        .entries()
+        .values()
+        .find(|e| e.name == "f999")
+        .expect("the top define has an entry");
+    let bytes = sct_core::plan_codec::encode_entry(top).len();
+    assert!(bytes <= 1024, "top entry is {bytes} bytes: {}", top.detail);
+}
+
 #[test]
 fn fuzz_schema_sweep_plans_identically_with_summaries() {
     // 128 seeded cases across every generator schema and mutation — the
