@@ -50,74 +50,11 @@ use crate::graph::ScGraph;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::Hash;
 use std::marker::PhantomData;
 
-/// A fast, non-cryptographic hasher in the spirit of rustc's `FxHasher`,
-/// used for the intern tables (the workspace builds offline, so external
-/// hash crates are not available). Keys here are either word-packed graphs
-/// or small integers; SipHash's DoS resistance buys nothing and costs a
-/// measurable slice of the monitor hot path.
-#[derive(Default, Clone)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.add(v as u64);
-    }
-
-    #[inline]
-    fn write_u16(&mut self, v: u16) {
-        self.add(v as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(v as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        // Final avalanche so low bits (which HashMap uses) depend on all
-        // input words.
-        let h = self.hash;
-        h ^ (h >> 32)
-    }
-}
-
-/// `BuildHasher` for [`FxHasher`], usable as the `S` parameter of std maps.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+/// The workspace's table hasher, shared with the reader's symbol table.
+pub use sct_sexpr::{FxBuildHasher, FxHasher};
 
 /// Interned handle to a size-change graph: `Copy`, word-sized, and totally
 /// ordered (by interning sequence, which is stable within a pool) so sets
@@ -349,6 +286,7 @@ mod tests {
         // Sanity: distinct u64 keys land on distinct hashes (no collisions
         // among a small dense range — the compose-cache key shape).
         use std::collections::HashSet;
+        use std::hash::Hasher;
         let mut seen = HashSet::new();
         for a in 0u64..64 {
             for b in 0u64..64 {

@@ -1737,7 +1737,7 @@ pub fn datum_to_value(d: &Datum) -> Value {
         Datum::Bool(b) => Value::Bool(*b),
         Datum::Char(c) => Value::Char(*c),
         Datum::Str(s) => Value::str(s),
-        Datum::Sym(s) => Value::sym(s),
+        Datum::Sym(s) => Value::Sym(Rc::clone(s)),
         Datum::List(items) => Value::list(items.iter().map(datum_to_value).collect::<Vec<_>>()),
         Datum::Improper(items, tail) => {
             let mut acc = datum_to_value(tail);

@@ -7,25 +7,41 @@
 //! `unless`, `let*`, named `let`, internal defines, quasiquotation —
 //! expands here, Datum to Datum, so expansions stay printable and testable.
 //!
+//! The desugarer consumes its input: atoms and list vectors move into the
+//! output and are rewritten in place where the shape allows, so the parse
+//! tree is freed as it is rewritten rather than copied node by node.
+//! [`desugar_program`] is the one implementation; [`desugar_top_level`]
+//! and [`desugar_expr`] clone their borrowed input into it.
+//!
 //! The special-form names are reserved words: the corpus subset does not
 //! permit shadowing them with local bindings (as in the paper's Racket
 //! programs, where they are module-level bindings).
 
 use crate::LangError;
 use sct_sexpr::Datum;
+use std::rc::Rc;
 
 /// Internal head symbol for the desugared `terminating/c` form. The leading
 /// space makes it unwritable in source text.
 pub const TERM_C_HEAD: &str = " term/c";
 
-/// Desugars a whole top-level program.
+/// Desugars a whole top-level program, consuming it.
+///
+/// # Errors
+///
+/// Returns [`LangError`] on malformed special forms.
+pub fn desugar_program(forms: Vec<Datum>) -> Result<Vec<Datum>, LangError> {
+    let mut d = Desugarer::new();
+    forms.into_iter().map(|f| d.top_form(f)).collect()
+}
+
+/// Desugars a whole top-level program: [`desugar_program`] on a copy.
 ///
 /// # Errors
 ///
 /// Returns [`LangError`] on malformed special forms.
 pub fn desugar_top_level(forms: &[Datum]) -> Result<Vec<Datum>, LangError> {
-    let mut d = Desugarer::new();
-    forms.iter().map(|f| d.top_form(f)).collect()
+    desugar_program(forms.to_vec())
 }
 
 /// Desugars a single expression (used by tests and the REPL-style API).
@@ -34,16 +50,14 @@ pub fn desugar_top_level(forms: &[Datum]) -> Result<Vec<Datum>, LangError> {
 ///
 /// Returns [`LangError`] on malformed special forms.
 pub fn desugar_expr(form: &Datum) -> Result<Datum, LangError> {
-    Desugarer::new().expr(form)
+    Desugarer::new().expr(form.clone())
 }
 
 struct Desugarer {
     gensym_counter: u32,
     term_c_counter: u32,
-}
-
-fn sym(s: &str) -> Datum {
-    Datum::Sym(s.to_string())
+    /// The symbols the expansions emit, each allocated once.
+    names: Vec<Rc<str>>,
 }
 
 fn list(items: Vec<Datum>) -> Datum {
@@ -54,12 +68,55 @@ fn err(msg: impl Into<String>) -> LangError {
     LangError::new(msg)
 }
 
+/// The error for a form whose shape does not match its keyword.
+fn malformed(what: &str, items: Vec<Datum>) -> LangError {
+    err(format!("malformed {what}: {}", Datum::List(items)))
+}
+
+fn is_sym(d: &Datum, name: &str) -> bool {
+    d.as_sym() == Some(name)
+}
+
+/// Moves a datum out of its slot, leaving a placeholder the caller
+/// overwrites.
+fn take(slot: &mut Datum) -> Datum {
+    std::mem::replace(slot, Datum::Bool(false))
+}
+
+/// Moves the first `N` elements (a form's keyword and fixed operands) out
+/// of `items`, leaving the remaining operands in the same buffer.
+fn split_front<const N: usize>(items: &mut Vec<Datum>) -> [Datum; N] {
+    let mut front = items.drain(..N);
+    std::array::from_fn(|_| front.next().expect("caller checked the length"))
+}
+
 impl Desugarer {
     fn new() -> Desugarer {
         Desugarer {
             gensym_counter: 0,
             term_c_counter: 0,
+            names: Vec::new(),
         }
+    }
+
+    /// The symbol `name`, for an expansion to emit.
+    fn sym(&mut self, name: &str) -> Datum {
+        if let Some(s) = self.names.iter().find(|s| &***s == name) {
+            return Datum::Sym(Rc::clone(s));
+        }
+        let s: Rc<str> = Rc::from(name);
+        self.names.push(Rc::clone(&s));
+        Datum::Sym(s)
+    }
+
+    /// `(void)`.
+    fn void(&mut self) -> Datum {
+        list(vec![self.sym("void")])
+    }
+
+    /// `(quote d)`.
+    fn quote(&mut self, d: Datum) -> Datum {
+        list(vec![self.sym("quote"), d])
     }
 
     fn gensym(&mut self, hint: &str) -> Datum {
@@ -67,26 +124,28 @@ impl Desugarer {
         self.gensym_counter += 1;
         // The leading space cannot appear in a parsed symbol, so generated
         // temporaries can never capture user variables.
-        Datum::Sym(format!(" {hint}{n}"))
+        Datum::sym(format!(" {hint}{n}"))
     }
 
-    fn top_form(&mut self, form: &Datum) -> Result<Datum, LangError> {
-        if form.head_is("define") {
-            let items = form.as_list().unwrap();
-            match items {
-                [_, Datum::Sym(name), init] => {
-                    Ok(list(vec![sym("define"), sym(name), self.expr(init)?]))
-                }
-                [_, header @ (Datum::List(_) | Datum::Improper(..)), body @ ..]
-                    if !body.is_empty() =>
-                {
-                    let (name, lambda) = self.define_function(header, body)?;
-                    Ok(list(vec![sym("define"), Datum::Sym(name), lambda]))
-                }
-                _ => Err(err(format!("malformed define: {form}"))),
+    fn top_form(&mut self, form: Datum) -> Result<Datum, LangError> {
+        if !form.head_is("define") {
+            return self.expr(form);
+        }
+        let Datum::List(mut items) = form else {
+            unreachable!("head_is matched a list")
+        };
+        match items.as_slice() {
+            [_, Datum::Sym(_), _] => {
+                let init = take(&mut items[2]);
+                items[2] = self.expr(init)?;
+                Ok(list(items))
             }
-        } else {
-            self.expr(form)
+            [_, Datum::List(_) | Datum::Improper(..), _, ..] => {
+                let [define, header] = split_front(&mut items);
+                let (name, lambda) = self.define_function(header, items)?;
+                Ok(list(vec![define, Datum::Sym(name), lambda]))
+            }
+            _ => Err(malformed("define", items)),
         }
     }
 
@@ -95,473 +154,508 @@ impl Desugarer {
     /// corpus but cheap to support by recursion).
     fn define_function(
         &mut self,
-        header: &Datum,
-        body: &[Datum],
-    ) -> Result<(String, Datum), LangError> {
-        let (head, params): (&Datum, Vec<Datum>) = match header {
-            Datum::List(items) if !items.is_empty() => (&items[0], items[1..].to_vec()),
-            Datum::Improper(items, tail) if !items.is_empty() => {
-                let mut ps = items[1..].to_vec();
-                ps.push(Datum::Improper(vec![], tail.clone()));
-                (&items[0], ps)
-            }
-            _ => return Err(err(format!("malformed define header: {header}"))),
+        header: Datum,
+        body: Vec<Datum>,
+    ) -> Result<(Rc<str>, Datum), LangError> {
+        let well_formed = match &header {
+            Datum::List(items) | Datum::Improper(items, _) => matches!(
+                items.first(),
+                Some(Datum::Sym(_) | Datum::List(_) | Datum::Improper(..))
+            ),
+            _ => false,
         };
-        // Rebuild the parameter datum for the lambda.
-        let param_datum = rebuild_params(&params);
+        if !well_formed {
+            return Err(err(format!("malformed define header: {header}")));
+        }
+        // The header minus its head is the lambda's parameter datum.
+        let (head, params) = match header {
+            Datum::List(mut items) => {
+                let head = items.remove(0);
+                (head, list(items))
+            }
+            Datum::Improper(mut items, tail) => {
+                let head = items.remove(0);
+                let params = if items.is_empty() {
+                    *tail
+                } else {
+                    Datum::Improper(items, tail)
+                };
+                (head, params)
+            }
+            _ => unreachable!("checked above"),
+        };
+        let lambda = self.lambda_from(params, body)?;
         match head {
-            Datum::Sym(name) => {
-                let lambda = self.lambda_from(param_datum, body)?;
-                Ok((name.clone(), lambda))
-            }
-            nested @ (Datum::List(_) | Datum::Improper(..)) => {
-                let inner = self.lambda_from(param_datum, body)?;
-                self.define_function(nested, std::slice::from_ref(&inner))
-            }
-            _ => Err(err(format!("malformed define header: {header}"))),
+            Datum::Sym(name) => Ok((name, lambda)),
+            nested => self.define_function(nested, vec![lambda]),
         }
     }
 
-    fn lambda_from(&mut self, params: Datum, body: &[Datum]) -> Result<Datum, LangError> {
+    fn lambda_from(&mut self, params: Datum, body: Vec<Datum>) -> Result<Datum, LangError> {
         let body_expr = self.body(body)?;
-        Ok(list(vec![sym("lambda"), params, body_expr]))
+        Ok(list(vec![self.sym("lambda"), params, body_expr]))
     }
 
     /// A body is zero or more internal defines followed by expressions;
     /// defines become a `letrec` (letrec* order).
-    fn body(&mut self, forms: &[Datum]) -> Result<Datum, LangError> {
-        let mut defines: Vec<(Datum, Datum)> = Vec::new();
-        let mut rest = forms;
-        while let Some(first) = rest.first() {
-            if first.head_is("define") {
-                let d = self.top_form(first)?;
-                let items = d.as_list().unwrap();
-                defines.push((items[1].clone(), items[2].clone()));
-                rest = &rest[1..];
-            } else {
-                break;
-            }
+    fn body(&mut self, mut forms: Vec<Datum>) -> Result<Datum, LangError> {
+        let defines = forms.iter().take_while(|f| f.head_is("define")).count();
+        let mut bindings = Vec::with_capacity(defines);
+        for form in forms.drain(..defines) {
+            let Datum::List(mut binding) = self.top_form(form)? else {
+                unreachable!("a define expands to a define")
+            };
+            // `(define name init)` → `(name init)`.
+            binding.remove(0);
+            bindings.push(list(binding));
         }
-        if rest.is_empty() {
+        if forms.is_empty() {
             return Err(err("body has no expressions"));
         }
-        let exprs: Vec<Datum> = rest
-            .iter()
-            .map(|f| self.expr(f))
-            .collect::<Result<_, _>>()?;
-        let body = if exprs.len() == 1 {
-            exprs.into_iter().next().unwrap()
+        for form in forms.iter_mut() {
+            *form = self.expr(take(form))?;
+        }
+        let body = if forms.len() == 1 {
+            forms.pop().expect("one expression")
         } else {
-            let mut b = vec![sym("begin")];
-            b.extend(exprs);
-            list(b)
+            forms.insert(0, self.sym("begin"));
+            list(forms)
         };
-        if defines.is_empty() {
+        if bindings.is_empty() {
             Ok(body)
         } else {
-            let bindings: Vec<Datum> = defines.into_iter().map(|(n, e)| list(vec![n, e])).collect();
-            Ok(list(vec![sym("letrec"), list(bindings), body]))
+            Ok(list(vec![self.sym("letrec"), list(bindings), body]))
         }
     }
 
-    fn expr(&mut self, form: &Datum) -> Result<Datum, LangError> {
-        let Some(items) = form.as_list() else {
+    fn expr(&mut self, form: Datum) -> Result<Datum, LangError> {
+        let Datum::List(mut items) = form else {
             // Atoms: self-evaluating literals and variables pass through.
-            return Ok(form.clone());
+            return Ok(form);
         };
-        if items.is_empty() {
-            return Err(err("empty application ()"));
-        }
-        let head = items[0].as_sym();
-        match head {
-            Some("quote") => Ok(form.clone()),
+        let head = match items.first() {
+            None => return Err(err("empty application ()")),
+            Some(Datum::Sym(s)) => Some(Rc::clone(s)),
+            Some(_) => None,
+        };
+        match head.as_deref() {
+            Some("quote") => Ok(list(items)),
             Some("quasiquote") => {
-                let [_, inner] = items else {
-                    return Err(err(format!("malformed quasiquote: {form}")));
-                };
+                if items.len() != 2 {
+                    return Err(malformed("quasiquote", items));
+                }
+                let inner = items.pop().expect("two elements");
                 self.quasi(inner, 1)
             }
-            Some("unquote") | Some("unquote-splicing") => {
-                Err(err(format!("{} outside quasiquote", head.unwrap())))
+            Some(u @ ("unquote" | "unquote-splicing")) => {
+                Err(err(format!("{u} outside quasiquote")))
             }
-            Some("lambda") | Some("λ") => {
-                let [_, params, body @ ..] = items else {
-                    return Err(err(format!("malformed lambda: {form}")));
-                };
-                if body.is_empty() {
-                    return Err(err(format!("lambda has no body: {form}")));
+            Some("lambda" | "λ") => {
+                if items.len() < 2 {
+                    return Err(malformed("lambda", items));
                 }
-                self.lambda_from(params.clone(), body)
+                if items.len() == 2 {
+                    return Err(err(format!("lambda has no body: {}", list(items))));
+                }
+                let [_, params] = split_front(&mut items);
+                self.lambda_from(params, items)
             }
-            Some("if") => match items {
-                [_, c, t] => Ok(list(vec![
-                    sym("if"),
-                    self.expr(c)?,
-                    self.expr(t)?,
-                    list(vec![sym("void")]),
-                ])),
-                [_, c, t, e] => Ok(list(vec![
-                    sym("if"),
-                    self.expr(c)?,
-                    self.expr(t)?,
-                    self.expr(e)?,
-                ])),
-                _ => Err(err(format!("malformed if: {form}"))),
-            },
+            Some("if") => {
+                if !(3..=4).contains(&items.len()) {
+                    return Err(malformed("if", items));
+                }
+                for item in &mut items[1..] {
+                    *item = self.expr(take(item))?;
+                }
+                if items.len() == 3 {
+                    items.push(self.void());
+                }
+                Ok(list(items))
+            }
             Some("begin") => {
-                let [_, body @ ..] = items else {
-                    unreachable!()
-                };
-                if body.is_empty() {
-                    return Ok(list(vec![sym("void")]));
+                if items.len() == 1 {
+                    return Ok(self.void());
                 }
-                self.body(body)
+                items.remove(0);
+                self.body(items)
             }
-            Some("set!") => match items {
-                [_, v @ Datum::Sym(_), e] => Ok(list(vec![sym("set!"), v.clone(), self.expr(e)?])),
-                _ => Err(err(format!("malformed set!: {form}"))),
-            },
-            Some("let") => self.let_form(items, form),
+            Some("set!") => {
+                if !matches!(items.as_slice(), [_, Datum::Sym(_), _]) {
+                    return Err(malformed("set!", items));
+                }
+                let value = take(&mut items[2]);
+                items[2] = self.expr(value)?;
+                Ok(list(items))
+            }
+            Some("let") => self.let_form(items),
             Some("let*") => {
-                let [_, Datum::List(bindings), body @ ..] = items else {
-                    return Err(err(format!("malformed let*: {form}")));
+                if !matches!(items.as_slice(), [_, Datum::List(_), ..]) {
+                    return Err(malformed("let*", items));
+                }
+                if items.len() == 2 {
+                    return Err(err(format!("let* has no body: {}", list(items))));
+                }
+                let [let_star, bindings] = split_front(&mut items);
+                let Datum::List(mut bindings) = bindings else {
+                    unreachable!("checked above")
                 };
-                if body.is_empty() {
-                    return Err(err(format!("let* has no body: {form}")));
+                if bindings.is_empty() {
+                    return self.body(items);
                 }
-                match bindings.split_first() {
-                    None => self.body(body),
-                    Some((first, rest)) => {
-                        let mut inner = vec![sym("let*"), list(rest.to_vec())];
-                        inner.extend(body.iter().cloned());
-                        let inner = list(inner);
-                        self.expr(&list(vec![sym("let"), list(vec![first.clone()]), inner]))
-                    }
-                }
+                // (let* (b bs...) body...) → (let (b) (let* (bs...) body...))
+                let first = bindings.remove(0);
+                let mut inner = Vec::with_capacity(items.len() + 2);
+                inner.push(let_star);
+                inner.push(list(bindings));
+                inner.extend(items);
+                let expanded = list(vec![self.sym("let"), list(vec![first]), list(inner)]);
+                self.expr(expanded)
             }
-            Some("letrec") | Some("letrec*") => {
-                let [_, Datum::List(bindings), body @ ..] = items else {
-                    return Err(err(format!("malformed letrec: {form}")));
+            Some("letrec" | "letrec*") => {
+                if !matches!(items.as_slice(), [_, Datum::List(_), ..]) {
+                    return Err(malformed("letrec", items));
+                }
+                if items.len() == 2 {
+                    return Err(err(format!("letrec has no body: {}", list(items))));
+                }
+                let [_, bindings] = split_front(&mut items);
+                let Datum::List(mut bindings) = bindings else {
+                    unreachable!("checked above")
                 };
-                if body.is_empty() {
-                    return Err(err(format!("letrec has no body: {form}")));
+                for b in bindings.iter_mut() {
+                    *b = self.binding(take(b))?;
                 }
-                let bound: Vec<Datum> = bindings
-                    .iter()
-                    .map(|b| self.binding(b))
-                    .collect::<Result<_, _>>()?;
-                let body = self.body(body)?;
-                Ok(list(vec![sym("letrec"), list(bound), body]))
+                let body = self.body(items)?;
+                Ok(list(vec![self.sym("letrec"), list(bindings), body]))
             }
-            Some("cond") => self.cond(&items[1..], form),
-            Some("case") => self.case(&items[1..], form),
-            Some("and") => self.and(&items[1..]),
-            Some("or") => self.or(&items[1..]),
-            Some("when") => {
-                let [_, test, body @ ..] = items else {
-                    return Err(err(format!("malformed when: {form}")));
+            Some("cond") => self.cond(items),
+            Some("case") => self.case(items),
+            Some("and") => {
+                items.remove(0);
+                self.and(items)
+            }
+            Some("or") => {
+                items.remove(0);
+                self.or(items)
+            }
+            Some(kw @ ("when" | "unless")) => {
+                if items.len() < 2 {
+                    return Err(malformed(kw, items));
+                }
+                if items.len() == 2 {
+                    return Err(err(format!("{kw} has no body: {}", list(items))));
+                }
+                let [_, test] = split_front(&mut items);
+                let body = self.body(items)?;
+                let test = self.expr(test)?;
+                let void = self.void();
+                let (then_branch, else_branch) = if kw == "when" {
+                    (body, void)
+                } else {
+                    (void, body)
                 };
-                if body.is_empty() {
-                    return Err(err(format!("when has no body: {form}")));
-                }
-                let body = self.body(body)?;
-                Ok(list(vec![
-                    sym("if"),
-                    self.expr(test)?,
-                    body,
-                    list(vec![sym("void")]),
-                ]))
+                Ok(list(vec![self.sym("if"), test, then_branch, else_branch]))
             }
-            Some("unless") => {
-                let [_, test, body @ ..] = items else {
-                    return Err(err(format!("malformed unless: {form}")));
-                };
-                if body.is_empty() {
-                    return Err(err(format!("unless has no body: {form}")));
-                }
-                let body = self.body(body)?;
-                Ok(list(vec![
-                    sym("if"),
-                    self.expr(test)?,
-                    list(vec![sym("void")]),
-                    body,
-                ]))
-            }
-            Some("terminating/c") | Some("term/c") if items.len() >= 2 => {
-                let (expr, label) = match items {
+            Some("terminating/c" | "term/c") if items.len() >= 2 => {
+                let label = match items.as_slice() {
                     [_, e] => {
                         let shown = e.to_string();
                         let truncated: String = shown.chars().take(40).collect();
                         let n = self.term_c_counter;
                         self.term_c_counter += 1;
-                        (e, format!("terminating/c#{n} on {truncated}"))
+                        format!("terminating/c#{n} on {truncated}")
                     }
-                    [_, e, Datum::Str(label)] => (e, label.clone()),
-                    _ => return Err(err(format!("malformed terminating/c: {form}"))),
+                    [_, _, Datum::Str(_)] => match items.pop() {
+                        Some(Datum::Str(label)) => label,
+                        _ => unreachable!("matched above"),
+                    },
+                    _ => return Err(malformed("terminating/c", items)),
                 };
+                let e = items.pop().expect("an expression");
                 Ok(list(vec![
-                    sym(TERM_C_HEAD),
+                    self.sym(TERM_C_HEAD),
                     Datum::Str(label),
-                    self.expr(expr)?,
+                    self.expr(e)?,
                 ]))
             }
             _ => {
                 // Application.
-                let parts: Vec<Datum> = items
-                    .iter()
-                    .map(|i| self.expr(i))
-                    .collect::<Result<_, _>>()?;
-                Ok(list(parts))
+                for item in items.iter_mut() {
+                    *item = self.expr(take(item))?;
+                }
+                Ok(list(items))
             }
         }
     }
 
-    fn binding(&mut self, b: &Datum) -> Result<Datum, LangError> {
-        match b.as_list() {
-            Some([name @ Datum::Sym(_), init]) => Ok(list(vec![name.clone(), self.expr(init)?])),
-            _ => Err(err(format!("malformed binding: {b}"))),
+    fn binding(&mut self, b: Datum) -> Result<Datum, LangError> {
+        match b {
+            Datum::List(mut items) if matches!(items.as_slice(), [Datum::Sym(_), _]) => {
+                let init = take(&mut items[1]);
+                items[1] = self.expr(init)?;
+                Ok(list(items))
+            }
+            b => Err(err(format!("malformed binding: {b}"))),
         }
     }
 
-    fn let_form(&mut self, items: &[Datum], form: &Datum) -> Result<Datum, LangError> {
-        match items {
+    fn let_form(&mut self, mut items: Vec<Datum>) -> Result<Datum, LangError> {
+        match items.as_slice() {
             // Named let: (let loop ([x e] ...) body...)
-            [_, Datum::Sym(name), Datum::List(bindings), body @ ..] if !body.is_empty() => {
-                let mut params = Vec::new();
-                let mut inits = Vec::new();
+            [_, Datum::Sym(_), Datum::List(bindings), _, ..] => {
+                let well_formed = bindings
+                    .iter()
+                    .all(|b| matches!(b.as_list(), Some([Datum::Sym(_), _])));
+                if !well_formed {
+                    return Err(err(format!(
+                        "malformed named-let binding in {}",
+                        list(items)
+                    )));
+                }
+                let [_, name, bindings] = split_front(&mut items);
+                let Datum::List(bindings) = bindings else {
+                    unreachable!("checked above")
+                };
+                let mut params = Vec::with_capacity(bindings.len());
+                let mut call = Vec::with_capacity(bindings.len() + 1);
+                call.push(name.clone());
                 for b in bindings {
-                    let Some([Datum::Sym(p), init]) = b.as_list() else {
-                        return Err(err(format!("malformed named-let binding in {form}")));
+                    let Datum::List(b) = b else {
+                        unreachable!("checked above")
                     };
-                    params.push(sym(p));
-                    inits.push(init.clone());
+                    let [param, init] = <[Datum; 2]>::try_from(b).expect("checked above");
+                    params.push(param);
+                    call.push(init);
                 }
                 // (letrec ([name (lambda (params) body)]) (name inits...))
-                let lambda = {
-                    let mut l = vec![sym("lambda"), list(params)];
-                    l.extend(body.iter().cloned());
-                    list(l)
-                };
-                let mut call = vec![sym(name)];
-                call.extend(inits);
+                let mut lambda = Vec::with_capacity(items.len() + 2);
+                lambda.push(self.sym("lambda"));
+                lambda.push(list(params));
+                lambda.extend(items);
                 let expanded = list(vec![
-                    sym("letrec"),
-                    list(vec![list(vec![sym(name), lambda])]),
+                    self.sym("letrec"),
+                    list(vec![list(vec![name, list(lambda)])]),
                     list(call),
                 ]);
-                self.expr(&expanded)
+                self.expr(expanded)
             }
-            [_, Datum::List(bindings), body @ ..] if !body.is_empty() => {
-                let bound: Vec<Datum> = bindings
-                    .iter()
-                    .map(|b| self.binding(b))
-                    .collect::<Result<_, _>>()?;
-                let body = self.body(body)?;
-                Ok(list(vec![sym("let"), list(bound), body]))
+            [_, Datum::List(_), _, ..] => {
+                let [let_kw, bindings] = split_front(&mut items);
+                let Datum::List(mut bindings) = bindings else {
+                    unreachable!("checked above")
+                };
+                for b in bindings.iter_mut() {
+                    *b = self.binding(take(b))?;
+                }
+                let body = self.body(items)?;
+                Ok(list(vec![let_kw, list(bindings), body]))
             }
-            _ => Err(err(format!("malformed let: {form}"))),
+            _ => Err(malformed("let", items)),
         }
     }
 
-    fn cond(&mut self, clauses: &[Datum], form: &Datum) -> Result<Datum, LangError> {
-        let Some((clause, rest)) = clauses.split_first() else {
-            return Ok(list(vec![sym("void")]));
-        };
-        let Some(parts) = clause.as_list() else {
-            return Err(err(format!("malformed cond clause in {form}")));
-        };
-        match parts {
-            [Datum::Sym(e), body @ ..] if e == "else" => {
-                if !rest.is_empty() {
-                    return Err(err(format!("cond: else clause not last in {form}")));
+    /// `items` is the whole `(cond clause...)` form. Every clause's shape
+    /// is checked before any is expanded, so errors can print the form.
+    fn cond(&mut self, items: Vec<Datum>) -> Result<Datum, LangError> {
+        let clauses = &items[1..];
+        for (i, clause) in clauses.iter().enumerate() {
+            let problem = match clause.as_list() {
+                None => Some("malformed cond clause in"),
+                Some([]) => Some("empty cond clause in"),
+                Some([e, ..]) if is_sym(e, "else") && i + 1 < clauses.len() => {
+                    Some("cond: else clause not last in")
                 }
-                if body.is_empty() {
-                    return Err(err(format!("cond: empty else clause in {form}")));
-                }
-                self.body(body)
-            }
-            [test] => {
-                let t = self.gensym("t");
-                let rest_expr = self.cond(rest, form)?;
-                Ok(list(vec![
-                    sym("let"),
-                    list(vec![list(vec![t.clone(), self.expr(test)?])]),
-                    list(vec![sym("if"), t.clone(), t, rest_expr]),
-                ]))
-            }
-            [test, Datum::Sym(arrow), f] if arrow == "=>" => {
-                let t = self.gensym("t");
-                let rest_expr = self.cond(rest, form)?;
-                Ok(list(vec![
-                    sym("let"),
-                    list(vec![list(vec![t.clone(), self.expr(test)?])]),
-                    list(vec![
-                        sym("if"),
-                        t.clone(),
-                        list(vec![self.expr(f)?, t]),
-                        rest_expr,
-                    ]),
-                ]))
-            }
-            [test, body @ ..] => {
-                let rest_expr = self.cond(rest, form)?;
-                let body = self.body(body)?;
-                Ok(list(vec![sym("if"), self.expr(test)?, body, rest_expr]))
-            }
-            [] => Err(err(format!("empty cond clause in {form}"))),
-        }
-    }
-
-    fn case(&mut self, parts: &[Datum], form: &Datum) -> Result<Datum, LangError> {
-        let Some((scrutinee, clauses)) = parts.split_first() else {
-            return Err(err(format!("malformed case: {form}")));
-        };
-        let k = self.gensym("k");
-        let mut cond_clauses: Vec<Datum> = Vec::new();
-        for clause in clauses {
-            let Some(items) = clause.as_list() else {
-                return Err(err(format!("malformed case clause in {form}")));
+                Some([e]) if is_sym(e, "else") => Some("cond: empty else clause in"),
+                Some(_) => None,
             };
-            match items {
-                [Datum::Sym(e), body @ ..] if e == "else" && !body.is_empty() => {
-                    let mut c = vec![sym("else")];
-                    c.extend(body.iter().cloned());
-                    cond_clauses.push(list(c));
-                }
-                [data @ Datum::List(_), body @ ..] if !body.is_empty() => {
-                    let test = list(vec![
-                        sym("memv"),
-                        k.clone(),
-                        list(vec![sym("quote"), data.clone()]),
-                    ]);
-                    let mut c = vec![test];
-                    c.extend(body.iter().cloned());
-                    cond_clauses.push(list(c));
-                }
-                _ => return Err(err(format!("malformed case clause in {form}"))),
+            if let Some(problem) = problem {
+                return Err(err(format!("{problem} {}", list(items))));
             }
         }
-        let mut cond_form = vec![sym("cond")];
-        cond_form.extend(cond_clauses);
+        let mut clauses = items.into_iter();
+        clauses.next();
+        self.cond_clauses(&mut clauses)
+    }
+
+    /// Expands checked cond clauses. Temporaries are numbered front to
+    /// back, and the later clauses expand before the earlier ones.
+    fn cond_clauses(
+        &mut self,
+        clauses: &mut std::vec::IntoIter<Datum>,
+    ) -> Result<Datum, LangError> {
+        let Some(Datum::List(mut parts)) = clauses.next() else {
+            return Ok(self.void());
+        };
+        if is_sym(&parts[0], "else") {
+            parts.remove(0);
+            return self.body(parts);
+        }
+        if parts.len() == 1 {
+            let t = self.gensym("t");
+            let rest = self.cond_clauses(clauses)?;
+            let test = self.expr(parts.pop().expect("one element"))?;
+            return Ok(list(vec![
+                self.sym("let"),
+                list(vec![list(vec![t.clone(), test])]),
+                list(vec![self.sym("if"), t.clone(), t, rest]),
+            ]));
+        }
+        if parts.len() == 3 && is_sym(&parts[1], "=>") {
+            let t = self.gensym("t");
+            let rest = self.cond_clauses(clauses)?;
+            let [test, _, f] = <[Datum; 3]>::try_from(parts).expect("three elements");
+            let test = self.expr(test)?;
+            let f = self.expr(f)?;
+            return Ok(list(vec![
+                self.sym("let"),
+                list(vec![list(vec![t.clone(), test])]),
+                list(vec![self.sym("if"), t.clone(), list(vec![f, t]), rest]),
+            ]));
+        }
+        let rest = self.cond_clauses(clauses)?;
+        let [test] = split_front(&mut parts);
+        let body = self.body(parts)?;
+        let test = self.expr(test)?;
+        Ok(list(vec![self.sym("if"), test, body, rest]))
+    }
+
+    /// `items` is the whole `(case key clause...)` form.
+    fn case(&mut self, mut items: Vec<Datum>) -> Result<Datum, LangError> {
+        if items.len() < 2 {
+            return Err(malformed("case", items));
+        }
+        let k = self.gensym("k");
+        let well_formed = items[2..].iter().all(|clause| match clause.as_list() {
+            Some([e, _, ..]) if is_sym(e, "else") => true,
+            Some([Datum::List(_), _, ..]) => true,
+            _ => false,
+        });
+        if !well_formed {
+            return Err(err(format!("malformed case clause in {}", list(items))));
+        }
+        let [_, scrutinee] = split_front(&mut items);
+        for clause in items.iter_mut() {
+            let Datum::List(parts) = clause else {
+                unreachable!("checked above")
+            };
+            if !is_sym(&parts[0], "else") {
+                // ((d ...) body...) → ((memv k '(d ...)) body...)
+                let data = take(&mut parts[0]);
+                let data = self.quote(data);
+                parts[0] = list(vec![self.sym("memv"), k.clone(), data]);
+            }
+        }
+        items.insert(0, self.sym("cond"));
         let expanded = list(vec![
-            sym("let"),
-            list(vec![list(vec![k, scrutinee.clone()])]),
-            list(cond_form),
+            self.sym("let"),
+            list(vec![list(vec![k, scrutinee])]),
+            list(items),
         ]);
-        self.expr(&expanded)
+        self.expr(expanded)
     }
 
-    fn and(&mut self, args: &[Datum]) -> Result<Datum, LangError> {
-        match args {
-            [] => Ok(Datum::Bool(true)),
-            [e] => self.expr(e),
-            [e, rest @ ..] => {
-                let rest_expr = self.and(rest)?;
-                Ok(list(vec![
-                    sym("if"),
-                    self.expr(e)?,
-                    rest_expr,
-                    Datum::Bool(false),
-                ]))
-            }
+    /// Expands `(and args...)`; the last argument expands first.
+    fn and(&mut self, mut args: Vec<Datum>) -> Result<Datum, LangError> {
+        let Some(last) = args.pop() else {
+            return Ok(Datum::Bool(true));
+        };
+        let mut acc = self.expr(last)?;
+        while let Some(e) = args.pop() {
+            acc = list(vec![self.sym("if"), self.expr(e)?, acc, Datum::Bool(false)]);
         }
+        Ok(acc)
     }
 
-    fn or(&mut self, args: &[Datum]) -> Result<Datum, LangError> {
-        match args {
-            [] => Ok(Datum::Bool(false)),
-            [e] => self.expr(e),
-            [e, rest @ ..] => {
-                let t = self.gensym("t");
-                let rest_expr = self.or(rest)?;
-                Ok(list(vec![
-                    sym("let"),
-                    list(vec![list(vec![t.clone(), self.expr(e)?])]),
-                    list(vec![sym("if"), t.clone(), t, rest_expr]),
-                ]))
-            }
+    /// Expands `(or args...)`: temporaries are numbered front to back,
+    /// and the last argument expands first.
+    fn or(&mut self, mut args: Vec<Datum>) -> Result<Datum, LangError> {
+        let Some(last) = args.pop() else {
+            return Ok(Datum::Bool(false));
+        };
+        let temps: Vec<Datum> = args.iter().map(|_| self.gensym("t")).collect();
+        let mut acc = self.expr(last)?;
+        for (e, t) in args.into_iter().zip(temps).rev() {
+            let e = self.expr(e)?;
+            acc = list(vec![
+                self.sym("let"),
+                list(vec![list(vec![t.clone(), e])]),
+                list(vec![self.sym("if"), t.clone(), t, acc]),
+            ]);
         }
+        Ok(acc)
     }
 
     /// Standard quasiquote expansion with nesting depth.
-    fn quasi(&mut self, d: &Datum, depth: u32) -> Result<Datum, LangError> {
-        if !has_unquote(d) {
-            return Ok(list(vec![sym("quote"), d.clone()]));
+    fn quasi(&mut self, d: Datum, depth: u32) -> Result<Datum, LangError> {
+        if !has_unquote(&d) {
+            return Ok(self.quote(d));
         }
         match d {
-            Datum::List(items) => match items.as_slice() {
-                [Datum::Sym(u), e] if u == "unquote" => {
-                    if depth == 1 {
-                        self.expr(e)
-                    } else {
-                        let inner = self.quasi(e, depth - 1)?;
-                        Ok(list(vec![
-                            sym("list"),
-                            list(vec![sym("quote"), sym("unquote")]),
-                            inner,
-                        ]))
+            Datum::List(mut items) => {
+                let tag = match items.as_slice() {
+                    [u, _] if is_sym(u, "unquote") || is_sym(u, "quasiquote") => u.as_sym(),
+                    _ => None,
+                };
+                match tag {
+                    Some("unquote") => {
+                        let e = items.pop().expect("two elements");
+                        if depth == 1 {
+                            self.expr(e)
+                        } else {
+                            let inner = self.quasi(e, depth - 1)?;
+                            let tag = self.sym("unquote");
+                            let tag = self.quote(tag);
+                            Ok(list(vec![self.sym("list"), tag, inner]))
+                        }
                     }
+                    Some(_) => {
+                        let e = items.pop().expect("two elements");
+                        let inner = self.quasi(e, depth + 1)?;
+                        let tag = self.sym("quasiquote");
+                        let tag = self.quote(tag);
+                        Ok(list(vec![self.sym("list"), tag, inner]))
+                    }
+                    None => self.quasi_seq(items, None, depth),
                 }
-                [Datum::Sym(u), e] if u == "quasiquote" => {
-                    let inner = self.quasi(e, depth + 1)?;
-                    Ok(list(vec![
-                        sym("list"),
-                        list(vec![sym("quote"), sym("quasiquote")]),
-                        inner,
-                    ]))
-                }
-                _ => self.quasi_seq(items, None, depth),
-            },
-            Datum::Improper(items, tail) => self.quasi_seq(items, Some(tail), depth),
-            atom => Ok(list(vec![sym("quote"), atom.clone()])),
+            }
+            Datum::Improper(items, tail) => self.quasi_seq(items, Some(*tail), depth),
+            atom => Ok(self.quote(atom)),
         }
     }
 
     fn quasi_seq(
         &mut self,
-        items: &[Datum],
-        tail: Option<&Datum>,
+        items: Vec<Datum>,
+        tail: Option<Datum>,
         depth: u32,
     ) -> Result<Datum, LangError> {
         let mut acc = match tail {
             Some(t) => self.quasi(t, depth)?,
-            None => list(vec![sym("quote"), Datum::nil()]),
+            None => self.quote(Datum::nil()),
         };
-        for item in items.iter().rev() {
+        for item in items.into_iter().rev() {
             let is_splice = depth == 1
-                && matches!(item.as_list(),
-                    Some([Datum::Sym(u), _]) if u == "unquote-splicing");
+                && matches!(item.as_list(), Some([u, _]) if is_sym(u, "unquote-splicing"));
             if is_splice {
-                let e = &item.as_list().unwrap()[1];
-                acc = list(vec![sym("append"), self.expr(e)?, acc]);
+                let Datum::List(mut parts) = item else {
+                    unreachable!("matched above")
+                };
+                let e = self.expr(parts.pop().expect("two elements"))?;
+                acc = list(vec![self.sym("append"), e, acc]);
             } else {
                 let head = self.quasi(item, depth)?;
-                acc = list(vec![sym("cons"), head, acc]);
+                acc = list(vec![self.sym("cons"), head, acc]);
             }
         }
         Ok(acc)
     }
 }
 
-fn rebuild_params(params: &[Datum]) -> Datum {
-    // `define_function` encodes a rest arg as a trailing Improper([], tail).
-    if let Some(Datum::Improper(items, tail)) = params.last() {
-        if items.is_empty() {
-            let fixed = params[..params.len() - 1].to_vec();
-            if fixed.is_empty() {
-                return (**tail).clone();
-            }
-            return Datum::Improper(fixed, tail.clone());
-        }
-    }
-    Datum::List(params.to_vec())
-}
-
 fn has_unquote(d: &Datum) -> bool {
     match d {
         Datum::List(items) => {
-            if let [Datum::Sym(u), _] = items.as_slice() {
-                if u == "unquote" || u == "unquote-splicing" {
+            if let [u, _] = items.as_slice() {
+                if is_sym(u, "unquote") || is_sym(u, "unquote-splicing") {
                     return true;
                 }
             }

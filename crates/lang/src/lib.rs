@@ -81,6 +81,7 @@ impl From<sct_sexpr::ParseError> for LangError {
 /// variables, or duplicate parameter names.
 pub fn compile_program(source: &str) -> Result<Program, LangError> {
     let data = sct_sexpr::parse_all(source)?;
-    let expanded = desugar::desugar_top_level(&data)?;
-    resolve::resolve_program(&expanded)
+    // Each stage consumes its input, freeing it as it goes.
+    let expanded = desugar::desugar_program(data)?;
+    resolve::resolve_forms(expanded)
 }

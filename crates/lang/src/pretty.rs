@@ -33,7 +33,7 @@ impl Scope {
     }
 }
 
-fn sym(s: impl Into<String>) -> Datum {
+fn sym(s: impl Into<std::rc::Rc<str>>) -> Datum {
     Datum::Sym(s.into())
 }
 

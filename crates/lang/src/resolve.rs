@@ -4,31 +4,47 @@
 //! names become global indices, unshadowed primitive names become direct
 //! [`Prim`] references), rejects unbound variables and duplicate parameters,
 //! and computes each lambda's free-variable list for closure fingerprinting.
+//!
+//! Scopes hold the reader's interned symbols, so opening a frame copies
+//! no name, and operand lists are collected on a scratch stack and moved
+//! into their `Rc<[Expr]>` at their exact length.
 
 use crate::ast::{Expr, GlobalIndex, LambdaDef, Program, TopForm, VarRef};
 use crate::desugar::TERM_C_HEAD;
 use crate::prims::Prim;
 use crate::LangError;
-use sct_sexpr::Datum;
+use sct_sexpr::{Datum, FxBuildHasher};
+use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 
-/// Resolves a desugared top-level program.
+/// Resolves a desugared top-level program, borrowing its forms (the
+/// same resolver that [`compile_program`](crate::compile_program) runs
+/// over the forms it owns).
 ///
 /// # Errors
 ///
 /// Returns [`LangError`] on unbound variables, malformed kernel forms,
 /// duplicate parameters, or `set!` of a primitive.
 pub fn resolve_program(forms: &[Datum]) -> Result<Program, LangError> {
+    resolve_forms(forms.iter().collect())
+}
+
+/// Resolves a desugared top-level program. Given owned forms, it frees
+/// each one as soon as it is resolved, so the desugared tree and the core
+/// AST are not both held in full.
+pub(crate) fn resolve_forms<D: Borrow<Datum>>(forms: Vec<D>) -> Result<Program, LangError> {
     let mut resolver = Resolver::new();
     // First pass: collect all global names so mutual recursion resolves.
-    for form in forms {
+    for form in &forms {
+        let form = form.borrow();
         if let Some([_, Datum::Sym(name), _]) = form.as_list().filter(|_| form.head_is("define")) {
             resolver.intern_global(name);
         }
     }
-    let mut top_level = Vec::new();
+    let mut top_level = Vec::with_capacity(forms.len());
     for form in forms {
+        let form = form.borrow();
         match form.as_list() {
             Some([_, Datum::Sym(name), init]) if form.head_is("define") => {
                 let index = resolver.intern_global(name);
@@ -52,9 +68,14 @@ struct Resolver {
     globals: Vec<String>,
     /// `globals` inverted, so every name lookup is O(1): a linear scan per
     /// lookup made resolving an n-define program quadratic.
-    global_index: HashMap<String, GlobalIndex>,
-    /// Innermost scope last; each scope is a frame's slot names.
-    scopes: Vec<Vec<String>>,
+    global_index: HashMap<Rc<str>, GlobalIndex, FxBuildHasher>,
+    /// The slot names of every open frame, innermost frame last.
+    names: Vec<Rc<str>>,
+    /// Where each open frame's slots start in `names`.
+    frames: Vec<usize>,
+    /// Operands resolved so far of the forms being resolved, innermost
+    /// form last; each form moves its own out when it is complete.
+    operands: Vec<Expr>,
     lambda_counter: u32,
 }
 
@@ -66,32 +87,46 @@ impl Resolver {
     fn new() -> Resolver {
         Resolver {
             globals: Vec::new(),
-            global_index: HashMap::new(),
-            scopes: Vec::new(),
+            global_index: HashMap::default(),
+            names: Vec::new(),
+            frames: Vec::new(),
+            operands: Vec::new(),
             lambda_counter: 0,
         }
     }
 
-    fn intern_global(&mut self, name: &str) -> GlobalIndex {
+    fn intern_global(&mut self, name: &Rc<str>) -> GlobalIndex {
         if let Some(&i) = self.global_index.get(name) {
             return i;
         }
         let i = self.globals.len() as GlobalIndex;
         self.globals.push(name.to_string());
-        self.global_index.insert(name.to_string(), i);
+        self.global_index.insert(Rc::clone(name), i);
         i
     }
 
     fn lookup_local(&self, name: &str) -> Option<VarRef> {
-        for (depth, frame) in self.scopes.iter().rev().enumerate() {
-            if let Some(slot) = frame.iter().position(|n| n == name) {
+        let mut end = self.names.len();
+        for (depth, &start) in self.frames.iter().rev().enumerate() {
+            if let Some(slot) = self.names[start..end].iter().position(|n| **n == *name) {
                 return Some(VarRef {
                     depth: depth as u16,
                     slot: slot as u16,
                 });
             }
+            end = start;
         }
         None
+    }
+
+    /// Opens an empty innermost frame; slots are pushed onto `names`.
+    fn open_frame(&mut self) {
+        self.frames.push(self.names.len());
+    }
+
+    fn close_frame(&mut self) {
+        let start = self.frames.pop().expect("an open frame");
+        self.names.truncate(start);
     }
 
     fn variable(&mut self, name: &str) -> Result<Expr, LangError> {
@@ -105,6 +140,20 @@ impl Resolver {
             return Ok(Expr::PrimRef(p));
         }
         Err(err(format!("unbound variable {name}")))
+    }
+
+    /// Resolves `forms` in order into one exact-length slice; `hint`
+    /// names each form's λ, if it is one.
+    fn operands<'d>(
+        &mut self,
+        forms: impl Iterator<Item = (&'d Datum, Option<&'d str>)>,
+    ) -> Result<Rc<[Expr]>, LangError> {
+        let base = self.operands.len();
+        for (form, hint) in forms {
+            let e = self.expr(form, hint)?;
+            self.operands.push(e);
+        }
+        Ok(self.operands.drain(base..).collect())
     }
 
     fn expr(&mut self, d: &Datum, name_hint: Option<&str>) -> Result<Expr, LangError> {
@@ -156,14 +205,11 @@ impl Resolver {
                         });
                     }
                     "begin" => {
-                        let body: Vec<Expr> = items[1..]
-                            .iter()
-                            .map(|e| self.expr(e, None))
-                            .collect::<Result<_, _>>()?;
-                        if body.is_empty() {
+                        if items.len() == 1 {
                             return Err(err("empty begin"));
                         }
-                        return Ok(Expr::Seq(Rc::from(body)));
+                        let body = self.operands(items[1..].iter().map(|e| (e, None)))?;
+                        return Ok(Expr::Seq(body));
                     }
                     "set!" => {
                         let [_, Datum::Sym(name), value] = items else {
@@ -173,7 +219,7 @@ impl Resolver {
                         if let Some(var) = self.lookup_local(name) {
                             return Ok(Expr::SetLocal { var, value });
                         }
-                        if let Some(&index) = self.global_index.get(name.as_str()) {
+                        if let Some(&index) = self.global_index.get(name) {
                             return Ok(Expr::SetGlobal { index, value });
                         }
                         if Prim::from_name(name).is_some() {
@@ -208,14 +254,8 @@ impl Resolver {
         }
         // Application.
         let func = Rc::new(self.expr(&items[0], None)?);
-        let args: Vec<Expr> = items[1..]
-            .iter()
-            .map(|e| self.expr(e, None))
-            .collect::<Result<_, _>>()?;
-        Ok(Expr::App {
-            func,
-            args: Rc::from(args),
-        })
+        let args = self.operands(items[1..].iter().map(|e| (e, None)))?;
+        Ok(Expr::App { func, args })
     }
 
     fn let_form(
@@ -224,40 +264,36 @@ impl Resolver {
         body: &Datum,
         recursive: bool,
     ) -> Result<Expr, LangError> {
-        let mut names = Vec::with_capacity(bindings.len());
-        let mut init_data = Vec::with_capacity(bindings.len());
+        let mut parts: Vec<(&Rc<str>, &Datum)> = Vec::with_capacity(bindings.len());
         for b in bindings {
             let Some([Datum::Sym(name), init]) = b.as_list() else {
                 return Err(err(format!("malformed binding {b}")));
             };
-            if names.contains(name) {
+            if parts.iter().any(|(n, _)| *n == name) {
                 return Err(err(format!("duplicate binding {name}")));
             }
-            names.push(name.clone());
-            init_data.push((name.clone(), init.clone()));
+            parts.push((name, init));
         }
+        let inits = parts.iter().map(|&(name, init)| (init, Some(&**name)));
+        let names = parts.iter().map(|&(name, _)| Rc::clone(name));
         if recursive {
-            self.scopes.push(names);
-            let inits: Vec<Expr> = init_data
-                .iter()
-                .map(|(n, e)| self.expr(e, Some(n)))
-                .collect::<Result<_, _>>()?;
+            self.open_frame();
+            self.names.extend(names);
+            let inits = self.operands(inits)?;
             let body = self.expr(body, None)?;
-            self.scopes.pop();
+            self.close_frame();
             Ok(Expr::LetRec {
-                inits: Rc::from(inits),
+                inits,
                 body: Rc::new(body),
             })
         } else {
-            let inits: Vec<Expr> = init_data
-                .iter()
-                .map(|(n, e)| self.expr(e, Some(n)))
-                .collect::<Result<_, _>>()?;
-            self.scopes.push(names);
+            let inits = self.operands(inits)?;
+            self.open_frame();
+            self.names.extend(names);
             let body = self.expr(body, None)?;
-            self.scopes.pop();
+            self.close_frame();
             Ok(Expr::Let {
-                inits: Rc::from(inits),
+                inits,
                 body: Rc::new(body),
             })
         }
@@ -269,11 +305,12 @@ impl Resolver {
         body: &Datum,
         name_hint: Option<&str>,
     ) -> Result<Expr, LangError> {
-        let (names, variadic) = parse_params(params)?;
-        let required = names.len() - usize::from(variadic);
-        self.scopes.push(names);
+        self.open_frame();
+        let variadic = self.push_params(params)?;
+        let start = *self.frames.last().expect("the parameter frame");
+        let required = self.names.len() - start - usize::from(variadic);
         let body = self.expr(body, None)?;
-        self.scopes.pop();
+        self.close_frame();
 
         let mut free = BTreeSet::new();
         collect_free(&body, 1, &mut free);
@@ -289,41 +326,43 @@ impl Resolver {
             free: free.into_iter().collect(),
         })))
     }
-}
 
-/// Parses a lambda parameter spec: `(a b)`, `(a b . rest)`, or `args`.
-/// Returns slot names (rest last) and whether the lambda is variadic.
-fn parse_params(params: &Datum) -> Result<(Vec<String>, bool), LangError> {
-    let mut names: Vec<String> = Vec::new();
-    let push = |d: &Datum, names: &mut Vec<String>| -> Result<(), LangError> {
+    /// Pushes a lambda parameter spec's slot names — `(a b)`, `(a b . rest)`
+    /// or `args`, rest last — into the innermost frame. Returns whether the
+    /// lambda is variadic.
+    fn push_params(&mut self, params: &Datum) -> Result<bool, LangError> {
+        match params {
+            Datum::Sym(_) => {
+                self.push_param(params)?;
+                Ok(true)
+            }
+            Datum::List(items) => {
+                for p in items {
+                    self.push_param(p)?;
+                }
+                Ok(false)
+            }
+            Datum::Improper(items, tail) => {
+                for p in items {
+                    self.push_param(p)?;
+                }
+                self.push_param(tail)?;
+                Ok(true)
+            }
+            _ => Err(err(format!("malformed parameter list: {params}"))),
+        }
+    }
+
+    fn push_param(&mut self, d: &Datum) -> Result<(), LangError> {
         let Datum::Sym(s) = d else {
             return Err(err(format!("parameter is not a symbol: {d}")));
         };
-        if names.contains(s) {
+        let start = *self.frames.last().expect("the parameter frame");
+        if self.names[start..].contains(s) {
             return Err(err(format!("duplicate parameter {s}")));
         }
-        names.push(s.clone());
+        self.names.push(Rc::clone(s));
         Ok(())
-    };
-    match params {
-        Datum::Sym(_) => {
-            push(params, &mut names)?;
-            Ok((names, true))
-        }
-        Datum::List(items) => {
-            for p in items {
-                push(p, &mut names)?;
-            }
-            Ok((names, false))
-        }
-        Datum::Improper(items, tail) => {
-            for p in items {
-                push(p, &mut names)?;
-            }
-            push(tail, &mut names)?;
-            Ok((names, true))
-        }
-        _ => Err(err(format!("malformed parameter list: {params}"))),
     }
 }
 

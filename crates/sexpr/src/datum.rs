@@ -1,6 +1,7 @@
 //! The [`Datum`] tree: the external representation of λSCT programs.
 
 use std::fmt;
+use std::rc::Rc;
 
 /// A parsed S-expression.
 ///
@@ -30,8 +31,9 @@ pub enum Datum {
     Char(char),
     /// A string literal.
     Str(String),
-    /// A symbol.
-    Sym(String),
+    /// A symbol. The reader interns names, so every occurrence of a name
+    /// in one parse shares one allocation.
+    Sym(Rc<str>),
     /// A proper list `(d ...)`.
     List(Vec<Datum>),
     /// A dotted (improper) list `(d d ... . tail)`. The leading vector is
@@ -46,7 +48,7 @@ impl Datum {
     /// # use sct_sexpr::Datum;
     /// assert_eq!(Datum::sym("cons").to_string(), "cons");
     /// ```
-    pub fn sym(s: impl Into<String>) -> Datum {
+    pub fn sym(s: impl Into<Rc<str>>) -> Datum {
         Datum::Sym(s.into())
     }
 

@@ -44,6 +44,16 @@ pub enum TokenKind {
     Sym(String),
 }
 
+/// A token as the reader consumes it: a symbol stays a slice of the
+/// source text for the reader to intern, so reading a symbol allocates
+/// nothing.
+pub(crate) enum Lexeme<'a> {
+    /// Any token but a symbol.
+    Token(TokenKind),
+    /// A symbol's name.
+    Sym(&'a str),
+}
+
 /// Errors produced while tokenizing; converted into
 /// [`ParseError`](crate::ParseError) by the parser.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -250,7 +260,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn read_atom(&mut self, start: Pos) -> TokenKind {
+    fn read_atom(&mut self) -> Lexeme<'a> {
         let begin = self.at;
         while let Some(b) = self.peek() {
             if Self::is_delimiter(b) {
@@ -258,13 +268,27 @@ impl<'a> Lexer<'a> {
             }
             self.bump();
         }
-        let text = &self.text[begin..self.at];
-        classify_atom(text, start)
+        let text: &'a str = &self.text[begin..self.at];
+        match classify_atom(text) {
+            Some(kind) => Lexeme::Token(kind),
+            None => Lexeme::Sym(text),
+        }
     }
 
     /// Produces the next token, or `None` at end of input.
     #[allow(clippy::should_implement_trait)]
     pub fn next_token(&mut self) -> Result<Option<Token>, LexError> {
+        Ok(self.next_lexeme()?.map(|(lexeme, pos)| {
+            let kind = match lexeme {
+                Lexeme::Token(kind) => kind,
+                Lexeme::Sym(name) => TokenKind::Sym(name.to_string()),
+            };
+            Token { kind, pos }
+        }))
+    }
+
+    /// The next token and its position, or `None` at end of input.
+    pub(crate) fn next_lexeme(&mut self) -> Result<Option<(Lexeme<'a>, Pos)>, LexError> {
         self.skip_atmosphere()?;
         let pos = self.pos;
         let Some(b) = self.peek() else {
@@ -304,25 +328,26 @@ impl<'a> Lexer<'a> {
                 self.bump();
                 self.read_hash(pos)?
             }
-            _ => self.read_atom(pos),
+            _ => return Ok(Some((self.read_atom(), pos))),
         };
-        Ok(Some(Token { kind, pos }))
+        Ok(Some((Lexeme::Token(kind), pos)))
     }
 }
 
-/// Decides whether a bare atom is a number, a dot, or a symbol.
-fn classify_atom(text: &str, _pos: Pos) -> TokenKind {
+/// Decides whether a bare atom is a number or a dot; `None` means it is a
+/// symbol.
+fn classify_atom(text: &str) -> Option<TokenKind> {
     if text == "." {
-        return TokenKind::Dot;
+        return Some(TokenKind::Dot);
     }
     let body = text.strip_prefix(['+', '-']).unwrap_or(text);
     if !body.is_empty() && body.bytes().all(|b| b.is_ascii_digit()) {
-        match text.parse::<i64>() {
+        Some(match text.parse::<i64>() {
             Ok(n) => TokenKind::Int(n),
             Err(_) => TokenKind::BigInt(text.to_string()),
-        }
+        })
     } else {
-        TokenKind::Sym(text.to_string())
+        None
     }
 }
 

@@ -8,6 +8,10 @@
 //! integer literals, booleans, characters, strings, symbols, the quotation
 //! sugar (`'`, `` ` ``, `,`, `,@`), and line / block / datum comments.
 //!
+//! Symbols are interned once per parse: every occurrence of a name in one
+//! text shares one [`Rc<str>`](std::rc::Rc), and list vectors are
+//! allocated at their exact length.
+//!
 //! # Examples
 //!
 //! ```
@@ -22,10 +26,12 @@
 //! ```
 
 mod datum;
+mod intern;
 mod lexer;
 mod parser;
 
 pub use datum::Datum;
+pub use intern::{FxBuildHasher, FxHasher};
 pub use lexer::{Lexer, Token, TokenKind};
 pub use parser::{parse_all, parse_one, ParseError, Parser};
 

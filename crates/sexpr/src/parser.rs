@@ -1,6 +1,7 @@
 //! Recursive-descent parser from tokens to [`Datum`] trees.
 
-use crate::lexer::{LexError, Lexer, Token, TokenKind};
+use crate::intern::Interner;
+use crate::lexer::{LexError, Lexeme, Lexer, TokenKind};
 use crate::{Datum, Pos};
 use std::fmt;
 
@@ -47,7 +48,13 @@ impl From<LexError> for ParseError {
 /// ```
 pub struct Parser<'a> {
     lexer: Lexer<'a>,
-    lookahead: Option<Token>,
+    /// Every symbol name read so far: each occurrence of a name shares
+    /// one allocation.
+    symbols: Interner,
+    /// The elements read so far of every open list, innermost last. A
+    /// list moves its own elements out when it closes, so each list
+    /// vector is allocated once, at its exact length.
+    items: Vec<Datum>,
 }
 
 impl<'a> Parser<'a> {
@@ -55,20 +62,13 @@ impl<'a> Parser<'a> {
     pub fn new(text: &'a str) -> Parser<'a> {
         Parser {
             lexer: Lexer::new(text),
-            lookahead: None,
+            symbols: Interner::default(),
+            items: Vec::new(),
         }
     }
 
-    fn next_tok(&mut self) -> Result<Option<Token>, ParseError> {
-        if let Some(t) = self.lookahead.take() {
-            return Ok(Some(t));
-        }
-        Ok(self.lexer.next_token()?)
-    }
-
-    fn put_back(&mut self, t: Token) {
-        debug_assert!(self.lookahead.is_none());
-        self.lookahead = Some(t);
+    fn next_tok(&mut self) -> Result<Option<(Lexeme<'a>, Pos)>, ParseError> {
+        Ok(self.lexer.next_lexeme()?)
     }
 
     /// Parses the next datum, or returns `None` at end of input.
@@ -78,13 +78,14 @@ impl<'a> Parser<'a> {
     /// Returns [`ParseError`] on malformed input: unbalanced parentheses,
     /// mismatched bracket kinds, misplaced dots, or lexical errors.
     pub fn next_datum(&mut self) -> Result<Option<Datum>, ParseError> {
-        let Some(tok) = self.next_tok()? else {
+        let Some((lexeme, pos)) = self.next_tok()? else {
             return Ok(None);
         };
-        self.datum_from(tok).map(Some)
+        self.datum_from(lexeme, pos).map(Some)
     }
 
-    fn expect_datum(&mut self, why: &str, pos: Pos) -> Result<Datum, ParseError> {
+    /// The next datum; `why` is only formatted when there is none.
+    fn expect_datum(&mut self, why: impl fmt::Display, pos: Pos) -> Result<Datum, ParseError> {
         match self.next_datum()? {
             Some(d) => Ok(d),
             None => Err(ParseError {
@@ -94,100 +95,121 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn datum_from(&mut self, tok: Token) -> Result<Datum, ParseError> {
-        match tok.kind {
+    fn datum_from(&mut self, lexeme: Lexeme<'a>, pos: Pos) -> Result<Datum, ParseError> {
+        let kind = match lexeme {
+            Lexeme::Sym(name) => return Ok(Datum::Sym(self.symbols.intern(name))),
+            Lexeme::Token(kind) => kind,
+        };
+        match kind {
             TokenKind::Int(n) => Ok(Datum::Int(n)),
             TokenKind::BigInt(s) => Ok(Datum::BigInt(s)),
             TokenKind::Bool(b) => Ok(Datum::Bool(b)),
             TokenKind::Char(c) => Ok(Datum::Char(c)),
             TokenKind::Str(s) => Ok(Datum::Str(s)),
-            TokenKind::Sym(s) => Ok(Datum::Sym(s)),
-            TokenKind::Quote => self.sugar("quote", tok.pos),
-            TokenKind::Quasiquote => self.sugar("quasiquote", tok.pos),
-            TokenKind::Unquote => self.sugar("unquote", tok.pos),
-            TokenKind::UnquoteSplicing => self.sugar("unquote-splicing", tok.pos),
+            TokenKind::Sym(s) => Ok(Datum::Sym(self.symbols.intern(&s))),
+            TokenKind::Quote => self.sugar("quote", pos),
+            TokenKind::Quasiquote => self.sugar("quasiquote", pos),
+            TokenKind::Unquote => self.sugar("unquote", pos),
+            TokenKind::UnquoteSplicing => self.sugar("unquote-splicing", pos),
             TokenKind::DatumComment => {
                 // Skip the next datum, then parse the one after it.
-                let _ = self.expect_datum("datum expected after #;", tok.pos)?;
-                self.expect_datum("datum expected after commented datum", tok.pos)
+                let _ = self.expect_datum("datum expected after #;", pos)?;
+                self.expect_datum("datum expected after commented datum", pos)
             }
-            TokenKind::Open(open) => self.list(open, tok.pos),
+            TokenKind::Open(open) => self.list(open, pos),
             TokenKind::Close(c) => Err(ParseError {
                 message: format!("unexpected {c}"),
-                pos: tok.pos,
+                pos,
             }),
             TokenKind::Dot => Err(ParseError {
                 message: "unexpected .".into(),
-                pos: tok.pos,
+                pos,
             }),
         }
     }
 
     fn sugar(&mut self, name: &str, pos: Pos) -> Result<Datum, ParseError> {
-        let inner = self.expect_datum(&format!("datum expected after {name}"), pos)?;
-        Ok(Datum::List(vec![Datum::sym(name), inner]))
+        let inner = self.expect_datum(format_args!("datum expected after {name}"), pos)?;
+        Ok(Datum::List(vec![
+            Datum::Sym(self.symbols.intern(name)),
+            inner,
+        ]))
     }
 
     fn list(&mut self, open: char, open_pos: Pos) -> Result<Datum, ParseError> {
+        let base = self.items.len();
+        let list = self.list_items(open, open_pos, base);
+        if list.is_err() {
+            self.items.truncate(base);
+        }
+        list
+    }
+
+    /// The elements of the open list starting at `base`, followed by
+    /// `tail`'s, moved into one vector of their exact length.
+    fn close_items(&mut self, base: usize, tail: Vec<Datum>) -> Vec<Datum> {
+        let mut items = self.items.split_off(base);
+        if !tail.is_empty() {
+            items.reserve_exact(tail.len());
+            items.extend(tail);
+        }
+        items
+    }
+
+    fn list_items(&mut self, open: char, open_pos: Pos, base: usize) -> Result<Datum, ParseError> {
         let want_close = if open == '(' { ')' } else { ']' };
-        let mut items = Vec::new();
         loop {
-            let Some(tok) = self.next_tok()? else {
+            let Some((lexeme, pos)) = self.next_tok()? else {
                 return Err(ParseError {
                     message: format!("unclosed {open}"),
                     pos: open_pos,
                 });
             };
-            match tok.kind {
-                TokenKind::Close(c) => {
+            match lexeme {
+                Lexeme::Token(TokenKind::Close(c)) => {
                     if c != want_close {
                         return Err(ParseError {
                             message: format!("mismatched {c}: expected {want_close}"),
-                            pos: tok.pos,
+                            pos,
                         });
                     }
-                    return Ok(Datum::List(items));
+                    return Ok(Datum::List(self.close_items(base, Vec::new())));
                 }
-                TokenKind::Dot => {
-                    if items.is_empty() {
+                Lexeme::Token(TokenKind::Dot) => {
+                    if self.items.len() == base {
                         return Err(ParseError {
                             message: "dot with no preceding datum".into(),
-                            pos: tok.pos,
+                            pos,
                         });
                     }
-                    let tail = self.expect_datum("datum expected after .", tok.pos)?;
-                    let Some(close) = self.next_tok()? else {
+                    let tail = self.expect_datum("datum expected after .", pos)?;
+                    let Some((close, close_pos)) = self.next_tok()? else {
                         return Err(ParseError {
                             message: format!("unclosed {open}"),
                             pos: open_pos,
                         });
                     };
-                    match close.kind {
-                        TokenKind::Close(c) if c == want_close => {}
+                    match close {
+                        Lexeme::Token(TokenKind::Close(c)) if c == want_close => {}
                         _ => {
                             return Err(ParseError {
                                 message: "expected close paren after dotted tail".into(),
-                                pos: close.pos,
+                                pos: close_pos,
                             })
                         }
                     }
                     // Normalize: a dotted tail that is itself a list folds in.
                     return Ok(match tail {
-                        Datum::List(tail_items) => {
-                            items.extend(tail_items);
-                            Datum::List(items)
-                        }
+                        Datum::List(tail_items) => Datum::List(self.close_items(base, tail_items)),
                         Datum::Improper(mid, end) => {
-                            items.extend(mid);
-                            Datum::Improper(items, end)
+                            Datum::Improper(self.close_items(base, mid), end)
                         }
-                        atom => Datum::Improper(items, Box::new(atom)),
+                        atom => Datum::Improper(self.close_items(base, Vec::new()), Box::new(atom)),
                     });
                 }
                 _ => {
-                    self.put_back(tok);
-                    let d = self.expect_datum("datum expected in list", open_pos)?;
-                    items.push(d);
+                    let d = self.datum_from(lexeme, pos)?;
+                    self.items.push(d);
                 }
             }
         }

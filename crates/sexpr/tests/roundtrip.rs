@@ -26,7 +26,7 @@ fn datum_strategy() -> impl Strategy<Value = Datum> {
         Just(Datum::Char(' ')),
         Just(Datum::Char('\n')),
         "[ -~]{0,12}".prop_map(Datum::Str),
-        symbol_strategy().prop_map(Datum::Sym),
+        symbol_strategy().prop_map(Datum::sym),
     ];
     leaf.prop_recursive(4, 64, 6, |inner| {
         prop_oneof![
