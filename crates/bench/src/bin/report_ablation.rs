@@ -72,6 +72,9 @@ fn main() {
     measure("key: allocation", alloc, n, Some(base));
 
     println!("\nthe key-strategy rows trade soundness/precision, not just speed:");
-    println!("lambda-only spuriously rejects CPS code (§2.2); allocation misses");
-    println!("Y-combinator divergence — see tests named in EXPERIMENTS.md.");
+    println!("lambda-only spuriously rejects CPS code (§2.2), which structural keys accept:");
+    println!("  crates/interp/tests/semantics.rs::len_cps_fails_if_closures_conflated,");
+    println!("  tests/paper_claims.rs::section_2_2_cps_len;");
+    println!("allocation keys miss Y-combinator divergence:");
+    println!("  tests/paper_claims.rs::structural_keys_catch_y_combinator_divergence.");
 }

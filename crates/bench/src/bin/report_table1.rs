@@ -5,10 +5,9 @@
 //!
 //! Run: `cargo run --release -p sct-bench --bin report_table1`
 
-use sct_bench::sym_domain as to_sym;
 use sct_core::monitor::TableStrategy;
 use sct_corpus::{run_dynamic, table1, Verdict};
-use sct_symbolic::{verify_function, SymDomain, VerifyConfig};
+use sct_symbolic::{verify_function, ExecConfig};
 
 fn main() {
     println!("Table 1 — Evaluation on terminating programs");
@@ -45,13 +44,12 @@ fn main() {
             None => "N".to_string(),
             Some(spec) => {
                 let prog = sct_lang::compile_program(p.source).expect("compiles");
-                let domains: Vec<SymDomain> = spec.domains.iter().map(|d| to_sym(*d)).collect();
                 let verdict = verify_function(
                     &prog,
                     spec.function,
-                    &domains,
-                    to_sym(spec.result),
-                    &VerifyConfig::default(),
+                    spec.domains,
+                    spec.result,
+                    &ExecConfig::default(),
                 );
                 if verdict.is_verified() {
                     "Y".to_string()
@@ -82,6 +80,7 @@ fn main() {
     println!("dynamic column agreement: {dynamic_agree}/{total}");
     println!(
         "static column agreement:  {static_agree}/{static_total}  \
-         (deviations are precision wins; see EXPERIMENTS.md)"
+         (deviations are precision wins; see STRONGER_THAN_PAPER in \
+         crates/symbolic/tests/table1_static.rs)"
     );
 }

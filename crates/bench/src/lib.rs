@@ -105,7 +105,7 @@ use sct_corpus::workloads::Workload;
 use sct_interp::{reference, EvalError, Machine, MachineConfig, SemanticsMode, Stats, Value};
 use sct_ir::CompiledProgram;
 use sct_lang::ast::Program;
-use sct_symbolic::{plan_program, plan_program_incremental, PlanCache, PlanConfig, SymDomain};
+use sct_symbolic::{plan_program, plan_program_incremental, PlanCache, PlanConfig};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -169,17 +169,6 @@ pub struct CompiledWorkload {
     pub code_hybrid: Rc<CompiledProgram>,
 }
 
-/// Maps a corpus [`sct_corpus::Domain`] onto the verifier's domain.
-pub fn sym_domain(d: sct_corpus::Domain) -> SymDomain {
-    match d {
-        sct_corpus::Domain::Nat => SymDomain::Nat,
-        sct_corpus::Domain::Pos => SymDomain::Pos,
-        sct_corpus::Domain::Int => SymDomain::Int,
-        sct_corpus::Domain::List => SymDomain::List,
-        sct_corpus::Domain::Any => SymDomain::Any,
-    }
-}
-
 /// The [`PlanConfig`] a workload is planned under: the default ladder,
 /// with the workload's declared signature pinned when it has one. Shared
 /// by [`CompiledWorkload::new`] and the planning-cost measurements so the
@@ -187,13 +176,9 @@ pub fn sym_domain(d: sct_corpus::Domain) -> SymDomain {
 pub fn plan_config_for(workload: &Workload) -> PlanConfig {
     let mut plan_config = PlanConfig::default();
     if let Some((domains, result)) = workload.sig {
-        plan_config.signatures.insert(
-            workload.entry.to_string(),
-            (
-                domains.iter().copied().map(sym_domain).collect(),
-                sym_domain(result),
-            ),
-        );
+        plan_config
+            .signatures
+            .insert(workload.entry.to_string(), (domains.to_vec(), result));
     }
     plan_config
 }

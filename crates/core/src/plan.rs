@@ -81,6 +81,21 @@ impl PlanDomain {
             PlanDomain::Any => "any",
         }
     }
+
+    /// The domain whose [`PlanDomain::label`] is `s`, if any: how the
+    /// `sct-plan/3` codec and `sct verify`'s signature argument read a
+    /// domain.
+    pub fn from_label(s: &str) -> Option<PlanDomain> {
+        [
+            PlanDomain::Nat,
+            PlanDomain::Pos,
+            PlanDomain::Int,
+            PlanDomain::List,
+            PlanDomain::Any,
+        ]
+        .into_iter()
+        .find(|d| d.label() == s)
+    }
 }
 
 impl fmt::Display for PlanDomain {
@@ -472,6 +487,16 @@ mod tests {
             detail: "verified".into(),
             micros: 1,
         }
+    }
+
+    #[test]
+    fn domain_labels_round_trip() {
+        use PlanDomain::*;
+        for d in [Nat, Pos, Int, List, Any] {
+            assert_eq!(PlanDomain::from_label(d.label()), Some(d));
+        }
+        assert_eq!(PlanDomain::from_label("gnat"), None);
+        assert_eq!(PlanDomain::from_label(" nat"), None, "labels are exact");
     }
 
     #[test]

@@ -245,17 +245,6 @@ pub fn encode_entry(d: &PortableDecision) -> String {
     out
 }
 
-pub(crate) fn domain_from_label(s: &str) -> Result<PlanDomain, String> {
-    match s {
-        "nat" => Ok(PlanDomain::Nat),
-        "pos" => Ok(PlanDomain::Pos),
-        "int" => Ok(PlanDomain::Int),
-        "list" => Ok(PlanDomain::List),
-        "any" => Ok(PlanDomain::Any),
-        other => Err(format!("unknown domain label {other:?}")),
-    }
-}
-
 /// Decodes a persisted `sct-plan/3` entry.
 ///
 /// # Errors
@@ -284,7 +273,11 @@ pub fn decode_entry(text: &str) -> Result<PortableDecision, String> {
                 .and_then(Json::as_arr)
                 .ok_or("missing guard")?
             {
-                guard.push(domain_from_label(g.as_str().ok_or("guard: not a string")?)?);
+                let g = g.as_str().ok_or("guard: not a string")?;
+                guard.push(
+                    PlanDomain::from_label(g)
+                        .ok_or_else(|| format!("unknown domain label {g:?}"))?,
+                );
             }
             Decision::Static { guard }
         }

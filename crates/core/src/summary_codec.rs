@@ -66,7 +66,7 @@
 use crate::graph::ScGraph;
 use crate::json::{parse, Json};
 use crate::plan::PlanDomain;
-use crate::plan_codec::{domain_from_label, graph_from_json, graph_to_json};
+use crate::plan_codec::{graph_from_json, graph_to_json};
 
 /// Schema tag of the standalone summary document ([`encode_summary`]).
 /// Persisted summaries never carry it: the cache stores them inside the
@@ -185,17 +185,19 @@ pub(crate) fn summary_from_json(doc: &Json) -> Result<PortableSummary, String> {
         .and_then(Json::as_arr)
         .ok_or("missing guard")?
     {
-        guard.push(domain_from_label(g.as_str().ok_or("guard: not a string")?)?);
+        let g = g.as_str().ok_or("guard: not a string")?;
+        guard.push(PlanDomain::from_label(g).ok_or_else(|| format!("unknown domain label {g:?}"))?);
     }
     // Arity sanity, mirroring the graph decoder's 1024 cap.
     if guard.len() > 1024 {
         return Err(format!("implausible arity {}", guard.len()));
     }
-    let result = domain_from_label(
-        doc.get("result")
-            .and_then(Json::as_str)
-            .ok_or("missing result")?,
-    )?;
+    let result = doc
+        .get("result")
+        .and_then(Json::as_str)
+        .ok_or("missing result")?;
+    let result =
+        PlanDomain::from_label(result).ok_or_else(|| format!("unknown domain label {result:?}"))?;
     let entries = doc
         .get("graphs")
         .and_then(Json::as_arr)

@@ -113,20 +113,10 @@ pub struct PaperRow {
     pub acl2: Verdict,
 }
 
-/// Domain constraint on a symbolic argument for static verification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Domain {
-    /// A natural number (n ≥ 0).
-    Nat,
-    /// A strictly positive integer.
-    Pos,
-    /// Any integer.
-    Int,
-    /// A proper list.
-    List,
-    /// Any value (including functions).
-    Any,
-}
+use sct_core::plan::PlanDomain;
+/// The former name of [`PlanDomain`], kept only because the benchmark
+/// driver (`perfbench/src/exec_fig10.rs`) still names it.
+pub use sct_core::plan::PlanDomain as Domain;
 
 /// What to verify statically: apply `function` to symbolic values drawn
 /// from `domains` (§4.2's "apply the function on symbolic natural numbers
@@ -136,11 +126,11 @@ pub struct StaticSpec {
     /// Global function name to verify.
     pub function: &'static str,
     /// One domain per parameter.
-    pub domains: &'static [Domain],
+    pub domains: &'static [PlanDomain],
     /// Result domain, assumed at summarized recursive calls (the range of
     /// the function's total-correctness contract; see "Hybrid enforcement"
     /// in `docs/ARCHITECTURE.md`).
-    pub result: Domain,
+    pub result: PlanDomain,
 }
 
 /// One corpus program.

@@ -8,7 +8,7 @@
 //! along so the Table-1 harness can print paper-vs-measured.
 
 use crate::scheme_interp;
-use crate::{CorpusProgram, Domain, OrderSpec, PaperRow, StaticSpec, Verdict};
+use crate::{CorpusProgram, OrderSpec, PaperRow, PlanDomain, StaticSpec, Verdict};
 
 use Verdict::{
     Fail, NoHigherOrder, NotReported, NotTypable, Pass, PassAnnotated, PassCustomOrder,
@@ -44,8 +44,8 @@ pub const SCT_1: CorpusProgram = CorpusProgram {
     paper: row(Pass, Pass, PassRewritten, Pass, Pass),
     static_spec: Some(StaticSpec {
         function: "rev",
-        domains: &[Domain::List, Domain::Any],
-        result: Domain::Any,
+        domains: &[PlanDomain::List, PlanDomain::Any],
+        result: PlanDomain::Any,
     }),
 };
 
@@ -63,8 +63,8 @@ pub const SCT_2: CorpusProgram = CorpusProgram {
     paper: row(Pass, Pass, Fail, PassRewritten, Pass),
     static_spec: Some(StaticSpec {
         function: "f2",
-        domains: &[Domain::List, Domain::Any],
-        result: Domain::Any,
+        domains: &[PlanDomain::List, PlanDomain::Any],
+        result: PlanDomain::Any,
     }),
 };
 
@@ -83,8 +83,8 @@ pub const SCT_3: CorpusProgram = CorpusProgram {
     paper: row(Pass, Pass, PassAnnotated, Pass, Pass),
     static_spec: Some(StaticSpec {
         function: "ack",
-        domains: &[Domain::Nat, Domain::Nat],
-        result: Domain::Nat,
+        domains: &[PlanDomain::Nat, PlanDomain::Nat],
+        result: PlanDomain::Nat,
     }),
 };
 
@@ -103,8 +103,8 @@ pub const SCT_4: CorpusProgram = CorpusProgram {
     paper: row(Pass, Pass, Fail, Pass, Pass),
     static_spec: Some(StaticSpec {
         function: "p4",
-        domains: &[Domain::Nat, Domain::Nat, Domain::Nat],
-        result: Domain::Nat,
+        domains: &[PlanDomain::Nat, PlanDomain::Nat, PlanDomain::Nat],
+        result: PlanDomain::Nat,
     }),
 };
 
@@ -123,8 +123,8 @@ pub const SCT_5: CorpusProgram = CorpusProgram {
     paper: row(Pass, Pass, Fail, Pass, Pass),
     static_spec: Some(StaticSpec {
         function: "f5",
-        domains: &[Domain::List, Domain::List],
-        result: Domain::Any,
+        domains: &[PlanDomain::List, PlanDomain::List],
+        result: PlanDomain::Any,
     }),
 };
 
@@ -143,8 +143,8 @@ pub const SCT_6: CorpusProgram = CorpusProgram {
     paper: row(Pass, Pass, Fail, Pass, Pass),
     static_spec: Some(StaticSpec {
         function: "f6",
-        domains: &[Domain::List, Domain::List],
-        result: Domain::Any,
+        domains: &[PlanDomain::List, PlanDomain::List],
+        result: PlanDomain::Any,
     }),
 };
 
@@ -170,8 +170,8 @@ pub const HO_SC_ACK: CorpusProgram = CorpusProgram {
     paper: row(Pass, Fail, NotTypable, NotTypable, NoHigherOrder),
     static_spec: Some(StaticSpec {
         function: "ack",
-        domains: &[Domain::Nat, Domain::Nat],
-        result: Domain::Nat,
+        domains: &[PlanDomain::Nat, PlanDomain::Nat],
+        result: PlanDomain::Nat,
     }),
 };
 
@@ -187,8 +187,8 @@ pub const HO_SCT_FG: CorpusProgram = CorpusProgram {
     paper: row(Pass, Pass, Pass, Pass, NoHigherOrder),
     static_spec: Some(StaticSpec {
         function: "fh",
-        domains: &[Domain::Nat, Domain::Any],
-        result: Domain::Any,
+        domains: &[PlanDomain::Nat, PlanDomain::Any],
+        result: PlanDomain::Any,
     }),
 };
 
@@ -207,8 +207,8 @@ pub const HO_SCT_FOLD: CorpusProgram = CorpusProgram {
     paper: row(Pass, Pass, PassAnnotated, Pass, NoHigherOrder),
     static_spec: Some(StaticSpec {
         function: "foldl2",
-        domains: &[Domain::Any, Domain::Any, Domain::List],
-        result: Domain::Any,
+        domains: &[PlanDomain::Any, PlanDomain::Any, PlanDomain::List],
+        result: PlanDomain::Any,
     }),
 };
 
@@ -231,8 +231,8 @@ pub const ISABELLE_PERM: CorpusProgram = CorpusProgram {
     paper: row(Pass, Pass, Fail, Pass, Pass),
     static_spec: Some(StaticSpec {
         function: "perm?",
-        domains: &[Domain::List, Domain::List],
-        result: Domain::Any,
+        domains: &[PlanDomain::List, PlanDomain::List],
+        result: PlanDomain::Any,
     }),
 };
 
@@ -249,8 +249,8 @@ pub const ISABELLE_F: CorpusProgram = CorpusProgram {
     paper: row(Pass, Fail, Fail, Pass, Pass),
     static_spec: Some(StaticSpec {
         function: "fnest",
-        domains: &[Domain::Nat],
-        result: Domain::Nat,
+        domains: &[PlanDomain::Nat],
+        result: PlanDomain::Nat,
     }),
 };
 
@@ -267,8 +267,8 @@ pub const ISABELLE_FOO: CorpusProgram = CorpusProgram {
     paper: row(Pass, Fail, Fail, Pass, Pass),
     static_spec: Some(StaticSpec {
         function: "foo",
-        domains: &[Domain::Nat],
-        result: Domain::Nat,
+        domains: &[PlanDomain::Nat],
+        result: PlanDomain::Nat,
     }),
 };
 
@@ -287,8 +287,8 @@ pub const ISABELLE_BAR: CorpusProgram = CorpusProgram {
     paper: row(Pass, Fail, Fail, Pass, Pass),
     static_spec: Some(StaticSpec {
         function: "bar",
-        domains: &[Domain::Pos, Domain::Pos],
-        result: Domain::Any,
+        domains: &[PlanDomain::Pos, PlanDomain::Pos],
+        result: PlanDomain::Any,
     }),
 };
 
@@ -306,8 +306,8 @@ pub const ISABELLE_POLY: CorpusProgram = CorpusProgram {
     paper: row(Pass, Fail, Fail, Fail, Fail),
     static_spec: Some(StaticSpec {
         function: "build",
-        domains: &[Domain::Nat],
-        result: Domain::Any,
+        domains: &[PlanDomain::Nat],
+        result: PlanDomain::Any,
     }),
 };
 
@@ -324,8 +324,8 @@ pub const ACL2_FIG_2: CorpusProgram = CorpusProgram {
     paper: row(PassCustomOrder, Fail, Fail, Fail, Fail),
     static_spec: Some(StaticSpec {
         function: "upto",
-        domains: &[Domain::Nat, Domain::Nat],
-        result: Domain::Nat,
+        domains: &[PlanDomain::Nat, PlanDomain::Nat],
+        result: PlanDomain::Nat,
     }),
 };
 
@@ -342,8 +342,8 @@ pub const ACL2_FIG_6: CorpusProgram = CorpusProgram {
     paper: row(Pass, Pass, Fail, Fail, Fail),
     static_spec: Some(StaticSpec {
         function: "dec-even",
-        domains: &[Domain::Nat],
-        result: Domain::Nat,
+        domains: &[PlanDomain::Nat],
+        result: PlanDomain::Nat,
     }),
 };
 
@@ -359,8 +359,8 @@ pub const ACL2_FIG_7: CorpusProgram = CorpusProgram {
     paper: row(Pass, Fail, Fail, Fail, Pass),
     static_spec: Some(StaticSpec {
         function: "shrink",
-        domains: &[Domain::Nat],
-        result: Domain::Nat,
+        domains: &[PlanDomain::Nat],
+        result: PlanDomain::Nat,
     }),
 };
 
@@ -376,8 +376,8 @@ pub const LH_GCD: CorpusProgram = CorpusProgram {
     paper: row(Pass, Fail, Pass, Pass, Pass),
     static_spec: Some(StaticSpec {
         function: "euclid",
-        domains: &[Domain::Nat, Domain::Nat],
-        result: Domain::Nat,
+        domains: &[PlanDomain::Nat, PlanDomain::Nat],
+        result: PlanDomain::Nat,
     }),
 };
 
@@ -394,8 +394,8 @@ pub const LH_MAP: CorpusProgram = CorpusProgram {
     paper: row(Pass, Pass, Pass, Pass, NoHigherOrder),
     static_spec: Some(StaticSpec {
         function: "my-map",
-        domains: &[Domain::Any, Domain::List],
-        result: Domain::List,
+        domains: &[PlanDomain::Any, PlanDomain::List],
+        result: PlanDomain::List,
     }),
 };
 
@@ -416,8 +416,8 @@ pub const LH_MERGE: CorpusProgram = CorpusProgram {
     paper: row(Pass, Pass, PassAnnotated, Pass, Pass),
     static_spec: Some(StaticSpec {
         function: "merge",
-        domains: &[Domain::List, Domain::List],
-        result: Domain::List,
+        domains: &[PlanDomain::List, PlanDomain::List],
+        result: PlanDomain::List,
     }),
 };
 
@@ -433,8 +433,8 @@ pub const LH_RANGE: CorpusProgram = CorpusProgram {
     paper: row(PassCustomOrder, Fail, PassAnnotated, Fail, Pass),
     static_spec: Some(StaticSpec {
         function: "range",
-        domains: &[Domain::Nat, Domain::Nat],
-        result: Domain::List,
+        domains: &[PlanDomain::Nat, PlanDomain::Nat],
+        result: PlanDomain::List,
     }),
 };
 
@@ -450,8 +450,8 @@ pub const LH_TFACT: CorpusProgram = CorpusProgram {
     paper: row(Pass, Pass, Pass, Pass, Pass),
     static_spec: Some(StaticSpec {
         function: "tfact",
-        domains: &[Domain::Nat, Domain::Int],
-        result: Domain::Int,
+        domains: &[PlanDomain::Nat, PlanDomain::Int],
+        result: PlanDomain::Int,
     }),
 };
 
@@ -475,8 +475,8 @@ pub const DDERIV: CorpusProgram = CorpusProgram {
     paper: row(Pass, Pass, NotReported, NotReported, NotReported),
     static_spec: Some(StaticSpec {
         function: "dderiv",
-        domains: &[Domain::Any],
-        result: Domain::Any,
+        domains: &[PlanDomain::Any],
+        result: PlanDomain::Any,
     }),
 };
 
@@ -498,8 +498,8 @@ pub const DERIV: CorpusProgram = CorpusProgram {
     paper: row(Pass, Fail, NotReported, NotReported, NotReported),
     static_spec: Some(StaticSpec {
         function: "deriv",
-        domains: &[Domain::Any],
-        result: Domain::Any,
+        domains: &[PlanDomain::Any],
+        result: PlanDomain::Any,
     }),
 };
 
@@ -521,8 +521,8 @@ pub const DESTRUCT: CorpusProgram = CorpusProgram {
     paper: row(Pass, Fail, NotReported, NotReported, NotReported),
     static_spec: Some(StaticSpec {
         function: "churn",
-        domains: &[Domain::List, Domain::Nat],
-        result: Domain::Any,
+        domains: &[PlanDomain::List, PlanDomain::Nat],
+        result: PlanDomain::Any,
     }),
 };
 
@@ -540,8 +540,8 @@ pub const DIV: CorpusProgram = CorpusProgram {
     paper: row(Pass, Pass, NotReported, NotReported, NotReported),
     static_spec: Some(StaticSpec {
         function: "iterative-div2",
-        domains: &[Domain::List],
-        result: Domain::List,
+        domains: &[PlanDomain::List],
+        result: PlanDomain::List,
     }),
 };
 
@@ -579,8 +579,8 @@ pub const NFA: CorpusProgram = CorpusProgram {
     paper: row(Pass, Pass, NotReported, NotReported, NotReported),
     static_spec: Some(StaticSpec {
         function: "run-nfa",
-        domains: &[Domain::List],
-        result: Domain::Any,
+        domains: &[PlanDomain::List],
+        result: PlanDomain::Any,
     }),
 };
 

@@ -14,7 +14,7 @@
 //! * the interpreted versions pay the interpreter's own monitored calls.
 
 use crate::scheme_interp;
-use crate::{Domain, OrderSpec};
+use crate::{OrderSpec, PlanDomain};
 use sct_bignum::Int;
 use sct_interp::Value;
 
@@ -34,12 +34,12 @@ pub struct Workload {
     pub make_args: fn(u64) -> Vec<Value>,
     /// Checks the result for a given input size.
     pub check: fn(u64, &Value) -> bool,
-    /// Declared verification signature of the entry — one [`Domain`] per
+    /// Declared verification signature of the entry — one [`PlanDomain`] per
     /// parameter plus the result domain — used by the hybrid bench column
     /// to pin the static pre-pass instead of the automatic domain ladder.
     /// `None` leaves the ladder in charge (interpreted workloads, whose
     /// meta-circular loops the verifier cannot discharge anyway).
-    pub sig: Option<(&'static [Domain], Domain)>,
+    pub sig: Option<(&'static [PlanDomain], PlanDomain)>,
 }
 
 /// Deterministic pseudo-random generator (LCG) for workload inputs.
@@ -220,7 +220,7 @@ pub fn fig10() -> Vec<Workload> {
             order: OrderSpec::Default,
             make_args: int_arg,
             check: check_fact,
-            sig: Some((&[Domain::Nat], Domain::Any)),
+            sig: Some((&[PlanDomain::Nat], PlanDomain::Any)),
         },
         Workload {
             id: "sum",
@@ -230,7 +230,7 @@ pub fn fig10() -> Vec<Workload> {
             order: OrderSpec::Default,
             make_args: sum_args,
             check: check_sum,
-            sig: Some((&[Domain::Nat, Domain::Nat], Domain::Any)),
+            sig: Some((&[PlanDomain::Nat, PlanDomain::Nat], PlanDomain::Any)),
         },
         Workload {
             id: "ack",
@@ -240,7 +240,7 @@ pub fn fig10() -> Vec<Workload> {
             order: OrderSpec::Default,
             make_args: ack_args,
             check: check_ack,
-            sig: Some((&[Domain::Nat, Domain::Nat], Domain::Nat)),
+            sig: Some((&[PlanDomain::Nat, PlanDomain::Nat], PlanDomain::Nat)),
         },
         Workload {
             id: "msort",
@@ -250,7 +250,7 @@ pub fn fig10() -> Vec<Workload> {
             order: OrderSpec::Default,
             make_args: msort_args,
             check: check_sorted_ints,
-            sig: Some((&[Domain::List], Domain::List)),
+            sig: Some((&[PlanDomain::List], PlanDomain::List)),
         },
         Workload {
             id: "interp-fact",

@@ -60,7 +60,7 @@ pub struct FuzzConfig {
 impl Default for FuzzConfig {
     fn default() -> FuzzConfig {
         let mut plan = PlanConfig::default();
-        plan.verify.exec.step_budget = 30_000;
+        plan.exec.step_budget = 30_000;
         FuzzConfig {
             plan,
             fuel: 2_000_000,

@@ -53,7 +53,7 @@
 //! let keys = |src: &str| {
 //!     let p = compile_program(src).unwrap();
 //!     let index = ProgramIndex::build(&p);
-//!     let snapshot = GlobalSnapshot::build(&p, &cfg.verify.exec);
+//!     let snapshot = GlobalSnapshot::build(&p, &cfg.exec);
 //!     let d = ProgramDigests::new(&p, &index, &snapshot, &cfg);
 //!     (d.key(&p, 0), d.key(&p, 1))
 //! };
@@ -69,9 +69,10 @@
 //!                      (define (f x) (if (zero? x) 0 (f (dec x))))"));
 //! ```
 
-use crate::exec::{self, GlobalSnapshot, SymDomain};
+use crate::exec::{self, GlobalSnapshot};
 use crate::pipeline::{PlanConfig, ProgramIndex, Signature};
 use crate::verify;
+use sct_core::plan::PlanDomain;
 use sct_core::plan_codec::PLAN_CODEC_SCHEMA;
 use sct_core::stable::{Digest128, StableHasher, STABLE_HASH_VERSION};
 use sct_lang::ast::{Expr, LambdaDef, Program, TopForm};
@@ -230,7 +231,7 @@ fn write_digest(d: Digest128, h: &mut StableHasher) {
 /// wiring that cannot change a decision (deadline, metrics, summaries
 /// on/off) stays out of the key.
 fn hash_config(config: &PlanConfig, h: &mut StableHasher) {
-    h.write_u64(config.verify.exec.step_budget);
+    h.write_u64(config.exec.step_budget);
     // The verifier's fixed budgets: a change to one re-keys every entry.
     h.write_u64(exec::MAX_OUTCOMES as u64);
     h.write_u32(exec::HAVOC_BUDGET);
@@ -256,13 +257,13 @@ fn hash_signature(signature: Option<&Signature>, h: &mut StableHasher) {
     }
 }
 
-fn domain_tag(d: SymDomain) -> u8 {
+fn domain_tag(d: PlanDomain) -> u8 {
     match d {
-        SymDomain::Nat => 1,
-        SymDomain::Pos => 2,
-        SymDomain::Int => 3,
-        SymDomain::List => 4,
-        SymDomain::Any => 5,
+        PlanDomain::Nat => 1,
+        PlanDomain::Pos => 2,
+        PlanDomain::Int => 3,
+        PlanDomain::List => 4,
+        PlanDomain::Any => 5,
     }
 }
 
@@ -426,7 +427,7 @@ mod tests {
     use sct_lang::compile_program;
 
     fn digests<'i>(p: &Program, index: &'i ProgramIndex, cfg: &PlanConfig) -> ProgramDigests<'i> {
-        let snapshot = GlobalSnapshot::build(p, &cfg.verify.exec);
+        let snapshot = GlobalSnapshot::build(p, &cfg.exec);
         ProgramDigests::new(p, index, &snapshot, cfg)
     }
 
@@ -499,14 +500,11 @@ mod tests {
     fn config_changes_rekey() {
         let base = PlanConfig::default();
         let mut small_fuel = PlanConfig::default();
-        small_fuel.verify.exec.step_budget = 7;
+        small_fuel.exec.step_budget = 7;
         let mut pinned = PlanConfig::default();
         pinned.signatures.insert(
             "sum".into(),
-            (
-                vec![crate::exec::SymDomain::Nat, crate::exec::SymDomain::Nat],
-                crate::exec::SymDomain::Nat,
-            ),
+            (vec![PlanDomain::Nat, PlanDomain::Nat], PlanDomain::Nat),
         );
         let k = |cfg: &PlanConfig| keys(TWO, cfg)[1].1.clone();
         let baseline = k(&base);
@@ -514,13 +512,9 @@ mod tests {
         assert_ne!(baseline, k(&pinned));
         // A signature pinned to a *different* define leaves sum's key alone.
         let mut other_pinned = PlanConfig::default();
-        other_pinned.signatures.insert(
-            "inc".into(),
-            (
-                vec![crate::exec::SymDomain::Nat],
-                crate::exec::SymDomain::Nat,
-            ),
-        );
+        other_pinned
+            .signatures
+            .insert("inc".into(), (vec![PlanDomain::Nat], PlanDomain::Nat));
         assert_eq!(baseline, k(&other_pinned));
     }
 
@@ -534,13 +528,9 @@ mod tests {
                    (define (h x) x)";
         let base = keys(src, &PlanConfig::default());
         let mut pinned = PlanConfig::default();
-        pinned.signatures.insert(
-            "f".into(),
-            (
-                vec![crate::exec::SymDomain::List],
-                crate::exec::SymDomain::Nat,
-            ),
-        );
+        pinned
+            .signatures
+            .insert("f".into(), (vec![PlanDomain::List], PlanDomain::Nat));
         let after = keys(src, &pinned);
         assert_ne!(base[0].1, after[0].1, "f's own signature changed");
         assert_ne!(base[1].1, after[1].1, "g reaches f: must be re-keyed");
@@ -622,6 +612,21 @@ mod tests {
                 "8d46aa670d0d31ceabc5567f71aaa60a",
             ]
         );
+    }
+
+    #[test]
+    fn signature_key_layout_is_pinned() {
+        // `key_layout_is_pinned` plans without signatures, so it does not
+        // pin the domain tags: this key folds a signature that names all
+        // five domains.
+        use PlanDomain::{Any, Int, List, Nat, Pos};
+        let p = compile_program("(define (f a b c l) (if (zero? a) 0 (f (- a 1) b c l)))").unwrap();
+        let mut cfg = PlanConfig::default();
+        cfg.signatures
+            .insert("f".into(), (vec![Nat, Pos, Int, List], Any));
+        let index = ProgramIndex::build(&p);
+        let d = digests(&p, &index, &cfg);
+        assert_eq!(d.key_at(&p, 0, 0), "1464143c00e9b5cb74088b391ff56787");
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::solver::{Branch, Delta, Solver};
 use crate::sym::{extend, lookup, AtomId, AtomKind, Path, SClosure, SEnv, SFrame, SValue};
 use sct_core::graph::ScGraph;
 use sct_core::order::{SizeChange, WellFoundedOrder};
+use sct_core::plan::PlanDomain;
 use sct_interp::{datum_to_value, Value};
 use sct_lang::ast::{Expr, LambdaDef, Program, TopForm};
 use sct_lang::{LambdaId, Prim};
@@ -45,21 +46,6 @@ pub(crate) const HAVOC_BUDGET: u32 = 64;
 /// number of λs anyway).
 pub(crate) const MAX_CHAIN: usize = 64;
 
-/// Argument domain for the entry function's parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SymDomain {
-    /// n ≥ 0.
-    Nat,
-    /// n ≥ 1.
-    Pos,
-    /// Any integer.
-    Int,
-    /// A proper list.
-    List,
-    /// Anything.
-    Any,
-}
-
 /// The entry function's invariant, re-checked at summarized self-calls
 /// (§4.2: "symbolic execution can also prove that the new arguments are
 /// natural numbers").
@@ -68,11 +54,11 @@ pub struct EntryInvariant {
     /// λ id of the entry function.
     pub id: LambdaId,
     /// Declared parameter domains.
-    pub domains: Vec<SymDomain>,
+    pub domains: Vec<PlanDomain>,
     /// Declared result domain, assumed for summarized self-calls — the
     /// function's range contract, exactly as checked-contract semantics
     /// guarantees at run time (§4.2 uses it to type the nested ack call).
-    pub result: SymDomain,
+    pub result: PlanDomain,
 }
 
 /// A verified callee's contract summary, as consumed by the executor: the
@@ -91,9 +77,9 @@ pub struct CalleeSummary {
     pub id: LambdaId,
     /// Domain assumption per parameter (the discharged ladder rung). A
     /// stub fires only when every argument is *provably* inside these.
-    pub domains: Vec<SymDomain>,
+    pub domains: Vec<PlanDomain>,
     /// The domain every application of the callee lands in.
-    pub result: SymDomain,
+    pub result: PlanDomain,
     /// Size-change graph sets the callee's own exploration discovered, per
     /// λ — possibly spanning several defines (callees it descended into).
     pub graphs: Vec<(LambdaId, Vec<ScGraph>)>,
@@ -449,23 +435,23 @@ impl<'p> Executor<'p> {
     }
 
     /// Allocates an atom constrained by a domain, extending the path.
-    pub fn fresh_in_domain(&mut self, d: SymDomain, path: &Path) -> (SValue, Path) {
+    pub fn fresh_in_domain(&mut self, d: PlanDomain, path: &Path) -> (SValue, Path) {
         match d {
-            SymDomain::Nat => {
+            PlanDomain::Nat => {
                 let a = self.fresh(AtomKind::Int);
                 let SValue::Atom(id) = a else { unreachable!() };
                 let p = path.assume(LinCon::ge0(crate::linear::Lin::var(id)));
                 (a, p)
             }
-            SymDomain::Pos => {
+            PlanDomain::Pos => {
                 let a = self.fresh(AtomKind::Int);
                 let SValue::Atom(id) = a else { unreachable!() };
                 let p = path.assume(LinCon::gt0(crate::linear::Lin::var(id)));
                 (a, p)
             }
-            SymDomain::Int => (self.fresh(AtomKind::Int), path.clone()),
-            SymDomain::List => (self.fresh(AtomKind::List), path.clone()),
-            SymDomain::Any => (self.fresh(AtomKind::Any), path.clone()),
+            PlanDomain::Int => (self.fresh(AtomKind::Int), path.clone()),
+            PlanDomain::List => (self.fresh(AtomKind::List), path.clone()),
+            PlanDomain::Any => (self.fresh(AtomKind::Any), path.clone()),
         }
     }
 
@@ -717,7 +703,7 @@ impl<'p> Executor<'p> {
                             let mut fresh_args = Vec::new();
                             let mut p = path.clone();
                             for _ in 0..c.def.params {
-                                let (a, p2) = self.fresh_in_domain(SymDomain::Any, &p);
+                                let (a, p2) = self.fresh_in_domain(PlanDomain::Any, &p);
                                 p = p2;
                                 fresh_args.push(a);
                             }
@@ -775,7 +761,7 @@ impl<'p> Executor<'p> {
             self.check_skip_invariant(def.id, &prev_args, &args, &path);
             let result_domain = match self.entry.as_ref() {
                 Some(e) if e.id == def.id => e.result,
-                _ => SymDomain::Any,
+                _ => PlanDomain::Any,
             };
             let (r, path) = self.fresh_in_domain(result_domain, &path);
             return vec![(path, SOut::Val(r))];
@@ -1179,19 +1165,19 @@ fn in_domain(
     solver: &Solver<'_>,
     path: &Path,
     v: &SValue,
-    d: SymDomain,
+    d: PlanDomain,
     kinds: &[AtomKind],
 ) -> bool {
     match d {
-        SymDomain::Nat => solver
+        PlanDomain::Nat => solver
             .linearize(path, v)
             .is_some_and(|l| crate::linear::entails(&path.lin, &LinCon::ge0(l))),
-        SymDomain::Pos => solver
+        PlanDomain::Pos => solver
             .linearize(path, v)
             .is_some_and(|l| crate::linear::entails(&path.lin, &LinCon::gt0(l))),
-        SymDomain::Int => is_int_like(solver, path, v),
-        SymDomain::List => is_list_like(path, v, kinds),
-        SymDomain::Any => true,
+        PlanDomain::Int => is_int_like(solver, path, v),
+        PlanDomain::List => is_list_like(path, v, kinds),
+        PlanDomain::Any => true,
     }
 }
 
@@ -1308,8 +1294,8 @@ mod tests {
     ) -> Rc<CalleeSummary> {
         Rc::new(CalleeSummary {
             id,
-            domains: vec![SymDomain::Any],
-            result: SymDomain::Any,
+            domains: vec![PlanDomain::Any],
+            result: PlanDomain::Any,
             graphs,
             callees,
             component: Rc::from([]),

@@ -22,7 +22,8 @@
 //!
 //! ```
 //! use sct_lang::compile_program;
-//! use sct_symbolic::{verify_function, SymDomain, VerifyConfig};
+//! use sct_core::plan::PlanDomain;
+//! use sct_symbolic::{verify_function, ExecConfig};
 //!
 //! let prog = compile_program(
 //!     "(define (ack m n)
@@ -31,8 +32,8 @@
 //!              [else (ack (- m 1) (ack m (- n 1)))]))",
 //! ).unwrap();
 //! let verdict = verify_function(
-//!     &prog, "ack", &[SymDomain::Nat, SymDomain::Nat], SymDomain::Nat,
-//!     &VerifyConfig::default());
+//!     &prog, "ack", &[PlanDomain::Nat, PlanDomain::Nat], PlanDomain::Nat,
+//!     &ExecConfig::default());
 //! assert!(verdict.is_verified(), "{verdict}");
 //! ```
 
@@ -47,12 +48,16 @@ pub mod sym;
 pub mod verify;
 
 pub use digest::ProgramDigests;
-pub use exec::{ExecConfig, Executor, SymDomain};
+pub use exec::{ExecConfig, Executor};
 pub use linear::{entails, unsat, Lin, LinCon};
 pub use pipeline::{
     plan_program, plan_program_incremental, DecisionStore, IncrementalStats, NullStore, PlanCache,
     PlanConfig, PlanObs,
 };
+/// The former name of [`PlanDomain`](sct_core::plan::PlanDomain), kept
+/// only because the benchmark driver (`perfbench/src/exec_fig10.rs`)
+/// still names it.
+pub use sct_core::plan::PlanDomain as SymDomain;
 pub use solver::Solver;
 pub use sym::{AtomKind, Path, SValue};
-pub use verify::{explore_function, verify_function, Exploration, StaticVerdict, VerifyConfig};
+pub use verify::{explore_function, verify_function, Exploration, StaticVerdict};

@@ -24,11 +24,11 @@
 //!
 //! `verify_function` needs argument domains, but a bare `(define (f x) …)`
 //! declares none. The pre-pass therefore tries a short ladder per
-//! function: first all-[`SymDomain::Any`] (a proof needing no run-time
-//! guard), then all-[`SymDomain::Nat`], then all-[`SymDomain::Pos`]. A
+//! function: first all-[`PlanDomain::Any`] (a proof needing no run-time
+//! guard), then all-[`PlanDomain::Nat`], then all-[`PlanDomain::Pos`]. A
 //! proof under a non-trivial domain is sound only for in-domain calls, so
-//! the resulting [`Decision::Static`] carries a [`PlanDomain`] guard the
-//! machine re-checks per call (a constant-time integer test;
+//! the resulting [`Decision::Static`] carries the rung's domains as a
+//! guard the machine re-checks per call (a constant-time integer test;
 //! out-of-domain calls fall back to the monitor). Callers that *know*
 //! signatures (the Table 1 harness, the benchmark driver) can pin them
 //! via [`PlanConfig::signatures`]. Refutation requires *every* ladder
@@ -65,8 +65,8 @@
 //! ```
 
 use crate::digest::ProgramDigests;
-use crate::exec::{CalleeSummary, GlobalSnapshot, SummaryTable, SymDomain};
-use crate::verify::{explore_with_names, Exploration, VerifyConfig};
+use crate::exec::{CalleeSummary, ExecConfig, GlobalSnapshot, SummaryTable};
+use crate::verify::{explore_with_names, Exploration};
 use sct_core::ljb::ClosureResult;
 use sct_core::plan::{Decision, EnforcementPlan, FnDecision, PlanDomain};
 use sct_core::plan_codec::PortableDecision;
@@ -80,7 +80,7 @@ use std::time::Instant;
 
 /// A declared verification signature: one domain per parameter plus the
 /// result domain assumed at summarized self-calls.
-pub type Signature = (Vec<SymDomain>, SymDomain);
+pub type Signature = (Vec<PlanDomain>, PlanDomain);
 
 /// Observability hook for the planner: when armed with a registry, the
 /// hybrid pre-pass records per-define plan time (`plan.define_us`),
@@ -172,10 +172,10 @@ impl PlanObs {
 /// Configuration for [`plan_program`].
 #[derive(Debug, Clone)]
 pub struct PlanConfig {
-    /// Per-attempt verifier configuration — [`VerifyConfig::exec`] is the
+    /// Per-attempt executor limits — [`ExecConfig::step_budget`] is the
     /// *fuel budget*: an exploration that exhausts it reports incomplete
     /// and the function falls back to [`Decision::Monitor`].
-    pub verify: VerifyConfig,
+    pub exec: ExecConfig,
     /// When true (the default), definite violations become
     /// [`Decision::Refuted`]; when false they degrade to
     /// [`Decision::Monitor`]. Refutation presumes the monitor runs the
@@ -223,7 +223,7 @@ pub struct PlanConfig {
 impl Default for PlanConfig {
     fn default() -> Self {
         PlanConfig {
-            verify: VerifyConfig::default(),
+            exec: ExecConfig::default(),
             refute: true,
             signatures: HashMap::new(),
             deadline: None,
@@ -370,7 +370,7 @@ pub fn plan_program_incremental(
     // One evaluation of the top-level environment, shared by every
     // exploration below — re-evaluating all N definitions per define
     // made whole-program planning quadratic.
-    let snapshot = GlobalSnapshot::build(program, &config.verify.exec);
+    let snapshot = GlobalSnapshot::build(program, &config.exec);
     // Content addressing costs a structural hash of the whole program;
     // skip it when the store cannot use keys anyway (NullStore).
     let digests = store
@@ -458,7 +458,7 @@ pub fn plan_program_incremental(
         // the program `set!`s, a later rebinding could invalidate the
         // discharge at run time — e.g. a helper swapped for one that no
         // longer descends. Such functions stay monitored.
-        let (decision, summary_data) = if let Some(g) = index.tainted_by(global) {
+        let (decision, summary) = if let Some(g) = index.tainted_by(global) {
             let reason = format!(
                 "depends on global {} which the program mutates (set!); \
                  a run-time rebinding could invalidate the proof",
@@ -476,39 +476,16 @@ pub fn plan_program_incremental(
                 summaries_on.then_some(&summary_table),
             )
         };
-        // Only `Static` decisions produce a summary — opaque-tainted
-        // defines end Inconclusive and mutation-tainted ones Monitor, so
-        // neither is ever stubbed — and only *recursive* callees are
-        // registered: a non-recursive body is cheap to descend, and its
-        // concrete results can be load-bearing for a caller's own descent
-        // proof.
-        let summary_data = summary_data.filter(|data| {
-            summaries_on
-                && data
-                    .graphs
-                    .iter()
-                    .any(|(id, set)| *id == def.id && !set.is_empty())
-        });
         // The summary is persisted inside the decision's entry.
         if let Some(key) = &key {
             let mut entry = PortableDecision::from_decision(&decision, nested);
-            entry.summary = summary_data
+            entry.summary = summary
                 .as_ref()
-                .and_then(|data| portable_summary(name, data, &index, program));
+                .and_then(|s| portable_summary(name, s, &index, program));
             store.store(key, &entry);
         }
-        if let Some(data) = summary_data {
-            summary_table.insert(
-                def.id,
-                Rc::new(CalleeSummary {
-                    id: def.id,
-                    domains: data.domains,
-                    result: data.result,
-                    graphs: data.graphs,
-                    callees: data.callees,
-                    component: index.members_of(global).clone(),
-                }),
-            );
+        if let Some(s) = summary {
+            summary_table.insert(def.id, Rc::new(s));
         }
         out.push((pos, decision, false));
     }
@@ -628,38 +605,27 @@ fn callee_first(refs: &[Vec<u32>]) -> Vec<Vec<u32>> {
     components
 }
 
-/// The ingredients of a freshly verified define's contract summary, as
-/// returned by `plan_function` alongside every `Static` decision: the
-/// discharged rung's domains, the graph sets the exploration discovered
-/// itself, and the callee summaries it stubbed.
-struct SummaryData {
-    domains: Vec<SymDomain>,
-    result: SymDomain,
-    graphs: Vec<(LambdaId, Vec<ScGraph>)>,
-    callees: Vec<Rc<CalleeSummary>>,
-}
-
 /// Encodes a summary for persistence, or `None` when some graph set or
 /// stubbed callee belongs to a λ without a portable address (see
 /// [`ProgramIndex::lambda_ref`]).
 fn portable_summary(
     name: &str,
-    data: &SummaryData,
+    summary: &CalleeSummary,
     index: &ProgramIndex,
     program: &Program,
 ) -> Option<PortableSummary> {
-    let mut graphs = Vec::with_capacity(data.graphs.len());
-    for (id, set) in &data.graphs {
+    let mut graphs = Vec::with_capacity(summary.graphs.len());
+    for (id, set) in &summary.graphs {
         graphs.push((index.lambda_ref(*id, program)?, set.clone()));
     }
-    let mut callees = Vec::with_capacity(data.callees.len());
-    for c in &data.callees {
+    let mut callees = Vec::with_capacity(summary.callees.len());
+    for c in &summary.callees {
         callees.push(index.lambda_ref(c.id, program)?.global);
     }
     Some(PortableSummary {
         name: name.to_string(),
-        guard: data.domains.iter().map(|d| plan_domain(*d)).collect(),
-        result: plan_domain(data.result),
+        guard: summary.domains.clone(),
+        result: summary.result,
         graphs,
         callees,
     })
@@ -702,8 +668,8 @@ fn rebind_summary(
     }
     Some(CalleeSummary {
         id: def.id,
-        domains: p.guard.iter().map(|d| sym_domain(*d)).collect(),
-        result: sym_domain(p.result),
+        domains: p.guard.clone(),
+        result: p.result,
         graphs,
         callees,
         component: index.members_of(global).clone(),
@@ -1008,7 +974,7 @@ fn run_attempt(
         name,
         domains,
         *result,
-        &config.verify,
+        &config.exec,
         pass.index.names().clone(),
         Some(entry_id),
         summaries,
@@ -1062,17 +1028,11 @@ fn run_attempt(
     (Attempt::Verified, Some(exploration))
 }
 
-/// The winning rung of a ladder run: everything needed to build both the
-/// `Static` decision and the define's contract summary.
-struct VerifiedRung {
-    domains: Vec<SymDomain>,
-    result: SymDomain,
-    exploration: Exploration,
-}
-
 /// One complete pass over the candidate ladder.
 struct LadderOutcome {
-    verified: Option<VerifiedRung>,
+    /// The winning rung and its exploration: everything needed to build
+    /// both the `Static` decision and the define's contract summary.
+    verified: Option<(Signature, Exploration)>,
     violations: Vec<(ScGraph, String, bool)>,
     last_reason: String,
     /// Whether any attempt answered an application from a callee summary.
@@ -1098,13 +1058,12 @@ fn run_ladder(
         stubbed: false,
     };
     for candidate in candidates {
-        let (domains, result) = candidate;
         let rung = if config.signatures.contains_key(name) {
             "signature"
         } else {
-            match domains.first() {
-                Some(SymDomain::Nat) => "nat",
-                Some(SymDomain::Pos) => "pos",
+            match candidate.0.first() {
+                Some(PlanDomain::Nat) => "nat",
+                Some(PlanDomain::Pos) => "pos",
                 _ => "any",
             }
         };
@@ -1135,11 +1094,8 @@ fn run_ladder(
         match attempt {
             Attempt::Verified => {
                 config.obs.rung_discharged(rung);
-                out.verified = Some(VerifiedRung {
-                    domains: domains.clone(),
-                    result: *result,
-                    exploration: exploration.expect("verified attempt has an exploration"),
-                });
+                let exploration = exploration.expect("verified attempt has an exploration");
+                out.verified = Some((candidate.clone(), exploration));
                 break;
             }
             Attempt::Violation {
@@ -1157,6 +1113,8 @@ fn run_ladder(
     out
 }
 
+/// Plans one define: its decision and, for a recursive `Static` define
+/// while summaries are on, the contract summary the pass registers.
 fn plan_function(
     pass: &Pass,
     cache: &mut PlanCache,
@@ -1165,7 +1123,7 @@ fn plan_function(
     blame: Option<String>,
     nested: &[LambdaId],
     summaries: Option<&SummaryTable>,
-) -> (FnDecision, Option<SummaryData>) {
+) -> (FnDecision, Option<CalleeSummary>) {
     let (name, config) = (&pass.program.global_names[global as usize], pass.config);
     let start = Instant::now();
     let base = FnDecision {
@@ -1210,10 +1168,10 @@ fn plan_function(
     let candidates: Vec<Signature> = match config.signatures.get(name) {
         Some(sig) => vec![sig.clone()],
         None => {
-            let mut c = vec![(vec![SymDomain::Any; params], SymDomain::Any)];
+            let mut c = vec![(vec![PlanDomain::Any; params], PlanDomain::Any)];
             if params > 0 {
-                c.push((vec![SymDomain::Nat; params], SymDomain::Any));
-                c.push((vec![SymDomain::Pos; params], SymDomain::Any));
+                c.push((vec![PlanDomain::Nat; params], PlanDomain::Any));
+                c.push((vec![PlanDomain::Pos; params], PlanDomain::Any));
             }
             c
         }
@@ -1228,27 +1186,26 @@ fn plan_function(
         outcome = run_ladder(pass, cache, name, def, &candidates, None, None);
     }
 
-    if let Some(rung) = outcome.verified {
-        let guard: Vec<PlanDomain> = rung.domains.iter().map(|d| plan_domain(*d)).collect();
-        let unconditional = guard.iter().all(|g| *g == PlanDomain::Any);
+    if let Some(((domains, result), exploration)) = outcome.verified {
+        let unconditional = domains.iter().all(|g| *g == PlanDomain::Any);
         let mut d = base;
         // Helper λs nested inside this define are covered by the
         // same exploration; λ ids belonging to *other* globals are
         // not (they may be called from unexplored contexts).
         if unconditional {
-            d.covers = rung
-                .exploration
+            d.covers = exploration
                 .graphs
                 .iter()
                 .map(|(id, _)| *id)
                 .filter(|id| *id != def.id && nested.contains(id))
                 .collect();
         }
-        d.decision = Decision::Static { guard };
+        d.decision = Decision::Static {
+            guard: domains.clone(),
+        };
         // The detail lists the λs the decision is about — the entry and
         // the λs nested in it — never a callee's: the text is the same
         // whether callees were stubbed or descended into.
-        let exploration = &rung.exploration;
         let mut sets: Vec<String> = exploration
             .graphs
             .iter()
@@ -1257,13 +1214,25 @@ fn plan_function(
             .collect();
         sets.sort();
         d.detail = format!("verified ({})", sets.join(", "));
-        let summary = SummaryData {
-            domains: rung.domains,
-            result: rung.result,
-            graphs: rung.exploration.own_graphs,
-            callees: rung.exploration.stubs,
-        };
-        return (finish(d), Some(summary));
+        // Only *recursive* defines are registered as contract summaries:
+        // a non-recursive body is cheap to descend, and its concrete
+        // results can be load-bearing for a caller's own descent proof.
+        // (Only `Static` decisions get here: opaque-tainted defines end
+        // Inconclusive and mutation-tainted ones Monitor, so neither is
+        // ever stubbed.)
+        let recursive = exploration
+            .own_graphs
+            .iter()
+            .any(|(id, set)| *id == def.id && !set.is_empty());
+        let summary = (summaries.is_some() && recursive).then(|| CalleeSummary {
+            id: def.id,
+            domains,
+            result,
+            graphs: exploration.own_graphs,
+            callees: exploration.stubs,
+            component: pass.index.members_of(global).clone(),
+        });
+        return (finish(d), summary);
     }
 
     let LadderOutcome {
@@ -1299,28 +1268,6 @@ fn plan_function(
         };
     }
     (finish(d), None)
-}
-
-/// The inverse of [`plan_domain`]: rebinding a persisted summary's guard
-/// back into executor domains.
-fn sym_domain(d: PlanDomain) -> SymDomain {
-    match d {
-        PlanDomain::Nat => SymDomain::Nat,
-        PlanDomain::Pos => SymDomain::Pos,
-        PlanDomain::Int => SymDomain::Int,
-        PlanDomain::List => SymDomain::List,
-        PlanDomain::Any => SymDomain::Any,
-    }
-}
-
-fn plan_domain(d: SymDomain) -> PlanDomain {
-    match d {
-        SymDomain::Nat => PlanDomain::Nat,
-        SymDomain::Pos => PlanDomain::Pos,
-        SymDomain::Int => PlanDomain::Int,
-        SymDomain::List => PlanDomain::List,
-        SymDomain::Any => PlanDomain::Any,
-    }
 }
 
 #[cfg(test)]
@@ -1437,7 +1384,7 @@ mod tests {
         let mut cfg = PlanConfig::default();
         cfg.signatures.insert(
             "sum".into(),
-            (vec![SymDomain::Nat, SymDomain::Int], SymDomain::Int),
+            (vec![PlanDomain::Nat, PlanDomain::Int], PlanDomain::Int),
         );
         let plan = plan_program(&prog, &cfg);
         let Decision::Static { guard } = &plan.decisions[0].decision else {
@@ -1634,7 +1581,7 @@ mod tests {
             .collect();
         let prog = compile_program(&source).unwrap();
         let mut cfg = PlanConfig::default();
-        cfg.verify.exec.step_budget = 500;
+        cfg.exec.step_budget = 500;
         let plan = plan_program(&prog, &cfg);
         assert_eq!(plan.count("static"), 600, "{:?}", plan.decisions[0]);
     }

@@ -4,12 +4,13 @@
 
 use crate::exec::{
     merge_summaries, CalleeSummary, EntryInvariant, ExecConfig, Executor, GlobalSnapshot, SOut,
-    SummaryTable, SymDomain,
+    SummaryTable,
 };
 use crate::pipeline::ProgramIndex;
 use crate::sym::{Path, SValue};
 use sct_core::graph::ScGraph;
 use sct_core::ljb::{closure_check, ClosureResult};
+use sct_core::plan::PlanDomain;
 use sct_lang::ast::{LambdaId, Program};
 use std::collections::HashMap;
 use std::fmt;
@@ -57,13 +58,6 @@ impl fmt::Display for StaticVerdict {
             StaticVerdict::NotVerified { reason } => write!(f, "not verified: {reason}"),
         }
     }
-}
-
-/// Configuration for a verification run.
-#[derive(Debug, Clone, Default)]
-pub struct VerifyConfig {
-    /// Executor resource limits.
-    pub exec: ExecConfig,
 }
 
 /// Depth to which closures escaping in the result are applied with fresh
@@ -145,9 +139,9 @@ impl Exploration {
 pub fn explore_function(
     program: &Program,
     function: &str,
-    domains: &[SymDomain],
-    result: SymDomain,
-    config: &VerifyConfig,
+    domains: &[PlanDomain],
+    result: PlanDomain,
+    config: &ExecConfig,
 ) -> Result<Exploration, String> {
     explore_with_names(
         program,
@@ -159,7 +153,7 @@ pub fn explore_function(
         None,
         None,
         None,
-        &GlobalSnapshot::build(program, &config.exec),
+        &GlobalSnapshot::build(program, config),
     )
 }
 
@@ -182,16 +176,16 @@ pub fn explore_function(
 pub(crate) fn explore_with_names(
     program: &Program,
     function: &str,
-    domains: &[SymDomain],
-    result: SymDomain,
-    config: &VerifyConfig,
+    domains: &[PlanDomain],
+    result: PlanDomain,
+    config: &ExecConfig,
     names: Rc<HashMap<LambdaId, String>>,
     expected_entry: Option<LambdaId>,
     summaries: Option<&SummaryTable>,
     caller_global: Option<u32>,
     snapshot: &GlobalSnapshot,
 ) -> Result<Exploration, String> {
-    let mut ex = Executor::with_snapshot(program, config.exec.clone(), snapshot);
+    let mut ex = Executor::with_snapshot(program, config.clone(), snapshot);
     if let Some(table) = summaries {
         ex.set_summaries(table, caller_global);
     }
@@ -271,9 +265,9 @@ pub(crate) fn explore_with_names(
 pub fn verify_function(
     program: &Program,
     function: &str,
-    domains: &[SymDomain],
-    result: SymDomain,
-    config: &VerifyConfig,
+    domains: &[PlanDomain],
+    result: PlanDomain,
+    config: &ExecConfig,
 ) -> StaticVerdict {
     let exploration = match explore_function(program, function, domains, result, config) {
         Ok(e) => e,
@@ -318,7 +312,7 @@ fn havoc_escaping(ex: &mut Executor<'_>, v: &SValue, path: &Path, depth: u32) {
             let mut p = path.clone();
             let mut args = Vec::new();
             for _ in 0..clo.def.frame_size().min(8) {
-                let (a, p2) = ex.fresh_in_domain(SymDomain::Any, &p);
+                let (a, p2) = ex.fresh_in_domain(PlanDomain::Any, &p);
                 p = p2;
                 args.push(a);
             }

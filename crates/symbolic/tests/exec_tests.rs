@@ -1,42 +1,48 @@
 //! Unit-level tests of the symbolic executor: branch exploration, list
 //! expansion, havoc, summarization, and the invariant guards.
 
+use sct_core::plan::PlanDomain;
 use sct_lang::compile_program;
-use sct_symbolic::{verify_function, StaticVerdict, SymDomain, VerifyConfig};
+use sct_symbolic::{verify_function, ExecConfig, StaticVerdict};
 
-fn verify(src: &str, f: &str, domains: &[SymDomain], result: SymDomain) -> StaticVerdict {
+fn verify(src: &str, f: &str, domains: &[PlanDomain], result: PlanDomain) -> StaticVerdict {
     let prog = compile_program(src).unwrap();
-    verify_function(&prog, f, domains, result, &VerifyConfig::default())
+    verify_function(&prog, f, domains, result, &ExecConfig::default())
 }
 
-fn assert_verified(src: &str, f: &str, domains: &[SymDomain], result: SymDomain) {
+fn assert_verified(src: &str, f: &str, domains: &[PlanDomain], result: PlanDomain) {
     let v = verify(src, f, domains, result);
     assert!(v.is_verified(), "{f} should verify, got: {v}");
 }
 
-fn assert_not_verified(src: &str, f: &str, domains: &[SymDomain], result: SymDomain) {
+fn assert_not_verified(src: &str, f: &str, domains: &[PlanDomain], result: PlanDomain) {
     let v = verify(src, f, domains, result);
     assert!(!v.is_verified(), "{f} should NOT verify");
 }
 
 #[test]
 fn nonrecursive_functions_verify_trivially() {
-    assert_verified("(define (k x) 42)", "k", &[SymDomain::Any], SymDomain::Any);
+    assert_verified(
+        "(define (k x) 42)",
+        "k",
+        &[PlanDomain::Any],
+        PlanDomain::Any,
+    );
     assert_verified(
         "(define (add3 a b c) (+ a (+ b c)))",
         "add3",
-        &[SymDomain::Int, SymDomain::Int, SymDomain::Int],
-        SymDomain::Int,
+        &[PlanDomain::Int, PlanDomain::Int, PlanDomain::Int],
+        PlanDomain::Int,
     );
 }
 
 #[test]
 fn countdown_verifies_with_nat_only() {
     let src = "(define (down n) (if (zero? n) 0 (down (- n 1))))";
-    assert_verified(src, "down", &[SymDomain::Nat], SymDomain::Nat);
+    assert_verified(src, "down", &[PlanDomain::Nat], PlanDomain::Nat);
     // Over all integers, |n−1| < |n| fails for n ≤ 0 … and indeed the
     // function diverges on negative inputs, so this must not verify.
-    assert_not_verified(src, "down", &[SymDomain::Int], SymDomain::Int);
+    assert_not_verified(src, "down", &[PlanDomain::Int], PlanDomain::Int);
 }
 
 #[test]
@@ -47,22 +53,22 @@ fn branch_pruning_uses_path_conditions() {
 (define (f n)
   (if (zero? n) 0
       (if (< n 1) (f n) (f (- n 1)))))";
-    assert_verified(src, "f", &[SymDomain::Nat], SymDomain::Nat);
+    assert_verified(src, "f", &[PlanDomain::Nat], PlanDomain::Nat);
 }
 
 #[test]
 fn list_expansion_drives_structural_descent() {
     let src = "(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))";
-    assert_verified(src, "len", &[SymDomain::List], SymDomain::Nat);
+    assert_verified(src, "len", &[PlanDomain::List], PlanDomain::Nat);
     // cadr-style descent (two steps at once) also proves.
     let src2 = "(define (pairs l) (if (null? l) 0 (+ 1 (pairs (cddr l)))))";
-    assert_verified(src2, "pairs", &[SymDomain::List], SymDomain::Nat);
+    assert_verified(src2, "pairs", &[PlanDomain::List], PlanDomain::Nat);
 }
 
 #[test]
 fn growing_list_argument_is_rejected() {
     let src = "(define (grow l) (if (null? l) 0 (grow (cons 1 l))))";
-    assert_not_verified(src, "grow", &[SymDomain::List], SymDomain::Any);
+    assert_not_verified(src, "grow", &[PlanDomain::List], PlanDomain::Any);
 }
 
 #[test]
@@ -70,18 +76,18 @@ fn mutual_recursion_graphs_cross_functions() {
     let src = "
 (define (even2? n) (if (zero? n) #t (odd2? (- n 1))))
 (define (odd2? n) (if (zero? n) #f (even2? (- n 1))))";
-    assert_verified(src, "even2?", &[SymDomain::Nat], SymDomain::Any);
+    assert_verified(src, "even2?", &[PlanDomain::Nat], PlanDomain::Any);
     // One leg not descending still composes to overall descent (the pair
     // terminates, shifted by one) — the LJB closure proves it.
     let shifted = "
 (define (even2? n) (if (zero? n) #t (odd2? n)))
 (define (odd2? n) (if (zero? n) #f (even2? (- n 1))))";
-    assert_verified(shifted, "even2?", &[SymDomain::Nat], SymDomain::Any);
+    assert_verified(shifted, "even2?", &[PlanDomain::Nat], PlanDomain::Any);
     // But when *neither* leg descends, the pair diverges and is refused.
     let bad = "
 (define (even2? n) (if (zero? n) #t (odd2? n)))
 (define (odd2? n) (if (zero? n) #f (even2? n)))";
-    assert_not_verified(bad, "even2?", &[SymDomain::Nat], SymDomain::Any);
+    assert_not_verified(bad, "even2?", &[PlanDomain::Nat], PlanDomain::Any);
 }
 
 #[test]
@@ -91,16 +97,16 @@ fn unknown_function_results_are_havocked() {
     assert_not_verified(
         src,
         "iter",
-        &[SymDomain::Any, SymDomain::Nat],
-        SymDomain::Any,
+        &[PlanDomain::Any, PlanDomain::Nat],
+        PlanDomain::Any,
     );
     // But when the recursion descends on n itself, the unknown g is harmless.
     let ok = "(define (iter g n) (if (zero? n) 0 (iter g (- n 1))))";
     assert_verified(
         ok,
         "iter",
-        &[SymDomain::Any, SymDomain::Nat],
-        SymDomain::Any,
+        &[PlanDomain::Any, PlanDomain::Nat],
+        PlanDomain::Any,
     );
 }
 
@@ -112,7 +118,7 @@ fn callback_havoc_explores_closure_arguments() {
 (define (use g)
   (g (lambda (x) (spin x))))
 (define (spin x) (spin x))";
-    assert_not_verified(src, "use", &[SymDomain::Any], SymDomain::Any);
+    assert_not_verified(src, "use", &[PlanDomain::Any], PlanDomain::Any);
 }
 
 #[test]
@@ -120,7 +126,7 @@ fn escaping_closures_are_applied() {
     // The returned closure loops; §3.6's context may call it.
     let src = "
 (define (make) (lambda (x) ((make) x)))";
-    assert_not_verified(src, "make", &[], SymDomain::Any);
+    assert_not_verified(src, "make", &[], PlanDomain::Any);
 }
 
 #[test]
@@ -128,7 +134,7 @@ fn set_bang_is_conservatively_rejected() {
     let src = "
 (define counter 0)
 (define (tick n) (begin (set! counter (+ counter 1)) n))";
-    let v = verify(src, "tick", &[SymDomain::Int], SymDomain::Int);
+    let v = verify(src, "tick", &[PlanDomain::Int], PlanDomain::Int);
     assert!(!v.is_verified(), "set! must be refused, got {v}");
 }
 
@@ -139,38 +145,38 @@ fn error_paths_are_benign() {
     let src = "
 (define (walk l) (if (null? l) 0 (walk (cdr l))))
 (define (top l) (+ (car l) (walk l)))";
-    assert_verified(src, "top", &[SymDomain::List], SymDomain::Any);
+    assert_verified(src, "top", &[PlanDomain::List], PlanDomain::Any);
     // `(error ...)` likewise ends the path.
     let src2 = "
 (define (safe n) (if (negative? n) (error 'safe \"negative\") (if (zero? n) 0 (safe (- n 1)))))";
-    assert_verified(src2, "safe", &[SymDomain::Int], SymDomain::Nat);
+    assert_verified(src2, "safe", &[PlanDomain::Int], PlanDomain::Nat);
 }
 
 #[test]
 fn apply_with_known_spine_is_spread() {
     let src = "
 (define (down n) (if (zero? n) 0 (apply down (list (- n 1)))))";
-    assert_verified(src, "down", &[SymDomain::Nat], SymDomain::Nat);
+    assert_verified(src, "down", &[PlanDomain::Nat], PlanDomain::Nat);
 }
 
 #[test]
 fn variadic_entry_is_refused_cleanly() {
     let src = "(define (v . xs) xs)";
-    let v = verify(src, "v", &[SymDomain::Any], SymDomain::Any);
+    let v = verify(src, "v", &[PlanDomain::Any], PlanDomain::Any);
     assert!(!v.is_verified());
 }
 
 #[test]
 fn missing_or_non_function_entry() {
     let src = "(define x 5)";
-    assert!(!verify(src, "x", &[], SymDomain::Any).is_verified());
-    assert!(!verify(src, "nope", &[], SymDomain::Any).is_verified());
+    assert!(!verify(src, "x", &[], PlanDomain::Any).is_verified());
+    assert!(!verify(src, "nope", &[], PlanDomain::Any).is_verified());
 }
 
 #[test]
 fn wrong_arity_spec_is_refused() {
     let src = "(define (f a b) a)";
-    let v = verify(src, "f", &[SymDomain::Any], SymDomain::Any);
+    let v = verify(src, "f", &[PlanDomain::Any], PlanDomain::Any);
     assert!(!v.is_verified());
 }
 
@@ -185,7 +191,7 @@ fn term_c_is_transparent_statically() {
     let plain = "
 (define (f n) (if (zero? n) 0 (terminated n)))
 (define (terminated n) (if (zero? n) 0 (terminated (- n 1))))";
-    assert_verified(plain, "f", &[SymDomain::Nat], SymDomain::Nat);
+    assert_verified(plain, "f", &[PlanDomain::Nat], PlanDomain::Nat);
     let _ = src;
 }
 
@@ -197,8 +203,8 @@ fn deep_accumulation_is_allowed_when_driver_descends() {
     assert_verified(
         src,
         "build",
-        &[SymDomain::Nat, SymDomain::List],
-        SymDomain::List,
+        &[PlanDomain::Nat, PlanDomain::List],
+        PlanDomain::List,
     );
 }
 
@@ -213,8 +219,8 @@ fn lexicographic_two_list_descent() {
     let v = verify(
         src,
         "interleave",
-        &[SymDomain::List, SymDomain::List],
-        SymDomain::List,
+        &[PlanDomain::List, PlanDomain::List],
+        PlanDomain::List,
     );
     assert!(v.is_verified(), "got {v}");
 }

@@ -1,35 +1,33 @@
 //! Table 1, static column: run the verifier on every corpus row with a
 //! static spec and compare against the paper's verdicts, allowing the
-//! documented deviations (rows where this reproduction's solver is more
-//! precise than the paper's tool; see EXPERIMENTS.md).
+//! deviations listed in [`STRONGER_THAN_PAPER`] (rows where this
+//! reproduction's solver is more precise than the paper's tool).
 
-use sct_corpus::{diverging, table1, Domain, Verdict};
-use sct_symbolic::{verify_function, StaticVerdict, SymDomain, VerifyConfig};
-
-fn to_sym(d: Domain) -> SymDomain {
-    match d {
-        Domain::Nat => SymDomain::Nat,
-        Domain::Pos => SymDomain::Pos,
-        Domain::Int => SymDomain::Int,
-        Domain::List => SymDomain::List,
-        Domain::Any => SymDomain::Any,
-    }
-}
+use sct_core::plan::PlanDomain;
+use sct_corpus::{diverging, table1, Verdict};
+use sct_symbolic::{verify_function, ExecConfig, StaticVerdict};
 
 /// Rows where we verify although the paper's tool did not. All three are
-/// precision wins, not soundness bugs: the programs do terminate.
+/// precision wins, not soundness bugs: the programs do terminate (each
+/// row's expected value is checked by the dynamic column).
+/// - `ho-sc-ack`: the executor applies the Y combinator's `(x x)` to the
+///   concrete closure it builds, so the recursion reaches the inner λ as
+///   plain self-calls with Ackermann's two graphs (Figure 9).
+/// - `isabelle-bar`: under the declared `pos` domains the linear solver
+///   proves `(- b a) < b` and `(- a b) < a`, so each branch descends.
+/// - `deriv`: the subterm order sees `deriv` applied, through `map-f`, to
+///   the `car` of a suffix of its argument's `cdr`.
 const STRONGER_THAN_PAPER: &[&str] = &["ho-sc-ack", "isabelle-bar", "deriv"];
 
 fn run_row(p: &sct_corpus::CorpusProgram) -> Option<StaticVerdict> {
     let spec = p.static_spec?;
     let prog = sct_lang::compile_program(p.source).expect("corpus row compiles");
-    let domains: Vec<SymDomain> = spec.domains.iter().map(|d| to_sym(*d)).collect();
     Some(verify_function(
         &prog,
         spec.function,
-        &domains,
-        to_sym(spec.result),
-        &VerifyConfig::default(),
+        spec.domains,
+        spec.result,
+        &ExecConfig::default(),
     ))
 }
 
@@ -88,29 +86,32 @@ fn figure_9_graph_set_for_ack() {
 fn diverging_programs_never_verify() {
     // Soundness (Proposition 4.1 direction): the sabotaged programs must
     // not be verified.
-    let cases: &[(&str, &str, &[Domain], Domain)] = &[
-        ("buggy-ack", "ack", &[Domain::Nat, Domain::Nat], Domain::Nat),
-        ("buggy-sum", "sum", &[Domain::Nat, Domain::Int], Domain::Int),
+    let cases: &[(&str, &str, &[PlanDomain], PlanDomain)] = &[
+        (
+            "buggy-ack",
+            "ack",
+            &[PlanDomain::Nat, PlanDomain::Nat],
+            PlanDomain::Nat,
+        ),
+        (
+            "buggy-sum",
+            "sum",
+            &[PlanDomain::Nat, PlanDomain::Int],
+            PlanDomain::Int,
+        ),
         (
             "buggy-merge",
             "merge",
-            &[Domain::List, Domain::List],
-            Domain::List,
+            &[PlanDomain::List, PlanDomain::List],
+            PlanDomain::List,
         ),
-        ("ping-pong", "ping", &[Domain::Any], Domain::Any),
-        ("buggy-nfa", "state1", &[Domain::List], Domain::Any),
+        ("ping-pong", "ping", &[PlanDomain::Any], PlanDomain::Any),
+        ("buggy-nfa", "state1", &[PlanDomain::List], PlanDomain::Any),
     ];
     for (id, function, domains, result) in cases {
         let p = diverging::all().into_iter().find(|p| p.id == *id).unwrap();
         let prog = sct_lang::compile_program(p.source).unwrap();
-        let doms: Vec<SymDomain> = domains.iter().map(|d| to_sym(*d)).collect();
-        let verdict = verify_function(
-            &prog,
-            function,
-            &doms,
-            to_sym(*result),
-            &VerifyConfig::default(),
-        );
+        let verdict = verify_function(&prog, function, domains, *result, &ExecConfig::default());
         assert!(
             !verdict.is_verified(),
             "{id}: a diverging function must not verify, got {verdict}"
@@ -131,9 +132,9 @@ fn nfa_bug_found_statically() {
     let verdict = verify_function(
         &prog,
         "state1",
-        &[SymDomain::List],
-        SymDomain::Any,
-        &VerifyConfig::default(),
+        &[PlanDomain::List],
+        PlanDomain::Any,
+        &ExecConfig::default(),
     );
     let StaticVerdict::NotVerified { reason } = verdict else {
         panic!("buggy nfa must not verify");

@@ -6,9 +6,9 @@
 //!
 //! Run: `cargo run --example nfa_bug`
 
-use sct_contracts::{SymDomain, TableStrategy};
+use sct_contracts::{PlanDomain, TableStrategy};
 use sct_corpus::{diverging, run_dynamic, run_standard, table1};
-use sct_symbolic::{verify_function, VerifyConfig};
+use sct_symbolic::{verify_function, ExecConfig};
 
 fn main() {
     let buggy = diverging::BUGGY_NFA;
@@ -19,9 +19,9 @@ fn main() {
     let verdict = verify_function(
         &prog,
         "state1",
-        &[SymDomain::List],
-        SymDomain::Any,
-        &VerifyConfig::default(),
+        &[PlanDomain::List],
+        PlanDomain::Any,
+        &ExecConfig::default(),
     );
     println!("static analysis of buggy state1: {verdict}");
     assert!(!verdict.is_verified());
@@ -31,9 +31,9 @@ fn main() {
     let verdict = verify_function(
         &prog,
         "run-nfa",
-        &[SymDomain::List],
-        SymDomain::Any,
-        &VerifyConfig::default(),
+        &[PlanDomain::List],
+        PlanDomain::Any,
+        &ExecConfig::default(),
     );
     println!("static analysis of fixed run-nfa: {verdict}");
     assert!(verdict.is_verified());

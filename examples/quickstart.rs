@@ -2,7 +2,7 @@
 //!
 //! Run: `cargo run --example quickstart`
 
-use sct_contracts::{run, run_monitored, verify, EvalError, SymDomain};
+use sct_contracts::{run, run_monitored, verify, EvalError, PlanDomain};
 
 fn main() {
     // 1. Partial programs run as usual; a terminating/c contract makes a
@@ -42,8 +42,8 @@ fn main() {
                  [(= 0 n) (ack (- m 1) 1)]
                  [else (ack (- m 1) (ack m (- n 1)))]))",
         "ack",
-        &[SymDomain::Nat, SymDomain::Nat],
-        SymDomain::Nat,
+        &[PlanDomain::Nat, PlanDomain::Nat],
+        PlanDomain::Nat,
     )
     .expect("compiles");
     println!("static verdict for ack: {verdict}");

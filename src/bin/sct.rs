@@ -78,7 +78,7 @@ use sct_contracts::interp::{ExtendedOrder, OrderHandle, ReverseIntOrder};
 use sct_contracts::serve::{serve_stdio, serve_unix, ServeOptions, Server};
 use sct_contracts::{
     plan_program_incremental, refutation_error, BackoffPolicy, DiskCache, EvalError, Machine,
-    MachineConfig, PlanCache, PlanConfig, SemanticsMode, SymDomain, TableStrategy, VerifyConfig,
+    MachineConfig, PlanCache, PlanConfig, PlanDomain, SemanticsMode, TableStrategy,
 };
 use sct_obs::{trace, Registry};
 use sct_symbolic::pipeline::PlanObs;
@@ -231,17 +231,6 @@ fn split_file(args: &[String]) -> Result<(&String, Vec<String>), String> {
         [file] => Ok((file, flags)),
         [] => Err("missing <file>".into()),
         _ => Err(format!("expected one <file>, got {}", files.len())),
-    }
-}
-
-fn parse_domain(s: &str) -> Result<SymDomain, String> {
-    match s.trim() {
-        "nat" => Ok(SymDomain::Nat),
-        "pos" => Ok(SymDomain::Pos),
-        "int" => Ok(SymDomain::Int),
-        "list" => Ok(SymDomain::List),
-        "any" | "" => Ok(SymDomain::Any),
-        other => Err(format!("unknown domain {other} (nat|pos|int|list|any)")),
     }
 }
 
@@ -687,21 +676,20 @@ fn main() -> ExitCode {
                 Some((d, r)) => (d.trim(), r.trim()),
                 None => (sig.trim(), "any"),
             };
-            let domains: Vec<SymDomain> = if doms_text.is_empty() {
-                // No signature: a nullary function.
-                Vec::new()
-            } else {
-                match doms_text.split(',').map(parse_domain).collect() {
-                    Ok(d) => d,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return usage();
-                    }
-                }
+            // A blank domain reads as `any`.
+            let domain = |s: &str| match s.trim() {
+                "" => Ok(PlanDomain::Any),
+                s => PlanDomain::from_label(s)
+                    .ok_or_else(|| format!("unknown domain {s} (nat|pos|int|list|any)")),
             };
-            let result = match parse_domain(result_text) {
-                Ok(r) => r,
-                Err(e) => {
+            // No signature: a nullary function.
+            let params = doms_text.split(',').filter(|_| !doms_text.is_empty());
+            let (domains, result) = match (
+                params.map(domain).collect::<Result<Vec<_>, _>>(),
+                domain(result_text),
+            ) {
+                (Ok(d), Ok(r)) => (d, r),
+                (Err(e), _) | (_, Err(e)) => {
                     eprintln!("{e}");
                     return usage();
                 }
@@ -711,7 +699,7 @@ fn main() -> ExitCode {
                 function,
                 &domains,
                 result,
-                &VerifyConfig::default(),
+                &sct_contracts::symbolic::ExecConfig::default(),
             );
             println!("{verdict}");
             if verdict.is_verified() {

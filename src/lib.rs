@@ -43,7 +43,7 @@
 //! Statically verify the same function (§4):
 //!
 //! ```
-//! use sct_contracts::{verify, SymDomain};
+//! use sct_contracts::{verify, PlanDomain};
 //!
 //! let verdict = verify(
 //!     "(define (ack m n)
@@ -51,8 +51,8 @@
 //!              [(= 0 n) (ack (- m 1) 1)]
 //!              [else (ack (- m 1) (ack m (- n 1)))]))",
 //!     "ack",
-//!     &[SymDomain::Nat, SymDomain::Nat],
-//!     SymDomain::Nat,
+//!     &[PlanDomain::Nat, PlanDomain::Nat],
+//!     PlanDomain::Nat,
 //! ).unwrap();
 //! assert!(verdict.is_verified());
 //! ```
@@ -90,7 +90,6 @@ pub use sct_core::plan::{Decision, EnforcementPlan, FnDecision, PlanDomain};
 pub use sct_interp::{EvalError, Machine, MachineConfig, SemanticsMode, Value};
 pub use sct_symbolic::{
     plan_program, plan_program_incremental, IncrementalStats, PlanCache, PlanConfig, StaticVerdict,
-    SymDomain, VerifyConfig,
 };
 pub use serve::{serve_stdio, serve_unix, ServeOptions, Server};
 
@@ -189,8 +188,8 @@ pub fn refutation_error(plan: &EnforcementPlan) -> Option<EvalError> {
 pub fn verify(
     source: &str,
     function: &str,
-    domains: &[SymDomain],
-    result: SymDomain,
+    domains: &[PlanDomain],
+    result: PlanDomain,
 ) -> Result<StaticVerdict, String> {
     let prog = sct_lang::compile_program(source).map_err(|e| e.to_string())?;
     Ok(sct_symbolic::verify_function(
@@ -198,6 +197,6 @@ pub fn verify(
         function,
         domains,
         result,
-        &VerifyConfig::default(),
+        &sct_symbolic::ExecConfig::default(),
     ))
 }

@@ -51,7 +51,7 @@ fn digests(sources: &[String]) -> (String, String) {
         let p = sct_lang::compile_program(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
         shape.write(format!("{p:?}").as_bytes());
         let index = ProgramIndex::build(&p);
-        let snapshot = GlobalSnapshot::build(&p, &cfg.verify.exec);
+        let snapshot = GlobalSnapshot::build(&p, &cfg.exec);
         let d = ProgramDigests::new(&p, &index, &snapshot, &cfg);
         let mut seen = vec![0u32; p.global_names.len()];
         for form in &p.top_level {

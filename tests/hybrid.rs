@@ -24,7 +24,7 @@ use std::rc::Rc;
 /// properties — anything unproven just stays monitored.
 fn quick_plan_config() -> PlanConfig {
     let mut cfg = PlanConfig::default();
-    cfg.verify.exec.step_budget = 30_000;
+    cfg.exec.step_budget = 30_000;
     cfg
 }
 

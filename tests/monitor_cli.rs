@@ -1,7 +1,7 @@
 //! The `sct` command line: `sct monitor` on values far larger than the
 //! Rust stack is deep (the Figure 5 order walk must not recurse along a
-//! list's spine), and the file argument found wherever it sits among the
-//! flags.
+//! list's spine), the file argument found wherever it sits among the
+//! flags, and how `sct verify` reads its signature argument.
 
 use std::process::{Command, Output};
 
@@ -91,4 +91,52 @@ fn no_file_or_two_files_is_a_usage_error() {
             "{args:?}: {out:?}"
         );
     }
+}
+
+#[test]
+fn verify_reads_the_signature_argument() {
+    let path = std::env::temp_dir().join(format!("sct-verify-sig-{}.sct", std::process::id()));
+    std::fs::write(
+        &path,
+        "(define (k) 5)\n(define (add m n) (if (zero? m) n (add (- m 1) (+ n 1))))\n",
+    )
+    .unwrap();
+    let verify = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_sct"))
+            .arg("verify")
+            .arg(&path)
+            .args(args)
+            .output()
+            .unwrap()
+    };
+    let stdout = |out: &Output| String::from_utf8_lossy(&out.stdout).into_owned();
+
+    let unknown = verify(&["add", "nat,gnat -> nat"]);
+    assert_eq!(unknown.status.code(), Some(2), "{unknown:?}");
+    assert!(
+        String::from_utf8_lossy(&unknown.stderr)
+            .contains("unknown domain gnat (nat|pos|int|list|any)"),
+        "{unknown:?}"
+    );
+
+    // No signature, or an empty one, declares a nullary function.
+    for args in [&["k"][..], &["k", ""]] {
+        let out = verify(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        assert_eq!(stdout(&out), "verified ()\n", "{args:?}");
+    }
+    let add = verify(&["add", ""]);
+    assert_eq!(add.status.code(), Some(1), "{add:?}");
+    assert_eq!(
+        stdout(&add),
+        "not verified: add expects 2 parameters but the spec declares 0\n"
+    );
+
+    // Spaces around `,` and `->` are accepted.
+    for sig in ["nat,nat -> nat", " nat ,  nat  ->  nat ", "nat , nat->nat"] {
+        let out = verify(&["add", sig]);
+        assert_eq!(out.status.code(), Some(0), "{sig:?}: {out:?}");
+        assert_eq!(stdout(&out), "verified (add: 1 graphs)\n", "{sig:?}");
+    }
+    std::fs::remove_file(&path).ok();
 }

@@ -66,7 +66,7 @@ fn assert_agree(source: &str, config: &MachineConfig, what: &str) {
 /// irrelevant to machine agreement — anything unproven stays monitored.
 fn quick_plan_config() -> PlanConfig {
     let mut cfg = PlanConfig::default();
-    cfg.verify.exec.step_budget = 30_000;
+    cfg.exec.step_budget = 30_000;
     cfg
 }
 

@@ -3,7 +3,7 @@
 //! Each test names the claim it checks; together they are the repository's
 //! executable summary of the reproduction.
 
-use sct_contracts::{run, run_monitored, verify, EvalError, SymDomain, TableStrategy, Value};
+use sct_contracts::{run, run_monitored, verify, EvalError, PlanDomain, TableStrategy, Value};
 use sct_corpus::{diverging, run_dynamic, run_standard, table1};
 
 const ACK: &str = "
@@ -134,8 +134,8 @@ fn figure_9_static_ack() {
     let verdict = verify(
         ACK,
         "ack",
-        &[SymDomain::Nat, SymDomain::Nat],
-        SymDomain::Nat,
+        &[PlanDomain::Nat, PlanDomain::Nat],
+        PlanDomain::Nat,
     )
     .unwrap();
     match verdict {

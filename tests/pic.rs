@@ -28,7 +28,7 @@ const SELF_APP: &str = r#"
 
 fn quick_plan_config() -> PlanConfig {
     let mut cfg = PlanConfig::default();
-    cfg.verify.exec.step_budget = 30_000;
+    cfg.exec.step_budget = 30_000;
     cfg
 }
 

@@ -27,7 +27,7 @@
 //! supports, and on them the plans are bit-identical.)
 
 use sct_cache::MemStore;
-use sct_contracts::{plan_program, plan_program_incremental, PlanCache, PlanConfig, SymDomain};
+use sct_contracts::{plan_program, plan_program_incremental, PlanCache, PlanConfig, PlanDomain};
 use sct_core::plan::EnforcementPlan;
 use sct_corpus::workloads;
 use sct_fuzz::{gen_case, order_free_view, permute_defines, Rng};
@@ -96,17 +96,8 @@ fn fig10_workloads_with_signature_pins_plan_identically() {
     for w in workloads::fig10() {
         let mut cfg = PlanConfig::default();
         if let Some((params, result)) = w.sig {
-            let to_sym = |d: &sct_corpus::Domain| match d {
-                sct_corpus::Domain::Nat => SymDomain::Nat,
-                sct_corpus::Domain::Pos => SymDomain::Pos,
-                sct_corpus::Domain::Int => SymDomain::Int,
-                sct_corpus::Domain::List => SymDomain::List,
-                sct_corpus::Domain::Any => SymDomain::Any,
-            };
-            cfg.signatures.insert(
-                w.entry.to_string(),
-                (params.iter().map(to_sym).collect(), to_sym(&result)),
-            );
+            cfg.signatures
+                .insert(w.entry.to_string(), (params.to_vec(), result));
         }
         assert_modes_agree(&w.source, &cfg, w.id);
     }
@@ -156,7 +147,7 @@ fn layered_corpus_plans_identically_with_summaries() {
     let mut cfg = PlanConfig::default();
     for i in 0..300 {
         cfg.signatures
-            .insert(format!("f{i}"), (vec![SymDomain::List], SymDomain::Any));
+            .insert(format!("f{i}"), (vec![PlanDomain::List], PlanDomain::Any));
     }
     assert_modes_agree(&source, &cfg, "layered-300");
     let reversed = permute_defines(&source, |k| (0..k).rev().collect()).unwrap();
