@@ -5,8 +5,9 @@
 //! `sct-plan/2` documents from disk, and the `sct serve` daemon speaks a
 //! newline-delimited JSON wire protocol. This module is the shared,
 //! dependency-free implementation: a [`Json`] tree, a strict
-//! recursive-descent [`parse`], and a compact writer (`Json::to_string`
-//! via `Display`).
+//! recursive-descent [`parse`], a compact writer (`Json::to_string` via
+//! `Display`), and the same writer without a tree (`JsonWriter`), with
+//! which the plan and summary codecs encode their entries.
 //!
 //! Scope: standard JSON (RFC 8259) minus two deliberate simplifications —
 //! numbers are stored as `i64` when they are integral and in range
@@ -117,20 +118,37 @@ impl Json {
 /// Escapes a string into a JSON string literal (quotes included).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    // Writing into a `String` cannot fail.
+    let _ = write_escaped(&mut out, s);
     out
+}
+
+/// Writes `s` as a JSON string literal (quotes included) straight into
+/// `w`: unescaped runs go out as slices, so nothing is allocated. Every
+/// escaped character is ASCII, so no UTF-8 sequence is ever split.
+fn write_escaped(w: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    w.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        w.write_str(&s[run..i])?;
+        if esc.is_empty() {
+            write!(w, "\\u{b:04x}")?;
+        } else {
+            w.write_str(esc)?;
+        }
+        run = i + 1;
+    }
+    w.write_str(&s[run..])?;
+    w.write_char('"')
 }
 
 impl fmt::Display for Json {
@@ -153,7 +171,7 @@ impl fmt::Display for Json {
                     f.write_str("null")
                 }
             }
-            Json::Str(s) => f.write_str(&escape(s)),
+            Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -170,11 +188,93 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{}:{v}", escape(k))?;
+                    write_escaped(f, k)?;
+                    write!(f, ":{v}")?;
                 }
                 f.write_str("}")
             }
         }
+    }
+}
+
+/// A compact JSON writer for documents built from typed fields: it writes
+/// exactly what [`Json`]'s `Display` would write for the same tree, but
+/// straight into one `String`, with no tree and no `String` per key or
+/// value. Separators are tracked with one flag, so containers nest
+/// through [`JsonWriter::obj`] and [`JsonWriter::arr`] without a stack.
+pub(crate) struct JsonWriter {
+    out: String,
+    /// True when the next member or item needs a `,` before it.
+    comma: bool,
+}
+
+impl JsonWriter {
+    /// An empty document.
+    pub(crate) fn new() -> JsonWriter {
+        JsonWriter {
+            out: String::with_capacity(256),
+            comma: false,
+        }
+    }
+
+    fn sep(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    /// Starts an object member: its key, then whatever value follows.
+    pub(crate) fn key(&mut self, k: &str) -> &mut JsonWriter {
+        self.sep();
+        let _ = write_escaped(&mut self.out, k);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// A string value.
+    pub(crate) fn str(&mut self, s: &str) {
+        self.sep();
+        let _ = write_escaped(&mut self.out, s);
+    }
+
+    /// An integer value.
+    pub(crate) fn int(&mut self, i: i64) {
+        use fmt::Write as _;
+        self.sep();
+        let _ = write!(self.out, "{i}");
+    }
+
+    /// `null`.
+    pub(crate) fn null(&mut self) {
+        self.sep();
+        self.out.push_str("null");
+    }
+
+    /// An object whose members `body` writes.
+    pub(crate) fn obj(&mut self, body: impl FnOnce(&mut JsonWriter)) {
+        self.nest('{', body, '}');
+    }
+
+    /// An array whose items `body` writes.
+    pub(crate) fn arr(&mut self, body: impl FnOnce(&mut JsonWriter)) {
+        self.nest('[', body, ']');
+    }
+
+    fn nest(&mut self, open: char, body: impl FnOnce(&mut JsonWriter), close: char) {
+        self.sep();
+        self.out.push(open);
+        self.comma = false;
+        body(self);
+        self.out.push(close);
+        self.comma = true;
+    }
+
+    /// The document, newline-terminated: one line of a line-oriented file.
+    pub(crate) fn into_line(mut self) -> String {
+        self.out.push('\n');
+        self.out
     }
 }
 
@@ -491,6 +591,67 @@ mod tests {
         // Raw multibyte UTF-8 passes through.
         let raw = parse("\"héllo — 😀\"").unwrap();
         assert_eq!(raw.as_str(), Some("héllo — 😀"));
+    }
+
+    #[test]
+    fn escape_table() {
+        let cases = [
+            ("", r#""""#),
+            ("plain", r#""plain""#),
+            ("a\"b", r#""a\"b""#),
+            ("a\\b", r#""a\\b""#),
+            ("\n", r#""\n""#),
+            ("\r", r#""\r""#),
+            ("\t", r#""\t""#),
+            ("\u{1}", r#""\u0001""#),
+            ("\u{1f}", r#""\u001f""#),
+            ("x\u{1f}y\u{0}", r#""x\u001fy\u0000""#),
+            ("\u{7f} stays raw", "\"\u{7f} stays raw\""),
+            ("héllo — 😀", "\"héllo — 😀\""),
+            ("é\"😀\n", r#""é\"😀\n""#),
+        ];
+        for (raw, want) in cases {
+            assert_eq!(escape(raw), want, "{raw:?}");
+            // Display writes the same escapes for values and for keys.
+            assert_eq!(Json::str(raw).to_string(), want, "{raw:?}");
+            let obj = Json::Obj(vec![(raw.to_string(), Json::Null)]);
+            assert_eq!(obj.to_string(), format!("{{{want}:null}}"), "{raw:?}");
+            assert_eq!(parse(want).unwrap().as_str(), Some(raw), "{raw:?}");
+        }
+    }
+
+    #[test]
+    fn writer_matches_display() {
+        let tree = Json::Obj(vec![
+            ("s".into(), Json::str("a\"\u{1}")),
+            ("n".into(), Json::Int(-7)),
+            ("z".into(), Json::Null),
+            ("e".into(), Json::Arr(vec![])),
+            ("o".into(), Json::Obj(vec![])),
+            (
+                "a".into(),
+                Json::Arr(vec![
+                    Json::Arr(vec![Json::Int(1), Json::str("d")]),
+                    Json::Obj(vec![]),
+                ]),
+            ),
+        ]);
+        let mut w = JsonWriter::new();
+        w.obj(|w| {
+            w.key("s").str("a\"\u{1}");
+            w.key("n").int(-7);
+            w.key("z").null();
+            w.key("e").arr(|_| {});
+            w.key("o").obj(|_| {});
+            w.key("a").arr(|w| {
+                w.arr(|w| {
+                    w.int(1);
+                    w.str("d");
+                });
+                w.obj(|_| {});
+            });
+        });
+        assert_eq!(w.into_line(), format!("{tree}\n"));
     }
 
     #[test]

@@ -54,9 +54,11 @@
 //! ```
 
 use crate::graph::{Change, ScGraph};
-use crate::json::{parse, Json};
-use crate::plan::{Decision, FnDecision, PlanDomain};
-use crate::summary_codec::{summary_from_json, summary_members, PortableSummary};
+use crate::json::{parse, Json, JsonWriter};
+use crate::plan::{Decision, FnDecision};
+use crate::summary_codec::{
+    guard_from_json, summary_from_json, write_guard, write_summary_members, PortableSummary,
+};
 
 /// Schema tag of the persisted entry format. Decoders reject anything
 /// else, so bumping this invalidates (falls back to recompute for) every
@@ -133,25 +135,25 @@ impl PortableDecision {
     }
 }
 
-pub(crate) fn graph_to_json(g: &ScGraph) -> Json {
-    let arcs = g
-        .arcs()
-        .map(|a| {
-            Json::Arr(vec![
-                Json::Int(a.from as i64),
-                Json::str(match a.change {
-                    Change::Descend => "d",
-                    Change::NonAscend => "n",
-                }),
-                Json::Int(a.to as i64),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("rows".into(), Json::Int(g.rows() as i64)),
-        ("cols".into(), Json::Int(g.cols() as i64)),
-        ("arcs".into(), Json::Arr(arcs)),
-    ])
+/// Writes a size-change graph as `{"rows":…,"cols":…,"arcs":[[from,
+/// "d"|"n",to],…]}`, the layout [`graph_from_json`] reads.
+pub(crate) fn write_graph(w: &mut JsonWriter, g: &ScGraph) {
+    w.obj(|w| {
+        w.key("rows").int(g.rows() as i64);
+        w.key("cols").int(g.cols() as i64);
+        w.key("arcs").arr(|w| {
+            for a in g.arcs() {
+                w.arr(|w| {
+                    w.int(a.from as i64);
+                    w.str(match a.change {
+                        Change::Descend => "d",
+                        Change::NonAscend => "n",
+                    });
+                    w.int(a.to as i64);
+                });
+            }
+        });
+    });
 }
 
 pub(crate) fn graph_from_json(j: &Json) -> Result<ScGraph, String> {
@@ -196,53 +198,35 @@ pub(crate) fn graph_from_json(j: &Json) -> Result<ScGraph, String> {
 /// Encodes one portable decision as a single-line `sct-plan/3` JSON
 /// document (newline-terminated).
 pub fn encode_entry(d: &PortableDecision) -> String {
-    let mut members = vec![
-        ("schema".into(), Json::str(PLAN_CODEC_SCHEMA)),
-        ("name".into(), Json::str(&d.name)),
-        ("decision".into(), Json::str(d.decision.tag())),
-    ];
-    match &d.decision {
-        Decision::Static { guard } => {
-            members.push((
-                "guard".into(),
-                Json::Arr(guard.iter().map(|g| Json::str(g.label())).collect()),
-            ));
+    let mut w = JsonWriter::new();
+    w.obj(|w| {
+        w.key("schema").str(PLAN_CODEC_SCHEMA);
+        w.key("name").str(&d.name);
+        w.key("decision").str(d.decision.tag());
+        match &d.decision {
+            Decision::Static { guard } => write_guard(w.key("guard"), guard),
+            Decision::Monitor { reason } => w.key("reason").str(reason),
+            Decision::Refuted { witness, culprit } => {
+                write_graph(w.key("witness"), witness);
+                w.key("culprit").str(culprit);
+            }
         }
-        Decision::Monitor { reason } => {
-            members.push(("reason".into(), Json::str(reason)));
-        }
-        Decision::Refuted { witness, culprit } => {
-            members.push(("witness".into(), graph_to_json(witness)));
-            members.push(("culprit".into(), Json::str(culprit)));
-        }
-    }
-    members.push((
-        "covers_idx".into(),
-        Json::Arr(
-            d.covers_idx
-                .iter()
-                .map(|&i| Json::Int(i64::from(i)))
-                .collect(),
-        ),
-    ));
-    members.push((
-        "blame".into(),
+        w.key("covers_idx").arr(|w| {
+            for &i in &d.covers_idx {
+                w.int(i64::from(i));
+            }
+        });
         match &d.blame {
-            Some(b) => Json::str(b),
-            None => Json::Null,
-        },
-    ));
-    members.push(("detail".into(), Json::str(&d.detail)));
-    members.push((
-        "micros".into(),
-        Json::Int(d.micros.min(i64::MAX as u128) as i64),
-    ));
-    if let Some(s) = &d.summary {
-        members.push(("summary".into(), Json::Obj(summary_members(s))));
-    }
-    let mut out = Json::Obj(members).to_string();
-    out.push('\n');
-    out
+            Some(b) => w.key("blame").str(b),
+            None => w.key("blame").null(),
+        }
+        w.key("detail").str(&d.detail);
+        w.key("micros").int(d.micros.min(i64::MAX as u128) as i64);
+        if let Some(s) = &d.summary {
+            w.key("summary").obj(|w| write_summary_members(w, s));
+        }
+    });
+    w.into_line()
 }
 
 /// Decodes a persisted `sct-plan/3` entry.
@@ -266,21 +250,9 @@ pub fn decode_entry(text: &str) -> Result<PortableDecision, String> {
         .ok_or("missing name")?
         .to_string();
     let decision = match doc.get("decision").and_then(Json::as_str) {
-        Some("static") => {
-            let mut guard = Vec::new();
-            for g in doc
-                .get("guard")
-                .and_then(Json::as_arr)
-                .ok_or("missing guard")?
-            {
-                let g = g.as_str().ok_or("guard: not a string")?;
-                guard.push(
-                    PlanDomain::from_label(g)
-                        .ok_or_else(|| format!("unknown domain label {g:?}"))?,
-                );
-            }
-            Decision::Static { guard }
-        }
+        Some("static") => Decision::Static {
+            guard: guard_from_json(&doc)?,
+        },
         Some("monitor") => Decision::Monitor {
             reason: doc
                 .get("reason")
@@ -339,6 +311,7 @@ pub fn decode_entry(text: &str) -> Result<PortableDecision, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::PlanDomain;
     use crate::summary_codec::LambdaRef;
 
     fn refuted() -> PortableDecision {

@@ -64,9 +64,9 @@
 //! ```
 
 use crate::graph::ScGraph;
-use crate::json::{parse, Json};
+use crate::json::{parse, Json, JsonWriter};
 use crate::plan::PlanDomain;
-use crate::plan_codec::{graph_from_json, graph_to_json};
+use crate::plan_codec::{graph_from_json, write_graph};
 
 /// Schema tag of the standalone summary document ([`encode_summary`]).
 /// Persisted summaries never carry it: the cache stores them inside the
@@ -106,48 +106,71 @@ pub struct PortableSummary {
     pub callees: Vec<String>,
 }
 
-/// The summary's members, in the field layout both encodings share: the
-/// `"summary"` object of an `sct-plan/3` entry and, behind a schema tag,
-/// the standalone document [`encode_summary`] writes.
-pub(crate) fn summary_members(s: &PortableSummary) -> Vec<(String, Json)> {
-    let graphs = s
-        .graphs
-        .iter()
-        .map(|(lr, set)| {
-            Json::Obj(vec![
-                ("global".into(), Json::str(&lr.global)),
-                ("idx".into(), Json::Int(i64::from(lr.idx))),
-                (
-                    "set".into(),
-                    Json::Arr(set.iter().map(graph_to_json).collect()),
-                ),
-            ])
-        })
-        .collect();
-    vec![
-        ("name".into(), Json::str(&s.name)),
-        (
-            "guard".into(),
-            Json::Arr(s.guard.iter().map(|d| Json::str(d.label())).collect()),
-        ),
-        ("result".into(), Json::str(s.result.label())),
-        ("graphs".into(), Json::Arr(graphs)),
-        (
-            "callees".into(),
-            Json::Arr(s.callees.iter().map(Json::str).collect()),
-        ),
-    ]
+/// Writes the summary's members, in the field layout both encodings
+/// share: the `"summary"` object of an `sct-plan/3` entry and, behind a
+/// schema tag, the standalone document [`encode_summary`] writes.
+pub(crate) fn write_summary_members(w: &mut JsonWriter, s: &PortableSummary) {
+    w.key("name").str(&s.name);
+    write_guard(w.key("guard"), &s.guard);
+    w.key("result").str(s.result.label());
+    w.key("graphs").arr(|w| {
+        for (lr, set) in &s.graphs {
+            w.obj(|w| {
+                w.key("global").str(&lr.global);
+                w.key("idx").int(i64::from(lr.idx));
+                w.key("set").arr(|w| {
+                    for g in set {
+                        write_graph(w, g);
+                    }
+                });
+            });
+        }
+    });
+    w.key("callees").arr(|w| {
+        for c in &s.callees {
+            w.str(c);
+        }
+    });
+}
+
+/// Writes a guard as an array of domain labels, the layout
+/// [`guard_from_json`] reads.
+pub(crate) fn write_guard(w: &mut JsonWriter, guard: &[PlanDomain]) {
+    w.arr(|w| {
+        for d in guard {
+            w.str(d.label());
+        }
+    });
+}
+
+/// Decodes the `"guard"` member of `doc`: one domain label per parameter.
+///
+/// # Errors
+///
+/// A missing member, a non-string item or an unknown label.
+pub(crate) fn guard_from_json(doc: &Json) -> Result<Vec<PlanDomain>, String> {
+    let mut guard = Vec::new();
+    for g in doc
+        .get("guard")
+        .and_then(Json::as_arr)
+        .ok_or("missing guard")?
+    {
+        let g = g.as_str().ok_or("guard: not a string")?;
+        guard.push(PlanDomain::from_label(g).ok_or_else(|| format!("unknown domain label {g:?}"))?);
+    }
+    Ok(guard)
 }
 
 /// Encodes one portable summary as a standalone single-line
 /// `sct-plan-summary/2` JSON document (newline-terminated). The cache
 /// never writes this form; it is kept for `perfbench`'s in-memory store.
 pub fn encode_summary(s: &PortableSummary) -> String {
-    let mut members = vec![("schema".into(), Json::str(SUMMARY_CODEC_SCHEMA))];
-    members.extend(summary_members(s));
-    let mut out = Json::Obj(members).to_string();
-    out.push('\n');
-    out
+    let mut w = JsonWriter::new();
+    w.obj(|w| {
+        w.key("schema").str(SUMMARY_CODEC_SCHEMA);
+        write_summary_members(w, s);
+    });
+    w.into_line()
 }
 
 /// Decodes a standalone `sct-plan-summary/2` document.
@@ -166,7 +189,7 @@ pub fn decode_summary(text: &str) -> Result<PortableSummary, String> {
 }
 
 /// Decodes the summary members of `doc` (the inverse of
-/// [`summary_members`]).
+/// [`write_summary_members`]).
 ///
 /// # Errors
 ///
@@ -179,15 +202,7 @@ pub(crate) fn summary_from_json(doc: &Json) -> Result<PortableSummary, String> {
         .and_then(Json::as_str)
         .ok_or("missing name")?
         .to_string();
-    let mut guard = Vec::new();
-    for g in doc
-        .get("guard")
-        .and_then(Json::as_arr)
-        .ok_or("missing guard")?
-    {
-        let g = g.as_str().ok_or("guard: not a string")?;
-        guard.push(PlanDomain::from_label(g).ok_or_else(|| format!("unknown domain label {g:?}"))?);
-    }
+    let guard = guard_from_json(doc)?;
     // Arity sanity, mirroring the graph decoder's 1024 cap.
     if guard.len() > 1024 {
         return Err(format!("implausible arity {}", guard.len()));

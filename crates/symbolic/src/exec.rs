@@ -87,6 +87,14 @@ pub struct CalleeSummary {
     /// is `graphs` plus theirs, transitively: shared, not copied, so a
     /// summary costs memory in proportion to its own body.
     pub callees: Vec<Rc<CalleeSummary>>,
+    /// The summary's *foreign* λs, sorted: those in `graphs` that its own
+    /// define does not own (see `ProgramIndex::owner`), unioned with every
+    /// callee's foreign set. Empty — and then allocation-free — unless the
+    /// exploration descended into another define's recursion; while it is
+    /// empty, every set in the summary's closure belongs to the define
+    /// whose summary carries it, which is what lets `merge_summaries`
+    /// skip its walk.
+    pub foreign: Vec<LambdaId>,
     /// The global indices of the callee's component of the global
     /// reference graph, sorted. A caller in the same component (mutual
     /// recursion) must not stub it: the callee's graphs were discovered
@@ -101,14 +109,26 @@ pub struct CalleeSummary {
 /// Registered summaries, keyed by the summarized define's entry λ id.
 pub type SummaryTable = HashMap<LambdaId, Rc<CalleeSummary>>;
 
+/// What [`merge_summaries`] hands back: the sets to check, the foreign
+/// set a summary of the exploration would carry, and how many summaries
+/// the merge visited.
+#[derive(Debug)]
+pub(crate) struct Merged {
+    /// The sets the LJB check must pass, in λ-id order.
+    pub(crate) checked: Vec<(LambdaId, Vec<ScGraph>)>,
+    /// The λs of `own` the exploring define does not own, unioned with
+    /// every stub's [`CalleeSummary::foreign`]; sorted.
+    pub(crate) foreign: Vec<LambdaId>,
+    /// Summaries the walk visited: zero when `foreign` is empty.
+    pub(crate) visits: u64,
+}
+
 /// The graph sets an exploration must LJB-check, in λ-id order: every set
 /// it discovered itself (`own`), unioned with whatever its stubbed
 /// summaries carry for the same λ, plus the union for any λ that two
-/// *different* summaries carry a set for. `stubs` is walked transitively
-/// — each summary's callees too — visiting each summary once, and sets
-/// are told apart by identity (which summary holds them), never by
-/// content. Sets of `skip` (the exploring define's own entry λ, whose
-/// graphs it derives itself) are left out.
+/// *different* summaries carry a set for. `owns` tells whether the
+/// exploring define owns a λ; `skip` is its entry λ, whose graphs it
+/// derives itself, so summaries' sets for it are left out.
 ///
 /// A λ whose graphs all come from one summary's set is neither copied
 /// nor checked: that set passed the LJB check when its define was
@@ -117,11 +137,50 @@ pub type SummaryTable = HashMap<LambdaId, Rc<CalleeSummary>>;
 /// because the closure of a subset is contained in the closure of the
 /// set. For the same reason it cannot overflow a closure cap that the
 /// whole set stayed under.
+///
+/// When the foreign set `F` (see [`Merged::foreign`]) is empty, no λ can
+/// have two sources: every set in a stub's closure belongs to the define
+/// whose summary carries it, those defines are distinct and none is the
+/// explorer, and every set in `own` belongs to the explorer. The checked
+/// sets are then exactly `own`, and nothing is walked. Otherwise `stubs`
+/// is walked transitively — each summary's callees too — visiting each
+/// summary once, and sets are told apart by identity (which summary holds
+/// them), never by content.
 pub(crate) fn merge_summaries(
     own: &HashMap<LambdaId, Vec<ScGraph>>,
     stubs: &[Rc<CalleeSummary>],
     skip: LambdaId,
-) -> Vec<(LambdaId, Vec<ScGraph>)> {
+    owns: impl Fn(LambdaId) -> bool,
+) -> Merged {
+    let mut foreign: Vec<LambdaId> = own
+        .keys()
+        .copied()
+        .filter(|&id| !owns(id))
+        .chain(stubs.iter().flat_map(|s| s.foreign.iter().copied()))
+        .collect();
+    foreign.sort_unstable();
+    foreign.dedup();
+    let mut checked = own.clone();
+    let visits = if foreign.is_empty() {
+        0
+    } else {
+        walk_summaries(&mut checked, stubs, skip)
+    };
+    Merged {
+        checked: sorted(checked),
+        foreign,
+        visits,
+    }
+}
+
+/// The walk of [`merge_summaries`]: visits every summary `stubs` reach,
+/// each once, and unions into `checked` each carried set that can fail
+/// (see there). Returns the number of summaries visited.
+fn walk_summaries(
+    checked: &mut HashMap<LambdaId, Vec<ScGraph>>,
+    stubs: &[Rc<CalleeSummary>],
+    skip: LambdaId,
+) -> u64 {
     let mut seen = std::collections::HashSet::new();
     let mut stack: Vec<&Rc<CalleeSummary>> = stubs.iter().collect();
     let mut carried: Vec<(LambdaId, &[ScGraph])> = Vec::new();
@@ -138,7 +197,6 @@ pub(crate) fn merge_summaries(
         stack.extend(&s.callees);
     }
     carried.sort_by_key(|(id, _)| *id);
-    let mut checked = own.clone();
     for group in carried.chunk_by(|a, b| a.0 == b.0) {
         let id = group[0].0;
         if group.len() == 1 && !checked.contains_key(&id) {
@@ -151,9 +209,13 @@ pub(crate) fn merge_summaries(
             }
         }
     }
-    let mut checked: Vec<_> = checked.into_iter().collect();
-    checked.sort_by_key(|(id, _)| *id);
-    checked
+    seen.len() as u64
+}
+
+fn sorted(sets: HashMap<LambdaId, Vec<ScGraph>>) -> Vec<(LambdaId, Vec<ScGraph>)> {
+    let mut sets: Vec<_> = sets.into_iter().collect();
+    sets.sort_by_key(|(id, _)| *id);
+    sets
 }
 
 /// One evaluation outcome along a path.
@@ -1287,19 +1349,52 @@ mod tests {
     use super::*;
     use sct_core::graph::Change;
 
+    /// A summary of the define owning `id`, where every λ is owned by the
+    /// define of the same number: its foreign set is every carried λ but
+    /// its own, plus its callees'.
     fn summary(
         id: LambdaId,
         graphs: Vec<(LambdaId, Vec<ScGraph>)>,
         callees: Vec<Rc<CalleeSummary>>,
     ) -> Rc<CalleeSummary> {
+        owned_summary(id, graphs, callees, |l| l)
+    }
+
+    fn owned_summary(
+        id: LambdaId,
+        graphs: Vec<(LambdaId, Vec<ScGraph>)>,
+        callees: Vec<Rc<CalleeSummary>>,
+        owner: impl Fn(LambdaId) -> LambdaId,
+    ) -> Rc<CalleeSummary> {
+        let mut foreign: Vec<LambdaId> = graphs
+            .iter()
+            .map(|(l, _)| *l)
+            .filter(|&l| owner(l) != owner(id))
+            .chain(callees.iter().flat_map(|c| c.foreign.iter().copied()))
+            .collect();
+        foreign.sort_unstable();
+        foreign.dedup();
         Rc::new(CalleeSummary {
             id,
             domains: vec![PlanDomain::Any],
             result: PlanDomain::Any,
             graphs,
             callees,
+            foreign,
             component: Rc::from([]),
         })
+    }
+
+    /// The merge as it ran before foreign sets existed: always walk every
+    /// summary the stubs reach. `merge_summaries` must agree with it.
+    fn merge_by_walk(
+        own: &HashMap<LambdaId, Vec<ScGraph>>,
+        stubs: &[Rc<CalleeSummary>],
+        skip: LambdaId,
+    ) -> Vec<(LambdaId, Vec<ScGraph>)> {
+        let mut checked = own.clone();
+        walk_summaries(&mut checked, stubs, skip);
+        sorted(checked)
     }
 
     #[test]
@@ -1327,9 +1422,9 @@ mod tests {
             vec![a.clone()],
         );
         let own = HashMap::from([(0, vec![down.clone()]), (9, vec![down.clone()])]);
-        let checked = merge_summaries(&own, &[a, b], 0);
+        let merged = merge_summaries(&own, &[a, b], 0, |l| l == 0);
         assert_eq!(
-            checked,
+            merged.checked,
             vec![
                 (0, vec![down.clone()]),
                 // Two different summaries' sets for one λ: their union.
@@ -1338,6 +1433,106 @@ mod tests {
                 (9, vec![down, keep]),
             ],
             "λ 1 and λ 2 come from one summary each and are not copied"
+        );
+        assert_eq!(merged.foreign, vec![0, 7, 9]);
+        assert_eq!(merged.visits, 2, "the walk visits a and b once each");
+    }
+
+    /// SplitMix64: a dependency-free, seeded source for the DAG test.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    #[test]
+    fn merge_agrees_with_the_walk_on_random_summary_dags() {
+        // Define d owns λs 4d..4d+3, its entry λ is 4d, and define 0
+        // explores. Defines 1..DEFINES have summaries, each stubbing
+        // earlier ones; a summary may carry sets for another define's λs
+        // (a *foreign carry*) only when `foreign_carries` is on.
+        const DEFINES: u64 = 12;
+        let owner = |l: LambdaId| l / 4;
+        let pool: Vec<ScGraph> = [
+            [(0, Change::Descend, 0)].as_slice(),
+            &[(0, Change::NonAscend, 0)],
+            &[(0, Change::Descend, 1), (1, Change::NonAscend, 0)],
+            &[(1, Change::Descend, 1)],
+            &[],
+        ]
+        .iter()
+        .map(|arcs| ScGraph::from_arcs(2, 2, arcs.iter().copied()))
+        .collect();
+        let mut rng = Mix(7);
+        let (mut walked, mut skipped, mut unions) = (0, 0, 0);
+        for case in 0..400 {
+            let foreign_carries = case % 2 == 1;
+            let random_sets = |rng: &mut Mix, d: u64| -> Vec<(LambdaId, Vec<ScGraph>)> {
+                let mut sets: Vec<(LambdaId, Vec<ScGraph>)> = Vec::new();
+                for _ in 0..rng.below(4) {
+                    let d = if foreign_carries && rng.below(3) == 0 {
+                        rng.below(DEFINES)
+                    } else {
+                        d
+                    };
+                    let l = (4 * d + rng.below(4)) as LambdaId;
+                    if sets.iter().any(|(k, _)| *k == l) {
+                        continue;
+                    }
+                    let set = (0..=rng.below(3))
+                        .map(|_| pool[rng.below(pool.len() as u64) as usize].clone())
+                        .collect();
+                    sets.push((l, set));
+                }
+                sets
+            };
+            let mut summaries: Vec<Rc<CalleeSummary>> = Vec::new();
+            for d in 1..DEFINES {
+                let graphs = random_sets(&mut rng, d);
+                let callees = summaries
+                    .iter()
+                    .filter(|_| rng.below(3) == 0)
+                    .cloned()
+                    .collect();
+                summaries.push(owned_summary((4 * d) as LambdaId, graphs, callees, owner));
+            }
+            let own: HashMap<_, _> = random_sets(&mut rng, 0).into_iter().collect();
+            let stubs: Vec<_> = summaries
+                .iter()
+                .filter(|_| rng.below(2) == 0)
+                .cloned()
+                .collect();
+            let merged = merge_summaries(&own, &stubs, 0, |l| owner(l) == 0);
+            assert_eq!(
+                merged.checked,
+                merge_by_walk(&own, &stubs, 0),
+                "case {case}"
+            );
+            unions += usize::from(merged.checked != sorted(own));
+            if merged.foreign.is_empty() {
+                assert_eq!(merged.visits, 0, "case {case}");
+                skipped += 1;
+            } else {
+                walked += 1;
+            }
+            if !foreign_carries {
+                assert!(merged.foreign.is_empty(), "case {case}");
+            }
+        }
+        // Both paths run, and the walk does materialize unions.
+        assert!(
+            walked > 100 && skipped >= 200 && unions > 50,
+            "{walked} walked, {skipped} skipped, {unions} with unions"
         );
     }
 }

@@ -66,7 +66,7 @@
 
 use crate::digest::ProgramDigests;
 use crate::exec::{CalleeSummary, ExecConfig, GlobalSnapshot, SummaryTable};
-use crate::verify::{explore_with_names, Exploration};
+use crate::verify::{explore_with_index, Exploration};
 use sct_core::ljb::ClosureResult;
 use sct_core::plan::{Decision, EnforcementPlan, FnDecision, PlanDomain};
 use sct_core::plan_codec::PortableDecision;
@@ -85,9 +85,11 @@ pub type Signature = (Vec<PlanDomain>, PlanDomain);
 /// Observability hook for the planner: when armed with a registry, the
 /// hybrid pre-pass records per-define plan time (`plan.define_us`),
 /// per-ladder-rung attempt/discharge counters
-/// (`plan.rung.<any|nat|pos|signature>.{attempts,discharged}`), and
-/// symbolic-executor fuel (`plan.fuel_used`). The disabled default
-/// records nothing. Carried inside [`PlanConfig`], so it crosses planning
+/// (`plan.rung.<any|nat|pos|signature>.{attempts,discharged}`),
+/// symbolic-executor fuel (`plan.fuel_used`), and the `plan.summary.*`
+/// family (store hits and misses, stubbed applications, and the summaries
+/// `merge_summaries` walked, `plan.summary.merge_visits`). The disabled
+/// default records nothing. Carried inside [`PlanConfig`], so it crosses planning
 /// threads with the config clone; excluded from the cache content key
 /// (`digest::hash_config` selects fields explicitly) because metrics
 /// wiring cannot change a decision.
@@ -145,6 +147,7 @@ impl PlanObs {
             r.counter("plan.summary.hits").add(0);
             r.counter("plan.summary.misses").add(0);
             r.counter("plan.summary.stubbed_applications").add(0);
+            r.counter("plan.summary.merge_visits").add(0);
         }
     }
 
@@ -157,6 +160,14 @@ impl PlanObs {
     fn summary_miss(&self) {
         if let Some(r) = self.registry() {
             r.counter("plan.summary.misses").inc();
+        }
+    }
+
+    fn merge_visits(&self, n: u64) {
+        if n > 0 {
+            if let Some(r) = self.registry() {
+                r.counter("plan.summary.merge_visits").add(n);
+            }
         }
     }
 
@@ -647,17 +658,26 @@ fn rebind_summary(
         return None;
     }
     let mut graphs = Vec::with_capacity(p.graphs.len());
+    let mut foreign = Vec::new();
     for (lr, set) in &p.graphs {
-        graphs.push((index.resolve(lr)?, set.clone()));
+        let id = index.resolve(lr)?;
+        if index.owner(id) != Some(global) {
+            foreign.push(id);
+        }
+        graphs.push((id, set.clone()));
     }
-    let mut callees = Vec::with_capacity(p.callees.len());
+    let mut callees: Vec<Rc<CalleeSummary>> = Vec::with_capacity(p.callees.len());
     for callee in &p.callees {
         let entry = LambdaRef {
             global: callee.clone(),
             idx: 0,
         };
-        callees.push(table.get(&index.resolve(&entry)?)?.clone());
+        let summary = table.get(&index.resolve(&entry)?)?;
+        foreign.extend_from_slice(&summary.foreign);
+        callees.push(summary.clone());
     }
+    foreign.sort_unstable();
+    foreign.dedup();
     // Only recursive summaries are persisted (only they are worth
     // stubbing); anything else is corruption.
     if !graphs
@@ -672,6 +692,7 @@ fn rebind_summary(
         result: p.result,
         graphs,
         callees,
+        foreign,
         component: index.members_of(global).clone(),
     })
 }
@@ -879,6 +900,12 @@ impl ProgramIndex {
         })
     }
 
+    /// The global whose λ-define owns λ `id`: the global of its portable
+    /// address, `None` for a λ without one.
+    pub(crate) fn owner(&self, id: LambdaId) -> Option<u32> {
+        self.portable.get(&id).map(|&(global, _)| global)
+    }
+
     /// The inverse of [`ProgramIndex::lambda_ref`] in the current compile.
     fn resolve(&self, lr: &LambdaRef) -> Option<LambdaId> {
         let pos = self.last_define[*self.global_of.get(&lr.global)? as usize]?;
@@ -969,13 +996,13 @@ fn run_attempt(
     caller_global: Option<u32>,
 ) -> (Attempt, Option<Exploration>) {
     let config = pass.config;
-    let exploration = match explore_with_names(
+    let exploration = match explore_with_index(
         pass.program,
         name,
         domains,
         *result,
         &config.exec,
-        pass.index.names().clone(),
+        pass.index,
         Some(entry_id),
         summaries,
         caller_global,
@@ -1080,6 +1107,7 @@ fn run_ladder(
         match &exploration {
             Some(ex) => {
                 config.obs.fuel(ex.steps);
+                config.obs.merge_visits(ex.merge_visits);
                 config.obs.summary_stubbed(ex.stubbed);
                 out.stubbed |= ex.stubbed > 0;
             }
@@ -1230,6 +1258,7 @@ fn plan_function(
             result,
             graphs: exploration.own_graphs,
             callees: exploration.stubs,
+            foreign: exploration.foreign,
             component: pass.index.members_of(global).clone(),
         });
         return (finish(d), summary);

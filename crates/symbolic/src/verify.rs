@@ -3,8 +3,8 @@
 //! discovered graph sets.
 
 use crate::exec::{
-    merge_summaries, CalleeSummary, EntryInvariant, ExecConfig, Executor, GlobalSnapshot, SOut,
-    SummaryTable,
+    merge_summaries, CalleeSummary, EntryInvariant, ExecConfig, Executor, GlobalSnapshot, Merged,
+    SOut, SummaryTable,
 };
 use crate::pipeline::ProgramIndex;
 use crate::sym::{Path, SValue};
@@ -87,6 +87,13 @@ pub struct Exploration {
     pub own_graphs: Vec<(LambdaId, Vec<ScGraph>)>,
     /// The callee summaries it stubbed (see [`Executor::stubs`]).
     pub stubs: Vec<Rc<CalleeSummary>>,
+    /// The foreign set a summary of this exploration carries (see
+    /// [`CalleeSummary::foreign`]).
+    pub foreign: Vec<LambdaId>,
+    /// How many summaries `merge_summaries` visited to build `graphs`:
+    /// zero unless some stub or own set is foreign. The hybrid pre-pass
+    /// sums it into the `plan.summary.merge_visits` metric.
+    pub merge_visits: u64,
     /// Display names for λ ids (from `define`/`letrec` hints). Shared
     /// (`Rc`) because the map depends only on the program, and the hybrid
     /// pre-pass explores the same program once per `define` × ladder rung.
@@ -143,13 +150,13 @@ pub fn explore_function(
     result: PlanDomain,
     config: &ExecConfig,
 ) -> Result<Exploration, String> {
-    explore_with_names(
+    explore_with_index(
         program,
         function,
         domains,
         result,
         config,
-        ProgramIndex::build(program).names().clone(),
+        &ProgramIndex::build(program),
         None,
         None,
         None,
@@ -157,14 +164,14 @@ pub fn explore_function(
     )
 }
 
-/// [`explore_function`] with a precomputed λ-name map (so callers that
+/// [`explore_function`] with a prebuilt [`ProgramIndex`] (so callers that
 /// explore one program many times — the hybrid pre-pass: every `define` ×
-/// every ladder rung — walk the AST for names once instead of per
-/// attempt), and an optional λ-id pin: when `expected_entry` is set, the
-/// global must still resolve to *that* λ. The hybrid pre-pass pins each
-/// `define`'s own λ, because the executor's global table keeps the *last*
-/// binding — without the pin, a shadowed earlier definition would inherit
-/// a proof of its replacement and skip monitoring unsoundly.
+/// every ladder rung — walk the AST for λ names and owners once instead
+/// of per attempt), and an optional λ-id pin: when `expected_entry` is
+/// set, the global must still resolve to *that* λ. The hybrid pre-pass
+/// pins each `define`'s own λ, because the executor's global table keeps
+/// the *last* binding — without the pin, a shadowed earlier definition
+/// would inherit a proof of its replacement and skip monitoring unsoundly.
 ///
 /// When `summaries` is set, applications of already-summarized callees are
 /// stubbed with their contract summaries instead of descending (see
@@ -173,13 +180,13 @@ pub fn explore_function(
 /// `snapshot` is the program's evaluated globals, built once per planning
 /// pass.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn explore_with_names(
+pub(crate) fn explore_with_index(
     program: &Program,
     function: &str,
     domains: &[PlanDomain],
     result: PlanDomain,
     config: &ExecConfig,
-    names: Rc<HashMap<LambdaId, String>>,
+    index: &ProgramIndex,
     expected_entry: Option<LambdaId>,
     summaries: Option<&SummaryTable>,
     caller_global: Option<u32>,
@@ -242,14 +249,23 @@ pub(crate) fn explore_with_names(
         return Err(reason);
     }
 
-    let graphs = merge_summaries(&ex.graphs, &ex.stubs, clo.def.id);
+    // The define under exploration owns what its entry λ's global owns.
+    let home = index.owner(clo.def.id);
+    let owns = |id| home.is_some() && index.owner(id) == home;
+    let Merged {
+        checked,
+        foreign,
+        visits,
+    } = merge_summaries(&ex.graphs, &ex.stubs, clo.def.id, owns);
     let mut own_graphs: Vec<_> = std::mem::take(&mut ex.graphs).into_iter().collect();
     own_graphs.sort_by_key(|(id, _)| *id);
     Ok(Exploration {
-        graphs,
+        graphs: checked,
         own_graphs,
         stubs: std::mem::take(&mut ex.stubs),
-        names,
+        foreign,
+        merge_visits: visits,
+        names: index.names().clone(),
         opaque_calls: ex.opaque_applications,
         steps: ex.steps(),
         stubbed: ex.stubbed_applications,

@@ -280,3 +280,45 @@ fn mutual_recursion_through_a_non_lambda_define_is_never_stubbed() {
         assert_eq!(stubbed.decisions.len(), 2, "f and h are planned, g is not");
     }
 }
+
+/// `plan.summary.merge_visits` after planning `source` with summaries on.
+fn merge_visits(source: &str) -> u64 {
+    let prog = sct_lang::compile_program(source).unwrap();
+    let reg = Arc::new(Registry::new());
+    let cfg = PlanConfig {
+        obs: PlanObs::registered(reg.clone()),
+        ..PlanConfig::default()
+    };
+    plan_program(&prog, &cfg);
+    let snap = reg.snapshot();
+    assert!(
+        snap.counter("plan.summary.stubbed_applications").unwrap() > 0,
+        "no summary was stubbed"
+    );
+    snap.counter("plan.summary.merge_visits")
+        .expect("the counter is registered")
+}
+
+/// A layered corpus only ever stubs summaries whose graph sets belong to
+/// their own defines, so merging them walks nothing, in either order.
+#[test]
+fn layered_corpus_merges_without_walking_summaries() {
+    let source = sct_bench::layered_corpus(1000, 7, 0);
+    let reversed = permute_defines(&source, |k| (0..k).rev().collect()).unwrap();
+    for (tag, s) in [("source order", &source), ("reversed", &reversed)] {
+        assert_eq!(merge_visits(s), 0, "{tag}");
+    }
+}
+
+/// An exploration that descends into another define's recursion (`cnt`
+/// is only summarized for naturals, and `f`'s first rung passes it any
+/// value) owns a foreign set, so its merge walks the summaries it
+/// stubbed — and still plans exactly as full descent does.
+#[test]
+fn a_foreign_set_makes_the_merge_walk() {
+    let source = "(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))
+                  (define (cnt n) (if (zero? n) 0 (cnt (- n 1))))
+                  (define (f l x) (+ (len l) (cnt x)))";
+    assert!(merge_visits(source) > 0);
+    assert_modes_agree(source, &PlanConfig::default(), "foreign");
+}
