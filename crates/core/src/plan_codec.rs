@@ -1,7 +1,7 @@
 //! The versioned `sct-plan/3` codec: persisted enforcement decisions.
 //!
-//! The persistent plan cache (`sct-cache`) stores one [`FnDecision`]
-//! per content-addressed file so that re-planning an edited program
+//! The persistent plan cache (`sct-cache`) stores one decision per
+//! content-addressed file so that re-planning an edited program
 //! re-verifies only the `define`s whose keys changed. This module is the
 //! serialization layer: a [`PortableDecision`] is a decision with every
 //! compile-run-specific identifier removed, encoded as a single-line JSON
@@ -9,6 +9,12 @@
 //! recursive define's entry also carries its contract summary, as an
 //! optional `"summary"` member laid out by `summary_codec`: one entry, one
 //! file, one version per content key.
+//!
+//! The planner emits every decision in this form, planned or loaded, and
+//! [`PortableDecision::rebind`] is the one way from an entry to a
+//! [`FnDecision`]: it consumes the entry, moving its strings and verdict
+//! into the plan, so a store hit and a fresh verdict bind alike. Nothing
+//! converts the other way: a bound decision is never stripped back down.
 //!
 //! # Why "portable"
 //!
@@ -88,48 +94,26 @@ pub struct PortableDecision {
 }
 
 impl PortableDecision {
-    /// Strips a concrete [`FnDecision`] down to its portable form.
-    /// `nested` is the define's nested-λ id list in syntactic traversal
-    /// order — the basis `covers` is re-expressed in. Covered ids not in
-    /// `nested` are dropped (they could not be rebound on load); the
-    /// planner only ever covers nested λs, so this loses nothing. The
-    /// result carries no summary.
-    pub fn from_decision(d: &FnDecision, nested: &[u32]) -> PortableDecision {
-        let covers_idx = d
-            .covers
-            .iter()
-            .filter_map(|id| nested.iter().position(|n| n == id))
-            .map(|i| i as u32)
-            .collect();
-        PortableDecision {
-            name: d.name.clone(),
-            decision: d.decision.clone(),
-            covers_idx,
-            blame: d.blame.clone(),
-            detail: d.detail.clone(),
-            micros: d.micros,
-            summary: None,
-        }
-    }
-
-    /// Rebinds the portable decision against the *current* compile:
-    /// `lambda` is the define's entry λ id, `nested` its nested-λ ids in
-    /// syntactic traversal order. Returns `None` when a stored cover index
-    /// is out of range for `nested` — the define's body does not match the
-    /// entry (which the content address should make impossible; treated as
-    /// corruption, i.e. recompute).
-    pub fn rebind(&self, lambda: u32, nested: &[u32]) -> Option<FnDecision> {
+    /// Binds the entry to the *current* compile, consuming it: `lambda` is
+    /// the define's entry λ id, `nested` its nested-λ ids in syntactic
+    /// traversal order. The name, verdict, blame and detail move into the
+    /// result; the summary, if any, is dropped (the planner takes it out
+    /// first). Returns `None` when a stored cover index is out of range for
+    /// `nested` — the define's body does not match the entry (which the
+    /// content address should make impossible; treated as corruption, i.e.
+    /// recompute).
+    pub fn rebind(self, lambda: u32, nested: &[u32]) -> Option<FnDecision> {
         let mut covers = Vec::with_capacity(self.covers_idx.len());
         for &i in &self.covers_idx {
             covers.push(*nested.get(i as usize)?);
         }
         Some(FnDecision {
-            name: self.name.clone(),
+            name: self.name,
             lambda,
             covers,
-            decision: self.decision.clone(),
-            blame: self.blame.clone(),
-            detail: self.detail.clone(),
+            decision: self.decision,
+            blame: self.blame,
+            detail: self.detail,
             micros: self.micros,
         })
     }
@@ -440,37 +424,17 @@ mod tests {
                 guard: vec![PlanDomain::Any],
             },
             covers_idx: vec![0, 2],
-            blame: None,
+            blame: Some("b".into()),
             detail: "verified".into(),
             micros: 9,
             summary: None,
         };
+        // Out-of-range cover index = structural mismatch = corruption.
+        assert!(d.clone().rebind(41, &[50]).is_none());
         let bound = d.rebind(41, &[50, 51, 52]).unwrap();
         assert_eq!(bound.lambda, 41);
         assert_eq!(bound.covers, vec![50, 52]);
+        assert_eq!(bound.blame.as_deref(), Some("b"));
         assert_eq!(bound.micros, 9);
-        // Out-of-range cover index = structural mismatch = corruption.
-        assert!(d.rebind(41, &[50]).is_none());
-    }
-
-    #[test]
-    fn from_decision_inverts_rebind() {
-        let nested = [7u32, 9, 11];
-        let concrete = FnDecision {
-            name: "g".into(),
-            lambda: 5,
-            covers: vec![9, 11],
-            decision: Decision::Static {
-                guard: vec![PlanDomain::Any],
-            },
-            blame: Some("b".into()),
-            detail: "verified".into(),
-            micros: 3,
-        };
-        let portable = PortableDecision::from_decision(&concrete, &nested);
-        assert_eq!(portable.covers_idx, vec![1, 2]);
-        let back = portable.rebind(5, &nested).unwrap();
-        assert_eq!(back.covers, concrete.covers);
-        assert_eq!(back.lambda, concrete.lambda);
     }
 }

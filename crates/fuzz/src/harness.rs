@@ -39,7 +39,7 @@ use crate::gen::{GenCase, Oracle, Rng};
 use sct_cache::MemStore;
 use sct_core::monitor::TableStrategy;
 use sct_core::plan::{Decision, EnforcementPlan, PlanDomain};
-use sct_interp::{reference, EvalError, Machine, MachineConfig, Value};
+use sct_interp::{reference, EvalError, Machine, MachineConfig, ScErrorInfo, Stats, Value};
 use sct_lang::ast::Program;
 use sct_symbolic::{plan_program_incremental, PlanCache, PlanConfig};
 use std::fmt;
@@ -97,20 +97,31 @@ fn render(r: &Result<Value, EvalError>) -> String {
     }
 }
 
+impl Outcome {
+    /// Renders one finished run of either machine.
+    fn of(
+        r: &Result<Value, EvalError>,
+        output: &str,
+        stats: &Stats,
+        violations: &[ScErrorInfo],
+    ) -> Outcome {
+        Outcome {
+            answer: render(r),
+            output: output.to_string(),
+            applications: stats.applications,
+            monitored_calls: stats.monitored_calls,
+            checks: stats.checks,
+            static_skips: stats.static_skips,
+            violations: violations.iter().map(|v| v.to_string()).collect(),
+        }
+    }
+}
+
 /// Runs the flat-IR VM, returning the rendered outcome and the result.
 pub fn run_vm_full(prog: &Program, config: MachineConfig) -> (Outcome, Result<Value, EvalError>) {
     let mut m = Machine::new(prog, config);
     let r = m.run();
-    let outcome = Outcome {
-        answer: render(&r),
-        output: m.output.clone(),
-        applications: m.stats.applications,
-        monitored_calls: m.stats.monitored_calls,
-        checks: m.stats.checks,
-        static_skips: m.stats.static_skips,
-        violations: m.violations.iter().map(|v| v.to_string()).collect(),
-    };
-    (outcome, r)
+    (Outcome::of(&r, &m.output, &m.stats, &m.violations), r)
 }
 
 /// Runs the reference CEK walker, returning the rendered outcome and the
@@ -121,16 +132,7 @@ pub fn run_reference_full(
 ) -> (Outcome, Result<Value, EvalError>) {
     let mut m = reference::Machine::new(prog, config);
     let r = m.run();
-    let outcome = Outcome {
-        answer: render(&r),
-        output: m.output.clone(),
-        applications: m.stats.applications,
-        monitored_calls: m.stats.monitored_calls,
-        checks: m.stats.checks,
-        static_skips: m.stats.static_skips,
-        violations: m.violations.iter().map(|v| v.to_string()).collect(),
-    };
-    (outcome, r)
+    (Outcome::of(&r, &m.output, &m.stats, &m.violations), r)
 }
 
 /// Runs the flat-IR VM under `config` and returns the rendered outcome.
@@ -143,19 +145,10 @@ pub fn run_vm(prog: &Program, config: MachineConfig) -> Outcome {
 /// `Outcome` deliberately excludes the cache-bound counters
 /// (`generic_calls`, `pic_hits`, `pic_misses`, `pic_invalidations`): the
 /// reference walker has no inline caches to compare them against.
-pub fn run_vm_stats(prog: &Program, config: MachineConfig) -> (Outcome, sct_interp::Stats) {
+pub fn run_vm_stats(prog: &Program, config: MachineConfig) -> (Outcome, Stats) {
     let mut m = Machine::new(prog, config);
     let r = m.run();
-    let outcome = Outcome {
-        answer: render(&r),
-        output: m.output.clone(),
-        applications: m.stats.applications,
-        monitored_calls: m.stats.monitored_calls,
-        checks: m.stats.checks,
-        static_skips: m.stats.static_skips,
-        violations: m.violations.iter().map(|v| v.to_string()).collect(),
-    };
-    (outcome, m.stats)
+    (Outcome::of(&r, &m.output, &m.stats, &m.violations), m.stats)
 }
 
 /// Asserts PIC transparency on one program/config: the VM with inline
@@ -523,15 +516,7 @@ fn evaluate(source: &str, cfg: &FuzzConfig, seed: u64) -> Result<Evaluated, Viol
         .map(|(label, config)| {
             let mut m = Machine::new(&prog, config.clone());
             let result = m.run();
-            let vm = Outcome {
-                answer: render(&result),
-                output: m.output.clone(),
-                applications: m.stats.applications,
-                monitored_calls: m.stats.monitored_calls,
-                checks: m.stats.checks,
-                static_skips: m.stats.static_skips,
-                violations: m.violations.iter().map(|v| v.to_string()).collect(),
-            };
+            let vm = Outcome::of(&result, &m.output, &m.stats, &m.violations);
             let (vm_pic_off, off_stats) = run_vm_stats(
                 &prog,
                 MachineConfig {

@@ -77,6 +77,7 @@ use sct_core::plan_codec::PLAN_CODEC_SCHEMA;
 use sct_core::stable::{Digest128, StableHasher, STABLE_HASH_VERSION};
 use sct_lang::ast::{Expr, LambdaDef, Program, TopForm};
 use sct_sexpr::Datum;
+use std::io::{Cursor, Write};
 
 /// Structural digests of one compiled [`Program`] under one
 /// [`PlanConfig`], computed once and then queried per `define` via
@@ -92,7 +93,7 @@ pub struct ProgramDigests<'i> {
     /// the component digests instead).
     config: Digest128,
     /// The reference/mutation structure, the planner's own.
-    index: &'i ProgramIndex,
+    index: &'i ProgramIndex<'i>,
 }
 
 impl<'i> ProgramDigests<'i> {
@@ -101,7 +102,7 @@ impl<'i> ProgramDigests<'i> {
     /// graph. `snapshot` supplies the failed-initializer bits.
     pub fn new(
         program: &Program,
-        index: &'i ProgramIndex,
+        index: &'i ProgramIndex<'i>,
         snapshot: &GlobalSnapshot,
         config: &PlanConfig,
     ) -> ProgramDigests<'i> {
@@ -129,27 +130,27 @@ impl<'i> ProgramDigests<'i> {
         // Callees first, so every callee digest exists when a caller's
         // component folds it in.
         let mut per_component: Vec<Digest128> = Vec::with_capacity(index.components().len());
+        // Scratch lists, reused across components.
+        let (mut members, mut callees) = (Vec::new(), Vec::new());
         for component in index.components() {
             let mut h = StableHasher::new();
-            let mut members = component.members.to_vec();
+            members.clear();
+            members.extend_from_slice(&component.members);
             members.sort_unstable_by_key(|&g| &program.global_names[g as usize]);
             h.write_u64(members.len() as u64);
-            for g in members {
+            for &g in &members {
                 let name = &program.global_names[g as usize];
                 h.write_str(name);
                 write_digest(per_global[g as usize], &mut h);
                 h.write_u8(u8::from(index.is_mutated(g)));
                 hash_signature(config.signatures.get(name), &mut h);
             }
-            let mut callees: Vec<Digest128> = component
-                .callees
-                .iter()
-                .map(|&c| per_component[c as usize])
-                .collect();
+            callees.clear();
+            callees.extend(component.callees.iter().map(|&c| per_component[c as usize]));
             callees.sort_unstable();
             callees.dedup();
             h.write_u64(callees.len() as u64);
-            for d in callees {
+            for &d in &callees {
                 write_digest(d, &mut h);
             }
             per_component.push(h.finish128());
@@ -291,7 +292,11 @@ fn hash_expr(e: &Expr, program: &Program, h: &mut StableHasher) {
         }
         Expr::PrimRef(p) => {
             h.write_u8(4);
-            h.write_str(&format!("{p:?}"));
+            // The bytes of `format!("{p:?}")`, written into a stack buffer
+            // instead of a fresh `String` (variant names are short).
+            let mut name = Cursor::new([0u8; 32]);
+            write!(name, "{p:?}").expect("a primitive's name fits 32 bytes");
+            h.write_bytes(&name.get_ref()[..name.position() as usize]);
         }
         Expr::Lambda(def) => {
             h.write_u8(5);
@@ -426,7 +431,11 @@ mod tests {
     use super::*;
     use sct_lang::compile_program;
 
-    fn digests<'i>(p: &Program, index: &'i ProgramIndex, cfg: &PlanConfig) -> ProgramDigests<'i> {
+    fn digests<'i>(
+        p: &Program,
+        index: &'i ProgramIndex<'i>,
+        cfg: &PlanConfig,
+    ) -> ProgramDigests<'i> {
         let snapshot = GlobalSnapshot::build(p, &cfg.exec);
         ProgramDigests::new(p, index, &snapshot, cfg)
     }
@@ -612,6 +621,18 @@ mod tests {
                 "8d46aa670d0d31ceabc5567f71aaa60a",
             ]
         );
+    }
+
+    #[test]
+    fn every_primitive_hashes_as_its_debug_name() {
+        let p = compile_program("").unwrap();
+        for &(_, prim) in sct_lang::prims::PRIMS {
+            let (mut got, mut want) = (StableHasher::new(), StableHasher::new());
+            hash_expr(&Expr::PrimRef(prim), &p, &mut got);
+            want.write_u8(4);
+            want.write_str(&format!("{prim:?}"));
+            assert_eq!(got.finish128(), want.finish128(), "{prim:?}");
+        }
     }
 
     #[test]

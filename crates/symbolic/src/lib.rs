@@ -60,4 +60,4 @@ pub use pipeline::{
 pub use sct_core::plan::PlanDomain as SymDomain;
 pub use solver::Solver;
 pub use sym::{AtomKind, Path, SValue};
-pub use verify::{explore_function, verify_function, Exploration, StaticVerdict};
+pub use verify::{verify_function, StaticVerdict};

@@ -1,8 +1,9 @@
 //! The hybrid enforcement pre-pass: statically discharge what §4 can
 //! prove, leave the residual to §3's monitor, and refute eagerly.
 //!
-//! [`plan_program`] runs [`explore_function`](crate::verify::explore_function)
-//! over every `define` in a program and folds the outcomes into an
+//! [`plan_program`] runs the symbolic exploration behind
+//! [`verify_function`](crate::verify::verify_function) over every
+//! `define` in a program and folds the outcomes into an
 //! [`EnforcementPlan`]:
 //!
 //! * A function whose exploration is exhaustive and whose every discovered
@@ -425,21 +426,20 @@ pub fn plan_program_incremental(
         // The define's own λ comes first, then the λs nested in it.
         let nested = &index.lambdas_at(pos)[1..];
         if let Some(key) = &key {
-            if let Some(portable) = store.load(key) {
+            if let Some(mut entry) = store.load(key) {
+                let summary = entry.summary.take();
                 // The content address commits to the define's structure,
                 // so a rebind failure can only mean corruption — fall
                 // through to recompute.
-                if let Some(decision) = portable.rebind(def.id, nested) {
+                if let Some(decision) = entry.rebind(def.id, nested) {
                     // A hit decision needs no verification, but its
                     // summary (Static defines only) still feeds later
                     // defines' stubs — that is what makes a warm
                     // incremental replan near-linear.
                     if summaries_on && matches!(decision.decision, Decision::Static { .. }) {
-                        let summary = portable
-                            .summary
-                            .as_ref()
-                            .and_then(|p| rebind_summary(p, def, &index, global, &summary_table));
-                        match summary {
+                        match summary
+                            .and_then(|p| rebind_summary(p, def, &index, global, &summary_table))
+                        {
                             Some(s) => {
                                 config.obs.summary_hit();
                                 summary_table.insert(def.id, Rc::new(s));
@@ -457,11 +457,8 @@ pub fn plan_program_incremental(
         // to Monitor instead of exploring. Never persisted — the verdict
         // reflects the wall clock, not the content the key commits to.
         if config.deadline.is_some_and(|d| Instant::now() >= d) {
-            out.push((
-                pos,
-                monitor_fallback(name, def, blame, DEADLINE_REASON),
-                false,
-            ));
+            let entry = monitor_fallback(name, blame, DEADLINE_REASON);
+            out.push((pos, bind(entry, def, nested), false));
             continue;
         }
         // A proof is only as durable as the bindings it reads: if this
@@ -469,13 +466,13 @@ pub fn plan_program_incremental(
         // the program `set!`s, a later rebinding could invalidate the
         // discharge at run time — e.g. a helper swapped for one that no
         // longer descends. Such functions stay monitored.
-        let (decision, summary) = if let Some(g) = index.tainted_by(global) {
+        let (mut entry, summary) = if let Some(g) = index.tainted_by(global) {
             let reason = format!(
                 "depends on global {} which the program mutates (set!); \
                  a run-time rebinding could invalidate the proof",
                 program.global_names[g as usize]
             );
-            (monitor_fallback(name, def, blame, &reason), None)
+            (monitor_fallback(name, blame, &reason), None)
         } else {
             plan_function(
                 &pass,
@@ -487,18 +484,18 @@ pub fn plan_program_incremental(
                 summaries_on.then_some(&summary_table),
             )
         };
-        // The summary is persisted inside the decision's entry.
+        // The summary is persisted inside the decision's entry, which is
+        // then bound exactly as a store hit's is.
         if let Some(key) = &key {
-            let mut entry = PortableDecision::from_decision(&decision, nested);
             entry.summary = summary
                 .as_ref()
-                .and_then(|s| portable_summary(name, s, &index, program));
+                .and_then(|s| portable_summary(name, s, &index));
             store.store(key, &entry);
         }
         if let Some(s) = summary {
             summary_table.insert(def.id, Rc::new(s));
         }
-        out.push((pos, decision, false));
+        out.push((pos, bind(entry, def, nested), false));
     }
     out.sort_by_key(|(pos, ..)| *pos);
     let mut plan = EnforcementPlan::new();
@@ -515,25 +512,28 @@ pub fn plan_program_incremental(
 /// can distinguish deadline degradation from other monitor fallbacks.
 pub const DEADLINE_REASON: &str = "planning deadline exceeded";
 
-/// Fabricates the maximally pessimistic (and always sound) decision for a
+/// Binds an entry the planner has just derived: its cover indices come
+/// from `nested` itself, so they are always in range.
+fn bind(entry: PortableDecision, def: &LambdaDef, nested: &[LambdaId]) -> FnDecision {
+    entry
+        .rebind(def.id, nested)
+        .expect("a planned entry covers only its own nested λs")
+}
+
+/// Fabricates the maximally pessimistic (and always sound) entry for a
 /// λ-bound `define`: keep full dynamic monitoring, prove nothing, refute
 /// nothing.
-fn monitor_fallback(
-    name: &str,
-    def: &Rc<LambdaDef>,
-    blame: Option<String>,
-    reason: &str,
-) -> FnDecision {
-    FnDecision {
+fn monitor_fallback(name: &str, blame: Option<String>, reason: &str) -> PortableDecision {
+    PortableDecision {
         name: name.to_string(),
-        lambda: def.id,
-        covers: Vec::new(),
         decision: Decision::Monitor {
             reason: reason.to_string(),
         },
+        covers_idx: Vec::new(),
         blame,
         detail: reason.to_string(),
         micros: 0,
+        summary: None,
     }
 }
 
@@ -553,8 +553,8 @@ pub fn monitor_fallback_decisions(
     for (_, index, def, blame) in lambda_defines(program) {
         let name = &program.global_names[*index as usize];
         stats.defines.push((name.clone(), false));
-        plan.decisions
-            .push(monitor_fallback(name, def, blame, reason));
+        let entry = monitor_fallback(name, blame, reason);
+        plan.decisions.push(bind(entry, def, &[]));
     }
     (plan, stats)
 }
@@ -568,18 +568,21 @@ pub fn monitor_fallback_decisions(
 /// do: entered through a cycle, it can finish a cycle member before a
 /// callee that a later member of the same cycle references. Members of
 /// one component (mutually recursive defines) never stub each other
-/// (`Executor::try_stub`), so their relative order is immaterial.
-fn callee_first(refs: &[Vec<u32>]) -> Vec<Vec<u32>> {
+/// (`Executor::try_stub`), so their relative order is immaterial; each
+/// component's members come back sorted by index.
+fn callee_first(refs: &[Vec<u32>]) -> Vec<Rc<[u32]>> {
     const UNSEEN: u32 = u32::MAX;
     let n = refs.len();
     let (mut number, mut low, mut on_stack) = (vec![UNSEEN; n], vec![0; n], vec![false; n]);
     let (mut stack, mut components, mut next) = (Vec::new(), Vec::new(), 0);
+    // DFS frames: (global, index of its next reference to follow); the
+    // frame stack and the member list are reused across roots.
+    let (mut frames, mut members) = (Vec::new(), Vec::new());
     for root in 0..n as u32 {
         if number[root as usize] != UNSEEN {
             continue;
         }
-        // DFS frames: (global, index of its next reference to follow).
-        let mut frames = vec![(root, 0usize)];
+        frames.push((root, 0usize));
         while let Some((v, i)) = frames.pop() {
             let vu = v as usize;
             if i == 0 {
@@ -601,7 +604,7 @@ fn callee_first(refs: &[Vec<u32>]) -> Vec<Vec<u32>> {
             }
             if low[vu] == number[vu] {
                 // `v` roots a component: emit all of it.
-                let mut members = Vec::new();
+                members.clear();
                 while let Some(w) = stack.pop() {
                     on_stack[w as usize] = false;
                     members.push(w);
@@ -609,7 +612,8 @@ fn callee_first(refs: &[Vec<u32>]) -> Vec<Vec<u32>> {
                         break;
                     }
                 }
-                components.push(members);
+                members.sort_unstable();
+                components.push(Rc::from(&members[..]));
             }
         }
     }
@@ -623,15 +627,14 @@ fn portable_summary(
     name: &str,
     summary: &CalleeSummary,
     index: &ProgramIndex,
-    program: &Program,
 ) -> Option<PortableSummary> {
     let mut graphs = Vec::with_capacity(summary.graphs.len());
     for (id, set) in &summary.graphs {
-        graphs.push((index.lambda_ref(*id, program)?, set.clone()));
+        graphs.push((index.lambda_ref(*id)?, set.clone()));
     }
     let mut callees = Vec::with_capacity(summary.callees.len());
     for c in &summary.callees {
-        callees.push(index.lambda_ref(c.id, program)?.global);
+        callees.push(index.lambda_ref(c.id)?.global);
     }
     Some(PortableSummary {
         name: name.to_string(),
@@ -642,13 +645,14 @@ fn portable_summary(
     })
 }
 
-/// Rebinds a persisted summary against the current compile, or `None`
-/// when it does not fit this define (treated as a miss). The content
-/// address makes a true mismatch corruption, exactly as for decisions.
-/// Its stubbed callees must already be registered in `table` — callees
-/// are planned first, so a missing one means its own summary was lost.
+/// Binds a loaded summary to the current compile, moving its guard and
+/// graph sets, or `None` when it does not fit this define (treated as a
+/// miss). The content address makes a true mismatch corruption, exactly as
+/// for decisions. Its stubbed callees must already be registered in
+/// `table` — callees are planned first, so a missing one means its own
+/// summary was lost.
 fn rebind_summary(
-    p: &PortableSummary,
+    p: PortableSummary,
     def: &LambdaDef,
     index: &ProgramIndex,
     global: u32,
@@ -659,20 +663,16 @@ fn rebind_summary(
     }
     let mut graphs = Vec::with_capacity(p.graphs.len());
     let mut foreign = Vec::new();
-    for (lr, set) in &p.graphs {
-        let id = index.resolve(lr)?;
+    for (lr, set) in p.graphs {
+        let id = index.resolve(&lr.global, lr.idx)?;
         if index.owner(id) != Some(global) {
             foreign.push(id);
         }
-        graphs.push((id, set.clone()));
+        graphs.push((id, set));
     }
     let mut callees: Vec<Rc<CalleeSummary>> = Vec::with_capacity(p.callees.len());
     for callee in &p.callees {
-        let entry = LambdaRef {
-            global: callee.clone(),
-            idx: 0,
-        };
-        let summary = table.get(&index.resolve(&entry)?)?;
+        let summary = table.get(&index.resolve(callee, 0)?)?;
         foreign.extend_from_slice(&summary.foreign);
         callees.push(summary.clone());
     }
@@ -688,7 +688,7 @@ fn rebind_summary(
     }
     Some(CalleeSummary {
         id: def.id,
-        domains: p.guard.clone(),
+        domains: p.guard,
         result: p.result,
         graphs,
         callees,
@@ -701,13 +701,17 @@ fn rebind_summary(
 /// its top-level forms ([`Expr::walk`]) and one pass over the global
 /// reference graph: which globals are `set!` anywhere (top level, define
 /// initializers, nested λs), the reference graph's components callees
-/// first with their mutation taint, every form's λ ids and the λ display
-/// names. [`plan_program_incremental`] builds it once per pass, plans
-/// callees first from it, refuses to discharge any function whose proof
-/// a run-time rebinding could invalidate, and lends it to
-/// [`ProgramDigests`]. Nothing here ever walks a define's reachable set.
+/// first with their mutation taint, and every form's λs. It borrows the
+/// program's names and λs rather than copying them: a display name is read
+/// off its λ only when a message needs one. [`plan_program_incremental`]
+/// builds it once per pass, plans callees first from it, refuses to
+/// discharge any function whose proof a run-time rebinding could
+/// invalidate, and lends it to [`ProgramDigests`]. Nothing here ever walks
+/// a define's reachable set.
 #[derive(Debug)]
-pub struct ProgramIndex {
+pub struct ProgramIndex<'p> {
+    /// Global names, by index.
+    global_names: &'p [String],
     /// Globals that are a `set!` target anywhere in the program.
     mutated: Vec<bool>,
     /// The components of the reference graph, callees first.
@@ -721,17 +725,17 @@ pub struct ProgramIndex {
     /// never change.
     lambdas: Vec<LambdaId>,
     form_start: Vec<usize>,
-    /// Display names by λ id (from `define`/`letrec` hints).
-    names: Rc<HashMap<LambdaId, String>>,
+    /// Every λ, by id: the source of its display name.
+    defs: Vec<Option<&'p LambdaDef>>,
     /// The top-level position of each global's *last* λ-define: only its
     /// λs have a portable address (see [`ProgramIndex::lambda_ref`]).
     last_define: Vec<Option<usize>>,
-    /// Those portable addresses, `(global, idx)` by λ id.
-    portable: HashMap<LambdaId, (u32, u32)>,
+    /// Those portable addresses, `(global, idx)`, by λ id.
+    portable: Vec<Option<(u32, u32)>>,
     /// Global name → index, because [`Program::global_index`] is a linear
     /// scan: resolving the hundreds of [`LambdaRef`]s in each of N
     /// summaries through it made warm replay quadratic in program size.
-    global_of: HashMap<String, u32>,
+    global_of: HashMap<&'p str, u32>,
 }
 
 /// One strongly connected component of the global reference graph.
@@ -747,9 +751,9 @@ pub(crate) struct Component {
     taint: Option<u32>,
 }
 
-impl ProgramIndex {
+impl<'p> ProgramIndex<'p> {
     /// Indexes `program` in one walk.
-    pub fn build(program: &Program) -> ProgramIndex {
+    pub fn build(program: &'p Program) -> ProgramIndex<'p> {
         let n = program.global_names.len();
         // `refs[i]` = globals referenced (read or written) by global `i`'s
         // defining expression(s); every `define` of the index contributes.
@@ -759,7 +763,7 @@ impl ProgramIndex {
         let mut mutated = vec![false; n];
         let mut lambdas = Vec::with_capacity(program.lambda_count as usize);
         let mut form_start = Vec::with_capacity(program.top_level.len() + 1);
-        let mut names = HashMap::new();
+        let mut defs = vec![None; program.lambda_count as usize];
         let mut last_define = vec![None; n];
         let mut sink = Vec::new();
         for (pos, form) in program.top_level.iter().enumerate() {
@@ -781,7 +785,7 @@ impl ProgramIndex {
                 }
                 Expr::Lambda(def) => {
                     lambdas.push(def.id);
-                    names.insert(def.id, def.describe());
+                    defs[def.id as usize] = Some(&**def);
                 }
                 _ => {}
             });
@@ -791,7 +795,7 @@ impl ProgramIndex {
         let found = callee_first(&refs);
         let mut component_of = vec![0u32; n];
         for (c, members) in found.iter().enumerate() {
-            for &g in members {
+            for &g in members.iter() {
                 component_of[g as usize] = c as u32;
             }
         }
@@ -799,8 +803,7 @@ impl ProgramIndex {
         // time a caller folds it in.
         let name = |g: u32| &program.global_names[g as usize];
         let mut components: Vec<Component> = Vec::with_capacity(found.len());
-        for (c, mut members) in found.into_iter().enumerate() {
-            members.sort_unstable();
+        for (c, members) in found.into_iter().enumerate() {
             let mut callees: Vec<u32> = members
                 .iter()
                 .flat_map(|&g| refs[g as usize].iter())
@@ -816,32 +819,33 @@ impl ProgramIndex {
                 .chain(callees.iter().filter_map(|&k| components[k as usize].taint))
                 .min_by(|&a, &b| name(a).cmp(name(b)));
             components.push(Component {
-                members: members.into(),
+                members,
                 callees,
                 taint,
             });
         }
-        let mut portable = HashMap::new();
+        let mut portable = vec![None; defs.len()];
         for (g, pos) in last_define.iter().enumerate() {
             let Some(pos) = *pos else { continue };
             let own = &lambdas[form_start[pos]..form_start[pos + 1]];
             for (idx, &id) in own.iter().enumerate() {
-                portable.insert(id, (g as u32, idx as u32));
+                portable[id as usize] = Some((g as u32, idx as u32));
             }
         }
         let global_of = program
             .global_names
             .iter()
             .enumerate()
-            .map(|(i, n)| (n.clone(), i as u32))
+            .map(|(i, n)| (n.as_str(), i as u32))
             .collect();
         ProgramIndex {
+            global_names: &program.global_names,
             mutated,
             components,
             component_of,
             lambdas,
             form_start,
-            names: Rc::new(names),
+            defs,
             last_define,
             portable,
             global_of,
@@ -880,9 +884,12 @@ impl ProgramIndex {
         &self.lambdas[self.form_start[pos]..self.form_start[pos + 1]]
     }
 
-    /// Display names by λ id, shared by every exploration of the pass.
-    pub(crate) fn names(&self) -> &Rc<HashMap<LambdaId, String>> {
-        &self.names
+    /// The display name of λ `id` (its `define`/`letrec` hint).
+    pub(crate) fn name_of(&self, id: LambdaId) -> String {
+        match self.defs.get(id as usize).copied().flatten() {
+            Some(def) => def.describe(),
+            None => format!("lambda#{id}"),
+        }
     }
 
     /// The compile-independent address of λ `id` for summary persistence:
@@ -892,24 +899,26 @@ impl ProgramIndex {
     /// keeps the last binding, so only it can be applied by name); a
     /// summary mentioning one stays in memory for the current pass
     /// instead of being persisted.
-    fn lambda_ref(&self, id: LambdaId, program: &Program) -> Option<LambdaRef> {
-        let (global, idx) = self.portable.get(&id)?;
+    fn lambda_ref(&self, id: LambdaId) -> Option<LambdaRef> {
+        let (global, idx) = self.portable.get(id as usize).copied().flatten()?;
         Some(LambdaRef {
-            global: program.global_names[*global as usize].clone(),
-            idx: *idx,
+            global: self.global_names[global as usize].clone(),
+            idx,
         })
     }
 
     /// The global whose λ-define owns λ `id`: the global of its portable
     /// address, `None` for a λ without one.
     pub(crate) fn owner(&self, id: LambdaId) -> Option<u32> {
-        self.portable.get(&id).map(|&(global, _)| global)
+        let (global, _) = self.portable.get(id as usize).copied().flatten()?;
+        Some(global)
     }
 
-    /// The inverse of [`ProgramIndex::lambda_ref`] in the current compile.
-    fn resolve(&self, lr: &LambdaRef) -> Option<LambdaId> {
-        let pos = self.last_define[*self.global_of.get(&lr.global)? as usize]?;
-        self.lambdas_at(pos).get(lr.idx as usize).copied()
+    /// The inverse of [`ProgramIndex::lambda_ref`] in the current compile:
+    /// the λ at `idx` in `global`'s last λ-define.
+    fn resolve(&self, global: &str, idx: u32) -> Option<LambdaId> {
+        let pos = self.last_define[*self.global_of.get(global)? as usize]?;
+        self.lambdas_at(pos).get(idx as usize).copied()
     }
 }
 
@@ -982,7 +991,7 @@ enum Attempt {
 struct Pass<'a> {
     program: &'a Program,
     config: &'a PlanConfig,
-    index: &'a ProgramIndex,
+    index: &'a ProgramIndex<'a>,
     snapshot: &'a GlobalSnapshot,
 }
 
@@ -1031,7 +1040,7 @@ fn run_attempt(
         match cache.ljb.check(graphs, crate::verify::LJB_CAP) {
             ClosureResult::Ok { .. } => {}
             ClosureResult::Violation(v) => {
-                let culprit = exploration.name_of(*id);
+                let culprit = pass.index.name_of(*id);
                 let definite = graphs.contains(&v.witness) && *id == entry_id;
                 return (
                     Attempt::Violation {
@@ -1141,7 +1150,7 @@ fn run_ladder(
     out
 }
 
-/// Plans one define: its decision and, for a recursive `Static` define
+/// Plans one define: its entry and, for a recursive `Static` define
 /// while summaries are on, the contract summary the pass registers.
 fn plan_function(
     pass: &Pass,
@@ -1151,34 +1160,32 @@ fn plan_function(
     blame: Option<String>,
     nested: &[LambdaId],
     summaries: Option<&SummaryTable>,
-) -> (FnDecision, Option<CalleeSummary>) {
+) -> (PortableDecision, Option<CalleeSummary>) {
     let (name, config) = (&pass.program.global_names[global as usize], pass.config);
     let start = Instant::now();
-    let base = FnDecision {
-        name: name.to_string(),
-        lambda: def.id,
-        covers: Vec::new(),
-        decision: Decision::Monitor {
-            reason: String::new(),
-        },
-        blame,
-        detail: String::new(),
-        micros: 0,
-    };
-    let finish = |mut d: FnDecision| -> FnDecision {
-        d.micros = start.elapsed().as_micros();
+    let finish = |decision: Decision, covers_idx: Vec<u32>, detail: String| {
+        let micros = start.elapsed().as_micros();
         config
             .obs
-            .define_done(d.micros.min(u128::from(u64::MAX)) as u64);
-        d
+            .define_done(micros.min(u128::from(u64::MAX)) as u64);
+        PortableDecision {
+            name: name.to_string(),
+            decision,
+            covers_idx,
+            blame,
+            detail,
+            micros,
+            summary: None,
+        }
     };
 
     if def.variadic {
         let reason = "variadic functions are not statically analyzed".to_string();
-        let mut d = base;
-        d.detail = reason.clone();
-        d.decision = Decision::Monitor { reason };
-        return (finish(d), None);
+        let detail = reason.clone();
+        return (
+            finish(Decision::Monitor { reason }, Vec::new(), detail),
+            None,
+        );
     }
 
     let params = def.params as usize;
@@ -1216,20 +1223,19 @@ fn plan_function(
 
     if let Some(((domains, result), exploration)) = outcome.verified {
         let unconditional = domains.iter().all(|g| *g == PlanDomain::Any);
-        let mut d = base;
         // Helper λs nested inside this define are covered by the
-        // same exploration; λ ids belonging to *other* globals are
-        // not (they may be called from unexplored contexts).
-        if unconditional {
-            d.covers = exploration
+        // same exploration, as indices into `nested`; λ ids belonging
+        // to *other* globals are not (they may be called from
+        // unexplored contexts).
+        let covers_idx = if unconditional {
+            exploration
                 .graphs
                 .iter()
-                .map(|(id, _)| *id)
-                .filter(|id| *id != def.id && nested.contains(id))
-                .collect();
-        }
-        d.decision = Decision::Static {
-            guard: domains.clone(),
+                .filter_map(|(id, _)| nested.iter().position(|n| n == id))
+                .map(|i| i as u32)
+                .collect()
+        } else {
+            Vec::new()
         };
         // The detail lists the λs the decision is about — the entry and
         // the λs nested in it — never a callee's: the text is the same
@@ -1238,10 +1244,13 @@ fn plan_function(
             .graphs
             .iter()
             .filter(|(id, _)| *id == def.id || nested.contains(id))
-            .map(|(id, set)| format!("{}: {} graphs", exploration.name_of(*id), set.len()))
+            .map(|(id, set)| format!("{}: {} graphs", pass.index.name_of(*id), set.len()))
             .collect();
         sets.sort();
-        d.detail = format!("verified ({})", sets.join(", "));
+        let detail = format!("verified ({})", sets.join(", "));
+        let decision = Decision::Static {
+            guard: domains.clone(),
+        };
         // Only *recursive* defines are registered as contract summaries:
         // a non-recursive body is cheap to descend, and its concrete
         // results can be load-bearing for a caller's own descent proof.
@@ -1261,7 +1270,7 @@ fn plan_function(
             foreign: exploration.foreign,
             component: pass.index.members_of(global).clone(),
         });
-        return (finish(d), summary);
+        return (finish(decision, covers_idx, detail), summary);
     }
 
     let LadderOutcome {
@@ -1269,7 +1278,6 @@ fn plan_function(
         mut last_reason,
         ..
     } = outcome;
-    let mut d = base;
     let refutable = config.refute
         && violations.len() == candidates.len()
         && violations.iter().all(|(_, _, definite)| *definite);
@@ -1279,8 +1287,11 @@ fn plan_function(
         // executes, under any guard we could offer. Report the most
         // general witness (the first candidate's) eagerly, with blame.
         let (witness, culprit, _) = violations.swap_remove(0);
-        d.detail = format!("{culprit}: graph {witness} is idempotent with no self-descent");
-        d.decision = Decision::Refuted { witness, culprit };
+        let detail = format!("{culprit}: graph {witness} is idempotent with no self-descent");
+        (
+            finish(Decision::Refuted { witness, culprit }, Vec::new(), detail),
+            None,
+        )
     } else {
         if last_reason.is_empty() {
             last_reason = match violations.first() {
@@ -1291,12 +1302,12 @@ fn plan_function(
                 None => "no verification attempt ran".into(),
             };
         }
-        d.detail = last_reason.clone();
-        d.decision = Decision::Monitor {
+        let detail = last_reason.clone();
+        let decision = Decision::Monitor {
             reason: last_reason,
         };
+        (finish(decision, Vec::new(), detail), None)
     }
-    (finish(d), None)
 }
 
 #[cfg(test)]
@@ -1319,11 +1330,10 @@ mod tests {
         .unwrap();
         let index = ProgramIndex::build(&prog);
         let named = |pos: usize| -> Vec<String> {
-            let names = index.names();
             index
                 .lambdas_at(pos)
                 .iter()
-                .map(|id| names[id].clone())
+                .map(|&id| index.name_of(id))
                 .collect()
         };
         assert_eq!(named(0), ["f", "g", "lambda#0", "h"]);

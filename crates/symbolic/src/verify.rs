@@ -12,7 +12,6 @@ use sct_core::graph::ScGraph;
 use sct_core::ljb::{closure_check, ClosureResult};
 use sct_core::plan::PlanDomain;
 use sct_lang::ast::{LambdaId, Program};
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -69,13 +68,12 @@ pub(crate) const LJB_CAP: usize = 20_000;
 
 /// The result of an exhaustive symbolic exploration (the first half of
 /// [`verify_function`]): every way each λ may call itself, as size-change
-/// graph sets, plus the display names Figure 9 reports. Produced by
-/// [`explore_function`]; the second half is a Lee–Jones–Ben-Amram closure
-/// check over each graph set — memoizable via
+/// graph sets. The second half is a Lee–Jones–Ben-Amram closure check
+/// over each graph set — memoizable via
 /// [`sct_core::plan::LjbCache`], which is how the hybrid pre-pass
 /// (`crate::pipeline`) makes re-verification free.
 #[derive(Debug, Clone)]
-pub struct Exploration {
+pub(crate) struct Exploration {
     /// The self-call graph sets the LJB check must pass, in λ-id order:
     /// each set the exploration discovered itself, unioned with the sets
     /// its stubbed callee summaries carry for the same λ, plus the union
@@ -94,10 +92,6 @@ pub struct Exploration {
     /// zero unless some stub or own set is foreign. The hybrid pre-pass
     /// sums it into the `plan.summary.merge_visits` metric.
     pub merge_visits: u64,
-    /// Display names for λ ids (from `define`/`letrec` hints). Shared
-    /// (`Rc`) because the map depends only on the program, and the hybrid
-    /// pre-pass explores the same program once per `define` × ladder rung.
-    pub names: Rc<HashMap<LambdaId, String>>,
     /// How many times an *opaque* value (unknown function) was applied and
     /// havocked as a terminating black box. Zero means the termination
     /// proof is self-contained; nonzero means it is modular — sufficient
@@ -118,57 +112,20 @@ pub struct Exploration {
     pub stubbed: u64,
 }
 
-impl Exploration {
-    /// Display name for a λ id.
-    pub fn name_of(&self, id: LambdaId) -> String {
-        self.names
-            .get(&id)
-            .cloned()
-            .unwrap_or_else(|| format!("lambda#{id}"))
-    }
-}
-
 /// Runs the symbolic executor over `function` applied to arguments from
 /// `domains`, havocs escaping closures, and returns the discovered graph
 /// sets — or `Err(reason)` when exploration was not exhaustive (missing
 /// global, non-closure, arity mismatch, exhausted budget, or an
-/// unsupported feature).
+/// unsupported feature). Treat any `Err` as "not verified", never as a
+/// refutation.
 ///
-/// This is [`verify_function`] minus the closure check; callers that
-/// verify many functions (the hybrid pre-pass) run the check themselves
-/// through a memo.
-///
-/// # Errors
-///
-/// A human-readable reason whenever the exploration cannot certify that
-/// *all* behaviors of `function` were covered. Treat any `Err` as "not
-/// verified", never as a refutation.
-pub fn explore_function(
-    program: &Program,
-    function: &str,
-    domains: &[PlanDomain],
-    result: PlanDomain,
-    config: &ExecConfig,
-) -> Result<Exploration, String> {
-    explore_with_index(
-        program,
-        function,
-        domains,
-        result,
-        config,
-        &ProgramIndex::build(program),
-        None,
-        None,
-        None,
-        &GlobalSnapshot::build(program, config),
-    )
-}
-
-/// [`explore_function`] with a prebuilt [`ProgramIndex`] (so callers that
-/// explore one program many times — the hybrid pre-pass: every `define` ×
-/// every ladder rung — walk the AST for λ names and owners once instead
-/// of per attempt), and an optional λ-id pin: when `expected_entry` is
-/// set, the global must still resolve to *that* λ. The hybrid pre-pass
+/// This is [`verify_function`] minus the closure check, which callers
+/// that verify many functions (the hybrid pre-pass) run through a memo.
+/// It takes a prebuilt [`ProgramIndex`] (so callers that explore one
+/// program many times — the hybrid pre-pass: every `define` × every
+/// ladder rung — walk the AST for λ owners once instead of per attempt),
+/// and an optional λ-id pin: when `expected_entry` is set, the global
+/// must still resolve to *that* λ. The hybrid pre-pass
 /// pins each `define`'s own λ, because the executor's global table keeps
 /// the *last* binding — without the pin, a shadowed earlier definition
 /// would inherit a proof of its replacement and skip monitoring unsoundly.
@@ -265,7 +222,6 @@ pub(crate) fn explore_with_index(
         stubs: std::mem::take(&mut ex.stubs),
         foreign,
         merge_visits: visits,
-        names: index.names().clone(),
         opaque_calls: ex.opaque_applications,
         steps: ex.steps(),
         stubbed: ex.stubbed_applications,
@@ -285,7 +241,12 @@ pub fn verify_function(
     result: PlanDomain,
     config: &ExecConfig,
 ) -> StaticVerdict {
-    let exploration = match explore_function(program, function, domains, result, config) {
+    let index = ProgramIndex::build(program);
+    let snapshot = GlobalSnapshot::build(program, config);
+    let explored = explore_with_index(
+        program, function, domains, result, config, &index, None, None, None, &snapshot,
+    );
+    let exploration = match explored {
         Ok(e) => e,
         Err(reason) => return StaticVerdict::NotVerified { reason },
     };
@@ -295,13 +256,13 @@ pub fn verify_function(
     for (id, graphs) in &exploration.graphs {
         match closure_check(graphs, LJB_CAP) {
             ClosureResult::Ok { .. } => {
-                summary.push((exploration.name_of(*id), graphs.len()));
+                summary.push((index.name_of(*id), graphs.len()));
             }
             ClosureResult::Violation(v) => {
                 return StaticVerdict::NotVerified {
                     reason: format!(
                         "{}: composition {} is idempotent with no self-descent",
-                        exploration.name_of(*id),
+                        index.name_of(*id),
                         v.witness
                     ),
                 };

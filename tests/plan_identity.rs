@@ -10,16 +10,26 @@
 //! * every entry the planner hands its store, `sct-plan/3`-encoded with
 //!   `micros` zeroed, in the order it is stored, with its key.
 //!
+//! After its cold pass, each program is replayed through a store that
+//! serves the recorded entries back through the codec: every define must
+//! hit, every stored contract summary must rebind, and the replay's
+//! decisions must digest to the same pin as the cold ones.
+//!
 //! A change to *how* the planner or the codec computes its output (which
 //! summaries a merge visits, how an entry is written) must leave both
 //! unchanged. A change that moves them changes verdicts or cache bytes,
 //! and must re-pin here on purpose.
 
 use sct_core::plan::{Decision, EnforcementPlan};
-use sct_core::plan_codec::{encode_entry, PortableDecision};
+use sct_core::plan_codec::{decode_entry, encode_entry, PortableDecision};
 use sct_corpus::{table1, workloads};
 use sct_fuzz::permute_defines;
-use sct_symbolic::pipeline::{plan_program_incremental, DecisionStore, PlanCache, PlanConfig};
+use sct_obs::Registry;
+use sct_symbolic::pipeline::{
+    plan_program_incremental, DecisionStore, PlanCache, PlanConfig, PlanObs,
+};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// 64-bit FNV-1a: stable across platforms and releases, unlike
 /// `DefaultHasher`.
@@ -41,8 +51,13 @@ impl Fnv {
     }
 }
 
-/// A store that never hits and digests every entry it is asked to keep.
-struct Recorder(Fnv);
+/// A store that never hits, digests every entry it is asked to keep, and
+/// keeps each one encoded, by key, for a warm replay.
+struct Recorder {
+    digest: Fnv,
+    entries: HashMap<String, String>,
+    summaries: u64,
+}
 
 impl DecisionStore for Recorder {
     fn load(&mut self, _key: &str) -> Option<PortableDecision> {
@@ -54,8 +69,25 @@ impl DecisionStore for Recorder {
             micros: 0,
             ..entry.clone()
         };
-        self.0.write(key.as_bytes());
-        self.0.write(encode_entry(&timeless).as_bytes());
+        let encoded = encode_entry(&timeless);
+        self.digest.write(key.as_bytes());
+        self.digest.write(encoded.as_bytes());
+        self.summaries += u64::from(entry.summary.is_some());
+        self.entries.insert(key.to_string(), encoded);
+    }
+}
+
+/// A store that serves a recorded cold pass, decoding each entry as a
+/// disk cache would, and keeps nothing.
+struct Replay<'a>(&'a HashMap<String, String>);
+
+impl DecisionStore for Replay<'_> {
+    fn load(&mut self, key: &str) -> Option<PortableDecision> {
+        decode_entry(self.0.get(key)?).ok()
+    }
+
+    fn store(&mut self, key: &str, _entry: &PortableDecision) {
+        panic!("a warm replay re-planned the define keyed {key}");
     }
 }
 
@@ -85,20 +117,38 @@ fn digest_decisions(h: &mut Fnv, plan: &EnforcementPlan) {
     }
 }
 
-/// The two digests of a group of sources: (decisions, store entries).
-fn digests(sources: &[String]) -> (String, String) {
+/// The digests of a group of sources: (cold decisions, store entries,
+/// warm-replay decisions).
+fn digests(sources: &[String]) -> (String, String, String) {
     let cfg = PlanConfig::default();
-    let mut decisions = Fnv::new();
-    let mut store = Recorder(Fnv::new());
+    let (mut cold, mut warm) = (Fnv::new(), Fnv::new());
+    let mut store = Recorder {
+        digest: Fnv::new(),
+        entries: HashMap::new(),
+        summaries: 0,
+    };
     for src in sources {
         let p = sct_lang::compile_program(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        store.entries.clear();
+        store.summaries = 0;
         let (plan, _) = plan_program_incremental(&p, &cfg, &mut PlanCache::new(), &mut store);
-        digest_decisions(&mut decisions, &plan);
+        digest_decisions(&mut cold, &plan);
+
+        let reg = Arc::new(Registry::new());
+        let replay_cfg = PlanConfig {
+            obs: PlanObs::registered(Arc::clone(&reg)),
+            ..PlanConfig::default()
+        };
+        let mut replay = Replay(&store.entries);
+        let (plan, stats) =
+            plan_program_incremental(&p, &replay_cfg, &mut PlanCache::new(), &mut replay);
+        assert_eq!(stats.hits(), plan.decisions.len(), "every define hits");
+        let hits = reg.snapshot().counter("plan.summary.hits");
+        assert_eq!(hits, Some(store.summaries), "every stored summary rebinds");
+        digest_decisions(&mut warm, &plan);
     }
-    (
-        format!("{:016x}", decisions.0),
-        format!("{:016x}", store.0 .0),
-    )
+    let hex = |h: Fnv| format!("{:016x}", h.0);
+    (hex(cold), hex(store.digest), hex(warm))
 }
 
 /// Each source followed by its defines reversed.
@@ -113,12 +163,13 @@ fn both_orders(sources: Vec<String>) -> Vec<String> {
 }
 
 fn assert_pinned(tag: &str, sources: Vec<String>, decisions: &str, entries: &str) {
-    let got = digests(&both_orders(sources));
+    let (cold, stored, warm) = digests(&both_orders(sources));
     assert_eq!(
-        got,
-        (decisions.to_string(), entries.to_string()),
+        (cold.as_str(), stored.as_str()),
+        (decisions, entries),
         "{tag}: (decision digest, store entry digest) moved"
     );
+    assert_eq!(warm, decisions, "{tag}: a warm replay's decisions moved");
 }
 
 #[test]
