@@ -4,7 +4,7 @@
 //! imperative) plus the *hybrid* ablation (static pre-pass discharges
 //! provably terminating functions; the monitor guards only the residual),
 //! and records the sweep as `BENCH_fig10.json` at the repo root so future
-//! PRs can track the performance trajectory (schema `sct-fig10/5` in the
+//! PRs can track the performance trajectory (schema `sct-fig10/6` in the
 //! `sct_bench` crate docs).
 //!
 //! The paper's absolute sizes targeted Racket on the authors' machine; the
@@ -27,7 +27,7 @@
 //!
 //! `--fast` is the CI smoke mode: smallest size per workload, one rep;
 //! `--only ID` restricts the sweep to one workload (e.g. `--only ack`).
-//! `--check PATH` runs no sweep: it validates an existing `sct-fig10/5`
+//! `--check PATH` runs no sweep: it validates an existing `sct-fig10/6`
 //! document and exits 0 when it holds, 1 when it does not.
 
 use sct_bench::{
@@ -93,8 +93,8 @@ fn median_times(compiled: &CompiledWorkload, n: u64, reps: usize) -> [Duration; 
 
 /// The unchecked-baseline evaluator row: reference tree-walker vs. the
 /// flat-IR VM at the workload's largest sweep size (median of `reps`).
-/// PIC counters come from one *hybrid* run at the same size — inline
-/// caches are only consulted while monitoring is active, so the
+/// The generic-call count comes from one *hybrid* run at the same size:
+/// generic sites are only told apart while monitoring is active, so the
 /// unchecked timing runs cannot observe them.
 fn eval_timing(compiled: &CompiledWorkload, n: u64, reps: usize) -> EvalTiming {
     let mut vm: Vec<(Duration, u64)> = (0..reps.max(1))
@@ -111,7 +111,6 @@ fn eval_timing(compiled: &CompiledWorkload, n: u64, reps: usize) -> EvalTiming {
     let (vm_t, vm_steps) = vm[vm.len() / 2];
     let ref_t = reference[reference.len() / 2];
     let (_, hybrid_stats) = compiled.run_once(n, Setup::Hybrid);
-    let consulted = hybrid_stats.pic_hits + hybrid_stats.pic_misses;
     EvalTiming {
         workload: compiled.workload.id,
         n,
@@ -119,13 +118,7 @@ fn eval_timing(compiled: &CompiledWorkload, n: u64, reps: usize) -> EvalTiming {
         vm_ns: vm_t.as_nanos(),
         speedup: ref_t.as_secs_f64() / vm_t.as_secs_f64().max(1e-9),
         steps_per_sec: vm_steps as f64 / vm_t.as_secs_f64().max(1e-9),
-        pic_hits: hybrid_stats.pic_hits,
-        pic_misses: hybrid_stats.pic_misses,
-        pic_hit_rate: if consulted == 0 {
-            1.0
-        } else {
-            hybrid_stats.pic_hits as f64 / consulted as f64
-        },
+        generic_calls: hybrid_stats.generic_calls,
     }
 }
 
@@ -232,15 +225,13 @@ fn main() {
         let e = eval_timing(&compiled, n_eval, reps);
         println!(
             "   eval (n={}): reference {}  vm {}  speedup {:.2}x  ({:.1}M steps/s)  \
-             pic {:.1}% ({} hits, {} misses)",
+             {} generic calls",
             e.n,
             sct_bench::fmt_ms(Duration::from_nanos(e.reference_ns as u64)),
             sct_bench::fmt_ms(Duration::from_nanos(e.vm_ns as u64)),
             e.speedup,
             e.steps_per_sec / 1e6,
-            e.pic_hit_rate * 100.0,
-            e.pic_hits,
-            e.pic_misses,
+            e.generic_calls,
         );
         eval.push(e);
         println!();

@@ -16,11 +16,11 @@
 //!
 //! `report_fig10` additionally writes a machine-readable summary to
 //! `BENCH_fig10.json` at the repository root so successive PRs can track
-//! the performance trajectory. The schema (`sct-fig10/5`):
+//! the performance trajectory. The schema (`sct-fig10/6`):
 //!
 //! ```json
 //! {
-//!   "schema": "sct-fig10/5",
+//!   "schema": "sct-fig10/6",
 //!   "fast": false,
 //!   "scale": 1,
 //!   "reps": 3,
@@ -34,7 +34,7 @@
 //!   "eval": [
 //!     { "workload": "sum", "n": 128000, "reference_ns": 114740000,
 //!       "vm_ns": 18020000, "speedup": 6.37, "steps_per_sec": 92000000,
-//!       "pic_hits": 0, "pic_misses": 0, "pic_hit_rate": 1.0 }
+//!       "generic_calls": 0 }
 //!   ]
 //! }
 //! ```
@@ -50,9 +50,10 @@
 //!
 //! `planning` has one entry per workload: `plan_ms` is the median
 //! wall-clock cost of the hybrid pre-pass from a cold [`PlanCache`]
-//! (fresh interner, empty LJB memo), `plan_warm_ms` the median cost of
-//! planning the *same program again in the same process* (the memoized
-//! path a long-running `sct serve` daemon or repeated library use pays).
+//! (empty LJB memo) into an empty [`MemStore`], `plan_warm_ms` the
+//! median cost of planning the *same program again* through the same
+//! cache and store: every define hits its stored entry, so no verifier
+//! runs (the path a warm `sct serve` daemon or `--cache-dir` pays).
 //! The perf trajectory therefore tracks planning cost — the paper's
 //! PSPACE-hard pre-pass — alongside run cost, and the warm column pins
 //! the amortization claim: warm must stay well under cold.
@@ -64,17 +65,20 @@
 //! `vm_ns` the dispatch VM, `speedup` their ratio, and `steps_per_sec`
 //! the VM's instruction throughput during the timed call. This is the
 //! row that keeps the evaluator win itself — not just monitoring
-//! overhead — in the trajectory. `pic_hits`/`pic_misses` are the inline
-//! cache counters from one *hybrid* run at the same size (PICs are only
-//! consulted while monitoring is active, so the unchecked timing runs
-//! cannot observe them), and `pic_hit_rate` is their ratio — vacuously
-//! `1.0` for workloads whose call sites are all statically bound.
+//! overhead — in the trajectory. `generic_calls` counts the first-class
+//! applications of one *hybrid* run at the same size
+//! ([`Stats::generic_calls`]; generic sites are only told apart while
+//! monitoring is active, so the unchecked timing runs cannot observe
+//! them) — 0 for workloads whose call sites are all statically bound.
 //!
-//! Schema history: `sct-fig10/5` switched the hybrid column to the full
-//! production monitor config (loop-entry designation + exponential
-//! backoff on the residual) and added the `pic_hits`/`pic_misses`/
-//! `pic_hit_rate` columns to `eval` rows; `sct-fig10/4` added the top-level `"eval"` array (the
-//! reference-walker vs. flat-IR VM unchecked baseline); `sct-fig10/3`
+//! Schema history: `sct-fig10/6` replaced the inline-cache hit, miss
+//! and hit-rate columns of `eval` rows with `generic_calls` (generic
+//! call sites no longer cache their callees' verdicts); `sct-fig10/5`
+//! switched the hybrid column to the full production monitor config
+//! (loop-entry designation + exponential backoff on the residual) and
+//! added the inline-cache columns to `eval` rows; `sct-fig10/4` added
+//! the top-level `"eval"` array (the reference-walker vs. flat-IR VM
+//! unchecked baseline); `sct-fig10/3`
 //! added the top-level `"planning"` array (cold vs. warm pre-pass cost
 //! per workload); `sct-fig10/2` added the `"hybrid"` setup rows (the
 //! hybrid enforcement ablation — statically discharged functions skip the
@@ -411,19 +415,12 @@ pub struct EvalTiming {
     /// VM dispatch throughput: instructions per second during the timed
     /// call (steps from [`Stats::steps`] over the median wall time).
     pub steps_per_sec: f64,
-    /// Inline-cache hits on `Generic` call sites during a hybrid run at
-    /// the same size ([`Stats::pic_hits`]).
-    pub pic_hits: u64,
-    /// Inline-cache misses during the same hybrid run
-    /// ([`Stats::pic_misses`]).
-    pub pic_misses: u64,
-    /// `pic_hits / (pic_hits + pic_misses)`, vacuously `1.0` when the
-    /// workload has no generic-site traffic (every call site is
-    /// statically bound, so no PIC is ever consulted).
-    pub pic_hit_rate: f64,
+    /// First-class applications during a hybrid run at the same size
+    /// ([`Stats::generic_calls`]).
+    pub generic_calls: u64,
 }
 
-/// Serializes the sweep into the `sct-fig10/5` JSON document (see the
+/// Serializes the sweep into the `sct-fig10/6` JSON document (see the
 /// crate docs for the schema and its history). Hand-rolled because the
 /// workspace builds offline (no serde); all strings involved are static
 /// identifiers needing no escaping.
@@ -437,7 +434,7 @@ pub fn fig10_json(
 ) -> String {
     let mut out =
         String::with_capacity(160 + entries.len() * 96 + planning.len() * 72 + eval.len() * 128);
-    out.push_str("{\n  \"schema\": \"sct-fig10/5\",\n");
+    out.push_str("{\n  \"schema\": \"sct-fig10/6\",\n");
     out.push_str(&format!("  \"fast\": {fast},\n"));
     out.push_str(&format!("  \"scale\": {scale},\n"));
     out.push_str(&format!("  \"reps\": {reps},\n"));
@@ -468,17 +465,14 @@ pub fn fig10_json(
     for (i, e) in eval.iter().enumerate() {
         out.push_str(&format!(
             "    {{ \"workload\": \"{}\", \"n\": {}, \"reference_ns\": {}, \"vm_ns\": {}, \
-             \"speedup\": {:.4}, \"steps_per_sec\": {:.0}, \"pic_hits\": {}, \
-             \"pic_misses\": {}, \"pic_hit_rate\": {:.4} }}{}\n",
+             \"speedup\": {:.4}, \"steps_per_sec\": {:.0}, \"generic_calls\": {} }}{}\n",
             e.workload,
             e.n,
             e.reference_ns,
             e.vm_ns,
             e.speedup,
             e.steps_per_sec,
-            e.pic_hits,
-            e.pic_misses,
-            e.pic_hit_rate,
+            e.generic_calls,
             if i + 1 < eval.len() { "," } else { "" }
         ));
     }
@@ -486,18 +480,18 @@ pub fn fig10_json(
     out
 }
 
-/// Validates an `sct-fig10/5` document: the schema tag, a hybrid column,
+/// Validates an `sct-fig10/6` document: the schema tag, a hybrid column,
 /// positive medians and slowdowns, warm planning no slower than cold,
-/// well-formed eval rows whose inline-cache hit rate agrees with its
-/// counters, and a hit rate of at least 0.9 on the `interp-*` workloads
-/// (deterministic, so it holds even for a one-rep `--fast` sweep).
+/// well-formed eval rows, and generic dispatch on the `interp-*`
+/// workloads (`generic_calls > 0`; deterministic, so it holds even for a
+/// one-rep `--fast` sweep).
 /// Returns a one-line summary, or the first violated property.
 ///
 /// # Errors
 ///
 /// A message naming the violated property and the offending row.
 pub fn check_fig10_json(text: &str) -> Result<String, String> {
-    let doc = parse_schema(text, "sct-fig10/5")?;
+    let doc = parse_schema(text, "sct-fig10/6")?;
     let entries = rows(&doc, "entries")?;
     let mut setups: Vec<&str> = Vec::new();
     for e in entries {
@@ -532,28 +526,12 @@ pub fn check_fig10_json(text: &str) -> Result<String, String> {
             "non-positive throughput or speedup",
             e,
         )?;
-        let rate = num(e, "pic_hit_rate")?;
-        let consulted = num(e, "pic_hits")? + num(e, "pic_misses")?;
-        ensure(
-            (0.0..=1.0).contains(&rate),
-            "pic_hit_rate outside [0, 1]",
-            e,
-        )?;
-        ensure(
-            consulted > 0.0 || rate == 1.0,
-            "no PIC traffic but rate != 1",
-            e,
-        )?;
+        let generic = num(e, "generic_calls")?;
         let workload = e.get("workload").and_then(Json::as_str).unwrap_or_default();
         if workload.starts_with("interp-") {
             ensure(
-                consulted > 0.0,
+                generic > 0.0,
                 "interpreter workload without generic dispatch",
-                e,
-            )?;
-            ensure(
-                rate >= 0.9,
-                "interpreter workload with ineffective caches",
                 e,
             )?;
         }
@@ -806,9 +784,7 @@ mod tests {
             vm_ns: 1_000,
             speedup: 3.0,
             steps_per_sec: 1e6,
-            pic_hits: 95,
-            pic_misses: 5,
-            pic_hit_rate: 0.95,
+            generic_calls: 100,
         }];
         fig10_json(&entries, &planning, &eval, true, 1, 1)
     }
@@ -824,7 +800,7 @@ mod tests {
     fn fig10_check_rejects_each_violated_property() {
         let doc = valid();
         for (from, to, why) in [
-            ("sct-fig10/5", "sct-fig10/4", "schema"),
+            ("sct-fig10/6", "sct-fig10/5", "schema"),
             ("\"hybrid\"", "\"hybrid-x\"", "hybrid"),
             ("\"median_ns\": 1000", "\"median_ns\": 0", "median"),
             (
@@ -834,23 +810,8 @@ mod tests {
             ),
             ("\"vm_ns\": 1000", "\"vm_ns\": 0", "evaluator time"),
             (
-                "\"pic_hit_rate\": 0.9500",
-                "\"pic_hit_rate\": 1.5",
-                "outside [0, 1]",
-            ),
-            (
-                "\"pic_hit_rate\": 0.9500",
-                "\"pic_hit_rate\": 0.5",
-                "ineffective caches",
-            ),
-            (
-                "\"pic_hits\": 95, \"pic_misses\": 5",
-                "\"pic_hits\": 0, \"pic_misses\": 0",
-                "no PIC traffic",
-            ),
-            (
-                "\"pic_hits\": 95, \"pic_misses\": 5, \"pic_hit_rate\": 0.9500",
-                "\"pic_hits\": 0, \"pic_misses\": 0, \"pic_hit_rate\": 1.0",
+                "\"generic_calls\": 100",
+                "\"generic_calls\": 0",
                 "generic dispatch",
             ),
         ] {

@@ -52,9 +52,14 @@ pub struct Digest128 {
 }
 
 impl Digest128 {
-    /// The digest as 32 lowercase hex characters (`hi` first).
+    /// The digest as 32 lowercase hex characters (`hi` first): its
+    /// [`Display`](std::fmt::Display) form, written into one exact-size
+    /// allocation.
     pub fn to_hex(self) -> String {
-        format!("{:016x}{:016x}", self.hi, self.lo)
+        use std::fmt::Write;
+        let mut hex = String::with_capacity(32);
+        write!(hex, "{self}").expect("writing to a String cannot fail");
+        hex
     }
 }
 

@@ -289,8 +289,8 @@ pub enum SchemaKind {
     /// A higher-order iterate combinator threading a function argument.
     HigherOrder,
     /// A megamorphic combinator tower: one first-class call site driven
-    /// by 3–6 distinct step globals, exercising inline-cache fill and
-    /// overflow (and, under [`Mutation::SetRebind`], invalidation).
+    /// by 3–6 distinct step globals (rebound mid-run under
+    /// [`Mutation::SetRebind`]).
     Mega,
 }
 
@@ -759,12 +759,11 @@ fn emit_higher_order(rng: &mut Rng, idx: usize, m: Mutation) -> Instance {
 
 /// Megamorphic combinator tower: the iterate combinator of
 /// [`emit_higher_order`], but driven through **one** first-class `(f x)`
-/// site by 3–6 distinct step functions bound to globals — enough callees
-/// to fill and overflow the VM's 4-way inline cache at a single site.
-/// Under [`Mutation::SetRebind`] the entry sweeps the tower over every
-/// step, `set!`-rebinds one step global to another (both terminate, so
-/// the oracle is unchanged), and sweeps again: warm cache entries must be
-/// re-resolved against the bumped store epoch, never reused stale.
+/// site by 3–6 distinct step functions bound to globals — a megamorphic
+/// first-class site. Under [`Mutation::SetRebind`] the entry sweeps the
+/// tower over every step, `set!`-rebinds one step global to another
+/// (both terminate, so the oracle is unchanged), and sweeps again: the
+/// site must read the rebound callee's verdict, not the old one's.
 fn emit_mega(rng: &mut Rng, idx: usize, m: Mutation) -> Instance {
     let mut name = format!("mega{idx}");
     if m == Mutation::Rename {

@@ -7,10 +7,6 @@
 //!   machine agree on the rendered answer (blame labels and witnesses
 //!   included), console output, and the semantic counters, under both
 //!   table strategies and under the hybrid plan.
-//! * **PIC ≡ no-PIC** — the VM re-run with inline caches disabled
-//!   produces the identical outcome (answer, output, blame, semantic
-//!   counters) under every monitored configuration, and the cached run's
-//!   `pic_hits + pic_misses` accounts for every generic-site application.
 //! * **warm ≡ cold** — re-planning against a warm [`MemStore`] is
 //!   structurally equal to the cold plan, with zero verifier misses.
 //! * **define order is irrelevant** — re-planning with the λ-defines
@@ -140,49 +136,6 @@ pub fn run_vm(prog: &Program, config: MachineConfig) -> Outcome {
     run_vm_full(prog, config).0
 }
 
-/// Runs the flat-IR VM and returns the rendered outcome together with the
-/// raw machine counters — the form the PIC-transparency checks use, since
-/// `Outcome` deliberately excludes the cache-bound counters
-/// (`generic_calls`, `pic_hits`, `pic_misses`, `pic_invalidations`): the
-/// reference walker has no inline caches to compare them against.
-pub fn run_vm_stats(prog: &Program, config: MachineConfig) -> (Outcome, Stats) {
-    let mut m = Machine::new(prog, config);
-    let r = m.run();
-    (Outcome::of(&r, &m.output, &m.stats, &m.violations), m.stats)
-}
-
-/// Asserts PIC transparency on one program/config: the VM with inline
-/// caches disabled must produce the *identical* outcome (answer, output,
-/// blame, and semantic counters) as the VM with caches enabled, the
-/// enabled run's `pic_hits + pic_misses` must account for every
-/// `Generic`-site application, and the disabled run must never touch a
-/// cache. Returns the PIC-on outcome so callers can chain the usual
-/// VM ≡ walker comparison without a third run.
-pub fn assert_pic_transparent(prog: &Program, config: &MachineConfig, what: &str) -> Outcome {
-    let (on, on_stats) = run_vm_stats(prog, config.clone());
-    let off_config = MachineConfig {
-        disable_pics: true,
-        ..config.clone()
-    };
-    let (off, off_stats) = run_vm_stats(prog, off_config);
-    assert_eq!(on, off, "{what}: PIC-on and PIC-off outcomes diverge");
-    assert_eq!(
-        on_stats.pic_hits + on_stats.pic_misses,
-        on_stats.generic_calls,
-        "{what}: PIC probes must account for every generic-site application"
-    );
-    assert_eq!(
-        (
-            off_stats.pic_hits,
-            off_stats.pic_misses,
-            off_stats.pic_invalidations
-        ),
-        (0, 0, 0),
-        "{what}: disabled caches must never be consulted"
-    );
-    on
-}
-
 /// Runs the reference walker under `config` and returns the rendered
 /// outcome.
 pub fn run_reference(prog: &Program, config: MachineConfig) -> Outcome {
@@ -198,10 +151,6 @@ pub enum ViolationKind {
     CompileError,
     /// VM and reference walker disagreed on an outcome.
     MachineMismatch,
-    /// The VM with inline caches disabled disagreed with the cached VM,
-    /// or the cache counters failed to reconcile (`pic_hits + pic_misses`
-    /// must equal the generic-site application count).
-    PicMismatch,
     /// Warm re-plan differed from the cold plan (or re-verified).
     CacheMismatch,
     /// A plan built with contract summaries (verified callees stubbed at
@@ -234,10 +183,9 @@ pub enum ViolationKind {
 impl ViolationKind {
     /// Every kind, in declaration order (the `sct-fuzz/1` summary lists
     /// each one, at zero when it never fired).
-    pub const ALL: [ViolationKind; 13] = [
+    pub const ALL: [ViolationKind; 12] = [
         ViolationKind::CompileError,
         ViolationKind::MachineMismatch,
-        ViolationKind::PicMismatch,
         ViolationKind::CacheMismatch,
         ViolationKind::SummaryMismatch,
         ViolationKind::PlanNondeterminism,
@@ -255,7 +203,6 @@ impl ViolationKind {
         match self {
             ViolationKind::CompileError => "compile-error",
             ViolationKind::MachineMismatch => "machine-mismatch",
-            ViolationKind::PicMismatch => "pic-mismatch",
             ViolationKind::CacheMismatch => "cache-mismatch",
             ViolationKind::SummaryMismatch => "summary-mismatch",
             ViolationKind::PlanNondeterminism => "plan-nondeterminism",
@@ -281,7 +228,6 @@ impl ViolationKind {
             self,
             ViolationKind::CompileError
                 | ViolationKind::MachineMismatch
-                | ViolationKind::PicMismatch
                 | ViolationKind::CacheMismatch
                 | ViolationKind::SummaryMismatch
                 | ViolationKind::UncaughtDivergence
@@ -338,11 +284,6 @@ struct RunPair {
     vm: Outcome,
     walker: Outcome,
     result: Result<Value, EvalError>,
-    /// The VM re-run with inline caches disabled — must match `vm`.
-    vm_pic_off: Outcome,
-    /// Whether `pic_hits + pic_misses == generic_calls` held on the
-    /// cached run (and the uncached run never touched a cache).
-    pic_accounted: bool,
 }
 
 impl RunPair {
@@ -514,30 +455,13 @@ fn evaluate(source: &str, cfg: &FuzzConfig, seed: u64) -> Result<Evaluated, Viol
     let runs = configs
         .into_iter()
         .map(|(label, config)| {
-            let mut m = Machine::new(&prog, config.clone());
-            let result = m.run();
-            let vm = Outcome::of(&result, &m.output, &m.stats, &m.violations);
-            let (vm_pic_off, off_stats) = run_vm_stats(
-                &prog,
-                MachineConfig {
-                    disable_pics: true,
-                    ..config.clone()
-                },
-            );
-            let pic_accounted = m.stats.pic_hits + m.stats.pic_misses == m.stats.generic_calls
-                && (
-                    off_stats.pic_hits,
-                    off_stats.pic_misses,
-                    off_stats.pic_invalidations,
-                ) == (0, 0, 0);
+            let (vm, result) = run_vm_full(&prog, config.clone());
             let walker = run_reference(&prog, config);
             RunPair {
                 label,
                 vm,
                 walker,
                 result,
-                vm_pic_off,
-                pic_accounted,
             }
         })
         .collect();
@@ -628,27 +552,6 @@ fn consistency_violations(ev: &Evaluated, source: &str) -> Vec<Violation> {
                 format!(
                     "{}: VM and walker disagree\n  vm:     {:?}\n  walker: {:?}",
                     run.label, run.vm, run.walker
-                ),
-                source,
-            ));
-        }
-        if run.vm != run.vm_pic_off {
-            out.push(violation(
-                ViolationKind::PicMismatch,
-                format!(
-                    "{}: PIC-on and PIC-off VM runs disagree\n  on:  {:?}\n  off: {:?}",
-                    run.label, run.vm, run.vm_pic_off
-                ),
-                source,
-            ));
-        }
-        if !run.pic_accounted {
-            out.push(violation(
-                ViolationKind::PicMismatch,
-                format!(
-                    "{}: pic_hits + pic_misses failed to account for every \
-                     generic-site application (or a disabled cache was consulted)",
-                    run.label
                 ),
                 source,
             ));

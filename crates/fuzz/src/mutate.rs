@@ -38,8 +38,8 @@ pub enum Mutation {
     PermuteArgs,
     /// `set!`-rebind one step global to another between two tower sweeps
     /// (mega schema only): both steps terminate, so the program stays
-    /// clean, but the rebinding bumps the store epoch mid-run — every
-    /// warm inline-cache entry must be re-resolved, never reused stale.
+    /// clean, but the first-class site sees a different callee for the
+    /// same global mid-run.
     SetRebind,
     /// Swap the decreasing argument for the original parameter.
     SwapArgSelf,

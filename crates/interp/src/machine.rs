@@ -38,7 +38,6 @@ use sct_core::intern::FxBuildHasher;
 use sct_core::monitor::{Backoff, KeyStrategy, MonitorConfig, TableStrategy};
 use sct_core::plan::{EnforcementPlan, PlanDomain};
 use sct_core::table::{MutScTable, ScTable, TableUndo};
-use sct_ir::pic::{Pic, PicAction, PicEntry};
 use sct_ir::{CapSrc, CompiledProgram, Instr, SiteAction, TopCode};
 use sct_lang::ast::Program;
 use sct_lang::{LambdaDef, Prim};
@@ -94,11 +93,6 @@ pub struct MachineConfig {
     /// work; first-class applications of discharged λs still take the
     /// per-λ fast path. `None` is plain monitoring.
     pub plan: Option<Rc<EnforcementPlan>>,
-    /// Disables the polymorphic inline caches on `Generic` call sites,
-    /// falling back to the per-λ fast-path probe on every call. The
-    /// differential oracle runs every case both ways; results must be
-    /// identical.
-    pub disable_pics: bool,
     /// When true, count dynamically adjacent instruction pairs (by
     /// mnemonic) so the superinstruction set can be justified against a
     /// real dispatch profile; see [`Machine::pair_profile`].
@@ -152,18 +146,15 @@ pub struct Stats {
     /// `lambda`/`let`/`letrec` frame in the reference machine — the
     /// allocation win of flat frames, reported by `report_fig10`.
     pub env_frames_allocated: u64,
-    /// Applications dispatched through a `Generic` call site while
-    /// monitoring was active (the calls a PIC can serve). With PICs on,
-    /// `pic_hits + pic_misses == generic_calls` — the oracle asserts it.
+    /// Applications dispatched through a `Generic` call site (or a bound
+    /// site whose runtime callee is not its λ) while monitoring was
+    /// active: each one read its λ's verdict from the per-λ fast-path
+    /// table.
     pub generic_calls: u64,
-    /// Generic-site calls answered by a valid PIC entry.
+    /// Always 0: generic sites no longer cache their callees' verdicts.
+    /// Kept because `perfbench` still reads it for its
+    /// `interp.pic_hit_ratio`; it is not published.
     pub pic_hits: u64,
-    /// Generic-site calls that re-resolved the fast path from the plan
-    /// (cold, evicted, or freshly invalidated entries).
-    pub pic_misses: u64,
-    /// Cached PIC entries found stale (plan stamp mismatch) and
-    /// re-resolved; each one also counts as a miss.
-    pub pic_invalidations: u64,
     /// High-water mark of the continuation stack.
     pub max_kont_depth: usize,
     /// High-water mark of the continuation-mark stack.
@@ -172,12 +163,10 @@ pub struct Stats {
 
 impl Stats {
     /// Mirror this run's counters into the `vm.*` metric family of an
-    /// observability registry: one `vm.runs` bump plus the semantic and
-    /// PIC counters, so a `metrics` snapshot shows cumulative VM work
-    /// and the PIC accounting identity
-    /// (`vm.pic_hits + vm.pic_misses == vm.generic_calls`) stays
-    /// checkable from the snapshot alone. High-water marks are exported
-    /// as gauges holding the maximum seen across published runs.
+    /// observability registry: one `vm.runs` bump plus the semantic
+    /// counters and `vm.generic_calls`, so a `metrics` snapshot shows
+    /// cumulative VM work. High-water marks are exported as gauges
+    /// holding the maximum seen across published runs.
     pub fn publish(&self, reg: &sct_obs::Registry) {
         reg.counter("vm.runs").inc();
         for (name, v) in [
@@ -188,9 +177,6 @@ impl Stats {
             ("vm.static_skips", self.static_skips),
             ("vm.env_frames", self.env_frames_allocated),
             ("vm.generic_calls", self.generic_calls),
-            ("vm.pic_hits", self.pic_hits),
-            ("vm.pic_misses", self.pic_misses),
-            ("vm.pic_invalidations", self.pic_invalidations),
         ] {
             reg.counter(name).add(v);
         }
@@ -375,19 +361,6 @@ pub struct Machine<'p> {
     // (a direct load instead of the tree-walker's per-call map probes).
     whitelisted: Vec<bool>,
     fast_path: Vec<Option<FastGuard>>,
-    // Live per-site enforcement decisions, seeded from the baked
-    // `code.sites` actions. `install_plan` re-derives them from the new
-    // plan, so the hot loop never reads a stale baked decision.
-    site_actions: Vec<SiteAction>,
-    // One polymorphic inline cache per call site (only `Generic` sites
-    // ever populate theirs).
-    pics: Vec<Pic>,
-    // PIC validity stamp: mix of the installed plan's decisions
-    // fingerprint and the global-`set!` epoch. Any entry stamped
-    // differently re-resolves before it can skip enforcement.
-    plan_fingerprint: u64,
-    store_epoch: u64,
-    plan_stamp: u64,
     // Dynamic adjacent-pair dispatch profile (config.profile_pairs).
     pair_profile: HashMap<(&'static str, &'static str), u64>,
     prof_prev: Option<(usize, &'static str)>,
@@ -421,15 +394,15 @@ impl<'p> Machine<'p> {
         Machine::with_code(program, code, config)
     }
 
-    /// Creates a machine over an already-compiled IR image — the
-    /// amortization entry point for the `sct serve` daemon and the bench
-    /// harness, which compile once per distinct program and reuse the
-    /// image across requests/repetitions. The image must have been
-    /// produced by [`sct_ir::compile`] from this `program` and the same
-    /// plan as `config.plan`; compiling against one plan and running
-    /// under another would bake stale decisions into the call sites, so
-    /// the pairing is *checked* (in release builds too) via the plan
-    /// identity token the compiler stamped into the image.
+    /// Creates a machine over an already-compiled IR image — the entry
+    /// point for the bench harnesses, which time compilation apart from
+    /// execution or reuse one image across repetitions (the `sct serve`
+    /// daemon compiles each request through [`Machine::new`]). The image
+    /// must have been produced by [`sct_ir::compile`] from this `program`
+    /// and the same plan as `config.plan`; compiling against one plan
+    /// and running under another would bake stale decisions into the
+    /// call sites, so the pairing is *checked* (in release builds too)
+    /// via the plan identity token the compiler stamped into the image.
     ///
     /// # Panics
     ///
@@ -474,8 +447,6 @@ impl<'p> Machine<'p> {
             })
             .collect();
         let fast_path = build_fast_path(config.plan.as_deref(), code.templates.len());
-        let site_actions: Vec<SiteAction> = code.sites.iter().map(|s| s.action.clone()).collect();
-        let pics = vec![Pic::new(); code.sites.len()];
         let consts = code.consts.iter().map(|d| datum_to_value(d)).collect();
         let backoff = Backoff::new(config.monitor.backoff);
         Machine {
@@ -490,11 +461,6 @@ impl<'p> Machine<'p> {
             consts,
             whitelisted,
             fast_path,
-            site_actions,
-            pics,
-            plan_fingerprint: config_token,
-            store_epoch: 0,
-            plan_stamp: mix2(config_token, 0),
             pair_profile: HashMap::new(),
             prof_prev: None,
             stack: Vec::new(),
@@ -518,43 +484,6 @@ impl<'p> Machine<'p> {
     /// The compiled IR image this machine dispatches over.
     pub fn compiled(&self) -> &CompiledProgram {
         &self.code
-    }
-
-    /// Installs a (possibly different) enforcement plan on a live machine
-    /// — the incremental re-plan path. The per-λ fast path and every
-    /// baked site decision are re-derived from the new plan, and when its
-    /// decisions fingerprint differs the PIC stamp moves, so every cached
-    /// entry re-resolves before it can skip enforcement again. A no-op
-    /// re-plan (same decisions) keeps the caches warm.
-    pub fn install_plan(&mut self, plan: Option<Rc<EnforcementPlan>>) {
-        let fp = plan
-            .as_deref()
-            .map_or(0, EnforcementPlan::decisions_fingerprint);
-        if fp != self.plan_fingerprint {
-            self.plan_fingerprint = fp;
-            self.plan_stamp = mix2(fp, self.store_epoch);
-        }
-        self.fast_path = build_fast_path(plan.as_deref(), self.code.templates.len());
-        // Re-derive each statically bound site's action for the λ the
-        // compiler bound it to; a λ the new plan no longer discharges
-        // goes back to Monitored, one it newly discharges skips.
-        for (i, site) in self.code.sites.iter().enumerate() {
-            let lambda = match site.action {
-                SiteAction::Generic => continue,
-                SiteAction::Skip { lambda }
-                | SiteAction::Guarded { lambda, .. }
-                | SiteAction::Monitored { lambda } => lambda,
-            };
-            self.site_actions[i] = match self.fast_path[lambda as usize].as_ref() {
-                Some(FastGuard::Always) => SiteAction::Skip { lambda },
-                Some(FastGuard::Domains(doms)) => SiteAction::Guarded {
-                    lambda,
-                    doms: doms.clone(),
-                },
-                None => SiteAction::Monitored { lambda },
-            };
-        }
-        self.config.plan = plan;
     }
 
     /// The dynamic adjacent-pair dispatch profile collected under
@@ -752,11 +681,6 @@ impl<'p> Machine<'p> {
                 Instr::StoreGlobal(g) => {
                     let v = self.stack.pop().expect("store operand");
                     self.globals[g as usize] = v;
-                    // A rebound global changes which callees flow into
-                    // generic sites; bumping the epoch moves the plan
-                    // stamp so every cached PIC entry re-resolves.
-                    self.store_epoch += 1;
-                    self.plan_stamp = mix2(self.plan_fingerprint, self.store_epoch);
                     self.stack.push(Value::Void);
                 }
                 Instr::PrimVal(p) => self.stack.push(Value::Prim(p)),
@@ -1104,8 +1028,7 @@ impl<'p> Machine<'p> {
         self.stats.applications += 1;
         if self.monitoring_active() && !self.whitelisted[clo.def.id as usize] {
             let args_start = self.stack.len() - argc;
-            let action = &self.site_actions[site];
-            match action {
+            match &self.code.sites[site].action {
                 SiteAction::Skip { lambda } if *lambda == clo.def.id => {
                     self.stats.static_skips += 1;
                 }
@@ -1121,61 +1044,18 @@ impl<'p> Machine<'p> {
                 }
                 _ => {
                     // First-class callee (or a site whose static binding
-                    // does not match): resolve through the site's PIC, or
-                    // — with caches disabled — the per-λ fast-path probe.
+                    // does not match): read the λ's verdict from the
+                    // per-λ fast-path table.
                     self.stats.generic_calls += 1;
-                    if self.config.disable_pics {
-                        if self.probe_discharged(&clo, args_start) {
-                            self.stats.static_skips += 1;
-                        } else {
-                            self.monitor_call_stack(&clo, args_start)?;
-                        }
+                    if self.probe_discharged(&clo, args_start) {
+                        self.stats.static_skips += 1;
                     } else {
-                        match self.pic_action(site, &clo) {
-                            PicAction::Skip => self.stats.static_skips += 1,
-                            PicAction::Guard(doms) => {
-                                if guard_passes(&doms, &self.stack[args_start..]) {
-                                    self.stats.static_skips += 1;
-                                } else {
-                                    self.monitor_call_stack(&clo, args_start)?;
-                                }
-                            }
-                            PicAction::Monitor => self.monitor_call_stack(&clo, args_start)?,
-                        }
+                        self.monitor_call_stack(&clo, args_start)?;
                     }
                 }
             }
         }
         self.bind_stack_args(&clo, argc, tail)
-    }
-
-    /// Resolves (through the site's PIC) the fast path for this callee. A
-    /// valid cached entry is a hit; a stamp mismatch counts an
-    /// invalidation and re-resolves; anything else is a plain miss. The
-    /// resolved action is re-cached under the current stamp, so the
-    /// steady state is one λ-id comparison per call.
-    fn pic_action(&mut self, site: usize, clo: &Closure) -> PicAction {
-        let lambda = clo.def.id;
-        let stamp = self.plan_stamp;
-        if let Some(entry) = self.pics[site].lookup(lambda) {
-            if entry.stamp == stamp {
-                self.stats.pic_hits += 1;
-                return entry.action.clone();
-            }
-            self.stats.pic_invalidations += 1;
-        }
-        self.stats.pic_misses += 1;
-        let action = match self.fast_path[lambda as usize].as_ref() {
-            Some(FastGuard::Always) => PicAction::Skip,
-            Some(FastGuard::Domains(doms)) => PicAction::Guard(doms.clone()),
-            None => PicAction::Monitor,
-        };
-        self.pics[site].insert(PicEntry {
-            lambda,
-            action: action.clone(),
-            stamp,
-        });
-        action
     }
 
     /// True when the enforcement plan statically discharged this λ and the

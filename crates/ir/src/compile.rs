@@ -25,10 +25,10 @@
 //!    stays in place (the machine skips it), so jump targets into the
 //!    second slot keep their original semantics with no remapping.
 //!
-//! Call sites are allocated one per application *expression* (deduplicated
+//! Call sites are allocated one per application *expression*, deduplicated
 //! only for statically bound globals, whose baked action is identical at
-//! every site), so every [`SiteAction::Generic`] site owns a private
-//! polymorphic inline cache in the machine (see [`crate::pic`]).
+//! every site. A [`SiteAction::Generic`] site carries no state of its own:
+//! the machine reads its callee's verdict from the per-λ fast-path table.
 
 use crate::{
     CallSite, CapSrc, CompiledProgram, ConstIx, Instr, LabelIx, SiteAction, SiteIx, Template,
@@ -157,7 +157,7 @@ impl Builder {
     /// Statically bound globals share one site per global (the baked
     /// action is identical everywhere); every other operator — first
     /// class, or a global that is rebound or not lambda-bound — gets a
-    /// *fresh* `Generic` site so it owns a private inline cache.
+    /// fresh `Generic` site, one per application expression.
     fn site_for(&mut self, func: &Expr) -> SiteIx {
         let Expr::Global(g) = func else {
             return self.fresh_generic();

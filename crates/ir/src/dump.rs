@@ -121,9 +121,7 @@ fn render(cp: &CompiledProgram, i: Instr) -> String {
 
 fn site_text(cp: &CompiledProgram, site: u32) -> String {
     match &cp.sites[site as usize].action {
-        // Every generic site owns a polymorphic inline cache in the
-        // machine; the site index identifies it.
-        SiteAction::Generic => format!("site=generic(pic {site})"),
+        SiteAction::Generic => "site=generic".to_string(),
         SiteAction::Skip { lambda } => format!("site=skip(lambda {lambda})"),
         SiteAction::Guarded { lambda, doms } => {
             let d: Vec<&str> = doms.iter().map(|d| d.label()).collect();

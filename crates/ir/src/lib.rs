@@ -44,7 +44,6 @@
 
 mod compile;
 mod dump;
-pub mod pic;
 
 pub use compile::{compile, compile_unfused};
 pub use dump::dump;
@@ -61,8 +60,7 @@ use std::rc::Rc;
 /// invalidates persisted plans rather than letting them drive a machine
 /// they were not planned for.
 ///
-/// v2: every application expression owns a distinct call site (so each
-/// `Generic` site carries its own polymorphic inline cache), and the
+/// v2: every application expression owns a distinct call site, and the
 /// linker fuses hot adjacent instruction pairs into superinstructions.
 pub const CODEGEN_VERSION: u32 = 2;
 

@@ -306,11 +306,6 @@ fn run_and_report(
             "; plan: {} static skips, {} monitored calls",
             m.stats.static_skips, m.stats.monitored_calls
         );
-        // The inline caches on generic (first-class) call sites.
-        eprintln!(
-            "; pic: {} hits, {} misses, {} invalidations",
-            m.stats.pic_hits, m.stats.pic_misses, m.stats.pic_invalidations
-        );
     } else {
         eprintln!(
             "; applications={} monitored={} checks={} max-kont={}",

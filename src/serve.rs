@@ -58,9 +58,8 @@
 //! * `stats` → request counters, aggregate cache traffic
 //!   (`"cache":{"hits":…,"misses":…,"rejected":…,"stores":…,
 //!   "quarantined":…}`), the aggregate plan effect
-//!   (`"plan":{"static_skips":…,"monitored_calls":…}`) and inline-cache
-//!   traffic (`"pic":{"hits":…,"misses":…,"invalidations":…}`) summed
-//!   over every execution served, uptime, and per-op latency
+//!   (`"plan":{"static_skips":…,"monitored_calls":…}`) summed over
+//!   every execution served, uptime, and per-op latency
 //!   summaries (`"latency":{"plan":{"count":…,"p50_us":…,…},…}`).
 //!   It is a view of one snapshot of the server's registry — each member
 //!   reads one `serve.*`, `cache.*` or `vm.*` metric — so it reconciles
@@ -900,7 +899,7 @@ impl Server {
         }
         // The per-run VM statistics land in the registry, so `vm.*`
         // aggregates every execution this daemon served; the `stats` op
-        // reads its `plan` and `pic` objects from there.
+        // reads its `plan` object from there.
         executed.stats.publish(&self.metrics.registry);
         if let Some([function, blame, witness]) = &executed.violation {
             // The monitor's verdict as a trace event, carrying the
@@ -965,16 +964,6 @@ impl Server {
                 counters(&[
                     ("static_skips", "vm.static_skips"),
                     ("monitored_calls", "vm.monitored_calls"),
-                ]),
-            ),
-            (
-                // Aggregate inline-cache traffic, mirroring the CLI's
-                // `; pic: H hits, M misses, I invalidations` line.
-                "pic".into(),
-                counters(&[
-                    ("hits", "vm.pic_hits"),
-                    ("misses", "vm.pic_misses"),
-                    ("invalidations", "vm.pic_invalidations"),
                 ]),
             ),
             (
@@ -1078,12 +1067,6 @@ fn stats_json(s: &Stats) -> Json {
         ("monitored".into(), Json::Int(s.monitored_calls as i64)),
         ("checks".into(), Json::Int(s.checks as i64)),
         ("static_skips".into(), Json::Int(s.static_skips as i64)),
-        ("pic_hits".into(), Json::Int(s.pic_hits as i64)),
-        ("pic_misses".into(), Json::Int(s.pic_misses as i64)),
-        (
-            "pic_invalidations".into(),
-            Json::Int(s.pic_invalidations as i64),
-        ),
         ("max_kont".into(), Json::Int(s.max_kont_depth as i64)),
     ])
 }
@@ -1668,8 +1651,8 @@ mod tests {
             &s,
             r#"{"op":"hybrid","source":"(define (sum i a) (if (zero? i) a (sum (- i 1) (+ a i)))) (sum 50 0)"}"#,
         );
-        // A first-class call site under a monitored caller: inline-cache
-        // traffic for the `pic` object.
+        // A first-class call site under a monitored caller: generic-site
+        // calls for `vm.generic_calls`.
         ok_line(
             &s,
             r#"{"op":"hybrid","source":"(define (g n) (if (zero? n) 0 (g (- n 1)))) (define (h n) (if (zero? n) 1 (h (- n 1)))) (define (call fn n) (fn n)) (define (drive n) (+ (call g n) (call h n))) (drive 6) (drive 6)"}"#,
@@ -1693,14 +1676,6 @@ mod tests {
         assert_eq!(counter("vm.static_skips"), stat(plan, "static_skips"));
         assert_eq!(counter("vm.monitored_calls"), stat(plan, "monitored_calls"));
         assert!(stat(plan, "monitored_calls") > 0, "{stats:?}");
-        let pic = stats.get("pic").unwrap();
-        assert_eq!(counter("vm.pic_hits"), stat(pic, "hits"));
-        assert_eq!(counter("vm.pic_misses"), stat(pic, "misses"));
-        assert_eq!(counter("vm.pic_invalidations"), stat(pic, "invalidations"));
-        assert!(
-            stat(pic, "hits") > 0 && stat(pic, "misses") > 0,
-            "{stats:?}"
-        );
         let cache = stats.get("cache").unwrap();
         assert_eq!(counter("cache.hits"), stat(cache, "hits"));
         assert_eq!(counter("cache.misses"), stat(cache, "misses"));
@@ -1712,6 +1687,7 @@ mod tests {
         assert!(counter("vm.runs") >= 1, "{m:?}");
         assert!(counter("vm.steps") > 0, "{m:?}");
         assert!(counter("vm.static_skips") > 0, "{m:?}");
+        assert!(counter("vm.generic_calls") > 0, "{m:?}");
         // The planner reported its ladder work.
         assert!(counter("plan.defines") >= 2, "{m:?}");
         // Latency histograms saw every op this test issued.

@@ -94,10 +94,6 @@ fn guide_hybrid_sum_discharged() {
         err.contains("monitored=0 checks=0 static-skips=100001"),
         "guide counters drifted: {err}"
     );
-    assert!(
-        err.contains("; pic: 0 hits, 0 misses, 0 invalidations"),
-        "direct calls consult no inline cache: {err}"
-    );
 
     // The plain monitor pays for every one of those calls.
     let mon = sct(&["monitor", "examples/guide/sum.sct"]);
@@ -139,7 +135,7 @@ fn guide_hybrid_metrics_replays_deterministically() {
     // can split the stream at the first `; metric`.
     let first_metric = err.find("; metric").expect("metric lines present");
     assert!(
-        err[..first_metric].contains("; pic: 0 hits"),
+        err[..first_metric].contains("; plan: 100001 static skips"),
         "snapshot must follow the standard report: {err}"
     );
 
@@ -389,9 +385,8 @@ fn guide_serve_stdio_transcript() {
     assert!(line.contains("[[\"len\",false]]"), "{line}");
 }
 
-/// §4, "Inline caches" subsection: the iterate transcript — two misses
-/// (one per distinct callee through the generic site), the rest hits,
-/// no invalidations — and the `site=generic(pic N)` IR annotation.
+/// §4, "First-class call sites" subsection: the iterate transcript and
+/// the `site=generic` IR annotation of its first-class `(f x)` site.
 #[test]
 fn guide_hybrid_pic_transcript() {
     let h = sct(&["hybrid", "examples/guide/iterate.sct"]);
@@ -399,16 +394,16 @@ fn guide_hybrid_pic_transcript() {
     assert_eq!(stdout(&h).trim(), "1035");
     let err = stderr(&h);
     assert!(
-        err.contains("; pic: 18 hits, 2 misses, 0 invalidations"),
-        "guide PIC counters drifted: {err}"
+        err.contains("applications=42 monitored=22 checks=22 static-skips=20"),
+        "guide counters drifted: {err}"
     );
 
     let d = sct(&["hybrid", "examples/guide/iterate.sct", "--dump-ir"]);
     assert!(d.status.success(), "{}", stderr(&d));
     let ir = stdout(&d);
     assert!(
-        ir.contains("site=generic(pic 2)"),
-        "the (f x) site owns an inline cache: {ir}"
+        ir.contains("site=generic\n"),
+        "the (f x) site is first class: {ir}"
     );
 }
 

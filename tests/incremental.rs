@@ -381,9 +381,9 @@ fn editing_a_helper_recomputes_exactly_its_dependents_summaries() {
 }
 
 /// The committed benchmark artifact must carry the planning trajectory:
-/// schema `sct-fig10/5` with warm planning measurably faster than cold on
+/// schema `sct-fig10/6` with warm planning measurably faster than cold on
 /// every workload (the number the persistence subsystem exists to win) —
-/// and, since PR 8, per-workload inline-cache hit rates on the eval rows.
+/// and generic dispatch on the interpreter workloads' eval rows.
 #[test]
 fn committed_bench_artifact_pins_warm_planning_speedup() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_fig10.json");
@@ -391,7 +391,7 @@ fn committed_bench_artifact_pins_warm_planning_speedup() {
     let doc = sct_contracts::core::json::parse(&text).expect("artifact parses");
     assert_eq!(
         doc.get("schema").and_then(|s| s.as_str()),
-        Some("sct-fig10/5"),
+        Some("sct-fig10/6"),
         "schema drifted"
     );
     let planning = doc
@@ -409,9 +409,9 @@ fn committed_bench_artifact_pins_warm_planning_speedup() {
             "{workload}: warm planning ({warm}ms) not faster than cold ({cold}ms)"
         );
     }
-    // Schema /5: every eval row carries the inline-cache accounting, and
-    // the meta-circular interpreter workloads (the only ones with hot
-    // first-class dispatch) cache effectively.
+    // Every eval row counts its generic-site calls, and the
+    // meta-circular interpreter workloads (the only ones with hot
+    // first-class dispatch) have some.
     let evals = doc
         .get("eval")
         .and_then(|e| e.as_arr())
@@ -419,13 +419,9 @@ fn committed_bench_artifact_pins_warm_planning_speedup() {
     assert!(!evals.is_empty());
     for e in evals {
         let workload = e.get("workload").and_then(|w| w.as_str()).unwrap();
-        let hits = e.get("pic_hits").and_then(|v| v.as_f64()).unwrap();
-        let misses = e.get("pic_misses").and_then(|v| v.as_f64()).unwrap();
-        let rate = e.get("pic_hit_rate").and_then(|v| v.as_f64()).unwrap();
-        assert!((0.0..=1.0).contains(&rate), "{workload}: rate {rate}");
+        let generic = e.get("generic_calls").and_then(|v| v.as_f64()).unwrap();
         if workload.starts_with("interp-") {
-            assert!(hits + misses > 0.0, "{workload}: no generic dispatch");
-            assert!(rate >= 0.9, "{workload}: ineffective caches ({rate})");
+            assert!(generic > 0.0, "{workload}: no generic dispatch");
         }
     }
 }

@@ -28,31 +28,27 @@
 //! without a fuel bound (a fuel bound would itself diverge between the
 //! machines, since their step granularities differ).
 //!
-//! Since PR 8 every differential case additionally runs the VM twice —
-//! polymorphic inline caches enabled and disabled — asserting the two
-//! runs produce identical values, output, blame, and semantic counters,
-//! and that `pic_hits + pic_misses` accounts for every `Generic`-site
-//! application. The caches are a pure dispatch optimization; any
-//! divergence they introduce is an enforcement-soundness bug.
+//! First-class call sites get cases of their own: one site dispatching
+//! to many callees, with a `set!` rebinding a callee between sweeps, so a
+//! generic site must read each callee's verdict from the per-λ table
+//! afresh, under the hybrid plan too.
 
 use proptest::prelude::*;
 use sct_contracts::corpus::{diverging, table1, workloads};
-use sct_contracts::{plan_program, MachineConfig, PlanConfig, SemanticsMode, TableStrategy};
-use sct_fuzz::harness::{assert_pic_transparent, run_reference, run_vm_stats, Outcome};
+use sct_contracts::{
+    plan_program, Machine, MachineConfig, PlanConfig, SemanticsMode, TableStrategy,
+};
+use sct_fuzz::harness::{run_reference, run_vm, Outcome};
 use sct_fuzz::ExprGen;
 use std::rc::Rc;
 
-/// Runs `source` through both machines under `config` and asserts (or,
-/// for the proptest driver, returns) outcome equality. Every case runs
-/// the VM *twice* — inline caches enabled and disabled — and asserts the
-/// two runs agree on values, output, blame, and the semantic counters,
-/// with `pic_hits + pic_misses` accounting for every `Generic`-site
-/// application (see `assert_pic_transparent`).
+/// Runs `source` through both machines under `config` and returns both
+/// outcomes, for the caller to compare.
 fn outcomes(source: &str, config: &MachineConfig) -> (Outcome, Outcome) {
     let prog = sct_contracts::lang::compile_program(source)
         .unwrap_or_else(|e| panic!("compile failed: {e}\n{source}"));
     (
-        assert_pic_transparent(&prog, config, "oracle case"),
+        run_vm(&prog, config.clone()),
         run_reference(&prog, config.clone()),
     )
 }
@@ -175,20 +171,12 @@ fn diverging_corpus_agrees_on_blame() {
 }
 
 // ---------------------------------------------------------------------
-// PIC transparency.
+// First-class call sites.
 // ---------------------------------------------------------------------
 
 /// A megamorphic first-class call site — one `Generic` site dispatching
-/// to five distinct callees, overflowing the 4-way cache — plus a `set!`
-/// rebinding mid-run: the canonical PIC fill/overflow/invalidation
-/// shapes, checked on top of the per-case transparency sweep that
-/// [`outcomes`] already applies everywhere. Counter arithmetic is
-/// asserted exactly: every generic-site application is a hit or a miss,
-/// and a `set!` of a monitored global forces re-resolution (stamp
-/// invalidation) rather than a silently stale fast path.
-#[test]
-fn pic_on_off_outcomes_agree_and_counters_reconcile() {
-    let source = r#"
+/// to five distinct callees — plus a `set!` rebinding mid-run.
+const MEGA_SWEEP: &str = r#"
 (define (f1 n) (if (zero? n) 0 (f1 (- n 1))))
 (define (f2 n) (if (zero? n) 0 (f2 (- n 1))))
 (define (f3 n) (if (zero? n) 1 (f3 (- n 1))))
@@ -204,30 +192,54 @@ fn pic_on_off_outcomes_agree_and_counters_reconcile() {
 (set! f3 f5)
 (display (sweep 12))
 "#;
-    let prog = sct_contracts::lang::compile_program(source).expect("compiles");
-    for strategy in [TableStrategy::Imperative, TableStrategy::ContinuationMark] {
-        let config = MachineConfig::monitored(strategy);
-        let vm = assert_pic_transparent(&prog, &config, "megamorphic sweep");
-        let reference = run_reference(&prog, config.clone());
-        assert_eq!(vm, reference, "megamorphic sweep under {strategy:?}");
-        let (_, stats) = run_vm_stats(&prog, config);
-        assert!(
-            stats.generic_calls > 0,
-            "the sweep must exercise generic sites"
-        );
-        assert_eq!(
-            stats.pic_hits + stats.pic_misses,
-            stats.generic_calls,
-            "every generic-site application is a hit or a miss"
-        );
-        assert!(
-            stats.pic_misses >= 5,
-            "five distinct callees through one site cannot all hit"
-        );
-        assert!(
-            stats.pic_invalidations > 0,
-            "the set! rebinding must invalidate cached entries"
-        );
+
+/// A first-class callee whose global is `set!`-rebound between two runs
+/// of the same generic site.
+const SET_REBIND: &str = r#"
+(define (g n) (if (zero? n) 0 (g (- n 1))))
+(define (h n) (if (zero? n) 1 (h (- n 1))))
+(define (k n) (if (zero? n) 2 (k (- n 1))))
+(define (call fn n) (fn n))
+(define (drive n) (+ (call g n) (call k n)))
+(drive 6)
+(set! g h)
+(drive 6)
+"#;
+
+/// First-class call sites with `set!`-rebound callees — [`MEGA_SWEEP`],
+/// [`SET_REBIND`] and the pinned `mega-set-rebind` fuzzer regression —
+/// agree with the walker on value, output, blame and the semantic
+/// counters under both monitored strategies and under the hybrid plan,
+/// whose discharged callees the generic sites skip through the per-λ
+/// table.
+#[test]
+fn pic_on_off_outcomes_agree_and_counters_reconcile() {
+    let mega = include_str!("fuzz_regressions/mega-set-rebind.sct");
+    for (what, source) in [
+        ("megamorphic sweep", MEGA_SWEEP),
+        ("set-rebind", SET_REBIND),
+        ("mega-set-rebind", mega),
+    ] {
+        let prog = sct_contracts::lang::compile_program(source).expect("compiles");
+        let plan = Rc::new(plan_program(&prog, &quick_plan_config()));
+        let hybrid = MachineConfig {
+            plan: Some(plan),
+            ..MachineConfig::monitored(TableStrategy::Imperative)
+        };
+        for config in [
+            MachineConfig::monitored(TableStrategy::Imperative),
+            MachineConfig::monitored(TableStrategy::ContinuationMark),
+            hybrid.clone(),
+        ] {
+            let vm = run_vm(&prog, config.clone());
+            let reference = run_reference(&prog, config);
+            assert_eq!(vm, reference, "{what}");
+            assert!(vm.answer.starts_with("ok: "), "{what}: {}", vm.answer);
+        }
+        let mut m = Machine::new(&prog, hybrid);
+        m.run().expect("runs clean");
+        assert!(m.stats.generic_calls > 0, "{what}: no generic-site call");
+        assert!(m.stats.static_skips > 0, "{what}: the plan skipped nothing");
     }
 }
 
@@ -251,7 +263,7 @@ proptest! {
         };
         for strategy in [TableStrategy::Imperative, TableStrategy::ContinuationMark] {
             let config = MachineConfig::monitored(strategy);
-            let vm = assert_pic_transparent(&prog, &config, "generated");
+            let vm = run_vm(&prog, config.clone());
             let reference = run_reference(&prog, config);
             prop_assert_eq!(&vm, &reference, "strategy {:?}\n{}", strategy, &source);
         }
@@ -260,7 +272,7 @@ proptest! {
             plan: Some(plan),
             ..MachineConfig::monitored(TableStrategy::Imperative)
         };
-        let vm = assert_pic_transparent(&prog, &config, "generated hybrid");
+        let vm = run_vm(&prog, config.clone());
         let reference = run_reference(&prog, config);
         prop_assert_eq!(&vm, &reference, "hybrid\n{}", &source);
     }

@@ -10,6 +10,11 @@
 //! * every entry the planner hands its store, `sct-plan/3`-encoded with
 //!   `micros` zeroed, in the order it is stored, with its key.
 //!
+//! A third digest covers what the plan compiles to: every call-site
+//! table `sct_ir::compile` bakes from the cold plan, site by site, with a
+//! first-class site rendered as bare `generic`. The machine's dispatch
+//! may change; the decisions it reads from this table must not.
+//!
 //! After its cold pass, each program is replayed through a store that
 //! serves the recorded entries back through the codec: every define must
 //! hit, every stored contract summary must rebind, and the replay's
@@ -24,6 +29,7 @@ use sct_core::plan::{Decision, EnforcementPlan};
 use sct_core::plan_codec::{decode_entry, encode_entry, PortableDecision};
 use sct_corpus::{table1, workloads};
 use sct_fuzz::permute_defines;
+use sct_ir::SiteAction;
 use sct_obs::Registry;
 use sct_symbolic::pipeline::{
     plan_program_incremental, DecisionStore, PlanCache, PlanConfig, PlanObs,
@@ -117,11 +123,27 @@ fn digest_decisions(h: &mut Fnv, plan: &EnforcementPlan) {
     }
 }
 
+fn digest_sites(h: &mut Fnv, program: &sct_lang::ast::Program, plan: &EnforcementPlan) {
+    let labels = |doms: &[sct_core::plan::PlanDomain]| {
+        let labels: Vec<_> = doms.iter().map(|d| d.label()).collect();
+        labels.join(",")
+    };
+    for site in &sct_ir::compile(program, Some(plan)).sites {
+        let line = match &site.action {
+            SiteAction::Generic => "generic".to_string(),
+            SiteAction::Skip { lambda } => format!("skip {lambda}"),
+            SiteAction::Guarded { lambda, doms } => format!("guarded {lambda} {}", labels(doms)),
+            SiteAction::Monitored { lambda } => format!("monitored {lambda}"),
+        };
+        h.write(line.as_bytes());
+    }
+}
+
 /// The digests of a group of sources: (cold decisions, store entries,
-/// warm-replay decisions).
-fn digests(sources: &[String]) -> (String, String, String) {
+/// warm-replay decisions, compiled call-site tables).
+fn digests(sources: &[String]) -> (String, String, String, String) {
     let cfg = PlanConfig::default();
-    let (mut cold, mut warm) = (Fnv::new(), Fnv::new());
+    let (mut cold, mut warm, mut sites) = (Fnv::new(), Fnv::new(), Fnv::new());
     let mut store = Recorder {
         digest: Fnv::new(),
         entries: HashMap::new(),
@@ -133,6 +155,7 @@ fn digests(sources: &[String]) -> (String, String, String) {
         store.summaries = 0;
         let (plan, _) = plan_program_incremental(&p, &cfg, &mut PlanCache::new(), &mut store);
         digest_decisions(&mut cold, &plan);
+        digest_sites(&mut sites, &p, &plan);
 
         let reg = Arc::new(Registry::new());
         let replay_cfg = PlanConfig {
@@ -148,7 +171,7 @@ fn digests(sources: &[String]) -> (String, String, String) {
         digest_decisions(&mut warm, &plan);
     }
     let hex = |h: Fnv| format!("{:016x}", h.0);
-    (hex(cold), hex(store.digest), hex(warm))
+    (hex(cold), hex(store.digest), hex(warm), hex(sites))
 }
 
 /// Each source followed by its defines reversed.
@@ -162,35 +185,56 @@ fn both_orders(sources: Vec<String>) -> Vec<String> {
         .collect()
 }
 
-fn assert_pinned(tag: &str, sources: Vec<String>, decisions: &str, entries: &str) {
-    let (cold, stored, warm) = digests(&both_orders(sources));
+/// The pinned digests of one corpus, both define orders.
+struct Pins<'a> {
+    decisions: &'a str,
+    entries: &'a str,
+    sites: &'a str,
+}
+
+fn assert_pinned(tag: &str, sources: Vec<String>, pins: Pins) {
+    let (cold, stored, warm, sites) = digests(&both_orders(sources));
     assert_eq!(
         (cold.as_str(), stored.as_str()),
-        (decisions, entries),
+        (pins.decisions, pins.entries),
         "{tag}: (decision digest, store entry digest) moved"
     );
-    assert_eq!(warm, decisions, "{tag}: a warm replay's decisions moved");
+    assert_eq!(
+        warm, pins.decisions,
+        "{tag}: a warm replay's decisions moved"
+    );
+    assert_eq!(sites, pins.sites, "{tag}: a compiled call-site table moved");
 }
 
 #[test]
 fn table1_plans_are_pinned() {
     let sources = table1::all().iter().map(|p| p.source.to_string()).collect();
-    assert_pinned("table1", sources, "7d1658b395eb9e88", "4fbce1bbb1181d51");
+    let pins = Pins {
+        decisions: "7d1658b395eb9e88",
+        entries: "4fbce1bbb1181d51",
+        sites: "423cfe49c2f5b28e",
+    };
+    assert_pinned("table1", sources, pins);
 }
 
 #[test]
 fn fig10_plans_are_pinned() {
     let sources = workloads::fig10().into_iter().map(|w| w.source).collect();
-    assert_pinned("fig10", sources, "0917a86e05734ee3", "586265d40c3871ed");
+    let pins = Pins {
+        decisions: "0917a86e05734ee3",
+        entries: "586265d40c3871ed",
+        sites: "23112f104d78470f",
+    };
+    assert_pinned("fig10", sources, pins);
 }
 
 #[test]
 fn layered_corpus_plans_are_pinned() {
     let sources = vec![sct_bench::layered_corpus(1000, 7, 0)];
-    assert_pinned(
-        "layered-1000",
-        sources,
-        "ec6959c258df4d29",
-        "0ac3e0966c5bf2df",
-    );
+    let pins = Pins {
+        decisions: "ec6959c258df4d29",
+        entries: "0ac3e0966c5bf2df",
+        sites: "f2dcd9aabb03b38b",
+    };
+    assert_pinned("layered-1000", sources, pins);
 }
