@@ -63,7 +63,7 @@
 //! (invalid).
 
 use sct_bench::{layered_corpus, FANOUT, LAYERS};
-use sct_contracts::{plan_program_incremental, PlanCache, PlanConfig};
+use sct_contracts::{plan_program, PlanConfig};
 use sct_core::plan::EnforcementPlan;
 use sct_lang::ast::Program;
 use sct_obs::Registry;
@@ -111,7 +111,7 @@ fn time_plan(
     store: &mut dyn sct_symbolic::DecisionStore,
 ) -> (f64, EnforcementPlan, usize) {
     let t = Instant::now();
-    let (plan, stats) = plan_program_incremental(prog, cfg, &mut PlanCache::new(), store);
+    let (plan, stats) = plan_program(prog, cfg, store);
     (t.elapsed().as_secs_f64() * 1e3, plan, stats.misses())
 }
 

@@ -49,10 +49,9 @@
 //! and `sct_corpus::workloads::fig10`.
 //!
 //! `planning` has one entry per workload: `plan_ms` is the median
-//! wall-clock cost of the hybrid pre-pass from a cold [`PlanCache`]
-//! (empty LJB memo) into an empty [`MemStore`], `plan_warm_ms` the
-//! median cost of planning the *same program again* through the same
-//! cache and store: every define hits its stored entry, so no verifier
+//! wall-clock cost of the hybrid pre-pass into an empty [`MemStore`],
+//! `plan_warm_ms` the median cost of planning the *same program again*
+//! through the same store: every define hits its stored entry, so no verifier
 //! runs (the path a warm `sct serve` daemon or `--cache-dir` pays).
 //! The perf trajectory therefore tracks planning cost — the paper's
 //! PSPACE-hard pre-pass — alongside run cost, and the warm column pins
@@ -109,7 +108,7 @@ use sct_corpus::workloads::Workload;
 use sct_interp::{reference, EvalError, Machine, MachineConfig, SemanticsMode, Stats, Value};
 use sct_ir::CompiledProgram;
 use sct_lang::ast::Program;
-use sct_symbolic::{plan_program, plan_program_incremental, PlanCache, PlanConfig};
+use sct_symbolic::{plan_program, NullStore, PlanConfig};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -198,7 +197,7 @@ impl CompiledWorkload {
         let program = sct_lang::compile_program(&workload.source)
             .unwrap_or_else(|e| panic!("workload {} failed to compile: {e}", workload.id));
         let plan_config = plan_config_for(&workload);
-        let plan = Rc::new(plan_program(&program, &plan_config));
+        let plan = Rc::new(plan_program(&program, &plan_config, &mut NullStore).0);
         let code = Rc::new(sct_ir::compile(&program, None));
         let code_hybrid = Rc::new(sct_ir::compile(&program, Some(&plan)));
         CompiledWorkload {
@@ -223,15 +222,12 @@ impl CompiledWorkload {
     /// would falsify the incrementality the cache subsystem promises.
     pub fn plan_cost_once(&self) -> (Duration, Duration) {
         let config = plan_config_for(&self.workload);
-        let mut cache = PlanCache::new();
         let mut store = MemStore::new();
         let t0 = Instant::now();
-        let (cold_plan, cold_stats) =
-            plan_program_incremental(&self.program, &config, &mut cache, &mut store);
+        let (cold_plan, cold_stats) = plan_program(&self.program, &config, &mut store);
         let cold = t0.elapsed();
         let t1 = Instant::now();
-        let (warm_plan, warm_stats) =
-            plan_program_incremental(&self.program, &config, &mut cache, &mut store);
+        let (warm_plan, warm_stats) = plan_program(&self.program, &config, &mut store);
         let warm = t1.elapsed();
         assert_eq!(
             (cold_stats.hits(), warm_stats.misses()),
@@ -388,7 +384,7 @@ pub struct Fig10Entry {
 pub struct PlanTiming {
     /// Workload id.
     pub workload: &'static str,
-    /// Median cold planning cost (fresh [`PlanCache`]), milliseconds.
+    /// Median cold planning cost (empty store), milliseconds.
     pub plan_ms: f64,
     /// Median warm re-planning cost (same process, populated cache),
     /// milliseconds.

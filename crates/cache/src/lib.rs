@@ -52,7 +52,7 @@
 //! ```
 //! use sct_cache::DiskCache;
 //! use sct_lang::compile_program;
-//! use sct_symbolic::{plan_program_incremental, PlanCache, PlanConfig};
+//! use sct_symbolic::{plan_program, PlanConfig};
 //!
 //! let dir = std::env::temp_dir().join(format!("sct-cache-doc-{}", std::process::id()));
 //! let prog = compile_program(
@@ -60,12 +60,12 @@
 //! let cfg = PlanConfig::default();
 //!
 //! let mut disk = DiskCache::open(&dir).unwrap();
-//! let (_cold, s1) = plan_program_incremental(&prog, &cfg, &mut PlanCache::new(), &mut disk);
+//! let (_cold, s1) = plan_program(&prog, &cfg, &mut disk);
 //! assert_eq!((s1.hits(), s1.misses()), (0, 1));
 //!
 //! // A different process (fresh handle, same directory): pure hits.
 //! let mut disk2 = DiskCache::open(&dir).unwrap();
-//! let (_warm, s2) = plan_program_incremental(&prog, &cfg, &mut PlanCache::new(), &mut disk2);
+//! let (_warm, s2) = plan_program(&prog, &cfg, &mut disk2);
 //! assert_eq!((s2.hits(), s2.misses()), (1, 0));
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```

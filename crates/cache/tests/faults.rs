@@ -6,7 +6,7 @@
 
 use sct_cache::{CacheObs, CacheStats, DiskCache};
 use sct_lang::compile_program;
-use sct_symbolic::pipeline::{plan_program_incremental, DecisionStore, PlanCache, PlanConfig};
+use sct_symbolic::pipeline::{plan_program, DecisionStore, PlanConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -34,8 +34,7 @@ const SUM: &str = "(define (sum i acc) (if (zero? i) acc (sum (- i 1) (+ acc i))
 /// Plans SUM against `store`, returning (static-count, hits, misses).
 fn plan_sum(store: &mut dyn DecisionStore) -> (usize, usize, usize) {
     let prog = compile_program(SUM).unwrap();
-    let (plan, stats) =
-        plan_program_incremental(&prog, &PlanConfig::default(), &mut PlanCache::new(), store);
+    let (plan, stats) = plan_program(&prog, &PlanConfig::default(), store);
     (plan.count("static"), stats.hits(), stats.misses())
 }
 
@@ -170,12 +169,7 @@ fn seeded_probabilistic_write_faults_never_break_planning() {
     for i in 0..16 {
         let src = format!("(define (f{i} n) (if (zero? n) {i} (f{i} (- n 1))))");
         let prog = compile_program(&src).unwrap();
-        let (plan, _) = plan_program_incremental(
-            &prog,
-            &PlanConfig::default(),
-            &mut PlanCache::new(),
-            &mut cache,
-        );
+        let (plan, _) = plan_program(&prog, &PlanConfig::default(), &mut cache);
         assert_eq!(plan.count("static"), 1, "case {i}");
     }
     let s = cache.stats();

@@ -4,7 +4,7 @@
 //!
 //! The property test drives randomly assembled programs (terminating,
 //! refuted, opaque, helper-calling, and `set!`-tainted defines in random
-//! combinations) through `plan_program_incremental` twice — cold into an
+//! combinations) through `plan_program` twice — cold into an
 //! empty store, then warm out of it — and asserts the warm plan is
 //! structurally equal to the cold one with every define a hit. The
 //! regression tests then vandalize the on-disk entries in every way the
@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use sct_cache::{DiskCache, MemStore};
 use sct_core::plan_codec::decode_entry;
 use sct_lang::compile_program;
-use sct_symbolic::{plan_program_incremental, NullStore, PlanCache, PlanConfig, PlanObs};
+use sct_symbolic::{plan_program, NullStore, PlanConfig, PlanObs};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -122,14 +122,14 @@ proptest! {
         let cfg = PlanConfig::default();
         let mut store = MemStore::new();
         let (cold, s1) =
-            plan_program_incremental(&program, &cfg, &mut PlanCache::new(), &mut store);
+            plan_program(&program, &cfg, &mut store);
         prop_assert_eq!(s1.hits(), 0, "first pass must be all misses: {}", src);
         let (warm, s2) =
-            plan_program_incremental(&program, &cfg, &mut PlanCache::new(), &mut store);
+            plan_program(&program, &cfg, &mut store);
         prop_assert_eq!(s2.misses(), 0, "second pass must be all hits: {}", src);
         prop_assert!(cold.structurally_eq(&warm), "warm differs from cold:\n{}", src);
         let (fresh, _) =
-            plan_program_incremental(&program, &cfg, &mut PlanCache::new(), &mut NullStore);
+            plan_program(&program, &cfg, &mut NullStore);
         prop_assert!(fresh.structurally_eq(&warm), "warm differs from storeless:\n{}", src);
     }
 
@@ -140,11 +140,9 @@ proptest! {
         let dir = scratch_dir("prop");
         let program = compile_program(&src).unwrap();
         let cfg = PlanConfig::default();
-        let (cold, s1) = plan_program_incremental(
-            &program, &cfg, &mut PlanCache::new(), &mut DiskCache::open(&dir).unwrap());
+        let (cold, s1) = plan_program(&program, &cfg, &mut DiskCache::open(&dir).unwrap());
         prop_assert_eq!(s1.hits(), 0);
-        let (warm, s2) = plan_program_incremental(
-            &program, &cfg, &mut PlanCache::new(), &mut DiskCache::open(&dir).unwrap());
+        let (warm, s2) = plan_program(&program, &cfg, &mut DiskCache::open(&dir).unwrap());
         prop_assert_eq!(s2.misses(), 0, "cross-handle pass must be all hits:\n{}", src);
         prop_assert!(cold.structurally_eq(&warm), "{}", src);
         fs::remove_dir_all(&dir).ok();
@@ -168,12 +166,7 @@ fn plan_disk(
 ) {
     let program = compile_program(PROGRAM).unwrap();
     let mut disk = DiskCache::open(dir).unwrap();
-    let (plan, stats) = plan_program_incremental(
-        &program,
-        &PlanConfig::default(),
-        &mut PlanCache::new(),
-        &mut disk,
-    );
+    let (plan, stats) = plan_program(&program, &PlanConfig::default(), &mut disk);
     let (h, m) = (stats.hits(), stats.misses());
     (disk, plan, h, m)
 }
@@ -295,10 +288,9 @@ fn torn_summarized_entry_is_quarantined_with_its_summary() {
         obs: PlanObs::registered(reg.clone()),
         ..PlanConfig::default()
     };
-    let (_, stats) = plan_program_incremental(
+    let (_, stats) = plan_program(
         &compile_program(PROGRAM).unwrap(),
         &cfg,
-        &mut PlanCache::new(),
         &mut DiskCache::open(&dir).unwrap(),
     );
     assert_eq!(stats.misses(), 0);
@@ -317,19 +309,13 @@ fn config_change_never_replays_old_decisions() {
     let dir = scratch_dir("config");
     let program = compile_program(PROGRAM).unwrap();
     let mut disk = DiskCache::open(&dir).unwrap();
-    let (_, s1) = plan_program_incremental(
-        &program,
-        &PlanConfig::default(),
-        &mut PlanCache::new(),
-        &mut disk,
-    );
+    let (_, s1) = plan_program(&program, &PlanConfig::default(), &mut disk);
     assert_eq!(s1.misses(), 4);
     let no_refute = PlanConfig {
         refute: false,
         ..PlanConfig::default()
     };
-    let (plan, s2) =
-        plan_program_incremental(&program, &no_refute, &mut PlanCache::new(), &mut disk);
+    let (plan, s2) = plan_program(&program, &no_refute, &mut disk);
     assert_eq!(s2.hits(), 0, "different config must never hit");
     assert_eq!(plan.count("refuted"), 0, "refute=false must hold");
     fs::remove_dir_all(&dir).ok();

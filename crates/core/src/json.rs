@@ -2,7 +2,7 @@
 //!
 //! The workspace builds offline (no serde), yet two subsystems need to
 //! *read* JSON as well as write it: the persistent plan cache decodes
-//! `sct-plan/2` documents from disk, and the `sct serve` daemon speaks a
+//! `sct-plan/3` entries from disk, and the `sct serve` daemon speaks a
 //! newline-delimited JSON wire protocol. This module is the shared,
 //! dependency-free implementation: a [`Json`] tree, a strict
 //! recursive-descent [`parse`], a compact writer (`Json::to_string` via
@@ -260,6 +260,13 @@ impl JsonWriter {
     /// An array whose items `body` writes.
     pub(crate) fn arr(&mut self, body: impl FnOnce(&mut JsonWriter)) {
         self.nest('[', body, ']');
+    }
+
+    /// Starts a new line for the next member or item, after its separator.
+    pub(crate) fn newline(&mut self) {
+        self.sep();
+        self.out.push('\n');
+        self.comma = false;
     }
 
     fn nest(&mut self, open: char, body: impl FnOnce(&mut JsonWriter), close: char) {

@@ -34,14 +34,11 @@
 //!
 //! This module also provides [`LjbCache`], a memo for the
 //! Lee–Jones–Ben-Amram closure check keyed by the *graph set* (sorted ids
-//! from the cache's own graph table): Ben-Amram's closure analysis (LMCS 2010) shows
-//! the closure and its ranking structure depend only on the graph set, so
-//! re-verifying a function whose discovered graphs are unchanged — across
-//! pre-pass runs, benchmark repetitions, or REPL reloads — costs one hash
-//! lookup instead of a closure computation.
+//! from the cache's own graph table): Ben-Amram's closure analysis (LMCS
+//! 2010) shows the closure and its ranking structure depend only on the
+//! graph set, so checking a set seen before costs one hash lookup.
 
 use crate::intern::FxBuildHasher;
-use crate::json::{escape, Json};
 use crate::ljb::{closure_check, ClosureResult};
 use crate::ScGraph;
 use std::collections::HashMap;
@@ -185,9 +182,11 @@ impl FnDecision {
 }
 
 /// The output of the hybrid pre-pass: per-function enforcement decisions
-/// for a whole program. Built by `sct-symbolic`'s `plan_program`, consumed
-/// by the interpreter's `Machine` (fast path) and the `sct hybrid` CLI
-/// (`--plan` dump, eager refutation reports).
+/// for a whole program. Built by `sct-symbolic`'s
+/// `plan_program(program, config, store)`, consumed by the interpreter's
+/// `Machine` (fast path) and the `sct hybrid` CLI (eager refutation
+/// reports, and the `--plan` document that
+/// [`encode_plan`](crate::plan_codec::encode_plan) writes).
 #[derive(Debug, Clone, Default)]
 pub struct EnforcementPlan {
     /// Decisions in program (`define`) order.
@@ -289,91 +288,6 @@ impl EnforcementPlan {
             .filter(|d| d.decision.tag() == tag)
             .count()
     }
-
-    /// The plan as the `sct-plan/1` JSON document — the one definition of
-    /// its field set, shared by the `sct hybrid --plan` dump
-    /// ([`EnforcementPlan::to_json`]) and the `sct serve` `plan` response:
-    ///
-    /// ```json
-    /// {
-    ///   "schema": "sct-plan/1",
-    ///   "functions": [
-    ///     { "name": "sum", "lambda": 0, "decision": "static",
-    ///       "guard": ["nat", "nat"], "covers": [], "blame": null,
-    ///       "detail": "verified (sum: 1 graphs)", "micros": 312 }
-    ///   ]
-    /// }
-    /// ```
-    ///
-    /// `guard` is present only for `"static"` decisions and `culprit` only
-    /// for `"refuted"` ones; `blame` is the `terminating/c` label the
-    /// refutation (or the run-time monitor) blames, or `null`.
-    pub fn to_json_value(&self) -> Json {
-        let function = |d: &FnDecision| {
-            let mut m = vec![
-                ("name".to_string(), Json::str(&d.name)),
-                ("lambda".to_string(), Json::Int(i64::from(d.lambda))),
-                ("decision".to_string(), Json::str(d.decision.tag())),
-            ];
-            match &d.decision {
-                Decision::Static { guard } => m.push((
-                    "guard".to_string(),
-                    Json::Arr(guard.iter().map(|g| Json::str(g.label())).collect()),
-                )),
-                Decision::Refuted { culprit, .. } => {
-                    m.push(("culprit".to_string(), Json::str(culprit)))
-                }
-                Decision::Monitor { .. } => {}
-            }
-            let covers = d.covers.iter().map(|c| Json::Int(i64::from(*c)));
-            m.push(("covers".to_string(), Json::Arr(covers.collect())));
-            m.push((
-                "blame".to_string(),
-                d.blame.as_ref().map_or(Json::Null, Json::str),
-            ));
-            m.push(("detail".to_string(), Json::str(&d.detail)));
-            let micros = i64::try_from(d.micros).unwrap_or(i64::MAX);
-            m.push(("micros".to_string(), Json::Int(micros)));
-            Json::Obj(m)
-        };
-        Json::Obj(vec![
-            ("schema".to_string(), Json::str("sct-plan/1")),
-            (
-                "functions".to_string(),
-                Json::Arr(self.decisions.iter().map(function).collect()),
-            ),
-        ])
-    }
-
-    /// Renders [`EnforcementPlan::to_json_value`] the way `sct hybrid
-    /// --plan` dumps it: one function per line, `"key": value` members
-    /// separated by `", "`.
-    pub fn to_json(&self) -> String {
-        let doc = self.to_json_value();
-        let spaced = |v: &Json| match v {
-            Json::Arr(items) => {
-                let items: Vec<String> = items.iter().map(Json::to_string).collect();
-                format!("[{}]", items.join(", "))
-            }
-            v => v.to_string(),
-        };
-        let functions = doc.get("functions").and_then(Json::as_arr).unwrap_or(&[]);
-        let mut out = format!(
-            "{{\n  \"schema\": {},\n  \"functions\": [\n",
-            doc.get("schema").unwrap_or(&Json::Null)
-        );
-        for (i, f) in functions.iter().enumerate() {
-            let Json::Obj(members) = f else { continue };
-            let members: Vec<String> = members
-                .iter()
-                .map(|(k, v)| format!("{}: {}", escape(k), spaced(v)))
-                .collect();
-            let sep = if i + 1 < functions.len() { "," } else { "" };
-            out.push_str(&format!("    {{ {} }}{sep}\n", members.join(", ")));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
 }
 
 impl fmt::Display for EnforcementPlan {
@@ -394,12 +308,9 @@ impl fmt::Display for EnforcementPlan {
 /// own graph table and the sorted, deduplicated id vector identifies the
 /// set. The table is private to the cache, never the thread's monitor pool
 /// ([`crate::intern`]): planning must not change the ids, and so the
-/// witness order, of a monitored run on the same thread. Since the closure result depends only on the set,
-/// re-verifying a function whose discovered graphs are unchanged is one
-/// hash lookup — which is what makes the hybrid pre-pass free to re-run
-/// (per benchmark repetition, per `sct hybrid` invocation on an unchanged
-/// file, or across the many `define`s of a program that share helper
-/// graphs).
+/// witness order, of a monitored run on the same thread. Since the closure
+/// result depends only on the set, a planning pass checks a set that
+/// several of its `define`s discover only once.
 ///
 /// # Examples
 ///
@@ -538,65 +449,6 @@ mod tests {
         plan.decisions.push(guarded);
         let ids: Vec<u32> = plan.static_lambdas().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![0, 5, 6, 1]);
-    }
-
-    #[test]
-    fn json_dump_shape() {
-        let mut plan = EnforcementPlan::new();
-        plan.decisions
-            .push(static_entry("su\"m", 0, vec![PlanDomain::Nat]));
-        plan.decisions.push(FnDecision {
-            name: "spin".into(),
-            lambda: 1,
-            covers: Vec::new(),
-            decision: Decision::Refuted {
-                witness: ScGraph::from_arcs(1, 1, [e(0, 0)]),
-                culprit: "spin".into(),
-            },
-            blame: Some("my-party".into()),
-            detail: "refuted".into(),
-            micros: 2,
-        });
-        let json = plan.to_json();
-        assert!(json.contains("\"schema\": \"sct-plan/1\""), "{json}");
-        assert!(json.contains("\"name\": \"su\\\"m\""), "{json}");
-        assert!(json.contains("\"guard\": [\"nat\"]"), "{json}");
-        assert!(json.contains("\"decision\": \"refuted\""), "{json}");
-        assert!(json.contains("\"blame\": \"my-party\""), "{json}");
-        assert!(plan.to_string().contains("1 static"), "{plan}");
-    }
-
-    #[test]
-    fn json_dump_layout_is_one_function_per_line() {
-        let mut plan = EnforcementPlan::new();
-        let mut guarded = static_entry("f", 0, vec![PlanDomain::Nat, PlanDomain::Any]);
-        guarded.covers = vec![5, 6];
-        plan.decisions.push(guarded);
-        plan.decisions.push(FnDecision {
-            name: "g".into(),
-            lambda: 7,
-            covers: Vec::new(),
-            decision: Decision::Monitor {
-                reason: "budget".into(),
-            },
-            blame: Some("p".into()),
-            detail: "budget".into(),
-            micros: 3,
-        });
-        let json = plan.to_json();
-        assert_eq!(
-            json,
-            "{\n  \"schema\": \"sct-plan/1\",\n  \"functions\": [\n    \
-             { \"name\": \"f\", \"lambda\": 0, \"decision\": \"static\", \"guard\": [\"nat\", \"any\"], \
-             \"covers\": [5, 6], \"blame\": null, \"detail\": \"verified\", \"micros\": 1 },\n    \
-             { \"name\": \"g\", \"lambda\": 7, \"decision\": \"monitor\", \"covers\": [], \
-             \"blame\": \"p\", \"detail\": \"budget\", \"micros\": 3 }\n  ]\n}\n"
-        );
-        assert_eq!(crate::json::parse(&json).unwrap(), plan.to_json_value());
-        assert_eq!(
-            EnforcementPlan::new().to_json(),
-            "{\n  \"schema\": \"sct-plan/1\",\n  \"functions\": [\n  ]\n}\n"
-        );
     }
 
     #[test]

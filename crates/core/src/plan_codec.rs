@@ -1,4 +1,5 @@
-//! The versioned `sct-plan/3` codec: persisted enforcement decisions.
+//! The versioned `sct-plan/3` codec: persisted enforcement decisions and
+//! the plan document.
 //!
 //! The persistent plan cache (`sct-cache`) stores one decision per
 //! content-addressed file so that re-planning an edited program
@@ -9,6 +10,11 @@
 //! recursive define's entry also carries its contract summary, as an
 //! optional `"summary"` member laid out by `summary_codec`: one entry, one
 //! file, one version per content key.
+//!
+//! The plan document ([`encode_plan`]: what `sct hybrid --plan` prints
+//! and the `sct serve` `plan` op embeds) lists the same records, written
+//! by the same record writer, bound to one compile: each adds its λ id as
+//! `"lambda"`, and lists λ ids as `"covers"` in place of `"covers_idx"`.
 //!
 //! The planner emits every decision in this form, planned or loaded, and
 //! [`PortableDecision::rebind`] is the one way from an entry to a
@@ -61,7 +67,7 @@
 
 use crate::graph::{Change, ScGraph};
 use crate::json::{parse, Json, JsonWriter};
-use crate::plan::{Decision, FnDecision};
+use crate::plan::{Decision, EnforcementPlan, FnDecision};
 use crate::summary_codec::{
     guard_from_json, summary_from_json, write_guard, write_summary_members, PortableSummary,
 };
@@ -179,36 +185,95 @@ pub(crate) fn graph_from_json(j: &Json) -> Result<ScGraph, String> {
     Ok(g)
 }
 
+/// The members one decision record shares between a cache entry and the
+/// plan document; only `lambda` and the key of `covers` differ.
+struct Record<'a> {
+    name: &'a str,
+    lambda: Option<u32>,
+    decision: &'a Decision,
+    covers: (&'static str, &'a [u32]),
+    blame: Option<&'a str>,
+    detail: &'a str,
+    micros: u128,
+}
+
+/// Writes `r`'s members, in the one order both documents use: `name`,
+/// `lambda` if bound, `decision` and its verdict members, the covers,
+/// `blame`, `detail`, `micros`.
+fn write_record(w: &mut JsonWriter, r: &Record) {
+    w.key("name").str(r.name);
+    if let Some(lambda) = r.lambda {
+        w.key("lambda").int(i64::from(lambda));
+    }
+    w.key("decision").str(r.decision.tag());
+    match r.decision {
+        Decision::Static { guard } => write_guard(w.key("guard"), guard),
+        Decision::Monitor { reason } => w.key("reason").str(reason),
+        Decision::Refuted { witness, culprit } => {
+            write_graph(w.key("witness"), witness);
+            w.key("culprit").str(culprit);
+        }
+    }
+    let (key, covers) = r.covers;
+    w.key(key).arr(|w| {
+        for &c in covers {
+            w.int(i64::from(c));
+        }
+    });
+    match r.blame {
+        Some(b) => w.key("blame").str(b),
+        None => w.key("blame").null(),
+    }
+    w.key("detail").str(r.detail);
+    w.key("micros").int(r.micros.min(i64::MAX as u128) as i64);
+}
+
 /// Encodes one portable decision as a single-line `sct-plan/3` JSON
 /// document (newline-terminated).
 pub fn encode_entry(d: &PortableDecision) -> String {
     let mut w = JsonWriter::new();
     w.obj(|w| {
         w.key("schema").str(PLAN_CODEC_SCHEMA);
-        w.key("name").str(&d.name);
-        w.key("decision").str(d.decision.tag());
-        match &d.decision {
-            Decision::Static { guard } => write_guard(w.key("guard"), guard),
-            Decision::Monitor { reason } => w.key("reason").str(reason),
-            Decision::Refuted { witness, culprit } => {
-                write_graph(w.key("witness"), witness);
-                w.key("culprit").str(culprit);
-            }
-        }
-        w.key("covers_idx").arr(|w| {
-            for &i in &d.covers_idx {
-                w.int(i64::from(i));
-            }
-        });
-        match &d.blame {
-            Some(b) => w.key("blame").str(b),
-            None => w.key("blame").null(),
-        }
-        w.key("detail").str(&d.detail);
-        w.key("micros").int(d.micros.min(i64::MAX as u128) as i64);
+        let record = Record {
+            name: &d.name,
+            lambda: None,
+            decision: &d.decision,
+            covers: ("covers_idx", &d.covers_idx),
+            blame: d.blame.as_deref(),
+            detail: &d.detail,
+            micros: d.micros,
+        };
+        write_record(w, &record);
         if let Some(s) = &d.summary {
             w.key("summary").obj(|w| write_summary_members(w, s));
         }
+    });
+    w.into_line()
+}
+
+/// Encodes a bound plan as the `sct-plan/3` plan document,
+/// `{"schema":"sct-plan/3","functions":[…]}` with one record per line
+/// (newline-terminated). A record is an entry's, less `schema` and
+/// `summary`, with its λ id as `lambda` and `covers` as λ ids.
+pub fn encode_plan(plan: &EnforcementPlan) -> String {
+    let mut w = JsonWriter::new();
+    w.obj(|w| {
+        w.key("schema").str(PLAN_CODEC_SCHEMA);
+        w.key("functions").arr(|w| {
+            for d in &plan.decisions {
+                w.newline();
+                let record = Record {
+                    name: &d.name,
+                    lambda: Some(d.lambda),
+                    decision: &d.decision,
+                    covers: ("covers", &d.covers),
+                    blame: d.blame.as_deref(),
+                    detail: &d.detail,
+                    micros: d.micros,
+                };
+                w.obj(|w| write_record(w, &record));
+            }
+        });
     });
     w.into_line()
 }
@@ -414,6 +479,112 @@ mod tests {
         assert!(decode_entry(&bad_arc).unwrap_err().contains("out of range"));
         let huge = bad_arc.replace("\"rows\":1", "\"rows\":99999");
         assert!(decode_entry(&huge).is_err());
+    }
+
+    fn monitored() -> PortableDecision {
+        PortableDecision {
+            name: "apply1".into(),
+            decision: Decision::Monitor {
+                reason: "applies an opaque value 1 time(s)".into(),
+            },
+            covers_idx: vec![],
+            blame: Some("p".into()),
+            detail: "modular".into(),
+            micros: 3,
+            summary: None,
+        }
+    }
+
+    fn plan_of(entries: Vec<PortableDecision>) -> EnforcementPlan {
+        let mut plan = EnforcementPlan::new();
+        for (i, d) in entries.into_iter().enumerate() {
+            let lambda = 10 * i as u32;
+            plan.decisions
+                .push(d.rebind(lambda, &[lambda + 1, lambda + 2]).unwrap());
+        }
+        plan
+    }
+
+    /// An entry and the plan document's record of the same decision carry
+    /// one field set: they differ only in what binds a record to a compile
+    /// (`lambda`, `covers` for `covers_idx`) or to the store (`schema`,
+    /// `summary`).
+    #[test]
+    fn entry_and_plan_record_share_one_field_set() {
+        let mut sum = summarized();
+        sum.covers_idx = vec![1];
+        let entries = vec![sum, monitored(), refuted()];
+        let doc = parse(&encode_plan(&plan_of(entries.clone()))).unwrap();
+        let records = doc.get("functions").and_then(Json::as_arr).unwrap();
+        assert_eq!(records.len(), entries.len());
+        let bound_only = ["schema", "lambda", "covers", "covers_idx", "summary"];
+        let shared = |j: &Json| match j {
+            Json::Obj(m) => m
+                .iter()
+                .filter(|(k, _)| !bound_only.contains(&k.as_str()))
+                .cloned()
+                .collect::<Vec<_>>(),
+            _ => panic!("not an object: {j}"),
+        };
+        for (entry, record) in entries.iter().zip(records) {
+            let e = parse(&encode_entry(entry)).unwrap();
+            assert_eq!(shared(&e), shared(record), "{}", entry.name);
+            assert!(e.get("covers_idx").is_some() && record.get("covers").is_some());
+        }
+        assert_eq!(records[0].get("lambda").and_then(Json::as_i64), Some(0));
+        assert_eq!(records[0].get("covers").unwrap().to_string(), "[2]");
+        assert!(records[1].get("reason").is_some(), "monitor reason");
+        assert!(records[2].get("witness").is_some(), "refuted witness");
+    }
+
+    #[test]
+    fn plan_document_shape() {
+        let mut sum = summarized();
+        sum.name = "su\"m".into();
+        sum.decision = Decision::Static {
+            guard: vec![PlanDomain::Nat],
+        };
+        let plan = plan_of(vec![sum, refuted()]);
+        let json = encode_plan(&plan);
+        assert!(json.contains("\"schema\":\"sct-plan/3\""), "{json}");
+        assert!(json.contains("\"name\":\"su\\\"m\""), "{json}");
+        assert!(json.contains("\"guard\":[\"nat\"]"), "{json}");
+        assert!(json.contains("\"decision\":\"refuted\""), "{json}");
+        assert!(json.contains("\"blame\":\"spin.sct:1:14\""), "{json}");
+        assert!(!json.contains("summary"), "{json}");
+        assert!(plan.to_string().contains("1 static"), "{plan}");
+    }
+
+    #[test]
+    fn plan_document_is_one_record_per_line() {
+        let guarded = PortableDecision {
+            name: "f".into(),
+            decision: Decision::Static {
+                guard: vec![PlanDomain::Nat, PlanDomain::Any],
+            },
+            covers_idx: vec![0, 1],
+            blame: None,
+            detail: "verified".into(),
+            micros: 1,
+            summary: None,
+        };
+        let plan = plan_of(vec![guarded, monitored()]);
+        let json = encode_plan(&plan);
+        assert_eq!(
+            json,
+            "{\"schema\":\"sct-plan/3\",\"functions\":[\n\
+             {\"name\":\"f\",\"lambda\":0,\"decision\":\"static\",\"guard\":[\"nat\",\"any\"],\
+             \"covers\":[1,2],\"blame\":null,\"detail\":\"verified\",\"micros\":1},\n\
+             {\"name\":\"apply1\",\"lambda\":10,\"decision\":\"monitor\",\
+             \"reason\":\"applies an opaque value 1 time(s)\",\"covers\":[],\"blame\":\"p\",\
+             \"detail\":\"modular\",\"micros\":3}]}\n"
+        );
+        // Line breaks sit between items: the document is one JSON value.
+        assert_eq!(parse(&json).unwrap().to_string(), json.replace('\n', ""));
+        assert_eq!(
+            encode_plan(&EnforcementPlan::new()),
+            "{\"schema\":\"sct-plan/3\",\"functions\":[]}\n"
+        );
     }
 
     #[test]

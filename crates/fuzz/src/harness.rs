@@ -37,7 +37,7 @@ use sct_core::monitor::TableStrategy;
 use sct_core::plan::{Decision, EnforcementPlan, PlanDomain};
 use sct_interp::{reference, EvalError, Machine, MachineConfig, ScErrorInfo, Stats, Value};
 use sct_lang::ast::Program;
-use sct_symbolic::{plan_program_incremental, PlanCache, PlanConfig};
+use sct_symbolic::{plan_program, PlanConfig};
 use std::fmt;
 use std::rc::Rc;
 
@@ -394,9 +394,8 @@ fn evaluate(source: &str, cfg: &FuzzConfig, seed: u64) -> Result<Evaluated, Viol
     // same store: the warm plan must be structurally identical and must
     // not re-run the verifier.
     let mut store = MemStore::new();
-    let (plan, _) = plan_program_incremental(&prog, &cfg.plan, &mut PlanCache::new(), &mut store);
-    let (warm, warm_stats) =
-        plan_program_incremental(&prog, &cfg.plan, &mut PlanCache::new(), &mut store);
+    let (plan, _) = plan_program(&prog, &cfg.plan, &mut store);
+    let (warm, warm_stats) = plan_program(&prog, &cfg.plan, &mut store);
     // Differential A/B on the summary machinery: the same program planned
     // with the opposite `summaries` setting (against a fresh store) must
     // produce a structurally identical plan — stubbing verified callees
@@ -405,8 +404,7 @@ fn evaluate(source: &str, cfg: &FuzzConfig, seed: u64) -> Result<Evaluated, Viol
         summaries: !cfg.plan.summaries,
         ..cfg.plan.clone()
     };
-    let (alt, _) =
-        plan_program_incremental(&prog, &flipped, &mut PlanCache::new(), &mut MemStore::new());
+    let (alt, _) = plan_program(&prog, &flipped, &mut MemStore::new());
     // The same program with its λ-defines shuffled by `seed`: every
     // define must keep its decision.
     let shuffled = permute_defines(source, |k| {
@@ -416,12 +414,7 @@ fn evaluate(source: &str, cfg: &FuzzConfig, seed: u64) -> Result<Evaluated, Viol
     });
     let order_drift = match shuffled.as_deref().map(sct_lang::compile_program) {
         Some(Ok(permuted)) => {
-            let (other, _) = plan_program_incremental(
-                &permuted,
-                &cfg.plan,
-                &mut PlanCache::new(),
-                &mut MemStore::new(),
-            );
+            let (other, _) = plan_program(&permuted, &cfg.plan, &mut MemStore::new());
             let (a, b) = (order_free_view(&plan), order_free_view(&other));
             (a != b).then(|| match a.iter().zip(&b).find(|(x, y)| x != y) {
                 Some((x, y)) => format!("{x:?} vs {y:?}"),

@@ -25,10 +25,11 @@
 //!    stays in place (the machine skips it), so jump targets into the
 //!    second slot keep their original semantics with no remapping.
 //!
-//! Call sites are allocated one per application *expression*, deduplicated
-//! only for statically bound globals, whose baked action is identical at
-//! every site. A [`SiteAction::Generic`] site carries no state of its own:
-//! the machine reads its callee's verdict from the per-λ fast-path table.
+//! Call sites are allocated one per statically bound global, whose baked
+//! action is identical at every application of it. Every other
+//! application shares the reserved [`SiteAction::Generic`] site 0, which
+//! carries no state of its own: the machine reads its callee's verdict
+//! from the per-λ fast-path table.
 
 use crate::{
     CallSite, CapSrc, CompiledProgram, ConstIx, Instr, LabelIx, SiteAction, SiteIx, Template,
@@ -156,14 +157,14 @@ impl Builder {
     /// The call-site index for an application whose operator is `func`.
     /// Statically bound globals share one site per global (the baked
     /// action is identical everywhere); every other operator — first
-    /// class, or a global that is rebound or not lambda-bound — gets a
-    /// fresh `Generic` site, one per application expression.
+    /// class, or a global that is rebound or not lambda-bound — shares
+    /// the reserved `Generic` site 0.
     fn site_for(&mut self, func: &Expr) -> SiteIx {
         let Expr::Global(g) = func else {
-            return self.fresh_generic();
+            return 0;
         };
         let Some(action) = self.global_actions.get(g).cloned() else {
-            return self.fresh_generic();
+            return 0;
         };
         if let Some(&ix) = self.site_ix.get(g) {
             return ix;
@@ -171,14 +172,6 @@ impl Builder {
         let ix = self.sites.len() as SiteIx;
         self.sites.push(CallSite { action });
         self.site_ix.insert(*g, ix);
-        ix
-    }
-
-    fn fresh_generic(&mut self) -> SiteIx {
-        let ix = self.sites.len() as SiteIx;
-        self.sites.push(CallSite {
-            action: SiteAction::Generic,
-        });
         ix
     }
 }

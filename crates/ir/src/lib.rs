@@ -347,7 +347,8 @@ pub struct CompiledProgram {
     pub templates: Vec<Template>,
     /// Top-level forms in program order.
     pub top: Vec<TopCode>,
-    /// Call-site table; site 0 is always [`SiteAction::Generic`].
+    /// Call-site table: site 0 is the one [`SiteAction::Generic`] site,
+    /// shared by every application that no global binds statically.
     pub sites: Vec<CallSite>,
     /// Whether an enforcement plan was baked in at compilation time.
     pub planned: bool,

@@ -50,10 +50,9 @@ pub mod verify;
 pub use digest::ProgramDigests;
 pub use exec::{ExecConfig, Executor};
 pub use linear::{entails, unsat, Lin, LinCon};
-pub use pipeline::{
-    plan_program, plan_program_incremental, DecisionStore, IncrementalStats, NullStore, PlanCache,
-    PlanConfig, PlanObs,
-};
+pub use pipeline::{plan_program, DecisionStore, IncrementalStats, NullStore, PlanConfig, PlanObs};
+#[doc(hidden)]
+pub use pipeline::{plan_program_incremental, PlanCache};
 /// The former name of [`PlanDomain`](sct_core::plan::PlanDomain), kept
 /// only because the benchmark driver (`perfbench/src/exec_fig10.rs`)
 /// still names it.

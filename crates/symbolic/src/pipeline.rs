@@ -42,23 +42,22 @@
 //!
 //! # Memoized re-verification
 //!
-//! The Lee–Jones–Ben-Amram stage is memoized through
-//! [`LjbCache`](sct_core::plan::LjbCache), keyed by the interned graph
-//! set: planning the same program twice (benchmark repetitions, repeated
-//! `sct hybrid` runs in one process) pays the closure computation once.
-//! Pass a [`PlanCache`] to [`plan_program_incremental`] to share the memo
-//! across calls.
+//! The Lee–Jones–Ben-Amram stage is memoized through [`LjbCache`], keyed
+//! by the interned graph set. The memo lives for one pass: defines whose
+//! explorations discover the same graph set, and a ladder re-run
+//! stub-free, pay the closure computation once. Across passes the
+//! [`DecisionStore`] saves more: a hit runs no verifier at all.
 //!
 //! # Examples
 //!
 //! ```
 //! use sct_lang::compile_program;
-//! use sct_symbolic::pipeline::{plan_program, PlanConfig};
+//! use sct_symbolic::pipeline::{plan_program, NullStore, PlanConfig};
 //!
 //! let prog = compile_program(
 //!     "(define (sum i acc) (if (zero? i) acc (sum (- i 1) (+ acc i))))",
 //! ).unwrap();
-//! let plan = plan_program(&prog, &PlanConfig::default());
+//! let (plan, _) = plan_program(&prog, &PlanConfig::default(), &mut NullStore);
 //! assert_eq!(plan.count("static"), 1);
 //! // sum only terminates on naturals, so the discharge is nat-guarded.
 //! let (_, guard) = plan.static_lambdas().next().unwrap();
@@ -69,7 +68,7 @@ use crate::digest::ProgramDigests;
 use crate::exec::{CalleeSummary, ExecConfig, GlobalSnapshot, SummaryTable};
 use crate::verify::{explore_with_index, Exploration};
 use sct_core::ljb::ClosureResult;
-use sct_core::plan::{Decision, EnforcementPlan, FnDecision, PlanDomain};
+use sct_core::plan::{Decision, EnforcementPlan, FnDecision, LjbCache, PlanDomain};
 use sct_core::plan_codec::PortableDecision;
 use sct_core::summary_codec::{LambdaRef, PortableSummary};
 use sct_core::ScGraph;
@@ -245,31 +244,29 @@ impl Default for PlanConfig {
     }
 }
 
-/// State shared across [`plan_program_incremental`] calls: the memoized
-/// closure checks. Reusing one cache makes re-planning an unchanged
-/// program (or a program sharing helper graphs) skip every closure
-/// computation whose graph set was seen before.
+/// A stateless unit that only the benchmark driver (`perfbench`) still
+/// names; the LJB memo lives inside each [`plan_program`] pass.
+#[doc(hidden)]
 #[derive(Debug, Default)]
-pub struct PlanCache {
-    /// The graph-set-keyed Lee–Jones–Ben-Amram memo.
-    pub ljb: sct_core::plan::LjbCache,
-}
+pub struct PlanCache;
 
+#[doc(hidden)]
 impl PlanCache {
-    /// An empty cache.
+    /// The unit.
     pub fn new() -> PlanCache {
-        PlanCache::default()
+        PlanCache
     }
 }
 
-/// Plans a whole program with a fresh [`PlanCache`] and no store. See the
-/// module docs.
-///
-/// Every `define` whose initializer is a λ (possibly under `terminating/c`
-/// wrappers, whose blame label is recorded) gets a decision; other
-/// top-level forms are irrelevant to enforcement and are skipped.
-pub fn plan_program(program: &Program, config: &PlanConfig) -> EnforcementPlan {
-    plan_program_incremental(program, config, &mut PlanCache::new(), &mut NullStore).0
+/// [`plan_program`], for the benchmark driver (`perfbench`).
+#[doc(hidden)]
+pub fn plan_program_incremental(
+    program: &Program,
+    config: &PlanConfig,
+    _cache: &mut PlanCache,
+    store: &mut dyn DecisionStore,
+) -> (EnforcementPlan, IncrementalStats) {
+    plan_program(program, config, store)
 }
 
 /// A persistence back end for per-`define` enforcement decisions, keyed by
@@ -319,7 +316,7 @@ impl DecisionStore for NullStore {
     }
 }
 
-/// Per-run accounting of [`plan_program_incremental`]: which `define`s
+/// Per-run accounting of [`plan_program`]: which `define`s
 /// were answered from the store and which had to be re-verified.
 #[derive(Debug, Default, Clone)]
 pub struct IncrementalStats {
@@ -355,8 +352,9 @@ impl fmt::Display for IncrementalStats {
     }
 }
 
-/// Plans a whole program, memoizing closure checks in `cache` and
-/// persisting decisions in `store`: every `define` is first looked up by
+/// Plans a whole program, the one planning entry point (see the module
+/// docs), persisting decisions in `store` ([`NullStore`] turns
+/// persistence off): every `define` is first looked up by
 /// its content address ([`ProgramDigests`] key — resolved AST +
 /// reachable defines + mutation taint + planner config + codec version);
 /// hits replay the persisted decision (λ ids rebound to the current
@@ -369,10 +367,13 @@ impl fmt::Display for IncrementalStats {
 /// summary exists before any caller explores it, and the plan depends on
 /// program content only — not on the order the defines appear in.
 /// Decisions come back in program order.
-pub fn plan_program_incremental(
+///
+/// Every `define` whose initializer is a λ (possibly under `terminating/c`
+/// wrappers, whose blame label is recorded) gets a decision; other
+/// top-level forms are irrelevant to enforcement and are skipped.
+pub fn plan_program(
     program: &Program,
     config: &PlanConfig,
-    cache: &mut PlanCache,
     store: &mut dyn DecisionStore,
 ) -> (EnforcementPlan, IncrementalStats) {
     let mut out = Vec::new();
@@ -388,11 +389,12 @@ pub fn plan_program_incremental(
     let digests = store
         .wants_keys()
         .then(|| ProgramDigests::new(program, &index, &snapshot, config));
-    let pass = Pass {
+    let mut pass = Pass {
         program,
         config,
         index: &index,
         snapshot: &snapshot,
+        ljb: LjbCache::new(),
     };
     // Contract summaries: already-planned `Static` recursive defines are
     // registered here, and later explorations in this same pass stub
@@ -475,8 +477,7 @@ pub fn plan_program_incremental(
             (monitor_fallback(name, blame, &reason), None)
         } else {
             plan_function(
-                &pass,
-                cache,
+                &mut pass,
                 global,
                 def,
                 blame,
@@ -541,7 +542,7 @@ fn monitor_fallback(name: &str, blame: Option<String>, reason: &str) -> Portable
 /// `define`, in program order — without running any verification: the
 /// bottom rung of the degradation ladder, for drivers whose *planner
 /// itself* is unavailable (a planning thread past the request deadline).
-/// It answers for exactly the defines [`plan_program_incremental`] would,
+/// It answers for exactly the defines [`plan_program`] would,
 /// with every `hit?` flag `false`. The decisions must never be persisted:
 /// they reflect scheduler state, not program content.
 pub fn monitor_fallback_decisions(
@@ -703,7 +704,7 @@ fn rebind_summary(
 /// initializers, nested λs), the reference graph's components callees
 /// first with their mutation taint, and every form's λs. It borrows the
 /// program's names and λs rather than copying them: a display name is read
-/// off its λ only when a message needs one. [`plan_program_incremental`]
+/// off its λ only when a message needs one. [`plan_program`]
 /// builds it once per pass, plans callees first from it, refuses to
 /// discharge any function whose proof a run-time rebinding could
 /// invalidate, and lends it to [`ProgramDigests`]. Nothing here ever walks
@@ -993,11 +994,12 @@ struct Pass<'a> {
     config: &'a PlanConfig,
     index: &'a ProgramIndex<'a>,
     snapshot: &'a GlobalSnapshot,
+    /// The pass's Lee–Jones–Ben-Amram memo, keyed by graph set.
+    ljb: LjbCache,
 }
 
 fn run_attempt(
-    pass: &Pass,
-    cache: &mut PlanCache,
+    pass: &mut Pass,
     name: &str,
     entry_id: LambdaId,
     (domains, result): &Signature,
@@ -1037,7 +1039,7 @@ fn run_attempt(
         );
     }
     for (id, graphs) in &exploration.graphs {
-        match cache.ljb.check(graphs, crate::verify::LJB_CAP) {
+        match pass.ljb.check(graphs, crate::verify::LJB_CAP) {
             ClosureResult::Ok { .. } => {}
             ClosureResult::Violation(v) => {
                 let culprit = pass.index.name_of(*id);
@@ -1078,8 +1080,7 @@ struct LadderOutcome {
 }
 
 fn run_ladder(
-    pass: &Pass,
-    cache: &mut PlanCache,
+    pass: &mut Pass,
     name: &str,
     def: &Rc<LambdaDef>,
     candidates: &[Signature],
@@ -1104,15 +1105,8 @@ fn run_ladder(
             }
         };
         config.obs.rung_attempt(rung);
-        let (attempt, exploration) = run_attempt(
-            pass,
-            cache,
-            name,
-            def.id,
-            candidate,
-            summaries,
-            caller_global,
-        );
+        let (attempt, exploration) =
+            run_attempt(pass, name, def.id, candidate, summaries, caller_global);
         match &exploration {
             Some(ex) => {
                 config.obs.fuel(ex.steps);
@@ -1153,8 +1147,7 @@ fn run_ladder(
 /// Plans one define: its entry and, for a recursive `Static` define
 /// while summaries are on, the contract summary the pass registers.
 fn plan_function(
-    pass: &Pass,
-    cache: &mut PlanCache,
+    pass: &mut Pass,
     global: u32,
     def: &Rc<LambdaDef>,
     blame: Option<String>,
@@ -1212,13 +1205,13 @@ fn plan_function(
         }
     };
 
-    let mut outcome = run_ladder(pass, cache, name, def, &candidates, summaries, Some(global));
+    let mut outcome = run_ladder(pass, name, def, &candidates, summaries, Some(global));
     // Stubbing may only ever *improve* a verdict (it prunes paths and
     // borrows the callee's already-verified graphs), so a Verified rung
     // stands. But a non-Static verdict reached via stubs could differ from
     // full descent in witness/reason wording, so re-derive it stub-free.
     if outcome.verified.is_none() && outcome.stubbed {
-        outcome = run_ladder(pass, cache, name, def, &candidates, None, None);
+        outcome = run_ladder(pass, name, def, &candidates, None, None);
     }
 
     if let Some(((domains, result), exploration)) = outcome.verified {
@@ -1347,7 +1340,7 @@ mod tests {
         let prog =
             compile_program("(define (sum i acc) (if (zero? i) acc (sum (- i 1) (+ acc i))))")
                 .unwrap();
-        let plan = plan_program(&prog, &PlanConfig::default());
+        let plan = plan_program(&prog, &PlanConfig::default(), &mut NullStore).0;
         assert_eq!(plan.decisions.len(), 1);
         let d = &plan.decisions[0];
         assert_eq!(d.name, "sum");
@@ -1361,7 +1354,7 @@ mod tests {
     fn structural_recursion_is_unconditional_static() {
         let prog =
             compile_program("(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))").unwrap();
-        let plan = plan_program(&prog, &PlanConfig::default());
+        let plan = plan_program(&prog, &PlanConfig::default(), &mut NullStore).0;
         let d = &plan.decisions[0];
         let Decision::Static { guard } = &d.decision else {
             panic!("len should be static: {:?}", d.decision);
@@ -1374,7 +1367,7 @@ mod tests {
         let prog =
             compile_program("(define f (terminating/c (lambda (x) (f x)) \"my-party\")) (f 1)")
                 .unwrap();
-        let plan = plan_program(&prog, &PlanConfig::default());
+        let plan = plan_program(&prog, &PlanConfig::default(), &mut NullStore).0;
         let d = &plan.decisions[0];
         assert_eq!(d.blame.as_deref(), Some("my-party"));
         assert!(
@@ -1382,8 +1375,8 @@ mod tests {
             "{:?}",
             d.decision
         );
-        let json = plan.to_json();
-        assert!(json.contains("\"decision\": \"refuted\""), "{json}");
+        let json = sct_core::plan_codec::encode_plan(&plan);
+        assert!(json.contains("\"decision\":\"refuted\""), "{json}");
     }
 
     #[test]
@@ -1391,28 +1384,12 @@ mod tests {
         // Applying an arbitrary function argument cannot be proven
         // terminating: the fuel-budget fallback keeps it monitored.
         let prog = compile_program("(define (call f x) (f x))").unwrap();
-        let plan = plan_program(&prog, &PlanConfig::default());
+        let plan = plan_program(&prog, &PlanConfig::default(), &mut NullStore).0;
         assert!(
             matches!(plan.decisions[0].decision, Decision::Monitor { .. }),
             "{:?}",
             plan.decisions[0].decision
         );
-    }
-
-    #[test]
-    fn cache_makes_replanning_hit_memo() {
-        let prog =
-            compile_program("(define (sum i acc) (if (zero? i) acc (sum (- i 1) (+ acc i))))")
-                .unwrap();
-        let mut cache = PlanCache::new();
-        let cfg = PlanConfig::default();
-        let (first, _) = plan_program_incremental(&prog, &cfg, &mut cache, &mut NullStore);
-        let misses = cache.ljb.misses();
-        assert!(misses > 0);
-        let (second, _) = plan_program_incremental(&prog, &cfg, &mut cache, &mut NullStore);
-        assert_eq!(cache.ljb.misses(), misses, "re-plan must be pure memo hits");
-        assert!(cache.ljb.hits() > 0);
-        assert_eq!(first.count("static"), second.count("static"));
     }
 
     #[test]
@@ -1425,7 +1402,7 @@ mod tests {
             "sum".into(),
             (vec![PlanDomain::Nat, PlanDomain::Int], PlanDomain::Int),
         );
-        let plan = plan_program(&prog, &cfg);
+        let plan = plan_program(&prog, &cfg, &mut NullStore).0;
         let Decision::Static { guard } = &plan.decisions[0].decision else {
             panic!("{:?}", plan.decisions[0].decision);
         };
@@ -1472,12 +1449,7 @@ mod tests {
                   (define (f l) (if (null? l) 0 (+ 1 (len (cdr l)) (f (cdr l)))))";
         let mut store = TestStore::default();
         let cold = compile_program(v1).unwrap();
-        let (plan, _) = plan_program_incremental(
-            &cold,
-            &PlanConfig::default(),
-            &mut PlanCache::new(),
-            &mut store,
-        );
+        let (plan, _) = plan_program(&cold, &PlanConfig::default(), &mut store);
         assert_eq!(plan.count("static"), 2, "{:?}", plan.decisions);
         assert_eq!(store.summaries().len(), 2, "both defines are recursive");
 
@@ -1487,8 +1459,7 @@ mod tests {
             ..PlanConfig::default()
         };
         let edited = compile_program(v2).unwrap();
-        let (replanned, stats) =
-            plan_program_incremental(&edited, &cfg, &mut PlanCache::new(), &mut store);
+        let (replanned, stats) = plan_program(&edited, &cfg, &mut store);
         assert_eq!((stats.hits(), stats.misses()), (1, 1), "only f re-plans");
         assert_eq!(replanned.count("static"), 2, "{:?}", replanned.decisions);
         let snap = reg.snapshot();
@@ -1503,7 +1474,7 @@ mod tests {
             summaries: false,
             ..PlanConfig::default()
         };
-        let full = plan_program(&edited, &descent);
+        let full = plan_program(&edited, &descent, &mut NullStore).0;
         assert!(replanned.structurally_eq(&full));
     }
 
@@ -1520,12 +1491,7 @@ mod tests {
         let v2 = v1.replace("(+ (mid l)", "(+ 1 (mid l)");
         let mut store = TestStore::default();
         let cold = compile_program(v1).unwrap();
-        plan_program_incremental(
-            &cold,
-            &PlanConfig::default(),
-            &mut PlanCache::new(),
-            &mut store,
-        );
+        plan_program(&cold, &PlanConfig::default(), &mut store);
         let mid = *store
             .summaries()
             .iter()
@@ -1541,8 +1507,7 @@ mod tests {
         };
         let edited = compile_program(&v2).unwrap();
         let cold_keys: HashSet<String> = store.map.keys().cloned().collect();
-        let (replanned, stats) =
-            plan_program_incremental(&edited, &cfg, &mut PlanCache::new(), &mut store);
+        let (replanned, stats) = plan_program(&edited, &cfg, &mut store);
         assert_eq!(stats.missed_names(), vec!["top"]);
         let snap = reg.snapshot();
         // `len` rebinds first, then `mid`, whose callee link needs `len`.
@@ -1559,7 +1524,7 @@ mod tests {
         assert_eq!(fresh_top.len(), 1, "only top's entry is new");
         assert_eq!(fresh_top[0].name, "top");
         assert_eq!(fresh_top[0].callees, vec!["mid".to_string()]);
-        let fresh = plan_program(&edited, &PlanConfig::default());
+        let fresh = plan_program(&edited, &PlanConfig::default(), &mut NullStore).0;
         assert!(
             replanned.structurally_eq(&fresh),
             "{replanned:?}\n{fresh:?}"
@@ -1581,14 +1546,16 @@ mod tests {
         let src = "(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))
                    (define (f l acc) (if (null? l) acc (f (cdr l) (+ acc (len l)))))";
         let prog = compile_program(src).unwrap();
-        let on = plan_program(&prog, &PlanConfig::default());
+        let on = plan_program(&prog, &PlanConfig::default(), &mut NullStore).0;
         let off = plan_program(
             &prog,
             &PlanConfig {
                 summaries: false,
                 ..PlanConfig::default()
             },
-        );
+            &mut NullStore,
+        )
+        .0;
         let rank = |d: &Decision| match d {
             Decision::Static { guard } if guard.iter().all(|g| *g == PlanDomain::Any) => 3,
             Decision::Static { .. } => 2,
@@ -1621,7 +1588,7 @@ mod tests {
         let prog = compile_program(&source).unwrap();
         let mut cfg = PlanConfig::default();
         cfg.exec.step_budget = 500;
-        let plan = plan_program(&prog, &cfg);
+        let plan = plan_program(&prog, &cfg, &mut NullStore).0;
         assert_eq!(plan.count("static"), 600, "{:?}", plan.decisions[0]);
     }
 
@@ -1639,7 +1606,7 @@ mod tests {
              (define (reads-worse l) (if (null? l) worse (reads-worse (cdr l))))",
         )
         .unwrap();
-        let plan = plan_program(&prog, &PlanConfig::default());
+        let plan = plan_program(&prog, &PlanConfig::default(), &mut NullStore).0;
         let decision = |name: &str| {
             let d = plan.decisions.iter().find(|d| d.name == name).unwrap();
             d.decision.clone()
@@ -1674,8 +1641,7 @@ mod tests {
             ..PlanConfig::default()
         };
         let mut store = TestStore::default();
-        let (plan, stats) =
-            plan_program_incremental(&prog, &expired, &mut PlanCache::new(), &mut store);
+        let (plan, stats) = plan_program(&prog, &expired, &mut store);
         assert_eq!(plan.count("monitor"), 2, "{:?}", plan.decisions);
         assert_eq!(plan.count("static"), 0);
         assert_eq!(plan.count("refuted"), 0);
@@ -1696,11 +1662,10 @@ mod tests {
         // Store hits are honored even past the deadline: persist with a
         // live deadline, then replan with an expired one.
         let live = PlanConfig::default();
-        let (_, warm) = plan_program_incremental(&prog, &live, &mut PlanCache::new(), &mut store);
+        let (_, warm) = plan_program(&prog, &live, &mut store);
         assert_eq!(warm.misses(), 2);
         assert_eq!(store.map.len(), 2);
-        let (replayed, stats) =
-            plan_program_incremental(&prog, &expired, &mut PlanCache::new(), &mut store);
+        let (replayed, stats) = plan_program(&prog, &expired, &mut store);
         assert_eq!(stats.hits(), 2, "loads are load-independent");
         assert_eq!(replayed.count("static"), 1, "{:?}", replayed.decisions);
     }
@@ -1719,7 +1684,7 @@ mod tests {
         )
         .unwrap();
         let (fabricated, stats) = monitor_fallback_decisions(&prog, "worker lost");
-        let planned = plan_program(&prog, &PlanConfig::default());
+        let planned = plan_program(&prog, &PlanConfig::default(), &mut NullStore).0;
         assert_eq!(fabricated.decisions.len(), planned.decisions.len());
         assert_eq!(stats.misses(), planned.decisions.len());
         for (d, pd) in fabricated.decisions.iter().zip(&planned.decisions) {
@@ -1754,7 +1719,7 @@ mod tests {
                 obs: PlanObs::registered(reg.clone()),
                 ..PlanConfig::default()
             };
-            let mut plan = plan_program(&prog, &cfg);
+            let mut plan = plan_program(&prog, &cfg, &mut NullStore).0;
             plan.decisions.sort_by(|x, y| x.name.cmp(&y.name));
             let view: Vec<_> = plan
                 .decisions
@@ -1781,7 +1746,7 @@ mod tests {
              (set! dec (lambda (x) x))",
         )
         .unwrap();
-        let plan = plan_program(&prog, &PlanConfig::default());
+        let plan = plan_program(&prog, &PlanConfig::default(), &mut NullStore).0;
         let by_name = |n: &str| {
             plan.decisions
                 .iter()

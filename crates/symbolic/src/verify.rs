@@ -71,7 +71,8 @@ pub(crate) const LJB_CAP: usize = 20_000;
 /// graph sets. The second half is a Lee–Jones–Ben-Amram closure check
 /// over each graph set — memoizable via
 /// [`sct_core::plan::LjbCache`], which is how the hybrid pre-pass
-/// (`crate::pipeline`) makes re-verification free.
+/// (`crate::pipeline`) checks a graph set shared by several defines of
+/// one pass only once.
 #[derive(Debug, Clone)]
 pub(crate) struct Exploration {
     /// The self-call graph sets the LJB check must pass, in λ-id order:

@@ -29,8 +29,8 @@
 //! `hybrid` first plans the program: every `define` is run through the §4
 //! verifier (with a fuel budget); proved functions skip the monitor at run
 //! time, refuted ones are reported — with blame — before running, and the
-//! rest stay monitored. `--plan` prints the decisions as `sct-plan/1` JSON
-//! (schema in `sct_core::plan::EnforcementPlan::to_json`) instead of
+//! rest stay monitored. `--plan` prints the decisions as the `sct-plan/3`
+//! plan document (`sct_core::plan_codec::encode_plan`) instead of
 //! running; `--dump-ir` prints the plan-directed IR listing (each call
 //! site annotated with its baked-in skip/guarded/monitored decision; see
 //! the `sct-ir` crate) instead of running. After a hybrid run a
@@ -77,8 +77,8 @@ use sct_cache::CacheObs;
 use sct_contracts::interp::{ExtendedOrder, OrderHandle, ReverseIntOrder};
 use sct_contracts::serve::{serve_stdio, serve_unix, ServeOptions, Server};
 use sct_contracts::{
-    plan_program_incremental, refutation_error, BackoffPolicy, DiskCache, EvalError, Machine,
-    MachineConfig, PlanCache, PlanConfig, PlanDomain, SemanticsMode, TableStrategy,
+    plan_program, refutation_error, BackoffPolicy, DiskCache, EvalError, Machine, MachineConfig,
+    PlanConfig, PlanDomain, SemanticsMode, TableStrategy,
 };
 use sct_obs::{trace, Registry};
 use sct_symbolic::pipeline::PlanObs;
@@ -634,13 +634,12 @@ fn main() -> ExitCode {
                 },
                 None => &mut null,
             };
-            let (plan, stats) =
-                plan_program_incremental(&program, &plan_config, &mut PlanCache::new(), store);
+            let (plan, stats) = plan_program(&program, &plan_config, store);
             if opts.cache_dir.is_some() {
                 eprintln!("; {stats}");
             }
             if opts.plan_only {
-                print!("{}", plan.to_json());
+                print!("{}", sct_contracts::core::plan_codec::encode_plan(&plan));
                 return ExitCode::from(EXIT_OK);
             }
             if opts.dump_ir {

@@ -88,9 +88,7 @@ pub use sct_cache::{CacheStats, DiskCache, MemStore};
 pub use sct_core::monitor::{BackoffPolicy, KeyStrategy, MonitorConfig, TableStrategy};
 pub use sct_core::plan::{Decision, EnforcementPlan, FnDecision, PlanDomain};
 pub use sct_interp::{EvalError, Machine, MachineConfig, SemanticsMode, Value};
-pub use sct_symbolic::{
-    plan_program, plan_program_incremental, IncrementalStats, PlanCache, PlanConfig, StaticVerdict,
-};
+pub use sct_symbolic::{plan_program, IncrementalStats, NullStore, PlanConfig, StaticVerdict};
 pub use serve::{serve_stdio, serve_unix, ServeOptions, Server};
 
 use sct_core::seq::ScViolation;
@@ -150,7 +148,7 @@ pub fn run_monitored(source: &str) -> Result<Value, EvalError> {
 pub fn run_hybrid(source: &str) -> Result<Value, EvalError> {
     let prog = sct_lang::compile_program(source)
         .map_err(|e| EvalError::Rt(RtError::new(format!("compile error: {e}"))))?;
-    let plan = plan_program(&prog, &PlanConfig::default());
+    let plan = plan_program(&prog, &PlanConfig::default(), &mut NullStore).0;
     if let Some(err) = refutation_error(&plan) {
         return Err(err);
     }

@@ -11,8 +11,8 @@
 //!   shared by every request;
 //! * each `plan`/`run`/`hybrid` request is served end to end on a
 //!   short-lived thread of its own, exactly as `sct hybrid` runs:
-//!   compile once, plan whole ([`plan_program_incremental`], callees
-//!   before callers, a fresh [`PlanCache`]; skipped for `run`), check
+//!   compile once, plan whole ([`plan_program`], callees before
+//!   callers; skipped for `run`), check
 //!   for a refutation, compile the IR, execute (skipped for `plan`). A
 //!   plan depends on the program alone — never on scheduling or on other
 //!   requests — and nothing of a request outlives its thread;
@@ -44,7 +44,7 @@
 //! (defaulting to the connection identity). Responses always carry
 //! `"ok"` and `"op"`:
 //!
-//! * `plan` → `{"ok":true,"op":"plan","plan":<sct-plan/1 doc>,
+//! * `plan` → `{"ok":true,"op":"plan","plan":<sct-plan/3 plan doc>,
 //!   "cache":{"hits":H,"misses":M,"warm":bool},"defines":[["name",hit?],…]}`
 //!   — `warm` is true when every define loaded from the decision store
 //!   (zero symbolic exploration on this request).
@@ -138,12 +138,13 @@ use sct_cache::{CacheObs, DiskCache, MemStore};
 use sct_core::json::{parse, Json};
 use sct_core::monitor::TableStrategy;
 use sct_core::plan::{Decision, EnforcementPlan};
+use sct_core::plan_codec::encode_plan;
 use sct_interp::{EvalError, Machine, MachineConfig, SemanticsMode, Stats};
 use sct_lang::ast::Program;
 use sct_obs::{trace, Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 use sct_symbolic::pipeline::{
-    monitor_fallback_decisions, plan_program_incremental, DecisionStore, IncrementalStats,
-    PlanCache, PlanConfig, PlanObs, DEADLINE_REASON,
+    monitor_fallback_decisions, plan_program, DecisionStore, IncrementalStats, PlanConfig, PlanObs,
+    DEADLINE_REASON,
 };
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -312,7 +313,10 @@ fn plan_reply(op: Op, plan: &EnforcementPlan, stats: &IncrementalStats) -> Plann
     if op == Op::Plan {
         let members = vec![
             ("ok".into(), Json::Bool(true)),
-            ("plan".into(), plan.to_json_value()),
+            (
+                "plan".into(),
+                parse(&encode_plan(plan)).expect("plan document is well-formed"),
+            ),
             ("cache".into(), cache_json(stats)),
             ("defines".into(), defines_json(stats)),
             degraded_json,
@@ -433,9 +437,7 @@ fn serve_job(
             return;
         }
     };
-    let plan = (job.op != Op::Run).then(|| {
-        plan_program_incremental(&program, &job.config, &mut PlanCache::new(), &mut store)
-    });
+    let plan = (job.op != Op::Run).then(|| plan_program(&program, &job.config, &mut store));
     let planned = plan
         .as_ref()
         .map_or_else(Planned::default, |(p, s)| plan_reply(job.op, p, s));
@@ -1315,9 +1317,9 @@ mod tests {
         let c = second.get("cache").unwrap();
         assert_eq!(c.get("hits").and_then(Json::as_i64), Some(2));
         assert_eq!(c.get("misses").and_then(Json::as_i64), Some(0));
-        // The plan payload is the sct-plan/1 document.
+        // The plan payload is the sct-plan/3 plan document.
         let doc = second.get("plan").unwrap();
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("sct-plan/1"));
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("sct-plan/3"));
     }
 
     #[test]

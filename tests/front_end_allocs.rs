@@ -7,7 +7,7 @@
 //! depend on what other tests run alongside.
 
 use sct_cache::MemStore;
-use sct_symbolic::{plan_program_incremental, PlanCache, PlanConfig};
+use sct_symbolic::{plan_program, PlanConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -92,11 +92,10 @@ fn warm_replay_allocations_are_pinned() {
     let program = sct_lang::compile_program(&sct_bench::layered_corpus(1000, 7, 0)).unwrap();
     let cfg = PlanConfig::default();
     let mut store = MemStore::new();
-    let (_, cold) = plan_program_incremental(&program, &cfg, &mut PlanCache::new(), &mut store);
+    let (_, cold) = plan_program(&program, &cfg, &mut store);
     assert_eq!(cold.misses(), 1000);
     let got = counted(|| {
-        let (plan, warm) =
-            plan_program_incremental(&program, &cfg, &mut PlanCache::new(), &mut store);
+        let (plan, warm) = plan_program(&program, &cfg, &mut store);
         assert_eq!(warm.hits(), 1000);
         (plan, warm)
     });

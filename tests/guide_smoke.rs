@@ -162,18 +162,23 @@ fn guide_hybrid_metrics_replays_deterministically() {
     }
 }
 
-/// §4: the `--plan` JSON dump, with the nat guard the guide explains.
+/// §4: the `--plan` document, with the nat guard the guide explains.
 #[test]
 fn guide_hybrid_plan_json() {
     let p = sct(&["hybrid", "examples/guide/sum.sct", "--plan"]);
     assert!(p.status.success(), "{}", stderr(&p));
     let json = stdout(&p);
-    assert!(json.contains("\"schema\": \"sct-plan/1\""), "{json}");
-    assert!(json.contains("\"name\": \"sum\""), "{json}");
-    assert!(json.contains("\"decision\": \"static\""), "{json}");
-    assert!(json.contains("\"guard\": [\"nat\", \"nat\"]"), "{json}");
+    let lines: Vec<&str> = json.lines().collect();
+    assert_eq!(lines.len(), 2, "{json}");
+    assert_eq!(
+        lines[0], "{\"schema\":\"sct-plan/3\",\"functions\":[",
+        "{json}"
+    );
     assert!(
-        json.contains("\"detail\": \"verified (sum: 1 graphs)\""),
+        lines[1].starts_with(
+            "{\"name\":\"sum\",\"lambda\":0,\"decision\":\"static\",\"guard\":[\"nat\",\"nat\"],\
+             \"covers\":[],\"blame\":null,\"detail\":\"verified (sum: 1 graphs)\",\"micros\":"
+        ) && lines[1].ends_with("}]}"),
         "{json}"
     );
 }
@@ -307,7 +312,7 @@ fn guide_cache_round_trip_entries() {
     );
 
     let doc = parse(&stdout(&warm)).expect("--plan prints JSON");
-    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("sct-plan/1"));
+    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("sct-plan/3"));
     assert_eq!(
         doc.get("functions")
             .and_then(Json::as_arr)
@@ -352,7 +357,7 @@ fn guide_cache_round_trip_entries() {
 }
 
 /// §5: the `sct serve` one-liner — a stdio plan request answers with the
-/// embedded sct-plan/1 document and cold-miss cache counters.
+/// embedded sct-plan/3 plan document and cold-miss cache counters.
 #[test]
 fn guide_serve_stdio_transcript() {
     use std::io::Write;
@@ -377,7 +382,7 @@ fn guide_serve_stdio_transcript() {
     assert!(out.status.success());
     let line = String::from_utf8_lossy(&out.stdout);
     assert!(line.contains("\"ok\":true"), "{line}");
-    assert!(line.contains("\"schema\":\"sct-plan/1\""), "{line}");
+    assert!(line.contains("\"schema\":\"sct-plan/3\""), "{line}");
     assert!(
         line.contains("\"cache\":{\"hits\":0,\"misses\":1,\"warm\":false}"),
         "{line}"

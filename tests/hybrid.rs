@@ -14,8 +14,8 @@
 use sct_bench::{CompiledWorkload, Setup};
 use sct_contracts::corpus::{diverging, table1};
 use sct_contracts::{
-    plan_program, refutation_error, EvalError, Machine, MachineConfig, PlanConfig, SemanticsMode,
-    TableStrategy, Value,
+    plan_program, refutation_error, EvalError, Machine, MachineConfig, NullStore, PlanConfig,
+    SemanticsMode, TableStrategy, Value,
 };
 use std::rc::Rc;
 
@@ -37,7 +37,7 @@ fn run_hybrid_with(
 ) -> Result<Value, EvalError> {
     let prog = sct_contracts::lang::compile_program(source)
         .unwrap_or_else(|e| panic!("compile error: {e}"));
-    let plan = plan_program(&prog, cfg);
+    let plan = plan_program(&prog, cfg, &mut NullStore).0;
     if let Some(err) = refutation_error(&plan) {
         return Err(err);
     }
@@ -195,7 +195,7 @@ fn diverging_corpus_still_caught_by_hybrid() {
 fn fast_path_skips_all_checks_for_discharged_function() {
     let source = "(define (sum i acc) (if (zero? i) acc (sum (- i 1) (+ acc i))))\n(sum 50 0)";
     let prog = sct_contracts::lang::compile_program(source).unwrap();
-    let plan = Rc::new(plan_program(&prog, &PlanConfig::default()));
+    let plan = Rc::new(plan_program(&prog, &PlanConfig::default(), &mut NullStore).0);
     assert_eq!(plan.count("static"), 1);
 
     let mut with_plan = Machine::new(
@@ -335,7 +335,10 @@ fn fuel_bounds_every_define_planning_time() {
     }));
     for (label, source) in sources {
         let prog = sct_contracts::lang::compile_program(&source).expect(&label);
-        for d in plan_program(&prog, &PlanConfig::default()).decisions {
+        for d in plan_program(&prog, &PlanConfig::default(), &mut NullStore)
+            .0
+            .decisions
+        {
             assert!(
                 d.micros < 1_000_000,
                 "{label}/{} took {} µs to plan",
@@ -359,7 +362,7 @@ fn planning_leaves_the_thread_graph_pool_unchanged() {
                   (len '(1 2 3))";
     let prog = sct_contracts::lang::compile_program(source).unwrap();
     let before = graphs();
-    let plan = plan_program(&prog, &quick_plan_config());
+    let plan = plan_program(&prog, &quick_plan_config(), &mut NullStore).0;
     assert_eq!(
         (plan.count("static"), plan.count("refuted")),
         (1, 1),

@@ -8,11 +8,9 @@
 //! share a cache.
 
 use sct_contracts::core::json::{parse, Json};
-use sct_contracts::core::plan_codec::{decode_entry, PortableDecision};
+use sct_contracts::core::plan_codec::{decode_entry, encode_plan, PortableDecision};
 use sct_contracts::symbolic::{DecisionStore, NullStore, PlanObs};
-use sct_contracts::{
-    plan_program_incremental, DiskCache, PlanCache, PlanConfig, ServeOptions, Server,
-};
+use sct_contracts::{plan_program, DiskCache, PlanConfig, ServeOptions, Server};
 use sct_fuzz::{permute_defines, Rng};
 use sct_obs::Registry;
 use std::collections::HashMap;
@@ -68,13 +66,11 @@ fn editing_one_define_reverifies_exactly_that_define() {
     // Cold: everything misses and lands on disk.
     let before = sct_lang::compile_program(&fig10_scale(0)).unwrap();
     let mut disk = DiskCache::open(&dir).unwrap();
-    let (cold_plan, cold) =
-        plan_program_incremental(&before, &cfg, &mut PlanCache::new(), &mut disk);
+    let (cold_plan, cold) = plan_program(&before, &cfg, &mut disk);
     assert_eq!((cold.hits(), cold.misses()), (0, 10), "{cold:?}");
 
     // Unchanged replay: all hits, structurally the same plan.
-    let (warm_plan, warm) =
-        plan_program_incremental(&before, &cfg, &mut PlanCache::new(), &mut disk);
+    let (warm_plan, warm) = plan_program(&before, &cfg, &mut disk);
     assert_eq!((warm.hits(), warm.misses()), (10, 0), "{warm:?}");
     assert!(cold_plan.structurally_eq(&warm_plan));
 
@@ -82,18 +78,12 @@ fn editing_one_define_reverifies_exactly_that_define() {
     // sum, so exactly sum must re-verify; the other nine defines hit even
     // though every λ id after sum shifted in the recompile.
     let after = sct_lang::compile_program(&fig10_scale(1)).unwrap();
-    let (edited_plan, edited) =
-        plan_program_incremental(&after, &cfg, &mut PlanCache::new(), &mut disk);
+    let (edited_plan, edited) = plan_program(&after, &cfg, &mut disk);
     assert_eq!((edited.hits(), edited.misses()), (9, 1), "{edited:?}");
     assert_eq!(edited.missed_names(), vec!["sum"], "{edited:?}");
 
     // The edited program's warm plan equals its fresh plan.
-    let (fresh_plan, _) = plan_program_incremental(
-        &after,
-        &cfg,
-        &mut PlanCache::new(),
-        &mut sct_symbolic::NullStore,
-    );
+    let (fresh_plan, _) = plan_program(&after, &cfg, &mut sct_symbolic::NullStore);
     assert!(edited_plan.structurally_eq(&fresh_plan));
     // And sum's decision survived the edit semantically: still discharged.
     assert_eq!(edited_plan.count("static"), cold_plan.count("static"));
@@ -117,10 +107,10 @@ fn editing_a_shared_helper_reverifies_its_dependents_only() {
 
     let mut disk = DiskCache::open(&dir).unwrap();
     let p1 = sct_lang::compile_program(&before).unwrap();
-    plan_program_incremental(&p1, &cfg, &mut PlanCache::new(), &mut disk);
+    plan_program(&p1, &cfg, &mut disk);
 
     let p2 = sct_lang::compile_program(&after).unwrap();
-    let (_, stats) = plan_program_incremental(&p2, &cfg, &mut PlanCache::new(), &mut disk);
+    let (_, stats) = plan_program(&p2, &cfg, &mut disk);
     assert_eq!(stats.missed_names(), vec!["len", "msort"], "{stats:?}");
     assert_eq!(stats.hits(), 8, "{stats:?}");
 
@@ -136,7 +126,7 @@ fn reordering_the_defines_keeps_every_key() {
     let source = sct_bench::layered_corpus(200, 7, 0);
     let mut store = sct_cache::MemStore::new();
     let prog = sct_lang::compile_program(&source).unwrap();
-    let (_, cold) = plan_program_incremental(&prog, &cfg, &mut PlanCache::new(), &mut store);
+    let (_, cold) = plan_program(&prog, &cfg, &mut store);
     assert_eq!(cold.misses(), 200, "{cold:?}");
     let mut orders = vec![(
         "reversed".to_string(),
@@ -152,16 +142,14 @@ fn reordering_the_defines_keeps_every_key() {
     }
     for (label, permuted) in orders {
         let prog = sct_lang::compile_program(&permuted).unwrap();
-        let (warm_plan, warm) =
-            plan_program_incremental(&prog, &cfg, &mut PlanCache::new(), &mut store);
+        let (warm_plan, warm) = plan_program(&prog, &cfg, &mut store);
         assert_eq!(
             (warm.hits(), warm.misses()),
             (200, 0),
             "{label}: missed {:?}",
             warm.missed_names()
         );
-        let (fresh, _) =
-            plan_program_incremental(&prog, &cfg, &mut PlanCache::new(), &mut NullStore);
+        let (fresh, _) = plan_program(&prog, &cfg, &mut NullStore);
         assert!(warm_plan.structurally_eq(&fresh), "{label}: replay drifted");
     }
 }
@@ -180,7 +168,7 @@ fn a_forward_reference_replays_the_plan_of_its_own_order() {
         let cfg = PlanConfig::default();
         let plan = |source: &str, store: &mut dyn DecisionStore| {
             let prog = sct_lang::compile_program(source).unwrap();
-            plan_program_incremental(&prog, &cfg, &mut PlanCache::new(), store).0
+            plan_program(&prog, &cfg, store).0
         };
         let f_tag = |plan: &sct_contracts::EnforcementPlan| {
             let f = plan.decisions.iter().find(|d| d.name == "f").unwrap();
@@ -209,7 +197,7 @@ fn an_unread_initializer_does_not_renumber_a_readers_atoms() {
     let cfg = PlanConfig::default();
     let plan = |source: &str, store: &mut dyn DecisionStore| {
         let prog = sct_lang::compile_program(source).unwrap();
-        plan_program_incremental(&prog, &cfg, &mut PlanCache::new(), store)
+        plan_program(&prog, &cfg, store)
     };
     for unread in [
         "(define junk (flat/c number?))",
@@ -243,12 +231,7 @@ fn layered_program(n: usize) -> String {
 fn planned_entries(source: &str) -> HashMap<String, PortableDecision> {
     let prog = sct_lang::compile_program(source).unwrap();
     let mut store = sct_cache::MemStore::new();
-    plan_program_incremental(
-        &prog,
-        &PlanConfig::default(),
-        &mut PlanCache::new(),
-        &mut store,
-    );
+    plan_program(&prog, &PlanConfig::default(), &mut store);
     store
         .entries()
         .iter()
@@ -285,12 +268,7 @@ fn adding_an_unrelated_define_keeps_every_other_key_and_decision() {
                 warm.store(key, entry);
             }
             let prog = sct_lang::compile_program(&source).unwrap();
-            let (_, stats) = plan_program_incremental(
-                &prog,
-                &PlanConfig::default(),
-                &mut PlanCache::new(),
-                &mut warm,
-            );
+            let (_, stats) = plan_program(&prog, &PlanConfig::default(), &mut warm);
             assert_eq!(
                 stats.hits(),
                 200,
@@ -315,7 +293,7 @@ fn fuel_per_define_does_not_grow_with_program_size() {
             ..PlanConfig::default()
         };
         let prog = sct_lang::compile_program(&layered_program(n)).unwrap();
-        plan_program_incremental(&prog, &cfg, &mut PlanCache::new(), &mut NullStore);
+        plan_program(&prog, &cfg, &mut NullStore);
         let snapshot = reg.snapshot();
         let fuel = snapshot.counter("plan.fuel_used").unwrap();
         let defines = snapshot.counter("plan.defines").unwrap();
@@ -341,7 +319,7 @@ fn editing_a_helper_recomputes_exactly_its_dependents_summaries() {
     let mut store = sct_cache::MemStore::new();
 
     let before = sct_lang::compile_program(&fig10_scale(0)).unwrap();
-    plan_program_incremental(&before, &cfg, &mut PlanCache::new(), &mut store);
+    plan_program(&before, &cfg, &mut store);
     let summaries = |store: &sct_cache::MemStore| -> Vec<(String, String)> {
         store
             .entries()
@@ -366,7 +344,7 @@ fn editing_a_helper_recomputes_exactly_its_dependents_summaries() {
         "(define (len l) (if (null? l) 1 (+ 1 (len (cdr l)))))",
     ))
     .unwrap();
-    let (_, stats) = plan_program_incremental(&after, &cfg, &mut PlanCache::new(), &mut store);
+    let (_, stats) = plan_program(&after, &cfg, &mut store);
     assert_eq!(stats.missed_names(), vec!["len", "msort"], "{stats:?}");
     let recomputed: Vec<String> = summaries(&store)
         .into_iter()
@@ -436,7 +414,7 @@ fn files_under(dir: &std::path::Path) -> Vec<PathBuf> {
         .collect()
 }
 
-/// An `sct-plan/1` document without its timing field.
+/// An `sct-plan/3` plan document without its timing field.
 fn untimed(doc: &Json) -> Vec<Json> {
     let functions = doc.get("functions").and_then(Json::as_arr).unwrap_or(&[]);
     functions
@@ -466,8 +444,8 @@ fn serve_plans_equal_the_cli_plan_under_concurrent_requests() {
     .unwrap();
     let program = sct_lang::compile_program(&source).unwrap();
     let cfg = PlanConfig::default();
-    let (cli, _) = plan_program_incremental(&program, &cfg, &mut PlanCache::new(), &mut NullStore);
-    let expected = untimed(&cli.to_json_value());
+    let (cli, _) = plan_program(&program, &cfg, &mut NullStore);
+    let expected = untimed(&parse(&encode_plan(&cli)).unwrap());
     let request = Json::Obj(vec![
         ("op".into(), Json::str("plan")),
         ("source".into(), Json::str(&source)),
@@ -548,8 +526,7 @@ fn serve_plans_equal_the_cli_plan_under_concurrent_requests() {
             ..PlanConfig::default()
         };
         let mut disk = DiskCache::open(&dir).unwrap();
-        let (replayed, stats) =
-            plan_program_incremental(&program, &warm_cfg, &mut PlanCache::new(), &mut disk);
+        let (replayed, stats) = plan_program(&program, &warm_cfg, &mut disk);
         assert_eq!(stats.misses(), 0, "{clients} clients");
         assert_eq!(
             reg.snapshot().counter("plan.summary.hits"),

@@ -60,7 +60,7 @@ fn sct_on_countdown(tag: &str, args: &[&str]) -> Output {
 fn flags_may_come_before_the_file() {
     let plan = sct_on_countdown("plan", &["hybrid", "--plan", "FILE"]);
     assert_eq!(plan.status.code(), Some(0), "{plan:?}");
-    assert!(String::from_utf8_lossy(&plan.stdout).contains("\"sct-plan/1\""));
+    assert!(String::from_utf8_lossy(&plan.stdout).contains("\"sct-plan/3\""));
 
     let fuel = sct_on_countdown("fuel", &["monitor", "--fuel", "5", "FILE"]);
     assert_eq!(fuel.status.code(), Some(1), "{fuel:?}");

@@ -36,7 +36,7 @@
 use proptest::prelude::*;
 use sct_contracts::corpus::{diverging, table1, workloads};
 use sct_contracts::{
-    plan_program, Machine, MachineConfig, PlanConfig, SemanticsMode, TableStrategy,
+    plan_program, Machine, MachineConfig, NullStore, PlanConfig, SemanticsMode, TableStrategy,
 };
 use sct_fuzz::harness::{run_reference, run_vm, Outcome};
 use sct_fuzz::ExprGen;
@@ -72,7 +72,10 @@ fn quick_plan_config() -> PlanConfig {
 
 /// Every Figure-10 workload, whole-program (body + a small entry call
 /// appended), under unchecked, both monitored strategies, the hybrid
-/// plan, and call-sequence collection.
+/// plan, and call-sequence collection. Each workload runs twice: its entry
+/// called directly, and called first-class through a `Generic` site, where
+/// the hybrid run must skip a discharged entry through the per-λ table
+/// exactly as the walker does.
 #[test]
 fn fig10_corpus_agrees_under_every_setup() {
     for w in workloads::fig10() {
@@ -92,45 +95,53 @@ fn fig10_corpus_agrees_under_every_setup() {
                 }
             })
             .collect();
-        let source = format!("{}\n({} {})", w.source, w.entry, args.join(" "));
-        let prog = sct_contracts::lang::compile_program(&source).expect("workload compiles");
-        let plan = Rc::new(plan_program(&prog, &quick_plan_config()));
-        let configs: Vec<(&str, MachineConfig)> = vec![
-            ("unchecked", MachineConfig::standard()),
+        let args = args.join(" ");
+        for (call, source) in [
+            ("direct", format!("{}\n({} {args})", w.source, w.entry)),
             (
-                "cm",
-                MachineConfig {
-                    order: w.order.handle(),
-                    ..MachineConfig::monitored(TableStrategy::ContinuationMark)
-                },
+                "first-class",
+                format!("{}\n((lambda (g) (g {args})) {})", w.source, w.entry),
             ),
-            (
-                "imperative",
-                MachineConfig {
-                    order: w.order.handle(),
-                    ..MachineConfig::monitored(TableStrategy::Imperative)
-                },
-            ),
-            (
-                "hybrid",
-                MachineConfig {
-                    order: w.order.handle(),
-                    plan: Some(plan.clone()),
-                    ..MachineConfig::monitored(TableStrategy::Imperative)
-                },
-            ),
-            (
-                "callseq",
-                MachineConfig {
-                    mode: SemanticsMode::CallSeqCollect,
-                    order: w.order.handle(),
-                    ..MachineConfig::default()
-                },
-            ),
-        ];
-        for (label, config) in configs {
-            let (vm, reference) = outcomes(&source, &config);
-            assert_eq!(vm, reference, "{} under {label}", w.id);
+        ] {
+            let prog = sct_contracts::lang::compile_program(&source).expect("workload compiles");
+            let plan = Rc::new(plan_program(&prog, &quick_plan_config(), &mut NullStore).0);
+            let configs: Vec<(&str, MachineConfig)> = vec![
+                ("unchecked", MachineConfig::standard()),
+                (
+                    "cm",
+                    MachineConfig {
+                        order: w.order.handle(),
+                        ..MachineConfig::monitored(TableStrategy::ContinuationMark)
+                    },
+                ),
+                (
+                    "imperative",
+                    MachineConfig {
+                        order: w.order.handle(),
+                        ..MachineConfig::monitored(TableStrategy::Imperative)
+                    },
+                ),
+                (
+                    "hybrid",
+                    MachineConfig {
+                        order: w.order.handle(),
+                        plan: Some(plan.clone()),
+                        ..MachineConfig::monitored(TableStrategy::Imperative)
+                    },
+                ),
+                (
+                    "callseq",
+                    MachineConfig {
+                        mode: SemanticsMode::CallSeqCollect,
+                        order: w.order.handle(),
+                        ..MachineConfig::default()
+                    },
+                ),
+            ];
+            for (label, config) in configs {
+                let (vm, reference) = outcomes(&source, &config);
+                assert_eq!(vm, reference, "{} called {call} under {label}", w.id);
+            }
         }
     }
 }
@@ -213,7 +224,7 @@ const SET_REBIND: &str = r#"
 /// whose discharged callees the generic sites skip through the per-λ
 /// table.
 #[test]
-fn pic_on_off_outcomes_agree_and_counters_reconcile() {
+fn rebound_first_class_callees_agree_and_skip_through_the_table() {
     let mega = include_str!("fuzz_regressions/mega-set-rebind.sct");
     for (what, source) in [
         ("megamorphic sweep", MEGA_SWEEP),
@@ -221,7 +232,7 @@ fn pic_on_off_outcomes_agree_and_counters_reconcile() {
         ("mega-set-rebind", mega),
     ] {
         let prog = sct_contracts::lang::compile_program(source).expect("compiles");
-        let plan = Rc::new(plan_program(&prog, &quick_plan_config()));
+        let plan = Rc::new(plan_program(&prog, &quick_plan_config(), &mut NullStore).0);
         let hybrid = MachineConfig {
             plan: Some(plan),
             ..MachineConfig::monitored(TableStrategy::Imperative)
@@ -267,7 +278,7 @@ proptest! {
             let reference = run_reference(&prog, config);
             prop_assert_eq!(&vm, &reference, "strategy {:?}\n{}", strategy, &source);
         }
-        let plan = Rc::new(plan_program(&prog, &quick_plan_config()));
+        let plan = Rc::new(plan_program(&prog, &quick_plan_config(), &mut NullStore).0);
         let config = MachineConfig {
             plan: Some(plan),
             ..MachineConfig::monitored(TableStrategy::Imperative)

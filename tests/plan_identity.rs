@@ -31,9 +31,7 @@ use sct_corpus::{table1, workloads};
 use sct_fuzz::permute_defines;
 use sct_ir::SiteAction;
 use sct_obs::Registry;
-use sct_symbolic::pipeline::{
-    plan_program_incremental, DecisionStore, PlanCache, PlanConfig, PlanObs,
-};
+use sct_symbolic::pipeline::{plan_program, DecisionStore, PlanConfig, PlanObs};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -153,7 +151,7 @@ fn digests(sources: &[String]) -> (String, String, String, String) {
         let p = sct_lang::compile_program(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
         store.entries.clear();
         store.summaries = 0;
-        let (plan, _) = plan_program_incremental(&p, &cfg, &mut PlanCache::new(), &mut store);
+        let (plan, _) = plan_program(&p, &cfg, &mut store);
         digest_decisions(&mut cold, &plan);
         digest_sites(&mut sites, &p, &plan);
 
@@ -163,8 +161,7 @@ fn digests(sources: &[String]) -> (String, String, String, String) {
             ..PlanConfig::default()
         };
         let mut replay = Replay(&store.entries);
-        let (plan, stats) =
-            plan_program_incremental(&p, &replay_cfg, &mut PlanCache::new(), &mut replay);
+        let (plan, stats) = plan_program(&p, &replay_cfg, &mut replay);
         assert_eq!(stats.hits(), plan.decisions.len(), "every define hits");
         let hits = reg.snapshot().counter("plan.summary.hits");
         assert_eq!(hits, Some(store.summaries), "every stored summary rebinds");
@@ -212,7 +209,7 @@ fn table1_plans_are_pinned() {
     let pins = Pins {
         decisions: "7d1658b395eb9e88",
         entries: "4fbce1bbb1181d51",
-        sites: "423cfe49c2f5b28e",
+        sites: "7ea6dc91de4f5ede",
     };
     assert_pinned("table1", sources, pins);
 }
@@ -223,7 +220,7 @@ fn fig10_plans_are_pinned() {
     let pins = Pins {
         decisions: "0917a86e05734ee3",
         entries: "586265d40c3871ed",
-        sites: "23112f104d78470f",
+        sites: "b704a66cd217403f",
     };
     assert_pinned("fig10", sources, pins);
 }

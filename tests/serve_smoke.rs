@@ -76,7 +76,7 @@ fn stdio_mode_answers_all_ops() {
     // Cold plan, then warm plan: misses then hits out of the warm store.
     assert_line(&lines[0], r#""id":1"#);
     assert_line(&lines[0], r#""cache":{"hits":0,"misses":1,"warm":false}"#);
-    assert_line(&lines[0], r#""schema":"sct-plan/1""#);
+    assert_line(&lines[0], r#""schema":"sct-plan/3""#);
     assert_line(&lines[1], r#""cache":{"hits":1,"misses":0,"warm":true}"#);
     // Hybrid runs with the static fast path.
     assert_line(&lines[2], r#""value":"5050""#);
@@ -149,7 +149,7 @@ fn stdio_metrics_reconcile_with_stats_and_trace_ids_are_distinct() {
         assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{doc:?}");
     }
 
-    assert_eq!(at(plan, &["plan", "schema"]).as_str(), Some("sct-plan/1"));
+    assert_eq!(at(plan, &["plan", "schema"]).as_str(), Some("sct-plan/3"));
     assert_eq!(int(plan, &["cache", "hits"]), 0);
     assert_eq!(int(plan, &["cache", "misses"]), 1);
     assert_eq!(at(plan, &["cache", "warm"]), Json::Bool(false));

@@ -27,7 +27,7 @@
 //! supports, and on them the plans are bit-identical.)
 
 use sct_cache::MemStore;
-use sct_contracts::{plan_program, plan_program_incremental, PlanCache, PlanConfig, PlanDomain};
+use sct_contracts::{plan_program, NullStore, PlanConfig, PlanDomain};
 use sct_core::plan::EnforcementPlan;
 use sct_corpus::workloads;
 use sct_fuzz::{gen_case, order_free_view, permute_defines, Rng};
@@ -49,17 +49,16 @@ fn plan_both(source: &str, base: &PlanConfig) -> (EnforcementPlan, EnforcementPl
         ..base.clone()
     };
     let mut store = MemStore::new();
-    let (on, _) = plan_program_incremental(&prog, &on_cfg, &mut PlanCache::new(), &mut store);
+    let (on, _) = plan_program(&prog, &on_cfg, &mut store);
     // A second summaries-on pass against the now-warm store: every
     // decision hits, and stubbing for any *edited* caller would come from
     // the persisted summaries. Here nothing changed, so it must replay.
-    let (replay, _) = plan_program_incremental(&prog, &on_cfg, &mut PlanCache::new(), &mut store);
+    let (replay, _) = plan_program(&prog, &on_cfg, &mut store);
     assert!(
         on.structurally_eq(&replay),
         "warm summary replay drifted:\n{source}"
     );
-    let (off, _) =
-        plan_program_incremental(&prog, &off_cfg, &mut PlanCache::new(), &mut MemStore::new());
+    let (off, _) = plan_program(&prog, &off_cfg, &mut MemStore::new());
     (on, off)
 }
 
@@ -161,12 +160,7 @@ fn layered_corpus_plans_identically_with_summaries() {
 fn layered_corpus_entries_stay_small() {
     let prog = sct_lang::compile_program(&sct_bench::layered_corpus(1000, 7, 0)).unwrap();
     let mut store = MemStore::new();
-    plan_program_incremental(
-        &prog,
-        &PlanConfig::default(),
-        &mut PlanCache::new(),
-        &mut store,
-    );
+    plan_program(&prog, &PlanConfig::default(), &mut store);
     let top = store
         .entries()
         .values()
@@ -199,7 +193,12 @@ fn order_free_plan(source: &str) -> (Vec<impl PartialEq + std::fmt::Debug>, u64)
         obs: PlanObs::registered(reg.clone()),
         ..PlanConfig::default()
     };
-    let plan = plan_program(&sct_lang::compile_program(source).expect(source), &cfg);
+    let plan = plan_program(
+        &sct_lang::compile_program(source).expect(source),
+        &cfg,
+        &mut NullStore,
+    )
+    .0;
     let stubs = reg.snapshot().counter("plan.summary.stubbed_applications");
     (order_free_view(&plan), stubs.unwrap_or(0))
 }
@@ -267,7 +266,10 @@ fn mutual_recursion_through_a_non_lambda_define_is_never_stubbed() {
             summaries: false,
             ..PlanConfig::default()
         };
-        let (stubbed, full) = (plan_program(&prog, &on), plan_program(&prog, &off));
+        let (stubbed, full) = (
+            plan_program(&prog, &on, &mut NullStore).0,
+            plan_program(&prog, &off, &mut NullStore).0,
+        );
         assert_eq!(
             reg.snapshot().counter("plan.summary.stubbed_applications"),
             Some(0),
@@ -289,7 +291,7 @@ fn merge_visits(source: &str) -> u64 {
         obs: PlanObs::registered(reg.clone()),
         ..PlanConfig::default()
     };
-    plan_program(&prog, &cfg);
+    plan_program(&prog, &cfg, &mut NullStore);
     let snap = reg.snapshot();
     assert!(
         snap.counter("plan.summary.stubbed_applications").unwrap() > 0,
