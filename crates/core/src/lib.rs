@@ -26,8 +26,8 @@
 //! * [`table`] — the size-change table `m ∈ v ⇀ ⃗v × ⃗g`, in two flavors
 //!   matching §5's implementation strategies: a persistent table (for the
 //!   continuation-mark strategy, which preserves proper tail calls) and a
-//!   mutable table with undo records (the imperative strategy, which breaks
-//!   them).
+//!   LIFO stack of pending checked calls (the imperative strategy, which
+//!   breaks them).
 //! * [`closure_check`] — the classic Lee–Jones–Ben-Amram
 //!   criterion on a *set* of graphs, used by the static verifier once
 //!   symbolic execution has enumerated how a function may call itself
@@ -89,4 +89,4 @@ pub use plan::{Decision, EnforcementPlan, FnDecision, LjbCache, PlanDomain};
 pub use plan_codec::{decode_entry, encode_entry, PortableDecision, PLAN_CODEC_SCHEMA};
 pub use seq::{CallSeq, ScViolation};
 pub use stable::{Digest128, StableHasher};
-pub use table::{FnEntry, MutScTable, ScTable, TableUndo};
+pub use table::{FnEntry, MonitorStack, ScTable, StackEntry};

@@ -23,8 +23,9 @@ use std::hash::Hash;
 /// Which of §5's two table-maintenance strategies the interpreter uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TableStrategy {
-    /// One global mutable table plus restore frames. Fast lookups; breaks
-    /// proper tail calls (every application pushes a restore continuation).
+    /// One global stack of pending checked calls plus restore frames. Fast
+    /// lookups; breaks proper tail calls (every application pushes a
+    /// restore continuation).
     #[default]
     Imperative,
     /// The table is a persistent value stored in a continuation mark; tail

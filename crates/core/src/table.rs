@@ -6,15 +6,17 @@
 //!   per mark; returning from a call discards the mark, restoring the
 //!   caller's table — the dynamic-extent threading of rule [SC-App-Clo]
 //!   with no undo machinery and with proper tail calls preserved.
-//! * [`MutScTable`] is **imperative**: `update_mut` mutates a hash map in
-//!   place and returns a [`TableUndo`] that the interpreter stashes in a
-//!   restore continuation frame. Cheap lookups, but every application now
+//! * [`MonitorStack`] is **imperative**: one LIFO stack of the checked
+//!   calls still in their dynamic extent. A call pushes a frame (its
+//!   arguments go into one shared arena) and the interpreter pushes a
+//!   payload-free restore continuation frame that pops it on return.
+//!   Cheap lookups and no allocation per call, but every application now
 //!   pushes a frame — exactly how the imperative strategy "breaks proper
 //!   tail calls" (§5).
 //!
 //! Both flavors are generic in the closure key `K` (the interpreter uses a
 //! structural closure fingerprint per §5's "hash the closure") and the
-//! argument snapshot `V`.
+//! argument value `V`.
 
 use crate::graph::ScGraph;
 use crate::intern::FxBuildHasher;
@@ -196,137 +198,262 @@ impl<K: Hash + Eq + Clone, V> ScTable<K, V> {
     }
 }
 
-/// Undo record returned by [`MutScTable::update_mut`]; the interpreter keeps
-/// it in a restore frame and applies it when the call returns.
-#[derive(Debug)]
-pub struct TableUndo<K, V> {
-    key: K,
-    prev: Option<FnEntry<V>>,
+/// Marks "no frame": a slot with no pending call, or a frame whose call
+/// shadows no earlier call of its function.
+const NONE: u32 = u32::MAX;
+
+/// Slack of the slot map: once it holds more than twice the pending
+/// frames plus this many keys, the keys with no pending call are dropped
+/// before the next one is added, so functions whose calls have all
+/// returned cannot grow it without bound.
+const SLOT_SLACK: usize = 1024;
+
+/// One checked call still inside its dynamic extent.
+struct Frame {
+    /// Dense slot of the callee's key.
+    slot: u32,
+    /// Where the call's arguments start in the shared arena; they end
+    /// where the next frame's start (or at the arena's end).
+    args_start: u32,
+    /// The slot's previous innermost frame, which this call shadows and
+    /// which becomes the slot's entry again when it returns.
+    prev: u32,
+    /// The callee's graph sequence including this call.
+    seq: CallSeq,
 }
 
-/// The imperative size-change table of §5's first strategy: one global
-/// mutable map, updated on call and *restored* on return.
+/// A function's entry in a [`MonitorStack`], borrowed from its innermost
+/// pending call.
+#[derive(Debug)]
+pub struct StackEntry<'a, V> {
+    /// Arguments of the most recent call (`⃗vₙ`).
+    pub last_args: &'a [V],
+    /// The graph sequence `⃗g`, as suffix composites.
+    pub seq: &'a CallSeq,
+}
+
+/// The imperative size-change table of §5's first strategy, kept as one
+/// LIFO stack of the checked calls still in their dynamic extent.
+///
+/// A checked call pushes a frame holding its callee's slot, its graph
+/// sequence and a link to the slot's previous frame, and copies its
+/// arguments into one shared arena; the matching return pops it, which
+/// makes the previous frame the slot's entry again. Keys resolve to
+/// dense slots through an insert-only map (compacted in bulk once keys
+/// with no pending call outnumber the frames), so a call makes one hash
+/// lookup, a return none, and neither allocates once the stack has grown
+/// to its working depth.
 ///
 /// # Examples
 ///
 /// ```
 /// use sct_core::order::AbsIntOrder;
-/// use sct_core::table::MutScTable;
-/// use std::rc::Rc;
+/// use sct_core::table::MonitorStack;
 ///
-/// let mut t: MutScTable<&str, i64> = MutScTable::new();
-/// let undo = t.update_mut("f", Rc::from(vec![3i64]), &AbsIntOrder).unwrap();
-/// assert_eq!(t.len(), 1);
-/// t.restore(undo); // the call returned: f's entry reverts
-/// assert_eq!(t.len(), 0);
+/// let mut t: MonitorStack<&str, i64> = MonitorStack::new();
+/// t.push("f", &[3], &AbsIntOrder).unwrap();
+/// t.push("f", &[2], &AbsIntOrder).unwrap();
+/// assert!(t.push("f", &[2], &AbsIntOrder).is_err()); // no descent
+/// t.pop(); // f(2) returned: f's entry is f(3) again
+/// assert_eq!(t.get(&"f").unwrap().last_args, &[3]);
+/// t.pop();
+/// assert!(t.is_empty());
 /// ```
-pub struct MutScTable<K, V> {
-    map: HashMap<K, FnEntry<V>, FxBuildHasher>,
+pub struct MonitorStack<K, V> {
+    slots: HashMap<K, u32, FxBuildHasher>,
+    /// Per slot, its innermost pending frame, or `NONE`.
+    heads: Vec<u32>,
+    frames: Vec<Frame>,
+    args: Vec<V>,
 }
 
-impl<K: Hash + Eq + std::fmt::Debug, V: std::fmt::Debug> std::fmt::Debug for MutScTable<K, V> {
+impl<K: Hash + Eq + std::fmt::Debug, V: std::fmt::Debug> std::fmt::Debug for MonitorStack<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_map().entries(self.map.iter()).finish()
+        f.debug_map()
+            .entries(self.slots.iter().filter_map(|(key, &slot)| {
+                let head = self.heads[slot as usize];
+                (head != NONE).then(|| (key, self.entry(head)))
+            }))
+            .finish()
     }
 }
 
-impl<K, V> Default for MutScTable<K, V>
-where
-    K: Hash + Eq + Clone,
-{
+impl<K, V> Default for MonitorStack<K, V> {
     fn default() -> Self {
-        MutScTable::new()
+        MonitorStack {
+            slots: HashMap::default(),
+            heads: Vec::new(),
+            frames: Vec::new(),
+            args: Vec::new(),
+        }
     }
 }
 
-impl<K: Hash + Eq + Clone, V> MutScTable<K, V> {
+impl<K: Hash + Eq, V> MonitorStack<K, V> {
     /// The empty table.
-    pub fn new() -> MutScTable<K, V> {
-        MutScTable {
-            map: HashMap::default(),
+    pub fn new() -> MonitorStack<K, V> {
+        MonitorStack::default()
+    }
+
+    /// Number of checked calls still pending.
+    pub fn depth(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// True when no checked call is pending, so no function is tracked.
+    pub fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+
+    /// The entry for a function: its innermost pending call, if any.
+    pub fn get(&self, key: &K) -> Option<StackEntry<'_, V>> {
+        let head = self.heads[*self.slots.get(key)? as usize];
+        (head != NONE).then(|| self.entry(head))
+    }
+
+    fn entry(&self, frame: u32) -> StackEntry<'_, V> {
+        let i = frame as usize;
+        let end = self
+            .frames
+            .get(i + 1)
+            .map_or(self.args.len(), |next| next.args_start as usize);
+        StackEntry {
+            last_args: &self.args[self.frames[i].args_start as usize..end],
+            seq: &self.frames[i].seq,
         }
     }
 
-    /// Number of functions tracked.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no function is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The entry for a function, if present.
-    pub fn get(&self, key: &K) -> Option<&FnEntry<V>> {
-        self.map.get(key)
-    }
-
-    /// In-place `upd`: on success the table holds the new entry and the
-    /// returned [`TableUndo`] restores the previous state; on violation the
-    /// table is left unchanged.
+    /// Figure 4's `upd(m, v, ⃗vₙ)` in place: on success a frame for the
+    /// call is pushed; on violation the table is left unchanged.
     ///
     /// # Errors
     ///
-    /// [`ScViolation`] when the extended sequence violates the size-change
-    /// principle.
-    pub fn update_mut<O: WellFoundedOrder<V> + ?Sized>(
+    /// [`ScViolation`] when the function's extended graph sequence violates
+    /// the size-change principle — the caller turns this into `errorSC`.
+    pub fn push<O: WellFoundedOrder<V> + ?Sized>(
         &mut self,
         key: K,
-        args: Rc<[V]>,
+        args: &[V],
         order: &O,
-    ) -> Result<TableUndo<K, V>, ScViolation> {
-        match self.map.entry(key.clone()) {
-            std::collections::hash_map::Entry::Occupied(mut slot) => {
-                let next = slot.get().step(args, order)?;
-                let prev = slot.insert(next);
-                Ok(TableUndo {
-                    key,
-                    prev: Some(prev),
-                })
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(FnEntry::first_call(args));
-                Ok(TableUndo { key, prev: None })
-            }
-        }
-    }
-
-    /// In-place `ext` (Figure 6): records the call *without* the `prog?`
-    /// check, for the call-sequence semantics. Returns the undo record and
-    /// whether the extended sequence would have violated the principle —
-    /// the information the completeness theorems quantify over.
-    pub fn extend_unchecked_mut<O: WellFoundedOrder<V> + ?Sized>(
-        &mut self,
-        key: K,
-        args: Rc<[V]>,
-        order: &O,
-    ) -> (TableUndo<K, V>, Option<ScViolation>) {
-        let entry = match self.map.get(&key) {
-            None => FnEntry::first_call(args),
-            Some(prev) => prev.step_unchecked(args, order),
+    ) -> Result<(), ScViolation>
+    where
+        V: Clone,
+    {
+        let slot = self.slot(key);
+        let prev = self.heads[slot as usize];
+        let seq = match self.graph_from(prev, args, order) {
+            None => CallSeq::new(),
+            Some((seq, g)) => seq.push(g)?,
         };
-        let violation = entry.seq.check().err();
-        let prev = self.map.insert(key.clone(), entry);
-        (TableUndo { key, prev }, violation)
+        self.push_frame(slot, prev, seq, args);
+        Ok(())
     }
 
-    /// Reverts an update when its call's dynamic extent ends.
-    pub fn restore(&mut self, undo: TableUndo<K, V>) {
-        match undo.prev {
-            Some(entry) => {
-                self.map.insert(undo.key, entry);
-            }
-            None => {
-                self.map.remove(&undo.key);
-            }
+    /// Figure 6's `ext(m, v, ⃗vₙ)` in place: pushes a frame for the call
+    /// *without* the `prog?` check, for the call-sequence semantics, and
+    /// returns whether the extended sequence violates the principle — the
+    /// information the completeness theorems quantify over.
+    pub fn push_unchecked<O: WellFoundedOrder<V> + ?Sized>(
+        &mut self,
+        key: K,
+        args: &[V],
+        order: &O,
+    ) -> Option<ScViolation>
+    where
+        V: Clone,
+    {
+        let slot = self.slot(key);
+        let prev = self.heads[slot as usize];
+        let seq = match self.graph_from(prev, args, order) {
+            None => CallSeq::new(),
+            Some((seq, g)) => seq.push_unchecked(g),
+        };
+        let violation = seq.check().err();
+        self.push_frame(slot, prev, seq, args);
+        violation
+    }
+
+    /// Ends the innermost pending call's dynamic extent: its function's
+    /// entry reverts to the call it shadowed.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no call is pending — a return without its call.
+    pub fn pop(&mut self) {
+        let frame = self
+            .frames
+            .pop()
+            .expect("MonitorStack::pop matches an earlier push");
+        self.args.truncate(frame.args_start as usize);
+        self.heads[frame.slot as usize] = frame.prev;
+    }
+
+    /// The graph from the call in frame `prev` (when there is one) to
+    /// `args`, with the sequence it extends.
+    fn graph_from<O: WellFoundedOrder<V> + ?Sized>(
+        &self,
+        prev: u32,
+        args: &[V],
+        order: &O,
+    ) -> Option<(&CallSeq, ScGraph)> {
+        (prev != NONE).then(|| {
+            let entry = self.entry(prev);
+            (entry.seq, ScGraph::from_args(order, entry.last_args, args))
+        })
+    }
+
+    fn push_frame(&mut self, slot: u32, prev: u32, seq: CallSeq, args: &[V])
+    where
+        V: Clone,
+    {
+        self.heads[slot as usize] = index(self.frames.len());
+        self.frames.push(Frame {
+            slot,
+            args_start: index(self.args.len()),
+            prev,
+            seq,
+        });
+        self.args.extend_from_slice(args);
+    }
+
+    /// The key's dense slot, registering the key on first sight.
+    fn slot(&mut self, key: K) -> u32 {
+        if self.slots.len() > 2 * self.frames.len() + SLOT_SLACK {
+            self.compact();
         }
+        let fresh = index(self.heads.len());
+        let slot = *self.slots.entry(key).or_insert(fresh);
+        if slot == fresh {
+            self.heads.push(NONE);
+        }
+        slot
     }
 
-    /// Drops all entries (used when leaving a contract's dynamic extent).
-    pub fn clear(&mut self) {
-        self.map.clear();
+    /// Drops the keys with no pending call and renumbers the others.
+    fn compact(&mut self) {
+        let mut renumber = vec![NONE; self.heads.len()];
+        let mut heads = Vec::new();
+        let old_heads = &self.heads;
+        self.slots.retain(|_, slot| {
+            let head = old_heads[*slot as usize];
+            if head == NONE {
+                return false;
+            }
+            renumber[*slot as usize] = index(heads.len());
+            *slot = index(heads.len());
+            heads.push(head);
+            true
+        });
+        for frame in &mut self.frames {
+            frame.slot = renumber[frame.slot as usize];
+        }
+        self.heads = heads;
     }
+}
+
+/// A frame, slot or arena position as a `u32` index.
+fn index(n: usize) -> u32 {
+    u32::try_from(n).expect("monitor stack index fits in u32")
 }
 
 #[cfg(test)]
@@ -388,17 +515,17 @@ mod tests {
 
     #[test]
     fn mutable_update_and_restore() {
-        let mut t: MutScTable<u32, i64> = MutScTable::new();
-        let u1 = t.update_mut(1, args(&[5]), &AbsIntOrder).unwrap();
-        let u2 = t.update_mut(1, args(&[4]), &AbsIntOrder).unwrap();
+        let mut t: MonitorStack<u32, i64> = MonitorStack::new();
+        t.push(1, &[5], &AbsIntOrder).unwrap();
+        t.push(1, &[4], &AbsIntOrder).unwrap();
         assert_eq!(t.get(&1).unwrap().seq.len(), 1);
-        t.restore(u2);
+        t.pop();
         assert_eq!(t.get(&1).unwrap().seq.len(), 0);
         // After restoring, a non-descending call relative to [5] fails...
-        assert!(t.update_mut(1, args(&[6]), &AbsIntOrder).is_err());
+        assert!(t.push(1, &[6], &AbsIntOrder).is_err());
         // ...and the failed update leaves the table unchanged.
         assert_eq!(t.get(&1).unwrap().seq.len(), 0);
-        t.restore(u1);
+        t.pop();
         assert!(t.is_empty());
     }
 
@@ -414,15 +541,35 @@ mod tests {
     fn restore_interleaving_is_stack_like() {
         // Simulates f(5) -> f(4) -> return -> f(3): the table must track
         // the dynamic extent, not the global history.
-        let mut t: MutScTable<u32, i64> = MutScTable::new();
-        let u_outer = t.update_mut(1, args(&[5]), &AbsIntOrder).unwrap();
-        let u_inner = t.update_mut(1, args(&[4]), &AbsIntOrder).unwrap();
-        t.restore(u_inner);
+        let mut t: MonitorStack<u32, i64> = MonitorStack::new();
+        t.push(1, &[5], &AbsIntOrder).unwrap();
+        t.push(1, &[4], &AbsIntOrder).unwrap();
+        t.pop();
         // Back in f(5)'s extent: calling f(3) compares against [5], len 1.
-        let u_inner2 = t.update_mut(1, args(&[3]), &AbsIntOrder).unwrap();
+        t.push(1, &[3], &AbsIntOrder).unwrap();
         assert_eq!(t.get(&1).unwrap().seq.len(), 1);
-        t.restore(u_inner2);
-        t.restore(u_outer);
+        t.pop();
+        t.pop();
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn keys_with_no_pending_call_are_compacted_away() {
+        // One pending outer call, then many distinct keys called and
+        // returned: the slot map stays bounded and the outer entry holds.
+        let mut t: MonitorStack<u32, i64> = MonitorStack::new();
+        t.push(0, &[100], &AbsIntOrder).unwrap();
+        for key in 1..=(4 * SLOT_SLACK as u32) {
+            t.push(key, &[1, 2], &AbsIntOrder).unwrap();
+            t.pop();
+        }
+        assert!(t.slots.len() <= 2 * t.depth() + SLOT_SLACK + 1);
+        assert_eq!(t.get(&0).unwrap().last_args, &[100]);
+        assert!(t.get(&7).is_none());
+        t.push(0, &[99], &AbsIntOrder).unwrap();
+        assert_eq!(t.get(&0).unwrap().seq.len(), 1);
+        t.pop();
+        t.pop();
         assert!(t.is_empty());
     }
 }

@@ -37,7 +37,7 @@ use sct_core::graph::ScGraph;
 use sct_core::intern::FxBuildHasher;
 use sct_core::monitor::{Backoff, KeyStrategy, MonitorConfig, TableStrategy};
 use sct_core::plan::{EnforcementPlan, PlanDomain};
-use sct_core::table::{MutScTable, ScTable, TableUndo};
+use sct_core::table::{MonitorStack, ScTable};
 use sct_ir::{CapSrc, CompiledProgram, Instr, SiteAction, TopCode};
 use sct_lang::ast::Program;
 use sct_lang::{LambdaDef, Prim};
@@ -277,7 +277,8 @@ fn build_fast_path(plan: Option<&EnforcementPlan>, lambdas: usize) -> Vec<Option
 
 /// The machine's continuation frames. `Return` replaces the tree-walker's
 /// pending-expression frames (the caller's resumption is a program point,
-/// not a subtree); everything else is carried over unchanged.
+/// not a subtree); everything else is carried over unchanged. The rare
+/// contract frames are boxed, so a frame is 32 bytes.
 enum Kont {
     /// Resume the caller at `pc` with the callee's value on the stack.
     Return {
@@ -286,36 +287,44 @@ enum Kont {
         locals_base: u32,
         caps: Rc<[Slot]>,
     },
-    /// Undo an imperative-table extension when the checked call returns.
-    Restore(TableUndo<u64, Value>),
+    /// Pop the imperative table's frame when the checked call returns.
+    Restore,
     /// Leave a `terminating/c` extent ([App-Term]/[SC-App-Term]).
     ContractExtent {
-        saved: Option<MutScTable<u64, Value>>,
+        saved: Option<Box<MonitorStack<u64, Value>>>,
         started: bool,
     },
     /// Pending flat-contract predicate result.
-    FlatCheck {
-        original: Value,
-        rest: VecDeque<Value>,
-        pos: Rc<str>,
-        neg: Rc<str>,
-    },
+    FlatCheck(Box<FlatCheck>),
     /// Pending `->/c` domain checks.
-    ArrowCall {
-        inner: Value,
-        doms: Vec<Value>,
-        args: Vec<Value>,
-        receiving: usize,
-        checked: Vec<Value>,
-        pos: Rc<str>,
-        neg: Rc<str>,
-    },
+    ArrowCall(Box<ArrowCall>),
     /// Pending `->/c` range check.
-    ArrowRng {
-        rng: Value,
-        pos: Rc<str>,
-        neg: Rc<str>,
-    },
+    ArrowRng(Box<ArrowRng>),
+}
+
+const _: () = assert!(std::mem::size_of::<Kont>() <= 32);
+
+struct FlatCheck {
+    original: Value,
+    rest: VecDeque<Value>,
+    pos: Rc<str>,
+    neg: Rc<str>,
+}
+
+struct ArrowCall {
+    inner: Value,
+    doms: Vec<Value>,
+    args: Vec<Value>,
+    receiving: usize,
+    checked: Vec<Value>,
+    pos: Rc<str>,
+    neg: Rc<str>,
+}
+
+struct ArrowRng {
+    rng: Value,
+    pos: Rc<str>,
+    neg: Rc<str>,
 }
 
 /// Outcome of an application path: the machine either entered compiled
@@ -378,7 +387,7 @@ pub struct Machine<'p> {
     last_seen_tick: HashMap<u64, u64, FxBuildHasher>,
     guard_tick: u64,
     // Imperative-strategy table (also used by CallSeqCollect).
-    imp_table: MutScTable<u64, Value>,
+    imp_table: MonitorStack<u64, Value>,
     // Continuation-mark-strategy table stack.
     marks: Vec<MarkEntry>,
     // Innermost-first blame labels for active terminating/c extents.
@@ -474,7 +483,7 @@ impl<'p> Machine<'p> {
             designated: HashSet::default(),
             last_seen_tick: HashMap::default(),
             guard_tick: 0,
-            imp_table: MutScTable::new(),
+            imp_table: MonitorStack::new(),
             marks: Vec::new(),
             blames: Vec::new(),
             extent_depth: 0,
@@ -877,22 +886,23 @@ impl<'p> Machine<'p> {
                     self.stack.push(v);
                     return Ok(None);
                 }
-                Kont::Restore(undo) => self.imp_table.restore(undo),
+                Kont::Restore => self.imp_table.pop(),
                 Kont::ContractExtent { saved, started } => {
                     if let Some(table) = saved {
-                        self.imp_table = table;
+                        self.imp_table = *table;
                     }
                     if started {
                         self.extent_depth -= 1;
                     }
                     self.blames.pop();
                 }
-                Kont::FlatCheck {
-                    original,
-                    rest,
-                    pos,
-                    neg,
-                } => {
+                Kont::FlatCheck(check) => {
+                    let FlatCheck {
+                        original,
+                        rest,
+                        pos,
+                        neg,
+                    } = *check;
                     if v.is_truthy() {
                         match self.attach_all(rest, original, pos, neg)? {
                             Step::Enter => return Ok(None),
@@ -905,40 +915,27 @@ impl<'p> Machine<'p> {
                         }));
                     }
                 }
-                Kont::ArrowCall {
-                    inner,
-                    doms,
-                    args,
-                    receiving,
-                    mut checked,
-                    pos,
-                    neg,
-                } => {
-                    checked.push(v);
-                    let next = receiving + 1;
-                    let step = if next < args.len() {
-                        let dom = doms[next].clone();
-                        let arg = args[next].clone();
-                        self.push_kont(Kont::ArrowCall {
-                            inner,
-                            doms,
-                            args,
-                            receiving: next,
-                            checked,
-                            pos: pos.clone(),
-                            neg: neg.clone(),
-                        });
+                Kont::ArrowCall(mut call) => {
+                    call.checked.push(v);
+                    let next = call.receiving + 1;
+                    let step = if next < call.args.len() {
+                        let dom = call.doms[next].clone();
+                        let arg = call.args[next].clone();
+                        let (pos, neg) = (call.pos.clone(), call.neg.clone());
+                        call.receiving = next;
+                        self.push_kont(Kont::ArrowCall(call));
                         // Domain obligations blame the caller: swap parties.
                         self.attach_all(VecDeque::from(vec![dom]), arg, neg, pos)?
                     } else {
-                        self.apply_value(inner, checked)?
+                        self.apply_value(call.inner, call.checked)?
                     };
                     match step {
                         Step::Enter => return Ok(None),
                         Step::Value(next_v) => v = next_v,
                     }
                 }
-                Kont::ArrowRng { rng, pos, neg } => {
+                Kont::ArrowRng(range) => {
+                    let ArrowRng { rng, pos, neg } = *range;
                     match self.attach_all(VecDeque::from(vec![rng]), v, pos, neg)? {
                         Step::Enter => return Ok(None),
                         Step::Value(next_v) => v = next_v,
@@ -1259,7 +1256,7 @@ impl<'p> Machine<'p> {
         // [SC-App-Term]: inside one, keep the current table.
         let started = !self.monitoring_active();
         let saved = if started && !self.imp_table.is_empty() {
-            Some(std::mem::take(&mut self.imp_table))
+            Some(Box::new(std::mem::take(&mut self.imp_table)))
         } else {
             None
         };
@@ -1287,17 +1284,17 @@ impl<'p> Machine<'p> {
                 message: format!("expected {} arguments, got {}", doms.len(), args.len()),
             }));
         }
-        self.push_kont(Kont::ArrowRng {
+        self.push_kont(Kont::ArrowRng(Box::new(ArrowRng {
             rng,
             pos: pos.clone(),
             neg: neg.clone(),
-        });
+        })));
         if args.is_empty() {
             self.apply_value(inner, Vec::new())
         } else {
             let dom = doms[0].clone();
             let arg = args[0].clone();
-            self.push_kont(Kont::ArrowCall {
+            self.push_kont(Kont::ArrowCall(Box::new(ArrowCall {
                 inner,
                 doms,
                 args,
@@ -1305,7 +1302,7 @@ impl<'p> Machine<'p> {
                 checked: Vec::new(),
                 pos: pos.clone(),
                 neg: neg.clone(),
-            });
+            })));
             self.attach_all(VecDeque::from(vec![dom]), arg, neg, pos)
         }
     }
@@ -1392,12 +1389,12 @@ impl<'p> Machine<'p> {
                     }
                 }
                 pred => {
-                    self.push_kont(Kont::FlatCheck {
+                    self.push_kont(Kont::FlatCheck(Box::new(FlatCheck {
                         original: current.clone(),
                         rest: contracts,
                         pos: pos.clone(),
                         neg,
-                    });
+                    })));
                     return self.apply_value(pred, vec![current]);
                 }
             }
@@ -1460,16 +1457,19 @@ impl<'p> Machine<'p> {
         let Some(key) = self.monitor_gate(clo) else {
             return Ok(());
         };
-        let snapshot: Rc<[Value]> = Rc::from(&self.stack[args_start..]);
-        self.monitor_check(clo, key, snapshot)
+        // The check reads the arguments in place; `monitor_check` never
+        // touches the value stack, so lend it out for the duration.
+        let stack = std::mem::take(&mut self.stack);
+        let checked = self.monitor_check(clo, key, &stack[args_start..]);
+        self.stack = stack;
+        checked
     }
 
     fn monitor_call_slice(&mut self, clo: &Rc<Closure>, args: &[Value]) -> Result<(), EvalError> {
         let Some(key) = self.monitor_gate(clo) else {
             return Ok(());
         };
-        let snapshot: Rc<[Value]> = Rc::from(args.to_vec());
-        self.monitor_check(clo, key, snapshot)
+        self.monitor_check(clo, key, args)
     }
 
     /// Steps 6–7 of the tree-walker's `monitor_call`: trace, then extend
@@ -1478,18 +1478,16 @@ impl<'p> Machine<'p> {
         &mut self,
         clo: &Rc<Closure>,
         key: u64,
-        snapshot: Rc<[Value]>,
+        args: &[Value],
     ) -> Result<(), EvalError> {
         if self.config.trace {
-            self.record_trace(clo, key, &snapshot, self.kont.len());
+            self.record_trace(clo, key, args, self.kont.len());
         }
 
         match self.config.mode {
             SemanticsMode::CallSeqCollect => {
-                let (undo, violation) =
-                    self.imp_table
-                        .extend_unchecked_mut(key, snapshot, &self.config.order.clone());
-                self.push_kont(Kont::Restore(undo));
+                let violation = self.imp_table.push_unchecked(key, args, &self.config.order);
+                self.push_kont(Kont::Restore);
                 if let Some(v) = violation {
                     self.violations.push(ScErrorInfo {
                         blame: self.blames.last().cloned(),
@@ -1501,10 +1499,9 @@ impl<'p> Machine<'p> {
             }
             _ => match self.config.monitor.strategy {
                 TableStrategy::Imperative => {
-                    let order = self.config.order.clone();
-                    match self.imp_table.update_mut(key, snapshot, &order) {
-                        Ok(undo) => {
-                            self.push_kont(Kont::Restore(undo));
+                    match self.imp_table.push(key, args, &self.config.order) {
+                        Ok(()) => {
+                            self.push_kont(Kont::Restore);
                             Ok(())
                         }
                         Err(violation) => Err(EvalError::Sc(ScErrorInfo {
@@ -1520,7 +1517,7 @@ impl<'p> Machine<'p> {
                         Some(m) => m.table.clone(),
                         None => ScTable::new(),
                     };
-                    match current.update(key, snapshot, &order) {
+                    match current.update(key, Rc::from(args), &order) {
                         Ok(table) => {
                             let depth = self.kont.len();
                             match self.marks.last_mut() {
@@ -1546,21 +1543,18 @@ impl<'p> Machine<'p> {
         }
     }
 
-    fn record_trace(&mut self, clo: &Rc<Closure>, key: u64, args: &Rc<[Value]>, depth: usize) {
-        let prev_entry = match self.config.monitor.strategy {
-            TableStrategy::ContinuationMark => {
-                self.marks.last().and_then(|m| m.table.get(&key).cloned())
-            }
-            TableStrategy::Imperative => self.imp_table.get(&key).cloned(),
+    fn record_trace(&mut self, clo: &Rc<Closure>, key: u64, args: &[Value], depth: usize) {
+        let graph = match self.config.monitor.strategy {
+            TableStrategy::ContinuationMark => self
+                .marks
+                .last()
+                .and_then(|m| m.table.get(&key))
+                .map(|entry| trace_graph(&self.config.order, &entry.last_args, args)),
+            TableStrategy::Imperative => self
+                .imp_table
+                .get(&key)
+                .map(|entry| trace_graph(&self.config.order, entry.last_args, args)),
         };
-        let graph = prev_entry.map(|entry| {
-            let g = ScGraph::from_args(&self.config.order, &entry.last_args, args);
-            let names: Vec<String> = (0..args.len().max(entry.last_args.len()))
-                .map(|i| format!("x{i}"))
-                .collect();
-            let name_refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-            g.display_with(&name_refs, &name_refs)
-        });
         self.trace_events.push(TraceEvent {
             function: clo.def.describe(),
             args: args.iter().map(|a| a.to_write_string()).collect(),
@@ -1568,6 +1562,17 @@ impl<'p> Machine<'p> {
             kont_depth: depth,
         });
     }
+}
+
+/// The size-change graph from a function's previous call to this one,
+/// rendered with positional parameter names for a [`TraceEvent`].
+pub(crate) fn trace_graph(order: &OrderHandle, prev: &[Value], args: &[Value]) -> String {
+    let g = ScGraph::from_args(order, prev, args);
+    let names: Vec<String> = (0..args.len().max(prev.len()))
+        .map(|i| format!("x{i}"))
+        .collect();
+    let name_refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
+    g.display_with(&name_refs, &name_refs)
 }
 
 fn uninitialized() -> EvalError {

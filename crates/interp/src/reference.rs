@@ -28,17 +28,16 @@
 use crate::env::{assign, lookup, Env, Frame};
 use crate::error::{ContractErrorInfo, EvalError, RtError, ScErrorInfo};
 use crate::machine::{
-    arity_error, datum_to_value, in_domain, party_name, wrap_terminating, FastGuard, MachineConfig,
-    SemanticsMode, Stats, TraceEvent,
+    arity_error, datum_to_value, in_domain, party_name, trace_graph, wrap_terminating, FastGuard,
+    MachineConfig, SemanticsMode, Stats, TraceEvent,
 };
 use crate::prims::{call_prim, PrimEffect};
 use crate::value::{
     mix2, value_hash, Closure, ClosureEnv, ContractData, Value, WrapKind, WrappedData,
 };
-use sct_core::graph::ScGraph;
 use sct_core::intern::FxBuildHasher;
 use sct_core::monitor::{Backoff, KeyStrategy, TableStrategy};
-use sct_core::table::{MutScTable, ScTable, TableUndo};
+use sct_core::table::{MonitorStack, ScTable};
 use sct_lang::ast::{Expr, Program, TopForm, VarRef};
 use sct_lang::{LambdaDef, Prim};
 use sct_sexpr::Datum;
@@ -100,9 +99,9 @@ enum Kont {
     TermCWrap {
         label: Rc<str>,
     },
-    Restore(TableUndo<u64, Value>),
+    Restore,
     ContractExtent {
-        saved: Option<MutScTable<u64, Value>>,
+        saved: Option<MonitorStack<u64, Value>>,
         started: bool,
     },
     FlatCheck {
@@ -165,7 +164,7 @@ pub struct Machine<'p> {
     last_seen_tick: HashMap<u64, u64>,
     guard_tick: u64,
     // Imperative-strategy table (also used by CallSeqCollect).
-    imp_table: MutScTable<u64, Value>,
+    imp_table: MonitorStack<u64, Value>,
     // Continuation-mark-strategy table stack.
     marks: Vec<MarkEntry>,
     // Innermost-first blame labels for active terminating/c extents.
@@ -204,7 +203,7 @@ impl<'p> Machine<'p> {
             designated: HashSet::new(),
             last_seen_tick: HashMap::new(),
             guard_tick: 0,
-            imp_table: MutScTable::new(),
+            imp_table: MonitorStack::new(),
             marks: Vec::new(),
             blames: Vec::new(),
             extent_depth: 0,
@@ -516,8 +515,8 @@ impl<'p> Machine<'p> {
                 }
             }
             Kont::TermCWrap { label } => Ctrl::Val(wrap_terminating(v, label)),
-            Kont::Restore(undo) => {
-                self.imp_table.restore(undo);
+            Kont::Restore => {
+                self.imp_table.pop();
                 Ctrl::Val(v)
             }
             Kont::ContractExtent { saved, started } => {
@@ -966,17 +965,14 @@ impl<'p> Machine<'p> {
         self.stats.checks += 1;
         self.guard_tick += 1;
 
-        let snapshot: Rc<[Value]> = Rc::from(args.to_vec());
         if self.config.trace {
-            self.record_trace(clo, key, &snapshot, kont.len());
+            self.record_trace(clo, key, args, kont.len());
         }
 
         match self.config.mode {
             SemanticsMode::CallSeqCollect => {
-                let (undo, violation) =
-                    self.imp_table
-                        .extend_unchecked_mut(key, snapshot, &self.config.order.clone());
-                kont.push(Kont::Restore(undo));
+                let violation = self.imp_table.push_unchecked(key, args, &self.config.order);
+                kont.push(Kont::Restore);
                 if let Some(v) = violation {
                     self.violations.push(ScErrorInfo {
                         blame: self.blames.last().cloned(),
@@ -988,10 +984,9 @@ impl<'p> Machine<'p> {
             }
             _ => match self.config.monitor.strategy {
                 TableStrategy::Imperative => {
-                    let order = self.config.order.clone();
-                    match self.imp_table.update_mut(key, snapshot, &order) {
-                        Ok(undo) => {
-                            kont.push(Kont::Restore(undo));
+                    match self.imp_table.push(key, args, &self.config.order) {
+                        Ok(()) => {
+                            kont.push(Kont::Restore);
                             Ok(())
                         }
                         Err(violation) => Err(EvalError::Sc(ScErrorInfo {
@@ -1007,7 +1002,7 @@ impl<'p> Machine<'p> {
                         Some(m) => m.table.clone(),
                         None => ScTable::new(),
                     };
-                    match current.update(key, snapshot, &order) {
+                    match current.update(key, Rc::from(args), &order) {
                         Ok(table) => {
                             let depth = kont.len();
                             match self.marks.last_mut() {
@@ -1033,21 +1028,18 @@ impl<'p> Machine<'p> {
         }
     }
 
-    fn record_trace(&mut self, clo: &Rc<Closure>, key: u64, args: &Rc<[Value]>, depth: usize) {
-        let prev_entry = match self.config.monitor.strategy {
-            TableStrategy::ContinuationMark => {
-                self.marks.last().and_then(|m| m.table.get(&key).cloned())
-            }
-            TableStrategy::Imperative => self.imp_table.get(&key).cloned(),
+    fn record_trace(&mut self, clo: &Rc<Closure>, key: u64, args: &[Value], depth: usize) {
+        let graph = match self.config.monitor.strategy {
+            TableStrategy::ContinuationMark => self
+                .marks
+                .last()
+                .and_then(|m| m.table.get(&key))
+                .map(|entry| trace_graph(&self.config.order, &entry.last_args, args)),
+            TableStrategy::Imperative => self
+                .imp_table
+                .get(&key)
+                .map(|entry| trace_graph(&self.config.order, entry.last_args, args)),
         };
-        let graph = prev_entry.map(|entry| {
-            let g = ScGraph::from_args(&self.config.order, &entry.last_args, args);
-            let names: Vec<String> = (0..args.len().max(entry.last_args.len()))
-                .map(|i| format!("x{i}"))
-                .collect();
-            let name_refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-            g.display_with(&name_refs, &name_refs)
-        });
         self.trace_events.push(TraceEvent {
             function: clo.def.describe(),
             args: args.iter().map(|a| a.to_write_string()).collect(),

@@ -393,7 +393,7 @@ fn guide_serve_stdio_transcript() {
 /// §4, "First-class call sites" subsection: the iterate transcript and
 /// the `site=generic` IR annotation of its first-class `(f x)` site.
 #[test]
-fn guide_hybrid_pic_transcript() {
+fn guide_hybrid_first_class_site_transcript() {
     let h = sct(&["hybrid", "examples/guide/iterate.sct"]);
     assert!(h.status.success(), "{}", stderr(&h));
     assert_eq!(stdout(&h).trim(), "1035");
